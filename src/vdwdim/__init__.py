@@ -22,8 +22,8 @@ from .atoms import (
     drude_spectrum,
     moment,
 )
-from .backends import backend_name
 from .drude_exact import exact_correction, shifted_frequencies
+from .kernels import backend_name
 from .multipole import (
     InteractionSeries,
     Monomial,

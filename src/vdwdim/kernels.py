@@ -1,4 +1,4 @@
-"""Hot numeric kernels, each with a numba and a pure-numpy implementation.
+"""Hot numeric kernels, vectorized with numpy.
 
 Everything here works on plain float64 arrays: the four-site Coulomb
 combination evaluated over batches of electron configurations, the same
@@ -6,23 +6,19 @@ kernel tabulated on 1D quadrature grids, tensor-product quadrature sums for
 ground-state expectation values, and batch evaluation of a truncated
 interaction series.  Electron positions are always passed as (n, 3) arrays,
 zero-padded when the physical dimension is lower; the inter-atomic axis is x.
-
-The public names (``four_site_batch``, ``four_site_grid_1d``,
-``pair_expectation``, ``series_batch``) bind to the backend chosen in
-:mod:`vdwdim.backends`.  Both implementations stay importable under their
-``_numpy`` / ``_numba`` suffixes so they can be cross-checked and benchmarked.
 """
 
-import math
-
 import numpy as np
-
-from .backends import HAVE_NUMBA, njit
 
 _CHUNK = 4096
 
 
-def four_site_batch_numpy(R, pts_a, pts_b):
+def backend_name() -> str:
+    """Name of the array library the kernels run on."""
+    return "numpy"
+
+
+def four_site_batch(R, pts_a, pts_b):
     """1/R + 1/|Rx - ra + rb| - 1/|Rx - ra| - 1/|Rx + rb| for paired samples.
 
     ``pts_a`` and ``pts_b`` have shape (n, 3); sample i of each is one
@@ -36,7 +32,7 @@ def four_site_batch_numpy(R, pts_a, pts_b):
     return 1.0 / R + 1.0 / d_ab - 1.0 / d_a - 1.0 / d_b
 
 
-def four_site_grid_1d_numpy(R, xa, xb):
+def four_site_grid_1d(R, xa, xb):
     """Four-site kernel on the outer grid of 1D displacements xa[p], xb[q]."""
     A = xa[:, None]
     B = xb[None, :]
@@ -48,7 +44,7 @@ def four_site_grid_1d_numpy(R, xa, xb):
     )
 
 
-def pair_expectation_numpy(R, pts_a, w_a, pts_b, w_b):
+def pair_expectation(R, pts_a, w_a, pts_b, w_b):
     """Double quadrature sum  sum_ij w_a[i] w_b[j] K(R, a_i, b_j).
 
     Chunked over the first factor so the (n_a, n_b) intermediates stay small.
@@ -72,7 +68,7 @@ def pair_expectation_numpy(R, pts_a, w_a, pts_b, w_b):
     return acc
 
 
-def series_batch_numpy(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
+def series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
     """Evaluate a truncated interaction series on a batch of configurations.
 
     ``powers``/``coeffs`` are the flat monomial table (one row per monomial),
@@ -91,7 +87,7 @@ def series_batch_numpy(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
     return out
 
 
-def series_grid_1d_numpy(powers, coeffs, exp_a, exp_b, R, xa, xb):
+def series_grid_1d(powers, coeffs, exp_a, exp_b, R, xa, xb):
     """Truncated series tabulated on the outer grid of 1D displacements."""
     out = np.zeros((xa.shape[0], xb.shape[0]))
     for m in range(coeffs.shape[0]):
@@ -99,93 +95,3 @@ def series_grid_1d_numpy(powers, coeffs, exp_a, exp_b, R, xa, xb):
         vb = xb ** exp_b[m, 0]
         out += (coeffs[m] * R ** (-float(powers[m]))) * np.outer(va, vb)
     return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def four_site_batch_numba(R, pts_a, pts_b):
-        n = pts_a.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            ax, ay, az = pts_a[i, 0], pts_a[i, 1], pts_a[i, 2]
-            bx, by, bz = pts_b[i, 0], pts_b[i, 1], pts_b[i, 2]
-            d_ab = math.sqrt(
-                (R - ax + bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2
-            )
-            d_a = math.sqrt((R - ax) ** 2 + ay * ay + az * az)
-            d_b = math.sqrt((R + bx) ** 2 + by * by + bz * bz)
-            out[i] = 1.0 / R + 1.0 / d_ab - 1.0 / d_a - 1.0 / d_b
-        return out
-
-    @njit(cache=True)
-    def four_site_grid_1d_numba(R, xa, xb):
-        out = np.empty((xa.shape[0], xb.shape[0]))
-        for p in range(xa.shape[0]):
-            for q in range(xb.shape[0]):
-                out[p, q] = (
-                    1.0 / R
-                    + 1.0 / abs(R - xa[p] + xb[q])
-                    - 1.0 / abs(R - xa[p])
-                    - 1.0 / abs(R + xb[q])
-                )
-        return out
-
-    @njit(cache=True)
-    def pair_expectation_numba(R, pts_a, w_a, pts_b, w_b):
-        acc = 0.0
-        for i in range(pts_a.shape[0]):
-            ax, ay, az = pts_a[i, 0], pts_a[i, 1], pts_a[i, 2]
-            d_a = math.sqrt((R - ax) ** 2 + ay * ay + az * az)
-            row = 0.0
-            for j in range(pts_b.shape[0]):
-                bx, by, bz = pts_b[j, 0], pts_b[j, 1], pts_b[j, 2]
-                d_ab = math.sqrt(
-                    (R - ax + bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2
-                )
-                d_b = math.sqrt((R + bx) ** 2 + by * by + bz * bz)
-                row += w_b[j] * (
-                    1.0 / R + 1.0 / d_ab - 1.0 / d_a - 1.0 / d_b
-                )
-            acc += w_a[i] * row
-        return acc
-
-    @njit(cache=True)
-    def series_batch_numba(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
-        n = pts_a.shape[0]
-        out = np.zeros(n)
-        for i in range(n):
-            total = 0.0
-            for m in range(coeffs.shape[0]):
-                term = coeffs[m] * R ** (-float(powers[m]))
-                for c in range(3):
-                    for _ in range(exp_a[m, c]):
-                        term *= pts_a[i, c]
-                    for _ in range(exp_b[m, c]):
-                        term *= pts_b[i, c]
-                total += term
-            out[i] = total
-        return out
-
-    @njit(cache=True)
-    def series_grid_1d_numba(powers, coeffs, exp_a, exp_b, R, xa, xb):
-        out = np.zeros((xa.shape[0], xb.shape[0]))
-        for m in range(coeffs.shape[0]):
-            scale = coeffs[m] * R ** (-float(powers[m]))
-            for p in range(xa.shape[0]):
-                va = scale * xa[p] ** exp_a[m, 0]
-                for q in range(xb.shape[0]):
-                    out[p, q] += va * xb[q] ** exp_b[m, 0]
-        return out
-
-    four_site_batch = four_site_batch_numba
-    four_site_grid_1d = four_site_grid_1d_numba
-    pair_expectation = pair_expectation_numba
-    series_batch = series_batch_numba
-    series_grid_1d = series_grid_1d_numba
-else:
-    four_site_batch = four_site_batch_numpy
-    four_site_grid_1d = four_site_grid_1d_numpy
-    pair_expectation = pair_expectation_numpy
-    series_batch = series_batch_numpy
-    series_grid_1d = series_grid_1d_numpy

@@ -6,15 +6,27 @@ the interaction energy is the four-site combination
 
     k * ( 1/R + 1/|R x - r_a + r_b| - 1/|R x - r_a| - 1/|R x + r_b| ).
 
-Each shifted kernel 1/|R x - t| is expanded as a Taylor series of
-(1 + u)^(-1/2) with u = (-2 t_x R + |t|^2) / R^2, keeping coefficients as
-exact rationals throughout.  Neutrality cancels the 1/R and 1/R^2 orders,
-the order-n polynomial is homogeneous of degree n - 1 in the coordinates,
-and every surviving monomial couples both atoms.
+Only the mixed kernel is expanded.  With t = r_a - r_b, the Legendre
+generating function (Jackson, *Classical Electrodynamics*, sec. 3.3) gives
+
+    1/|R x - t| = sum_n R^-(n+1) sum_k c_{n,k} t_x^(n-2k) |t|^(2k),
+    c_{n,k} = (-1)^k (2n-2k)! / (2^n k! (n-k)! (n-2k)!),
+
+with every coefficient an exact rational.  Collecting the k sum at fixed
+transverse degree gives each coefficient in closed form (``_legendre_weight``),
+and a binomial split of t = r_a - r_b hands it to the two atoms.
+
+The single-atom kernels are the mixed kernel at r_b = 0 and at r_a = 0, so
+they remove exactly its monomials of degree zero in one atom; the 1/R they
+subtract twice is restored by the nucleus-nucleus term.  What survives
+starts at 1/R^3, the order-n polynomial is homogeneous of degree n - 1 in
+the coordinates, and every monomial couples both atoms.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -129,29 +141,21 @@ def expand_interaction(dim, max_power) -> InteractionSeries:
             f"max_power {max_power} exceeds cap {MAX_EXPANSION_POWER}"
         )
 
-    acc = {}
-    # Bare 1/R from the nucleus-nucleus term.
-    _add(acc, (1, _zeros(dim), _zeros(dim)), Fraction(1))
-    for sign, t_x, t_sq in _shift_polynomials(dim):
-        for key, coeff in _shifted_kernel(t_x, t_sq, max_power).items():
-            _add(acc, key, sign * coeff)
-
     terms = {}
-    for (rpow, ea, eb), coeff in acc.items():
-        if coeff == 0:
-            continue
-        # Neutrality kills the first two orders, and pure one-atom monomials
-        # cancel between the mixed kernel and the single-atom kernels.
-        assert rpow >= 3, "neutrality cancellation failed"
-        assert sum(ea) + sum(eb) == rpow - 1, "inhomogeneous term"
-        assert sum(ea) >= 1 and sum(eb) >= 1, "single-atom term survived"
-        terms.setdefault(rpow, []).append(Monomial(coeff, ea, eb))
-
-    ordered = {
-        n: tuple(sorted(monos, key=lambda m: (m.exp_a, m.exp_b)))
-        for n, monos in sorted(terms.items())
-    }
-    return InteractionSeries(dim, max_power, ordered)
+    for n in range(2, max_power):
+        monos = []
+        for axis_exp in _axis_exponents(dim, n):
+            weight = _legendre_weight(n, axis_exp)
+            # binomial split of each (t_i)^m = (a_i - b_i)^m between the atoms
+            for exp_a in itertools.product(*(range(m + 1) for m in axis_exp)):
+                exp_b = tuple(m - e for m, e in zip(axis_exp, exp_a))
+                if sum(exp_a) == 0 or sum(exp_b) == 0:
+                    continue  # cancelled by a single-atom kernel
+                split = prod(map(comb, axis_exp, exp_a))
+                coeff = weight * (-1) ** sum(exp_b) * split
+                monos.append(Monomial(coeff, exp_a, exp_b))
+        terms[n + 1] = tuple(sorted(monos, key=lambda m: (m.exp_a, m.exp_b)))
+    return InteractionSeries(dim, max_power, terms)
 
 
 def evaluate_series(series, R, r_a, r_b, k=1.0):
@@ -177,7 +181,7 @@ def evaluate_series_batch(series, R, pts_a, pts_b, k=1.0):
 
 
 def series_arrays(series):
-    """Flat float/int arrays of the series monomials for the kernel backends."""
+    """Flat float/int arrays of the series monomials for the batch kernels."""
     rows = []
     for power in sorted(series.terms):
         for mono in series.terms[power]:
@@ -246,90 +250,26 @@ def _pad3(r):
     return out
 
 
-def _zeros(dim):
-    return (0,) * dim
+def _axis_exponents(dim, n):
+    """Exponents of t_x, t_y, t_z in the order-n polynomial; t_y, t_z even."""
+    for half in itertools.product(range(n // 2 + 1), repeat=dim - 1):
+        if 2 * sum(half) <= n:
+            yield (n - 2 * sum(half),) + tuple(2 * h for h in half)
 
 
-def _unit(dim, i):
-    e = [0] * dim
-    e[i] = 1
-    return tuple(e)
+def _legendre_weight(n, axis_exp):
+    """Coefficient of prod_i t_i^axis_exp[i] in |t|^n P_n(t_x / |t|).
 
-
-def _add(poly, key, coeff):
-    c = poly.get(key, Fraction(0)) + coeff
-    if c == 0:
-        poly.pop(key, None)
-    else:
-        poly[key] = c
-
-
-def _poly_mul(p, q, rpow_cap):
-    out = {}
-    for (rp, ea, eb), cp in p.items():
-        for (rq, fa, fb), cq in q.items():
-            rpow = rp + rq
-            if rpow > rpow_cap:
-                continue
-            key = (
-                rpow,
-                tuple(x + y for x, y in zip(ea, fa)),
-                tuple(x + y for x, y in zip(eb, fb)),
-            )
-            _add(out, key, cp * cq)
-    return out
-
-
-def _shift_polynomials(dim):
-    """The three shifted kernels as (sign, t_x poly, |t|^2 poly) triples."""
-    za = _zeros(dim)
-    one = Fraction(1)
-
-    # Shift vectors t with kernel = sign / |R x - t|, one poly per component.
-    t_mixed = [
-        {(0, _unit(dim, i), za): one, (0, za, _unit(dim, i)): -one}
-        for i in range(dim)
-    ]
-    t_atom_a = [{(0, _unit(dim, i), za): one} for i in range(dim)]
-    t_atom_b = [{(0, za, _unit(dim, i)): -one} for i in range(dim)]
-
-    triples = []
-    for sign, comps in ((1, t_mixed), (-1, t_atom_a), (-1, t_atom_b)):
-        tsq = {}
-        for comp in comps:
-            for key, coeff in _poly_mul(comp, comp, 10**9).items():
-                _add(tsq, key, coeff)
-        triples.append((sign, comps[0], tsq))
-    return triples
-
-
-def _shifted_kernel(t_x, t_sq, max_power):
-    """Expansion of 1/|R x - t| as a graded polynomial, orders <= max_power."""
-    cap = max_power - 1  # one power of 1/R is appended at the end
-    # u = -2 t_x / R + |t|^2 / R^2
-    u = {}
-    for (rp, ea, eb), c in t_x.items():
-        _add(u, (rp + 1, ea, eb), -2 * c)
-    for (rp, ea, eb), c in t_sq.items():
-        _add(u, (rp + 2, ea, eb), c)
-
-    # Horner evaluation of sum_m binom(-1/2, m) u^m, truncating high orders.
-    m_max = cap
-    binom = [Fraction(1)]
-    for m in range(1, m_max + 1):
-        binom.append(binom[-1] * (Fraction(-1, 2) - (m - 1)) / m)
-
-    dim = len(next(iter(u))[1]) if u else 1
-    const_key = (0, (0,) * dim, (0,) * dim)
-    acc = {const_key: binom[m_max]}
-    for m in range(m_max - 1, -1, -1):
-        acc = _poly_mul(acc, u, cap)
-        _add(acc, const_key, binom[m])
-
-    out = {}
-    for (rp, ea, eb), c in acc.items():
-        out[(rp + 1, ea, eb)] = c
-    return out
+    Summing c_{n,k} t_x^(n-2k) |t|^(2k) over k at fixed transverse degree 2h
+    gives sum_h (-1)^h n! / (4^h (h!)^2 (n-2h)!) t_x^(n-2h) rho^(2h), with
+    rho^2 = t_y^2 + t_z^2; the multinomial theorem then splits rho^(2h).
+    """
+    half = [m // 2 for m in axis_exp[1:]]
+    h = sum(half)
+    return Fraction(
+        (-1) ** h * factorial(n),
+        4**h * factorial(h) * factorial(n - 2 * h) * prod(map(factorial, half)),
+    )
 
 
 def _ball_samples(rng, dim, count, radius):

@@ -267,7 +267,7 @@ def total_energy_curve(dim, r_tilde_values, preset=None):
         R = rt * a
         r5, r7 = first_order_closed_form(dim, a, 3.0, k, R)
         r6 = second_order_drude_closed_form(dim, a, k, preset.hbar_omega, R)
-        valid = rt > validity
+        valid = bool(rt > validity)
         exact = None
         if valid:
             exact = scale * drude_exact.exact_correction(

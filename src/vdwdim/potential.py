@@ -38,6 +38,10 @@ class DimensionError(ValueError):
     """Operation requires a different confinement dimension."""
 
 
+class DivergentPotentialError(ValueError):
+    """The cloud potential is infinite at the requested field point."""
+
+
 @dataclass(frozen=True)
 class PotentialSample:
     field_point: tuple
@@ -155,14 +159,19 @@ def _quad(fn, lo, hi, points=None):
 def _cloud_1d(atom, r, support):
     rx = float(r[0])
     perp2 = float(r[1] ** 2 + r[2] ** 2)
+    if perp2 == 0.0 and -support < rx < support:
+        # the 1/|rx - x| singularity sits inside the charged line
+        raise DivergentPotentialError(
+            f"d=1 cloud potential diverges logarithmically on the axis "
+            f"inside the cloud (|x| < {support:.6g})"
+        )
 
     def integrand(x):
         return float(atom.radial_density(abs(x))) / math.sqrt(
             (rx - x) ** 2 + perp2
         )
 
-    pts = [rx] if (perp2 == 0.0 and -support < rx < support) else None
-    return _quad(integrand, -support, support, points=pts)
+    return _quad(integrand, -support, support)
 
 
 def _cloud_2d(atom, r, s, support):

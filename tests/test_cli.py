@@ -45,7 +45,7 @@ class TestExpand:
         code, out, _ = run_cli(capsys, "expand", "--dim", "3", "--order", "5")
         assert code == 0
         assert "1/R^5:" in out
-        assert "(3/4) * yA^2*yB^2" in out  # one collected order-5 monomial
+        assert "(9/4) * yA^2*yB^2" in out  # one collected order-5 monomial
 
 
 class TestMoments:
@@ -97,6 +97,15 @@ class TestPotential:
         assert values["multipole5"] == pytest.approx(
             -1e-3 - 3e-5, rel=1e-12
         )
+
+    def test_d1_on_axis_inside_cloud_single_error_line(self, capsys):
+        code, out, err = run_cli(
+            capsys, "potential", "--atom", "drude", "--dim", "1",
+            "--radii", "5", "--thetas", "0",
+        )
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 class TestCurve:

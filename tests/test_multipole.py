@@ -1,5 +1,6 @@
 """Exact expansion of the two-atom coupling: golden values and invariants."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -111,8 +112,9 @@ class TestGoldenExpansion:
 class TestSeriesInvariants:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_structure(self, dim):
-        series = expand_interaction(dim, 9)
-        assert set(series.terms) <= set(range(3, 10))
+        top = multipole.MAX_EXPANSION_POWER
+        series = expand_interaction(dim, top)
+        assert set(series.terms) <= set(range(3, top + 1))
         for power, monos in series.terms.items():
             for m in monos:
                 assert sum(m.exp_a) + sum(m.exp_b) == power - 1
@@ -250,6 +252,21 @@ class TestSerialization:
             assert isinstance(row["coeff_num"], int)
             assert isinstance(row["coeff_den"], int)
             assert len(row["expA"]) == 3 and len(row["expB"]) == 3
+
+
+# SHA-256 of the sorted-key JSON of each order-12 series, recorded from an
+# independent derivation (term-by-term Taylor expansion of (1 + u)^(-1/2)).
+ORDER12_DIGESTS = {
+    1: "f5addbf8cf2baa1024377b5c373aeec0c19dc41e6aef43e26d32ddc2704d5407",
+    2: "85219a827a4cdff1616d8f44b4d819aeed98476f58e4ef906614a67991494f17",
+    3: "4764fcb22d8617d4a0a339192657aa60db88820cf05a47e34d19220b5e99da95",
+}
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_order12_digest(dim):
+    blob = json.dumps(expand_interaction(dim, 12).to_dict(), sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == ORDER12_DIGESTS[dim]
 
 
 class TestLimits:

@@ -9,6 +9,7 @@ from scipy.special import erf
 from vdwdim.atoms import DrudeAtom, Hydrogen1DAtom, NumericRadialAtom, RingAtom
 from vdwdim.potential import (
     DimensionError,
+    DivergentPotentialError,
     UnsupportedOrderError,
     multipole_coefficients,
     shell_theorem_check,
@@ -66,9 +67,14 @@ class TestNumericQuadrature:
     def test_hydrogen1d_vanishes(self):
         assert v_a_numeric(Hydrogen1DAtom(), [5.0, 0, 0]).value == 0.0
 
+    def test_d1_on_axis_inside_cloud_is_divergent(self):
+        atom = DrudeAtom.bohr_matched(1)
+        with pytest.raises(DivergentPotentialError, match="diverges"):
+            v_a_numeric(atom, [5, 0, 0])
+
     def test_method_tags(self):
         atom = DrudeAtom.bohr_matched(1)
-        assert v_a_numeric(atom, [5, 0, 0]).method == "quadrature"
+        assert v_a_numeric(atom, [5, 0, 1]).method == "quadrature"
         assert v_a_multipole(atom, [5, 0, 0], 3).method == "multipole3"
         assert v_a_multipole(atom, [5, 0, 0], 5).method == "multipole5"
 
