@@ -16,6 +16,8 @@ import numpy as np
 from . import __version__, multipole, perturbation, potential, verify
 from .atoms import DegenerateAtomError, DrudeAtom, Hydrogen1DAtom, RingAtom
 from .multipole import ExpansionCapError
+from .oracle import ConvergenceError
+from .potential import QuadratureError
 
 
 class CliError(RuntimeError):
@@ -339,7 +341,14 @@ def main(argv=None):
             parser.error("need 0 < rmin <= rmax and steps >= 1")
     try:
         return args.func(args)
-    except (CliError, ExpansionCapError, DegenerateAtomError, ValueError) as exc:
+    except (
+        CliError,
+        ExpansionCapError,
+        DegenerateAtomError,
+        ValueError,
+        ConvergenceError,
+        QuadratureError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

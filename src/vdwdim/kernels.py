@@ -8,14 +8,31 @@ interaction series.  Electron positions are always passed as (n, 3) arrays,
 zero-padded when the physical dimension is lower; the inter-atomic axis is x.
 """
 
+import math
+
 import numpy as np
 
-_CHUNK = 4096
+# Matrix entries per block: every (rows, columns) temporary of a blocked
+# kernel holds about this many float64 values (0.5 MB), so temporaries stay
+# cache-sized and memory does not grow with the batch.
+_BLOCK = 2**16
 
 
 def backend_name() -> str:
     """Name of the array library the kernels run on."""
     return "numpy"
+
+
+def _check_separation(R):
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"separation R must be finite and positive, got {R!r}")
+
+
+def _row_blocks(n_rows, width):
+    """Slices of consecutive rows, each covering about _BLOCK entries."""
+    step = max(1, _BLOCK // max(1, width))
+    for i0 in range(0, n_rows, step):
+        yield slice(i0, i0 + step)
 
 
 def four_site_batch(R, pts_a, pts_b):
@@ -24,6 +41,7 @@ def four_site_batch(R, pts_a, pts_b):
     ``pts_a`` and ``pts_b`` have shape (n, 3); sample i of each is one
     two-electron configuration.  The Coulomb prefactor is not applied.
     """
+    _check_separation(R)
     ax, ay, az = pts_a[:, 0], pts_a[:, 1], pts_a[:, 2]
     bx, by, bz = pts_b[:, 0], pts_b[:, 1], pts_b[:, 2]
     d_ab = np.sqrt((R - ax + bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
@@ -34,6 +52,7 @@ def four_site_batch(R, pts_a, pts_b):
 
 def four_site_grid_1d(R, xa, xb):
     """Four-site kernel on the outer grid of 1D displacements xa[p], xb[q]."""
+    _check_separation(R)
     A = xa[:, None]
     B = xb[None, :]
     return (
@@ -47,25 +66,60 @@ def four_site_grid_1d(R, xa, xb):
 def pair_expectation(R, pts_a, w_a, pts_b, w_b):
     """Double quadrature sum  sum_ij w_a[i] w_b[j] K(R, a_i, b_j).
 
-    Chunked over the first factor so the (n_a, n_b) intermediates stay small.
+    Blocked over the first factor so each (rows, n_b) intermediate holds
+    about _BLOCK kernel values.  K is summed element by element: the four
+    terms nearly cancel, and summing them separately over the grid loses
+    the result.
     """
+    _check_separation(R)
+    inv_a = 1.0 / np.sqrt(
+        (R - pts_a[:, 0]) ** 2 + pts_a[:, 1] ** 2 + pts_a[:, 2] ** 2
+    )
+    inv_b = 1.0 / np.sqrt(
+        (R + pts_b[:, 0]) ** 2 + pts_b[:, 1] ** 2 + pts_b[:, 2] ** 2
+    )
     acc = 0.0
-    for i0 in range(0, pts_a.shape[0], _CHUNK):
-        pa = pts_a[i0 : i0 + _CHUNK]
-        wa = w_a[i0 : i0 + _CHUNK]
-        dx = R - pa[:, 0:1] + pts_b[None, :, 0].reshape(1, -1)
-        dy = pa[:, 1:2] - pts_b[None, :, 1].reshape(1, -1)
-        dz = pa[:, 2:3] - pts_b[None, :, 2].reshape(1, -1)
+    for blk in _row_blocks(pts_a.shape[0], pts_b.shape[0]):
+        pa = pts_a[blk]
+        dx = R - pa[:, 0:1] + pts_b[:, 0]
+        dy = pa[:, 1:2] - pts_b[:, 1]
+        dz = pa[:, 2:3] - pts_b[:, 2]
         k = 1.0 / np.sqrt(dx * dx + dy * dy + dz * dz)
         k += 1.0 / R
-        da = np.sqrt((R - pa[:, 0]) ** 2 + pa[:, 1] ** 2 + pa[:, 2] ** 2)
-        db = np.sqrt(
-            (R + pts_b[:, 0]) ** 2 + pts_b[:, 1] ** 2 + pts_b[:, 2] ** 2
-        )
-        k -= 1.0 / da[:, None]
-        k -= 1.0 / db[None, :]
-        acc += float(wa @ k @ w_b)
+        k -= inv_a[blk, None]
+        k -= inv_b
+        acc += float(w_a[blk] @ k @ w_b)
     return acc
+
+
+def _bilinear_form(powers, coeffs, exp_a, exp_b, R):
+    """A truncated series at fixed R as a matrix between two monomial bases.
+
+    Returns the distinct exponent rows of atom A and of atom B and the
+    coefficient matrix C(R) with series(a, b) = Va(a) . C(R) . Vb(b), where
+    Va and Vb hold the monomials of those rows (``_monomial_values``).
+    """
+    rows_a, idx_a = np.unique(exp_a, axis=0, return_inverse=True)
+    rows_b, idx_b = np.unique(exp_b, axis=0, return_inverse=True)
+    c = np.zeros((rows_a.shape[0], rows_b.shape[0]))
+    np.add.at(
+        c,
+        (idx_a.ravel(), idx_b.ravel()),
+        coeffs * R ** (-powers.astype(np.float64)),
+    )
+    return rows_a, rows_b, c
+
+
+def _monomial_values(pts, rows):
+    """prod_c pts[:, c] ** rows[m, c] for every point and row, shape (n, m)."""
+    out = np.ones((pts.shape[0], rows.shape[0]))
+    for c in range(rows.shape[1]):
+        top = rows[:, c].max(initial=0)
+        if top:
+            # cumulative power table: pts[:, c]**e for e = 0..top
+            table = np.vander(pts[:, c], top + 1, increasing=True)
+            out *= table[:, rows[:, c]]
+    return out
 
 
 def series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
@@ -73,25 +127,31 @@ def series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
 
     ``powers``/``coeffs`` are the flat monomial table (one row per monomial),
     ``exp_a``/``exp_b`` the (m, 3) exponent arrays.  Returns shape (n,).
+    Sample i is the bilinear form Va[i] . C(R) . Vb[i], evaluated in row
+    blocks.
     """
-    out = np.zeros(pts_a.shape[0])
-    rpow = R ** (-powers.astype(np.float64))
-    for m in range(coeffs.shape[0]):
-        term = np.full(pts_a.shape[0], coeffs[m] * rpow[m])
-        for c in range(3):
-            if exp_a[m, c]:
-                term *= pts_a[:, c] ** exp_a[m, c]
-            if exp_b[m, c]:
-                term *= pts_b[:, c] ** exp_b[m, c]
-        out += term
+    _check_separation(R)
+    rows_a, rows_b, c = _bilinear_form(powers, coeffs, exp_a, exp_b, R)
+    out = np.empty(pts_a.shape[0])
+    for blk in _row_blocks(pts_a.shape[0], max(c.shape)):
+        va = _monomial_values(pts_a[blk], rows_a)
+        vb = _monomial_values(pts_b[blk], rows_b)
+        out[blk] = np.einsum("ij,ij->i", va @ c, vb)
     return out
 
 
 def series_grid_1d(powers, coeffs, exp_a, exp_b, R, xa, xb):
-    """Truncated series tabulated on the outer grid of 1D displacements."""
-    out = np.zeros((xa.shape[0], xb.shape[0]))
-    for m in range(coeffs.shape[0]):
-        va = xa ** exp_a[m, 0]
-        vb = xb ** exp_b[m, 0]
-        out += (coeffs[m] * R ** (-float(powers[m]))) * np.outer(va, vb)
+    """Truncated series tabulated on the outer grid of 1D displacements.
+
+    Only the x exponents are used.  The grid is Va . C(R) . Vb^T, evaluated
+    in row blocks of ``xa``.
+    """
+    _check_separation(R)
+    rows_a, rows_b, c = _bilinear_form(
+        powers, coeffs, exp_a[:, :1], exp_b[:, :1], R
+    )
+    c_vb = c @ _monomial_values(xb[:, None], rows_b).T
+    out = np.empty((xa.shape[0], xb.shape[0]))
+    for blk in _row_blocks(xa.shape[0], max(c_vb.shape)):
+        out[blk] = _monomial_values(xa[blk, None], rows_a) @ c_vb
     return out

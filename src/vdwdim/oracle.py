@@ -98,10 +98,31 @@ def _coupling_matrix(atom, R, mode, max_power, cutoff, nodes, k):
         raise ValueError("mode must be 'full' or 'truncated'")
     n = cutoff + 1
     h = _hermite_columns(n, xi)
-    hw = h * w  # fold quadrature weights into one factor
-    q = np.einsum("ip,kp->ikp", h, hw)
-    m4 = np.einsum("ikp,pq,jlq->ijkl", q, grid, q)
+    # q[(i, k), p] = h_i(x_p) h_k(x_p) w_p, so <ij|H_I|kl> = (q G q^T)[(i,k),(j,l)]
+    q = (h[:, None, :] * (h * w)[None, :, :]).reshape(n * n, nodes)
+    m4 = (q @ grid @ q.T).reshape(n, n, n, n).transpose(0, 2, 1, 3)
     return k * m4.reshape(n * n, n * n)
+
+
+def _nodes_off_nucleus(xi_nucleus, nodes):
+    """Smallest node count from ``nodes`` up that keeps clear of the nucleus.
+
+    The full kernel's -1/|R - x_A| term is singular at the other nucleus,
+    xi = R / ell.  A node within a small fraction of the node spacing of it
+    gives the coupling a large negative entry and the spectrum a spurious
+    deep eigenvalue.  Accept a grid when the nucleus lies beyond the
+    outermost node or in the middle half of the gap between the two nodes
+    around it.
+    """
+    while True:
+        xi = np.polynomial.hermite.hermgauss(nodes)[0]
+        j = int(np.searchsorted(xi, xi_nucleus))
+        if j in (0, xi.size):
+            return nodes
+        quarter = (xi[j] - xi[j - 1]) / 4.0
+        if xi[j - 1] + quarter <= xi_nucleus <= xi[j] - quarter:
+            return nodes
+        nodes += 1
 
 
 def oscillator_basis_diag(
@@ -127,7 +148,11 @@ def oscillator_basis_diag(
     exact expectation of 1/|R - x_A + x_B| picks up a logarithmic
     electron-coincidence contribution weighted by the exponentially small
     overlap, so dense grids that land nodes near that line shift the answer.
-    The default node count stays well away from it at valid separations.
+    The node count 2 cutoff + 8 can also put a node next to the other
+    nucleus, x = R, where -1/|R - x_A| is singular; without an explicit
+    ``nodes``, full mode therefore takes the first count from 2 cutoff + 8
+    up that keeps R in the middle half of a node gap or beyond the
+    outermost node.  An explicit ``nodes`` is used as given.
     """
     if not isinstance(atom, DrudeAtom):
         raise AtomKindError("oracle diagonalization requires a Drude atom")
@@ -138,6 +163,9 @@ def oscillator_basis_diag(
     _check_overlap(atom, R, overlap_tol)
     if nodes is None:
         nodes = 2 * cutoff + 8
+        if mode == "full":
+            ell = math.sqrt(atom.hbar / (atom.mass * atom.omega))
+            nodes = _nodes_off_nucleus(R / ell, nodes)
 
     n = cutoff + 1
     h_int = _coupling_matrix(atom, R, mode, max_power, cutoff, nodes, k)

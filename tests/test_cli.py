@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from vdwdim import cli, multipole
+from vdwdim import cli, multipole, potential, verify
+from vdwdim.oracle import ConvergenceError
+from vdwdim.potential import QuadratureError
 from vdwdim.multipole import InteractionSeries, Monomial
 
 
@@ -107,6 +109,16 @@ class TestPotential:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
+    def test_quadrature_error_single_error_line(self, capsys, monkeypatch):
+        def fail(atom, point):
+            raise QuadratureError("quadrature error 1e-03 too large")
+
+        monkeypatch.setattr(potential, "v_a_numeric", fail)
+        code, out, err = run_cli(capsys, "potential", "--methods", "quadrature")
+        assert code == 1
+        assert out == ""
+        assert err == "error: quadrature error 1e-03 too large\n"
+
 
 class TestCurve:
     def test_header_and_determinism(self, capsys):
@@ -194,6 +206,16 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "--level", "fast")
         assert code == 1
         assert "[FAIL] golden-expansion-order-5" in out
+
+    def test_convergence_error_single_error_line(self, capsys, monkeypatch):
+        def fail(level):
+            raise ConvergenceError("basis not converged: drop 7.5e+00 at cutoff 19")
+
+        monkeypatch.setattr(verify, "run", fail)
+        code, out, err = run_cli(capsys, "verify", "--level", "full")
+        assert code == 1
+        assert out == ""
+        assert err == "error: basis not converged: drop 7.5e+00 at cutoff 19\n"
 
 
 class TestOutputFile:

@@ -28,18 +28,21 @@ def test_four_site_grid_1d_matches_exact():
 
 
 def test_pair_expectation_matches_double_sum():
-    # one more sample than a chunk, so the chunk boundary is crossed
-    pts_a = RNG.uniform(-0.5, 0.5, (kernels._CHUNK + 1, 3))
+    # one more row than a block holds, so a block boundary is crossed; the
+    # rows cycle through 13 points, so the scalar double sum needs only one
+    # kernel call per distinct pair
     pts_b = PTS_B[:2]
+    which = np.arange(kernels._BLOCK // len(pts_b) + 1) % 13
+    pts_a = PTS_A[which]
     w_a = RNG.random(pts_a.shape[0])
     w_b = RNG.random(pts_b.shape[0])
     want = sum(
         wa * wb * exact_interaction(R, a, b)
-        for a, wa in zip(pts_a, w_a)
+        for a, wa in zip(PTS_A[:13], np.bincount(which, weights=w_a))
         for b, wb in zip(pts_b, w_b)
     )
     got = kernels.pair_expectation(R, pts_a, w_a, pts_b, w_b)
-    assert got == pytest.approx(want, rel=1e-11)
+    assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
 def test_series_batch_matches_scalar_series():
@@ -47,6 +50,21 @@ def test_series_batch_matches_scalar_series():
     got = kernels.series_batch(*multipole.series_arrays(series), R, PTS_A, PTS_B)
     want = [evaluate_series(series, R, a, b) for a, b in zip(PTS_A, PTS_B)]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-18)
+
+
+def test_series_batch_order12_across_block_boundary():
+    series = multipole.expand_interaction(3, 12)
+    arrays = multipole.series_arrays(series)
+    # a block holds _BLOCK entries of the (samples, distinct monomials) tables
+    per_block = kernels._BLOCK // len(np.unique(arrays[2], axis=0))
+    pts_a = RNG.uniform(-0.5, 0.5, (per_block + 8, 3))
+    pts_b = RNG.uniform(-0.5, 0.5, (per_block + 8, 3))
+    got = kernels.series_batch(*arrays, R, pts_a, pts_b)
+    # the scalar loop costs ~10 ms per sample at this order: check a sparse
+    # subset and both sides of the boundary
+    picked = [*range(0, per_block, 25), per_block - 1, per_block, per_block + 7]
+    want = [evaluate_series(series, R, pts_a[i], pts_b[i]) for i in picked]
+    np.testing.assert_allclose(got[picked], want, rtol=1e-12, atol=1e-18)
 
 
 def test_series_grid_1d_matches_scalar_series():
@@ -59,3 +77,20 @@ def test_series_grid_1d_matches_scalar_series():
 
 def test_active_backend_reported():
     assert backend_name() == "numpy"
+
+
+@pytest.mark.parametrize("bad_r", [0.0, -9.0, float("nan"), float("inf")])
+def test_kernels_reject_bad_separation(bad_r):
+    arrays = multipole.series_arrays(multipole.expand_interaction(1, 5))
+    x = np.linspace(-1, 1, 5)
+    w = np.ones(len(PTS_A))
+    calls = [
+        lambda: kernels.four_site_batch(bad_r, PTS_A, PTS_B),
+        lambda: kernels.four_site_grid_1d(bad_r, x, x),
+        lambda: kernels.pair_expectation(bad_r, PTS_A, w, PTS_B, w),
+        lambda: kernels.series_batch(*arrays, bad_r, PTS_A, PTS_B),
+        lambda: kernels.series_grid_1d(*arrays, bad_r, x, x),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="separation"):
+            call()

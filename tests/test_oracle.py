@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from scipy.special import dawsn
 
+from vdwdim import kernels
 from vdwdim.atoms import AtomKindError, DrudeAtom, RingAtom
 from vdwdim.drude_exact import exact_correction
 from vdwdim.oracle import (
     ConvergenceError,
     OverlapError,
+    _coupling_matrix,
+    _hermite_columns,
     convergence_report,
     direct_first_order,
     oscillator_basis_diag,
@@ -42,7 +45,7 @@ class TestDiagonalization:
             overlap_tol=1.0,
         )
         want = exact_correction(1, PRESET.omega, 1.0, PRESET.mass, 6.0)
-        assert res.correction == pytest.approx(want, rel=1e-8)
+        assert res.correction == pytest.approx(want, rel=1e-8, abs=0.0)
         assert res.mode == "truncated(3)"
 
     def test_full_kernel_repulsive_and_close_to_asymptotics(self):
@@ -51,6 +54,20 @@ class TestDiagonalization:
             atom, 8.0, mode="full", cutoff=12, overlap_tol=1.0
         )
         ref = 6.0 / 8.0**5 - 4.0 / 8.0**6 + 90.0 / 8.0**7
+        assert res.correction > 0
+        assert res.correction == pytest.approx(ref, rel=0.15)
+
+    @pytest.mark.parametrize(
+        "cutoff, R", [(19, 8.076986467623906), (12, 8.22), (14, 8.23)]
+    )
+    def test_full_kernel_default_nodes_clear_of_nucleus(self, cutoff, R):
+        # at these points 2 cutoff + 8 nodes put one within 3e-2 of x = R,
+        # which gave a spurious deep eigenvalue and a ConvergenceError
+        atom = PRESET.atom(1)
+        res = oscillator_basis_diag(
+            atom, R, mode="full", cutoff=cutoff, overlap_tol=1e-1
+        )
+        ref = 6.0 / R**5 - 4.0 / R**6 + 90.0 / R**7
         assert res.correction > 0
         assert res.correction == pytest.approx(ref, rel=0.15)
 
@@ -94,6 +111,22 @@ class TestDiagonalization:
         assert values[0] > values[1] > values[2] > 0
 
 
+class TestCouplingAssembly:
+    @pytest.mark.parametrize("cutoff", [6, 12])
+    def test_matches_four_index_contraction(self, cutoff):
+        atom = PRESET.atom(1)
+        R, nodes, k = 9.3, 2 * cutoff + 8, 1.3
+        got = _coupling_matrix(atom, R, "full", 3, cutoff, nodes, k)
+        xi, w = np.polynomial.hermite.hermgauss(nodes)
+        x = math.sqrt(atom.hbar / (atom.mass * atom.omega)) * xi
+        grid = kernels.four_site_grid_1d(R, x, x)
+        n = cutoff + 1
+        h = _hermite_columns(n, xi)
+        q = np.einsum("ip,kp->ikp", h, h * w)
+        want = k * np.einsum("ikp,pq,jlq->ijkl", q, grid, q).reshape(n * n, n * n)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestConsistencyTriangle:
     def test_oracle_normal_modes_and_sum_over_states(self):
         from vdwdim.multipole import expand_interaction
@@ -107,7 +140,7 @@ class TestConsistencyTriangle:
         ).correction
         modes = exact_correction(1, PRESET.omega, 1.0, PRESET.mass, R)
         summed = second_order_sum(series, atom, atom, R, cutoff=1)
-        assert diag == pytest.approx(modes, rel=1e-8)
+        assert diag == pytest.approx(modes, rel=1e-8, abs=0.0)
         # sum over states reproduces the leading R^-6 piece of the same model
         leading = -(3 + 1) * PRESET.k**2 * PRESET.a**4 / (
             2 * PRESET.hbar_omega * R**6
@@ -150,9 +183,9 @@ class TestDirectFirstOrder:
     def test_matches_dawson_closed_form(self):
         atom = PRESET.atom(1)
         got = direct_first_order(atom, atom, 12.0, overlap_tol=1.0)
-        assert got == pytest.approx(dawson_first_order(12.0), rel=1e-9)
+        assert got == pytest.approx(dawson_first_order(12.0), rel=1e-9, abs=0.0)
         got10 = direct_first_order(atom, atom, 10.0, overlap_tol=1.0)
-        assert got10 == pytest.approx(dawson_first_order(10.0), rel=1e-5)
+        assert got10 == pytest.approx(dawson_first_order(10.0), rel=1e-5, abs=0.0)
 
     def test_d1_against_asymptotics(self):
         atom = PRESET.atom(1)
