@@ -205,10 +205,7 @@ def cmd_curve(args):
 
 
 def cmd_exact(args):
-    preset = _preset_from_args(args)
-    grid = np.linspace(args.rmin, args.rmax, args.steps)
-    rows = perturbation.total_energy_curve(args.dim, grid, preset)
-    scale = preset.k / preset.a if args.si else 1.0
+    preset, rows, scale = _curve_rows(args)
     lines = ["R_tilde,exact,r6,residual,dim,preset"]
     for row in rows:
         if row.exact is None:

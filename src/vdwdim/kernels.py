@@ -92,21 +92,45 @@ def pair_expectation(R, pts_a, w_a, pts_b, w_b):
     return acc
 
 
-def _bilinear_form(powers, coeffs, exp_a, exp_b, R):
-    """A truncated series at fixed R as a matrix between two monomial bases.
+def _distinct_rows(exps):
+    """Sorted distinct rows of an exponent array and each row's index.
 
-    Returns the distinct exponent rows of atom A and of atom B and the
-    coefficient matrix C(R) with series(a, b) = Va(a) . C(R) . Vb(b), where
-    Va and Vb hold the monomials of those rows (``_monomial_values``).
+    One integer per row, sum_c e_c base^(k-1-c), sorts as the row does.
     """
-    rows_a, idx_a = np.unique(exp_a, axis=0, return_inverse=True)
-    rows_b, idx_b = np.unique(exp_b, axis=0, return_inverse=True)
+    base = int(exps.max(initial=0)) + 1
+    codes = exps @ base ** np.arange(exps.shape[1] - 1, -1, -1)
+    _, first, idx = np.unique(codes, return_index=True, return_inverse=True)
+    return exps[first], idx
+
+
+def _bilinear_form(powers, coeffs, exp_a, exp_b):
+    """A truncated series as one matrix per inverse power between two bases.
+
+    Returns the distinct exponent rows of atom A and of atom B and an
+    iterator over (p, C_p), p increasing, that builds each C_p when reached:
+    the unscaled order-p polynomial is Va(a) . C_p . Vb(b), with Va and Vb
+    the monomials of those rows (``_monomial_values``).  Each monomial's
+    power is read from ``powers``, not from its degree.
+    """
+    rows_a, idx_a = _distinct_rows(exp_a)
+    rows_b, idx_b = _distinct_rows(exp_b)
+
+    def per_power():
+        for p in np.unique(powers):
+            sel = powers == p
+            c = np.zeros((rows_a.shape[0], rows_b.shape[0]))
+            np.add.at(c, (idx_a[sel], idx_b[sel]), coeffs[sel])
+            yield int(p), c
+
+    return rows_a, rows_b, per_power()
+
+
+def _series_matrix(powers, coeffs, exp_a, exp_b, R):
+    """Distinct rows and C(R) = sum_p R^-p C_p, the whole series at R."""
+    rows_a, rows_b, per_power = _bilinear_form(powers, coeffs, exp_a, exp_b)
     c = np.zeros((rows_a.shape[0], rows_b.shape[0]))
-    np.add.at(
-        c,
-        (idx_a.ravel(), idx_b.ravel()),
-        coeffs * R ** (-powers.astype(np.float64)),
-    )
+    for p, c_p in per_power:
+        c += R ** -float(p) * c_p
     return rows_a, rows_b, c
 
 
@@ -131,7 +155,7 @@ def series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
     blocks.
     """
     _check_separation(R)
-    rows_a, rows_b, c = _bilinear_form(powers, coeffs, exp_a, exp_b, R)
+    rows_a, rows_b, c = _series_matrix(powers, coeffs, exp_a, exp_b, R)
     out = np.empty(pts_a.shape[0])
     for blk in _row_blocks(pts_a.shape[0], max(c.shape)):
         va = _monomial_values(pts_a[blk], rows_a)
@@ -143,15 +167,15 @@ def series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
 def series_grid_1d(powers, coeffs, exp_a, exp_b, R, xa, xb):
     """Truncated series tabulated on the outer grid of 1D displacements.
 
-    Only the x exponents are used.  The grid is Va . C(R) . Vb^T, evaluated
-    in row blocks of ``xa``.
+    The grid is Va . C(R) . Vb^T over the rows of ``series_batch``, with each
+    displacement x at the 3D point (x, 0, 0), evaluated in row blocks of
+    ``xa``.
     """
     _check_separation(R)
-    rows_a, rows_b, c = _bilinear_form(
-        powers, coeffs, exp_a[:, :1], exp_b[:, :1], R
-    )
-    c_vb = c @ _monomial_values(xb[:, None], rows_b).T
+    rows_a, rows_b, c = _series_matrix(powers, coeffs, exp_a, exp_b, R)
+    x_hat = (1.0, 0.0, 0.0)
+    c_vb = c @ _monomial_values(np.outer(xb, x_hat), rows_b).T
     out = np.empty((xa.shape[0], xb.shape[0]))
     for blk in _row_blocks(xa.shape[0], max(c_vb.shape)):
-        out[blk] = _monomial_values(xa[blk, None], rows_a) @ c_vb
+        out[blk] = _monomial_values(np.outer(xa[blk], x_hat), rows_a) @ c_vb
     return out

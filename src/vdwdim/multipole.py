@@ -182,17 +182,13 @@ def evaluate_series_batch(series, R, pts_a, pts_b, k=1.0):
 
 def series_arrays(series):
     """Flat float/int arrays of the series monomials for the batch kernels."""
-    rows = []
-    for power in sorted(series.terms):
-        for mono in series.terms[power]:
-            rows.append((power, float(mono.coeff), mono.exp_a, mono.exp_b))
-    powers = np.array([r[0] for r in rows], dtype=np.int64)
-    coeffs = np.array([r[1] for r in rows])
-    exp_a = np.zeros((len(rows), 3), dtype=np.int64)
-    exp_b = np.zeros((len(rows), 3), dtype=np.int64)
-    for i, (_, _, ea, eb) in enumerate(rows):
-        exp_a[i, : len(ea)] = ea
-        exp_b[i, : len(eb)] = eb
+    monos = [(p, m) for p in sorted(series.terms) for m in series.terms[p]]
+    powers = np.array([p for p, _ in monos], dtype=np.int64)
+    coeffs = np.array([float(m.coeff) for _, m in monos])
+    exp_a = np.zeros((len(monos), 3), dtype=np.int64)
+    exp_b = np.zeros((len(monos), 3), dtype=np.int64)
+    exp_a[:, : series.dim] = np.reshape([m.exp_a for _, m in monos], (-1, series.dim))
+    exp_b[:, : series.dim] = np.reshape([m.exp_b for _, m in monos], (-1, series.dim))
     return powers, coeffs, exp_a, exp_b
 
 

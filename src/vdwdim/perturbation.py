@@ -26,33 +26,28 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import brentq
 
-from . import drude_exact
+from . import drude_exact, kernels
 from .atoms import AtomKindError, DrudeAtom, _multi_indices
-from .potential import multipole_coefficients
+from .multipole import series_arrays
+from .potential import even_moments, multipole_coefficients
 
 
 def first_order_expectation(series, atom_a, atom_b, R, k=1.0):
-    """Per-power first-order corrections  k R^-n sum coeff <mono_A><mono_B>.
+    """Per-power first-order corrections  k R^-n m_A^T C_n m_B.
 
-    Returns a dict mapping each inverse power in the series to its energy
-    contribution.  Odd-degree factors make the n = 3, 4 and 6 entries vanish
-    identically.
+    C_n holds the unscaled coefficients of the order-n polynomial between the
+    distinct exponent rows of the two atoms (``kernels._bilinear_form``) and
+    m_A, m_B the moments of those rows, each taken once.  Returns a dict
+    mapping each inverse power in the series to its energy contribution.
+    Odd-degree factors make the n = 3, 4 and 6 entries vanish identically.
     """
     if atom_a.dim != series.dim or atom_b.dim != series.dim:
         raise ValueError("atom dimension does not match series dimension")
-    out = {}
-    for power, monos in series.terms.items():
-        total = 0.0
-        for mono in monos:
-            ma = atom_a.moment(mono.exp_a)
-            if ma == 0.0:
-                continue
-            mb = atom_b.moment(mono.exp_b)
-            if mb == 0.0:
-                continue
-            total += float(mono.coeff) * ma * mb
-        out[power] = k * total / R**power
-    return out
+    rows_a, rows_b, per_power = kernels._bilinear_form(*series_arrays(series))
+    m_a = np.array([atom_a.moment(row[: series.dim]) for row in rows_a])
+    m_b = np.array([atom_b.moment(row[: series.dim]) for row in rows_b])
+    totals = {power: float(m_a @ c @ m_b) for power, c in per_power}
+    return {power: k * totals.get(power, 0.0) / R**power for power in series.terms}
 
 
 def first_order_closed_form(dim, a, alpha, k, R):
@@ -73,28 +68,13 @@ def first_order_via_potential(atom_a, atom_b, R, k=1.0):
     if atom_a.dim != atom_b.dim:
         raise ValueError("atoms must share a dimension")
     c3, c5 = multipole_coefficients(atom_a)
-    m2x, r2, m4x, x2r2, r4 = _even_moments(atom_b)
+    m2x, r2, m4x, x2r2, r4 = even_moments(atom_b)
     r5 = -c3 * (7.5 * m2x - 1.5 * r2) * k / R**5
     r7 = (
         -c3 * (315.0 / 8.0 * m4x - 105.0 / 4.0 * x2r2 + 15.0 / 8.0 * r4)
         - c5 * (17.5 * m2x - 2.5 * r2)
     ) * k / R**7
     return r5, r7
-
-
-def _even_moments(atom):
-    d = atom.dim
-    m2x = atom.moment((2,) + (0,) * (d - 1))
-    r2 = atom.radial_moment(2)
-    m4x = atom.moment((4,) + (0,) * (d - 1))
-    if d == 1:
-        x2r2 = m4x
-        r4 = m4x
-    else:
-        x2y2 = atom.moment((2, 2) + (0,) * (d - 2))
-        x2r2 = m4x + (d - 1) * x2y2
-        r4 = d * m4x + d * (d - 1) * x2y2
-    return m2x, r2, m4x, x2r2, r4
 
 
 def second_order_drude_closed_form(dim, a, k, hbar_omega, R):
@@ -117,32 +97,26 @@ def _x_column_elements(atom, max_power, cutoff):
     return np.array(cols)[:, : cutoff + 1]
 
 
-def _state_table(dim, cutoff):
-    states = _multi_indices(dim, cutoff)
-    return np.array(states, dtype=np.int64)
-
-
 def _series_amplitudes(series, atom_a, atom_b, cutoff):
-    """Per-power transition amplitudes <n_a n_b|T_p|0 0> over product states."""
-    max_deg = max(
-        (max(max(m.exp_a), max(m.exp_b)) for monos in series.terms.values() for m in monos),
-        default=0,
-    )
-    cols_a = _x_column_elements(atom_a, max_deg, cutoff)
-    cols_b = _x_column_elements(atom_b, max_deg, cutoff)
-    states = _state_table(series.dim, cutoff)
-    amps = {}
-    for power, monos in series.terms.items():
-        total = np.zeros((states.shape[0], states.shape[0]))
-        for mono in monos:
-            fa = np.ones(states.shape[0])
-            fb = np.ones(states.shape[0])
-            for c in range(series.dim):
-                fa = fa * cols_a[mono.exp_a[c]][states[:, c]]
-                fb = fb * cols_b[mono.exp_b[c]][states[:, c]]
-            total += float(mono.coeff) * np.outer(fa, fb)
-        amps[power] = total
-    return states, amps
+    """Per-power transition amplitudes <n_a n_b|T_p|0 0> over product states.
+
+    Power p gives F_A C_p F_B^T, with F[s, row] = prod_c <n_c|x^e_c|0>.
+    """
+    rows_a, rows_b, per_power = kernels._bilinear_form(*series_arrays(series))
+    states = np.array(_multi_indices(series.dim, cutoff), dtype=np.int64)
+    f_a = _state_factors(atom_a, rows_a, states)
+    f_b = _state_factors(atom_b, rows_b, states)
+    amps = {power: f_a @ c @ f_b.T for power, c in per_power}
+    zero = np.zeros((states.shape[0], states.shape[0]))
+    return states, {power: amps.get(power, zero) for power in series.terms}
+
+
+def _state_factors(atom, rows, states):
+    cols = _x_column_elements(atom, int(rows.max(initial=0)), int(states.max()))
+    f = np.ones((states.shape[0], rows.shape[0]))
+    for c in range(states.shape[1]):
+        f *= cols[rows[:, c]][:, states[:, c]].T
+    return f
 
 
 def _excitation_energies(states, atom_a, atom_b):

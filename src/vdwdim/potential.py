@@ -67,6 +67,14 @@ def multipole_coefficients(atom):
         c3 = (<|r|^2> - 3 <x^2>) / 2
         c5 = -(35 <x^4> - 30 <x^2 |r|^2> + 3 <|r|^4>) / 8
     """
+    m2x, r2, m4x, x2r2, r4 = even_moments(atom)
+    c3 = 0.5 * (r2 - 3.0 * m2x)
+    c5 = -(35.0 * m4x - 30.0 * x2r2 + 3.0 * r4) / 8.0
+    return c3, c5
+
+
+def even_moments(atom):
+    """(<x^2>, <|r|^2>, <x^4>, <x^2 |r|^2>, <|r|^4>) of an isotropic atom."""
     d = atom.dim
     m2x = atom.moment((2,) + (0,) * (d - 1))
     r2 = atom.radial_moment(2)
@@ -78,9 +86,7 @@ def multipole_coefficients(atom):
         x2y2 = atom.moment((2, 2) + (0,) * (d - 2))
         x2r2 = m4x + (d - 1) * x2y2
         r4 = d * m4x + d * (d - 1) * x2y2
-    c3 = 0.5 * (r2 - 3.0 * m2x)
-    c5 = -(35.0 * m4x - 30.0 * x2r2 + 3.0 * r4) / 8.0
-    return c3, c5
+    return m2x, r2, m4x, x2r2, r4
 
 
 def _in_plane_cos2(atom, r):

@@ -40,7 +40,7 @@ class TestDrudeMoments:
     def test_second_moment_is_a_squared(self):
         atom = DrudeAtom(1, omega=0.7, mass=1.3, hbar=1.0)
         assert moment(atom, (2,)) == pytest.approx(
-            1.0 / (2 * 1.3 * 0.7), rel=1e-15
+            1.0 / (2 * 1.3 * 0.7), rel=1e-15, abs=0.0
         )
 
     def test_fourth_moment_gives_alpha_three(self):
@@ -55,9 +55,9 @@ class TestDrudeMoments:
     def test_characteristic_length(self):
         atom = DrudeAtom(2, omega=0.25, mass=2.0)
         want = math.sqrt(1.0 / (2 * 2.0 * 0.25))
-        assert characteristic_length(atom) == pytest.approx(want, rel=1e-15)
+        assert characteristic_length(atom) == pytest.approx(want, rel=1e-15, abs=0.0)
         assert atom.radial_moment(2) == pytest.approx(
-            2 * want**2, rel=1e-15
+            2 * want**2, rel=1e-15, abs=0.0
         )
 
 
@@ -65,23 +65,23 @@ class TestRing:
     def test_alpha_d2_is_three_halves(self):
         ring = RingAtom(2, radius=2.0)
         assert moment(ring, (4, 0)) == pytest.approx(
-            (3.0 / 8.0) * 2.0**4, rel=1e-15
+            (3.0 / 8.0) * 2.0**4, rel=1e-15, abs=0.0
         )
         assert characteristic_length(ring) == pytest.approx(
-            2.0 / math.sqrt(2), rel=1e-15
+            2.0 / math.sqrt(2), rel=1e-15, abs=0.0
         )
-        assert alpha(ring) == pytest.approx(1.5, rel=1e-14)
+        assert alpha(ring) == pytest.approx(1.5, rel=1e-14, abs=0.0)
 
     def test_narrow_numeric_shell_approaches_ring(self):
         r0, width = 1.0, 0.004
         r = np.linspace(r0 - 8 * width, r0 + 8 * width, 2000)
         rho = np.exp(-((r - r0) ** 2) / (2 * width**2))
         shell = NumericRadialAtom(2, r, rho)
-        assert alpha(shell) == pytest.approx(1.5, rel=1e-4)
+        assert alpha(shell) == pytest.approx(1.5, rel=1e-4, abs=0.0)
 
     def test_d3_shell_alpha(self):
         shell = RingAtom(3, radius=1.0)
-        assert alpha(shell) == pytest.approx(9.0 / 5.0, rel=1e-14)
+        assert alpha(shell) == pytest.approx(9.0 / 5.0, rel=1e-14, abs=0.0)
 
 
 class TestHydrogen1D:
@@ -112,7 +112,7 @@ class TestNumericRadial:
         atom = _gaussian_radial_atom(dim, sigma=1.1)
         x4 = moment(atom, (4,) + (0,) * (dim - 1))
         x2y2 = moment(atom, (2, 2) + (0,) * (dim - 2))
-        assert x4 == pytest.approx(3.0 * x2y2, rel=1e-10)
+        assert x4 == pytest.approx(3.0 * x2y2, rel=1e-10, abs=0.0)
 
     def test_isotropy(self):
         atom = _gaussian_radial_atom(3)
@@ -124,7 +124,7 @@ class TestNumericRadial:
         r = np.linspace(1e-9, 6.0, 1500)
         rho = 7.3 * np.exp(-(r**2) / 2)  # deliberately unnormalized
         atom = NumericRadialAtom(3, r, rho)
-        assert atom.radial_moment(0) == pytest.approx(1.0, rel=1e-10)
+        assert atom.radial_moment(0) == pytest.approx(1.0, rel=1e-10, abs=0.0)
 
     def test_rejects_garbage_density(self):
         r = np.linspace(0.1, 1.0, 10)
@@ -169,19 +169,19 @@ class TestContractionIdentities:
             for i in range(d)
             for j in range(d)
         )
-        assert dot_sq == pytest.approx(d * a4, rel=1e-10)
+        assert dot_sq == pytest.approx(d * a4, rel=1e-10, abs=0.0)
         # <(rA.rB) xA xB> = sum_i <x_i x>_A <x_i x>_B = a^4
         dot_xx = sum(
             moment(atom, [e1 + e2 for e1, e2 in zip(unit(i), unit(0))]) ** 2
             for i in range(d)
         )
-        assert dot_xx == pytest.approx(a4, rel=1e-10)
+        assert dot_xx == pytest.approx(a4, rel=1e-10, abs=0.0)
         # <|rA|^2 |rB|^2> = d^2 a^4,  <xA^2 xB^2> = a^4,  <|rA|^2 xB^2> = d a^4
         r2 = atom.radial_moment(2)
         x2 = moment(atom, [2] + [0] * (d - 1))
-        assert r2 * r2 == pytest.approx(d * d * a4, rel=1e-10)
-        assert x2 * x2 == pytest.approx(a4, rel=1e-10)
-        assert r2 * x2 == pytest.approx(d * a4, rel=1e-10)
+        assert r2 * r2 == pytest.approx(d * d * a4, rel=1e-10, abs=0.0)
+        assert x2 * x2 == pytest.approx(a4, rel=1e-10, abs=0.0)
+        assert r2 * x2 == pytest.approx(d * a4, rel=1e-10, abs=0.0)
 
 
 class TestSpectrum:

@@ -97,7 +97,7 @@ class TestPotential:
                   if l.split(",")[0].startswith("1.0")}
         assert values["quadrature"] < 0
         assert values["multipole5"] == pytest.approx(
-            -1e-3 - 3e-5, rel=1e-12
+            -1e-3 - 3e-5, rel=1e-12, abs=0.0
         )
 
     def test_d1_on_axis_inside_cloud_single_error_line(self, capsys):
@@ -175,8 +175,8 @@ class TestExact:
             "--steps", "1",
         )
         cols = out.splitlines()[1].split(",")
-        assert float(cols[1]) == pytest.approx(-4.0e-6, rel=1e-4)
-        assert float(cols[3]) == pytest.approx(80.0 / 10.0**12, rel=1e-3)
+        assert float(cols[1]) == pytest.approx(-4.0e-6, rel=1e-4, abs=0.0)
+        assert float(cols[3]) == pytest.approx(80.0 / 10.0**12, rel=1e-3, abs=0.0)
 
 
 class TestVerify:

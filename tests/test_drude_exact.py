@@ -33,7 +33,7 @@ class TestShiftedFrequencies:
         x = 1.0 / (BOHR["omega"] ** 2 * R**3)  # k/(m omega^2 R^3) = 0.004
         for n in (-2, -1, 0, 1, 2):
             ratio = modes.frequencies[n] ** 2 / BOHR["omega"] ** 2
-            assert ratio == pytest.approx(1.0 + n * x, rel=1e-14)
+            assert ratio == pytest.approx(1.0 + n * x, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_multiplicities(self, dim):
@@ -71,7 +71,7 @@ class TestExactCorrection:
             - 2 * 0.5
         )
         assert exact_correction(1, **BOHR, R=R) == pytest.approx(
-            naive, rel=1e-12
+            naive, rel=1e-12, abs=0.0
         )
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -82,7 +82,7 @@ class TestExactCorrection:
         leading = second_order_drude_closed_form(dim, 1.0, 1.0, 0.5, R)
         residual = exact - leading
         predicted = -5.0 * (15 + dim) / R**12
-        assert residual == pytest.approx(predicted, rel=1e-3)
+        assert residual == pytest.approx(predicted, rel=1e-3, abs=0.0)
 
 
 class TestSeriesResidual:

@@ -67,11 +67,16 @@ def test_series_batch_order12_across_block_boundary():
     np.testing.assert_allclose(got[picked], want, rtol=1e-12, atol=1e-18)
 
 
-def test_series_grid_1d_matches_scalar_series():
-    series = multipole.expand_interaction(1, 5)
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_series_grid_1d_matches_scalar_series(dim):
+    # the grid lies on the x-axis, where every y or z factor is zero
+    series = multipole.expand_interaction(dim, 5)
     x = np.linspace(-3, 3, 31)
     got = kernels.series_grid_1d(*multipole.series_arrays(series), R, x, x)
-    want = [[evaluate_series(series, R, [p], [q]) for q in x] for p in x]
+    pad = [0.0] * (dim - 1)
+    want = [
+        [evaluate_series(series, R, [p, *pad], [q, *pad]) for q in x] for p in x
+    ]
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-18)
 
 

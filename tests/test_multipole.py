@@ -161,7 +161,7 @@ class TestExactInteraction:
             rb = rng.uniform(-0.4, 0.4, 3)
             v1 = exact_interaction(9.0, ra, rb)
             v2 = exact_interaction(9.0, -rb, -ra)
-            assert v1 == pytest.approx(v2, rel=1e-14)
+            assert v1 == pytest.approx(v2, rel=1e-14, abs=0.0)
 
     def test_singular_configuration_raises(self):
         with pytest.raises(SingularConfigurationError):
@@ -172,7 +172,7 @@ class TestExactInteraction:
     def test_coulomb_prefactor_scales(self):
         v1 = exact_interaction(8.0, [0.3], [0.2], k=1.0)
         v2 = exact_interaction(8.0, [0.3], [0.2], k=2.5)
-        assert v2 == pytest.approx(2.5 * v1, rel=1e-15)
+        assert v2 == pytest.approx(2.5 * v1, rel=1e-15, abs=0.0)
 
 
 class TestEvaluateSeries:
@@ -183,7 +183,7 @@ class TestEvaluateSeries:
     def test_dipole_value_by_hand(self):
         series = expand_interaction(1, 3)
         assert evaluate_series(series, 2.0, [1.0], [1.0]) == pytest.approx(
-            -0.25, rel=1e-15
+            -0.25, rel=1e-15, abs=0.0
         )
 
     def test_random_cloud_matches_exact(self):

@@ -55,7 +55,7 @@ class TestDiagonalization:
         )
         ref = 6.0 / 8.0**5 - 4.0 / 8.0**6 + 90.0 / 8.0**7
         assert res.correction > 0
-        assert res.correction == pytest.approx(ref, rel=0.15)
+        assert res.correction == pytest.approx(ref, rel=0.15, abs=0.0)
 
     @pytest.mark.parametrize(
         "cutoff, R", [(19, 8.076986467623906), (12, 8.22), (14, 8.23)]
@@ -69,7 +69,7 @@ class TestDiagonalization:
         )
         ref = 6.0 / R**5 - 4.0 / R**6 + 90.0 / R**7
         assert res.correction > 0
-        assert res.correction == pytest.approx(ref, rel=0.15)
+        assert res.correction == pytest.approx(ref, rel=0.15, abs=0.0)
 
     def test_zero_coupling(self):
         atom = PRESET.atom(1)
@@ -191,14 +191,14 @@ class TestDirectFirstOrder:
         atom = PRESET.atom(1)
         R = 12.0
         got = direct_first_order(atom, atom, R, overlap_tol=1.0)
-        assert got == pytest.approx(6.0 / R**5 + 90.0 / R**7, rel=0.02)
+        assert got == pytest.approx(6.0 / R**5 + 90.0 / R**7, rel=0.02, abs=0.0)
 
     def test_d2_against_asymptotics(self):
         atom = PRESET.atom(2)
         R = 12.0
         got = direct_first_order(atom, atom, R, overlap_tol=1.0)
         want = (9.0 / 4.0) / R**5 + (225.0 / 8.0) / R**7
-        assert got == pytest.approx(want, rel=0.02)
+        assert got == pytest.approx(want, rel=0.02, abs=0.0)
 
     def test_d3_vanishes(self):
         atom = PRESET.atom(3)

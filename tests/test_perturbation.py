@@ -1,14 +1,23 @@
 """Perturbative corrections: route agreements, selection rules, curves."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from vdwdim.atoms import DrudeAtom, Hydrogen1DAtom, NumericRadialAtom, RingAtom
-from vdwdim.multipole import expand_interaction
+from vdwdim.atoms import (
+    DrudeAtom,
+    Hydrogen1DAtom,
+    NumericRadialAtom,
+    RingAtom,
+    _multi_indices,
+)
+from vdwdim.multipole import InteractionSeries, expand_interaction
 from vdwdim.perturbation import (
     DrudePreset,
+    _series_amplitudes,
+    _x_column_elements,
     dominance_crossover,
     first_order_closed_form,
     first_order_expectation,
@@ -28,6 +37,60 @@ def _gaussian_radial_atom(dim, sigma=1.0):
     return NumericRadialAtom(dim, r, rho)
 
 
+def _per_monomial_first_order(series, atom_a, atom_b, R):
+    """Sum of coeff <mono_A><mono_B> per power, one monomial at a time.
+
+    Returns the per-power values and the summed term magnitudes, the scale of
+    their rounding error.  Moments are memoized only to keep numeric atoms
+    fast.
+    """
+    moment_a = functools.cache(atom_a.moment)
+    moment_b = functools.cache(atom_b.moment)
+    value, scale = {}, {}
+    for power, monos in series.terms.items():
+        total = size = 0.0
+        for mono in monos:
+            term = float(mono.coeff) * moment_a(mono.exp_a) * moment_b(mono.exp_b)
+            total += term
+            size += abs(term)
+        value[power] = total / R**power
+        scale[power] = size / R**power
+    return value, scale
+
+
+def _per_monomial_amplitudes(series, atom_a, atom_b, cutoff):
+    """<n_a n_b|T_p|0 0> as a sum of one outer product per monomial."""
+    states = np.array(_multi_indices(series.dim, cutoff))
+    cols_a = _x_column_elements(atom_a, series.max_power, cutoff)
+    cols_b = _x_column_elements(atom_b, series.max_power, cutoff)
+    amps = {}
+    for power, monos in series.terms.items():
+        total = np.zeros((len(states), len(states)))
+        for mono in monos:
+            fa = np.ones(len(states))
+            fb = np.ones(len(states))
+            for c in range(series.dim):
+                fa = fa * cols_a[mono.exp_a[c]][states[:, c]]
+                fb = fb * cols_b[mono.exp_b[c]][states[:, c]]
+            total += float(mono.coeff) * np.outer(fa, fb)
+        amps[power] = total
+    return states, amps
+
+
+def _first_order_atom(kind, dim):
+    if kind == "drude":
+        return DrudeAtom.bohr_matched(dim)
+    if kind == "ring":
+        return RingAtom(dim, radius=1.0)
+    return _gaussian_radial_atom(dim)
+
+
+def _skipped_power_series():
+    """The d = 2 order-5 monomials filed under 1/R^9; powers 4 to 8 absent."""
+    base = expand_interaction(2, 5)
+    return InteractionSeries(2, 9, {3: base.terms[3], 9: base.terms[5]})
+
+
 class TestFirstOrderExpectation:
     def test_low_orders_vanish_identically(self):
         for d in (1, 2, 3):
@@ -43,13 +106,13 @@ class TestFirstOrderExpectation:
         atom = DrudeAtom.bohr_matched(1)
         R = 10.0
         per = first_order_expectation(expand_interaction(1, 5), atom, atom, R)
-        assert per[5] == pytest.approx(6.0 / R**5, rel=1e-12)
+        assert per[5] == pytest.approx(6.0 / R**5, rel=1e-12, abs=0.0)
 
     def test_drude_2d_leading_coefficient(self):
         atom = DrudeAtom.bohr_matched(2)
         R = 10.0
         per = first_order_expectation(expand_interaction(2, 5), atom, atom, R)
-        assert per[5] == pytest.approx(2.25 / R**5, rel=1e-12)
+        assert per[5] == pytest.approx(2.25 / R**5, rel=1e-12, abs=0.0)
 
     def test_drude_3d_vanishes_through_order_nine(self):
         atom = DrudeAtom.bohr_matched(3)
@@ -88,8 +151,37 @@ class TestFirstOrderExpectation:
         per = first_order_expectation(expand_interaction(2, 7), atom, atom, R)
         a = atom.characteristic_length()
         r5, r7 = first_order_closed_form(2, a, atom.alpha(), 1.0, R)
-        assert per[5] == pytest.approx(r5, rel=1e-8)
-        assert per[7] == pytest.approx(r7, rel=1e-8)
+        assert per[5] == pytest.approx(r5, rel=1e-8, abs=0.0)
+        assert per[7] == pytest.approx(r7, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["drude", "ring", "numeric"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_per_monomial_sum(self, dim, kind):
+        atom = _first_order_atom(kind, dim)
+        series = expand_interaction(dim, 12)
+        R = 9.0
+        got = first_order_expectation(series, atom, atom, R)
+        want, scale = _per_monomial_first_order(series, atom, atom, R)
+        assert list(got) == list(want)
+        for power in want:
+            if dim < 3:
+                assert got[power] == pytest.approx(want[power], rel=1e-13, abs=0.0)
+            else:
+                # every d = 3 entry is zero in exact arithmetic, so both sides
+                # are rounding noise of the summed terms
+                assert abs(got[power] - want[power]) <= 1e-13 * scale[power]
+
+    def test_power_read_from_monomial_table(self):
+        series = _skipped_power_series()
+        atom_a = DrudeAtom.bohr_matched(2)
+        atom_b = RingAtom(2, radius=1.3)
+        R = 6.0
+        got = first_order_expectation(series, atom_a, atom_b, R)
+        want, _ = _per_monomial_first_order(series, atom_a, atom_b, R)
+        assert list(got) == [3, 9]
+        assert got[3] == 0.0
+        assert got[9] == pytest.approx(want[9], rel=1e-13, abs=0.0)
+        assert got[9] != 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -104,8 +196,8 @@ class TestFirstOrderExpectation:
 class TestFirstOrderClosedForm:
     def test_reduced_unit_values(self):
         r5, r7 = first_order_closed_form(1, 1.0, 3.0, 1.0, 10.0)
-        assert r5 == pytest.approx(6.0e-5, rel=1e-15)
-        assert r7 == pytest.approx(9.0e-6, rel=1e-15)
+        assert r5 == pytest.approx(6.0e-5, rel=1e-15, abs=0.0)
+        assert r7 == pytest.approx(9.0e-6, rel=1e-15, abs=0.0)
 
     def test_three_dimensions_vanish(self):
         assert first_order_closed_form(3, 1.0, 3.0, 1.0, 5.0) == (0.0, 0.0)
@@ -131,18 +223,18 @@ class TestPotentialRoute:
         R = 9.0
         v5, v7 = first_order_via_potential(atom, atom, R)
         per = first_order_expectation(expand_interaction(1, 7), atom, atom, R)
-        assert v5 == pytest.approx(per[5], rel=1e-8)
-        assert v7 == pytest.approx(per[7], rel=1e-8)
+        assert v5 == pytest.approx(per[5], rel=1e-8, abs=0.0)
+        assert v7 == pytest.approx(per[7], rel=1e-8, abs=0.0)
 
 
 class TestSecondOrder:
     def test_closed_form_reduced_values(self):
         assert second_order_drude_closed_form(
             3, 1.0, 1.0, 0.5, 10.0
-        ) == pytest.approx(-6.0e-6, rel=1e-15)
+        ) == pytest.approx(-6.0e-6, rel=1e-15, abs=0.0)
         assert second_order_drude_closed_form(
             1, 1.0, 1.0, 0.5, 10.0
-        ) == pytest.approx(-4.0e-6, rel=1e-15)
+        ) == pytest.approx(-4.0e-6, rel=1e-15, abs=0.0)
 
     def test_zero_coupling(self):
         atom = DrudeAtom.bohr_matched(1)
@@ -158,7 +250,7 @@ class TestSecondOrder:
         want = second_order_drude_closed_form(
             dim, atom.a, 1.0, atom.hbar_omega, R
         )
-        assert got == pytest.approx(want, rel=1e-12)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_dipole_selection_saturates_at_cutoff_one(self, dim):
@@ -166,7 +258,7 @@ class TestSecondOrder:
         series = expand_interaction(dim, 3)
         v1 = second_order_sum(series, atom, atom, 6.0, cutoff=1)
         v5 = second_order_sum(series, atom, atom, 6.0, cutoff=5)
-        assert v1 == pytest.approx(v5, rel=1e-14)
+        assert v1 == pytest.approx(v5, rel=1e-14, abs=0.0)
 
     def test_requires_drude(self):
         from vdwdim.atoms import AtomKindError
@@ -174,6 +266,40 @@ class TestSecondOrder:
         series = expand_interaction(2, 3)
         with pytest.raises(AtomKindError):
             second_order_sum(series, RingAtom(2), RingAtom(2), 8.0)
+
+
+class TestSeriesAmplitudes:
+    @staticmethod
+    def _assert_matches(got, want):
+        states, amps = got
+        ref_states, ref_amps = want
+        np.testing.assert_array_equal(states, ref_states)
+        assert list(amps) == list(ref_amps)
+        for power, ref in ref_amps.items():
+            # mathematically-zero entries carry rounding noise on both sides,
+            # so the gap is measured against the largest amplitude
+            gap = np.max(np.abs(amps[power] - ref))
+            assert gap <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_per_monomial_outer_products(self, dim):
+        atom_a = DrudeAtom.bohr_matched(dim)
+        atom_b = DrudeAtom(dim, omega=0.7, mass=1.3)
+        series = expand_interaction(dim, 6)
+        self._assert_matches(
+            _series_amplitudes(series, atom_a, atom_b, 4),
+            _per_monomial_amplitudes(series, atom_a, atom_b, 4),
+        )
+
+    def test_power_read_from_monomial_table(self):
+        series = _skipped_power_series()
+        atom_a = DrudeAtom.bohr_matched(2)
+        atom_b = DrudeAtom(2, omega=0.7, mass=1.3)
+        got = _series_amplitudes(series, atom_a, atom_b, 4)
+        assert list(got[1]) == [3, 9]
+        self._assert_matches(
+            got, _per_monomial_amplitudes(series, atom_a, atom_b, 4)
+        )
 
 
 class TestParityExclusion:
@@ -199,29 +325,29 @@ class TestParityExclusion:
             series34, atom, atom, cutoff=6, R=R, powers=(3, 3)
         )
         want = second_order_sum(series3, atom, atom, R, cutoff=6)
-        assert diag == pytest.approx(want, rel=1e-13)
+        assert diag == pytest.approx(want, rel=1e-13, abs=0.0)
         assert diag != 0.0
 
 
 class TestEnergyCurve:
     def test_reduced_values_d1_at_five(self):
         row = total_energy_curve(1, [5.0])[0]
-        assert row.first_order_r5 == pytest.approx(6.0 / 3125.0, rel=1e-12)
-        assert row.second_order_r6 == pytest.approx(-4.0 / 15625.0, rel=1e-12)
-        assert row.first_order_r7 == pytest.approx(90.0 / 78125.0, rel=1e-12)
+        assert row.first_order_r5 == pytest.approx(6.0 / 3125.0, rel=1e-12, abs=0.0)
+        assert row.second_order_r6 == pytest.approx(-4.0 / 15625.0, rel=1e-12, abs=0.0)
+        assert row.first_order_r7 == pytest.approx(90.0 / 78125.0, rel=1e-12, abs=0.0)
 
     def test_d3_pure_attraction(self):
         for row in total_energy_curve(3, [3.0, 5.0, 10.0]):
             assert row.first_order_r5 == 0.0
             assert row.first_order_r7 == 0.0
             assert row.total_truncated == pytest.approx(
-                -6.0 / row.r_tilde**6, rel=1e-12
+                -6.0 / row.r_tilde**6, rel=1e-12, abs=0.0
             )
 
     def test_d2_r5_dominates_at_five(self):
         row = total_energy_curve(2, [5.0])[0]
-        assert row.first_order_r5 == pytest.approx(7.2e-4, rel=1e-12)
-        assert abs(row.second_order_r6) == pytest.approx(3.2e-4, rel=1e-12)
+        assert row.first_order_r5 == pytest.approx(7.2e-4, rel=1e-12, abs=0.0)
+        assert abs(row.second_order_r6) == pytest.approx(3.2e-4, rel=1e-12, abs=0.0)
         assert row.first_order_r5 > abs(row.second_order_r6)
 
     def test_validity_flag(self):
@@ -249,10 +375,10 @@ class TestDominanceCrossover:
     def test_frozen_values(self):
         # roots of 6 R^2 - 4 R - 90 and 2.25 R^2 - 5 R - 28.125
         assert dominance_crossover(1) == pytest.approx(
-            (4 + math.sqrt(16 + 4 * 6 * 90)) / 12.0, rel=1e-10
+            (4 + math.sqrt(16 + 4 * 6 * 90)) / 12.0, rel=1e-10, abs=0.0
         )
         assert dominance_crossover(2) == pytest.approx(
-            (5 + math.sqrt(25 + 4 * 2.25 * 28.125)) / 4.5, rel=1e-10
+            (5 + math.sqrt(25 + 4 * 2.25 * 28.125)) / 4.5, rel=1e-10, abs=0.0
         )
 
     def test_rejected_for_d3(self):
@@ -264,14 +390,14 @@ class TestPreset:
     def test_bohr_matching(self):
         preset = DrudePreset.bohr()
         atom = preset.atom(1)
-        assert atom.a == pytest.approx(1.0, rel=1e-15)
+        assert atom.a == pytest.approx(1.0, rel=1e-15, abs=0.0)
         assert atom.hbar_omega == pytest.approx(
-            preset.k / (2 * preset.a), rel=1e-15
+            preset.k / (2 * preset.a), rel=1e-15, abs=0.0
         )
-        assert preset.validity_radius() == pytest.approx(2.0, rel=1e-12)
+        assert preset.validity_radius() == pytest.approx(2.0, rel=1e-12, abs=0.0)
 
     def test_custom_override(self):
         preset = DrudePreset.custom(hbar_omega=0.8, a=2.0, k=3.0)
         atom = preset.atom(2)
-        assert atom.a == pytest.approx(2.0, rel=1e-14)
-        assert atom.hbar_omega == pytest.approx(0.8, rel=1e-15)
+        assert atom.a == pytest.approx(2.0, rel=1e-14, abs=0.0)
+        assert atom.hbar_omega == pytest.approx(0.8, rel=1e-15, abs=0.0)

@@ -46,11 +46,11 @@ class TestNumericQuadrature:
         want = -sum(
             math.prod(range(2 * n - 1, 0, -2)) / s ** (2 * n + 1) for n in range(1, 7)
         )
-        assert got == pytest.approx(want, rel=1e-6)
-        assert got == pytest.approx(-1e-3, rel=0.05)
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+        assert got == pytest.approx(-1e-3, rel=0.05, abs=0.0)
         # Hilbert transform of the Gaussian line charge: 1/s - sqrt(2) F(s/sqrt(2))
         closed = 1.0 / s - math.sqrt(2.0) * dawsn(s / math.sqrt(2.0))
-        assert got == pytest.approx(closed, rel=1e-8)
+        assert got == pytest.approx(closed, rel=1e-8, abs=0.0)
 
     def test_d1_perpendicular_axis(self):
         # 1/sqrt(s^2 + x^2) averaged over the line charge gives
@@ -63,10 +63,10 @@ class TestNumericQuadrature:
         want = (
             0.5 / s**3 - 9.0 / 8.0 / s**5 + 75.0 / 16.0 / s**7 - 3675.0 / 128.0 / s**9
         )
-        assert got == pytest.approx(want, rel=1e-4)
+        assert got == pytest.approx(want, rel=1e-4, abs=0.0)
         # int exp(-x^2/2) / sqrt(2 pi (s^2 + x^2)) dx = e^(s^2/4) K0(s^2/4) / sqrt(2 pi)
         closed = 1.0 / s - k0e(s**2 / 4.0) / math.sqrt(2.0 * math.pi)
-        assert got == pytest.approx(closed, rel=1e-8)
+        assert got == pytest.approx(closed, rel=1e-8, abs=0.0)
 
     def test_d2_on_axis_taylor(self):
         # on axis the s^-(2m+1) coefficient is -<r^2m> <P_2m(cos phi)>
@@ -80,13 +80,13 @@ class TestNumericQuadrature:
             / s ** (2 * m + 1)
             for m in range(1, 6)
         )
-        assert got == pytest.approx(want, rel=1e-6)
+        assert got == pytest.approx(want, rel=1e-6, abs=0.0)
 
     def test_parity(self):
         atom = DrudeAtom.bohr_matched(2)
         r = np.array([7.0, 2.0, 3.0])
         assert v_a_numeric(atom, r).value == pytest.approx(
-            v_a_numeric(atom, -r).value, rel=1e-12
+            v_a_numeric(atom, -r).value, rel=1e-12, abs=0.0
         )
 
     def test_hydrogen1d_vanishes(self):
@@ -114,7 +114,7 @@ class TestMultipoleForm:
         atom = DrudeAtom.bohr_matched(1)
         s = 9.0
         assert v_a_multipole(atom, [s, 0, 0], 3).value == pytest.approx(
-            -1.0 / s**3, rel=1e-15
+            -1.0 / s**3, rel=1e-15, abs=0.0
         )
 
     def test_d1_on_axis_order5(self):
@@ -122,15 +122,15 @@ class TestMultipoleForm:
         atom = DrudeAtom.bohr_matched(1)
         s = 20.0
         got = v_a_multipole(atom, [s, 0, 0], 5).value
-        assert got == pytest.approx(-1.0 / s**3 - 3.0 / s**5, rel=1e-15)
+        assert got == pytest.approx(-1.0 / s**3 - 3.0 / s**5, rel=1e-15, abs=0.0)
         num = v_a_numeric(atom, [s, 0, 0]).value
         assert abs(got - num) / abs(num) < 1e-3
 
     def test_order5_coefficients_from_raw_moments(self):
         atom = DrudeAtom.bohr_matched(2)
         c3, c5 = multipole_coefficients(atom)
-        assert c3 == pytest.approx(-0.5, rel=1e-15)
-        assert c5 == pytest.approx(-9.0 / 8.0, rel=1e-15)
+        assert c3 == pytest.approx(-0.5, rel=1e-15, abs=0.0)
+        assert c5 == pytest.approx(-9.0 / 8.0, rel=1e-15, abs=0.0)
 
     def test_order5_off_axis_rejected(self):
         atom = DrudeAtom.bohr_matched(1)
@@ -185,4 +185,4 @@ class TestShellTheorem:
         shell = RingAtom(3, radius=1.0)
         assert v_a_numeric(shell, [4.0, 0, 0]).value == 0.0
         inside = v_a_numeric(shell, [0.5, 0, 0]).value
-        assert inside == pytest.approx(1.0 / 0.5 - 1.0, rel=1e-15)
+        assert inside == pytest.approx(1.0 / 0.5 - 1.0, rel=1e-15, abs=0.0)
