@@ -8,6 +8,13 @@ subleading multipole of the charge cloud.
 
 Moments are the only interface the perturbative machinery needs; densities
 are exposed separately for the quadrature oracles and the potential module.
+
+scipy is imported inside the two methods that need it, so that importing
+the package, and every command that prints series, curves or moments of the
+closed-form atoms, does not pay for it: ``NumericRadialAtom`` builds its
+density spline with ``CubicSpline``, and ``DrudeAtom.support_radius``, which
+only the potential quadrature calls, finds its root with ``brentq`` on the
+``gammaincc`` survival function.
 """
 
 import math
@@ -15,9 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
-from scipy.special import gammaincc
 
 MOMENT_CAP = 16
 
@@ -59,6 +63,11 @@ def _angular_average(dim, exponents) -> Fraction:
     for j in range(1, total + 1):
         den *= dim + 2 * j - 2
     return Fraction(num, den)
+
+
+def _positive(x):
+    """True for a finite positive number (False for NaN and inf)."""
+    return math.isfinite(x) and x > 0
 
 
 def _check_exponents(dim, exponents):
@@ -117,8 +126,8 @@ class DrudeAtom(AtomModel):
     def __init__(self, dim, omega, mass=1.0, hbar=1.0):
         if dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2, or 3")
-        if omega <= 0 or mass <= 0 or hbar <= 0:
-            raise ValueError("omega, mass, hbar must be positive")
+        if not all(_positive(v) for v in (omega, mass, hbar)):
+            raise ValueError("omega, mass, hbar must be finite and positive")
         self.dim = dim
         self.omega = omega
         self.mass = mass
@@ -165,6 +174,9 @@ class DrudeAtom(AtomModel):
         )
 
     def support_radius(self, eps=1e-12):
+        from scipy.optimize import brentq
+        from scipy.special import gammaincc
+
         # survival of |r| for the isotropic Gaussian is Q(d/2, r^2 / 2 a^2)
         def surv(r):
             return gammaincc(self.dim / 2.0, r**2 / (2.0 * self.a**2)) - eps
@@ -189,8 +201,8 @@ class RingAtom(AtomModel):
     def __init__(self, dim, radius=1.0):
         if dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2, or 3")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not _positive(radius):
+            raise ValueError("radius must be finite and positive")
         self.dim = dim
         self.radius = radius
 
@@ -236,12 +248,16 @@ class NumericRadialAtom(AtomModel):
     ``rho`` holds the full d-dimensional density at the grid radii; the mass
     under the radial measure S_{d-1} r^{d-1} dr is renormalized to one on
     construction.  Moments use composite Gauss-Legendre quadrature on a cubic
-    spline through the samples (target 1e-8 relative for smooth densities).
+    spline through the samples (target 1e-8 relative for smooth densities);
+    the spline is evaluated at the nodes once, on construction, and each
+    radial order is integrated once and kept.
     """
 
     _GL_ORDER = 12
 
     def __init__(self, dim, r, rho):
+        from scipy.interpolate import CubicSpline
+
         if dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2, or 3")
         r = np.asarray(r, dtype=float)
@@ -256,9 +272,13 @@ class NumericRadialAtom(AtomModel):
         self._r = r
         self._spline = CubicSpline(r, np.clip(rho, 0.0, None))
         nodes, weights = np.polynomial.legendre.leggauss(self._GL_ORDER)
-        self._gl_nodes = nodes
-        self._gl_weights = weights
-        mass = self._integrate(lambda u: u ** (dim - 1)) * _sphere_area(dim)
+        mid = 0.5 * (r[:-1] + r[1:])
+        half = 0.5 * (r[1:] - r[:-1])
+        self._u = mid[:, None] + half[:, None] * nodes[None, :]
+        self._rho_u = self._spline(self._u)
+        self._hw = half[:, None] * weights[None, :]
+        self._radial_moments = {}
+        mass = self._integrate(dim - 1) * _sphere_area(dim)
         if not np.isfinite(mass) or mass <= 0:
             raise NonNormalizableDensityError(f"density mass {mass!r} not positive")
         self._norm = 1.0 / mass
@@ -271,23 +291,20 @@ class NumericRadialAtom(AtomModel):
             raise ValueError("expected two columns: r and rho(r)")
         return cls(dim, data[:, 0], data[:, 1])
 
-    def _integrate(self, weight_fn):
-        a = self._r[:-1]
-        b = self._r[1:]
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        u = mid[:, None] + half[:, None] * self._gl_nodes[None, :]
-        vals = self._spline(u) * weight_fn(u)
-        return float(np.sum(half[:, None] * self._gl_weights[None, :] * vals))
+    def _integrate(self, power):
+        """Integral of spline(u) u^power over the radial grid."""
+        return float(np.sum(self._hw * (self._rho_u * self._u**power)))
 
     def radial_moment(self, order):
         if order > MOMENT_CAP:
             raise MomentCapError(f"order {order} exceeds cap {MOMENT_CAP}")
-        return (
-            self._norm
-            * _sphere_area(self.dim)
-            * self._integrate(lambda u: u ** (order + self.dim - 1))
-        )
+        if order not in self._radial_moments:
+            self._radial_moments[order] = (
+                self._norm
+                * _sphere_area(self.dim)
+                * self._integrate(order + self.dim - 1)
+            )
+        return self._radial_moments[order]
 
     def radial_density(self, r):
         r = np.asarray(r, dtype=float)

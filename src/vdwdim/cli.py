@@ -127,10 +127,17 @@ def cmd_moments(args):
     return 0
 
 
+def _finite_list(text, option):
+    values = [float(tok) for tok in text.split(",")]
+    if not all(math.isfinite(v) for v in values):
+        raise CliError(f"{option} values must be finite")
+    return values
+
+
 def cmd_potential(args):
     atom = _atom_from_args(args)
-    radii = [float(tok) for tok in args.radii.split(",")]
-    thetas = [float(tok) for tok in args.thetas.split(",")]
+    radii = _finite_list(args.radii, "--radii")
+    thetas = _finite_list(args.thetas, "--thetas")
     methods = args.methods.split(",")
     lines = ["r,theta_deg,value,method"]
     for s in radii:
@@ -334,8 +341,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "rmin", None) is not None:
-        if args.rmin <= 0 or args.rmax < args.rmin or args.steps < 1:
-            parser.error("need 0 < rmin <= rmax and steps >= 1")
+        if not 0 < args.rmin <= args.rmax < math.inf or args.steps < 1:
+            parser.error("need 0 < rmin <= rmax < inf and steps >= 1")
     try:
         return args.func(args)
     except (

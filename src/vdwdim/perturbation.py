@@ -24,10 +24,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import drude_exact, kernels
-from .atoms import AtomKindError, DrudeAtom, _multi_indices
+from .atoms import AtomKindError, DrudeAtom, _multi_indices, _positive
 from .multipole import series_arrays
 from .potential import even_moments, multipole_coefficients
 
@@ -180,6 +179,13 @@ class DrudePreset:
     k: float
     hbar_omega: float
 
+    def __post_init__(self):
+        if not (_positive(self.a) and _positive(self.hbar_omega)):
+            raise ValueError("preset a and hbar_omega must be finite and positive")
+        # k = 0 is the uncoupled pair: every correction vanishes
+        if not (math.isfinite(self.k) and self.k >= 0):
+            raise ValueError("preset k must be finite and non-negative")
+
     @classmethod
     def bohr(cls):
         """Reduced units with hbar omega = k / (2a), i.e. a Bohr-sized atom."""
@@ -232,6 +238,8 @@ def total_energy_curve(dim, r_tilde_values, preset=None):
     if preset is None:
         preset = DrudePreset.bohr()
     a, k = preset.a, preset.k
+    if k == 0:
+        raise ValueError("energies are in units of k/a: preset k must be positive")
     validity = preset.validity_radius()
     scale = a / k
     rows = []
@@ -263,17 +271,19 @@ def total_energy_curve(dim, r_tilde_values, preset=None):
 
 
 def dominance_crossover(dim, preset=None):
-    """Reduced separation where the R^-5 term first exceeds |r6| + r7."""
+    """Reduced separation where the R^-5 term first exceeds |r6| + r7.
+
+    With r5 = A / R^5, r6 = -B / R^6 and r7 = C / R^7, multiplying
+    r5 - |r6| - r7 = 0 by R^7 leaves A R^2 - B R - C = 0, whose positive root
+    divided by a is the crossover in units of a.
+    """
     if dim not in (1, 2):
         raise ValueError("crossover defined only for d = 1, 2")
     if preset is None:
         preset = DrudePreset.bohr()
     a, k = preset.a, preset.k
-
-    def gap(rt):
-        R = rt * a
-        r5, r7 = first_order_closed_form(dim, a, 3.0, k, R)
-        r6 = second_order_drude_closed_form(dim, a, k, preset.hbar_omega, R)
-        return r5 - (abs(r6) + r7)
-
-    return brentq(gap, 2.05, 100.0, xtol=1e-12, rtol=1e-14)
+    if k == 0:
+        raise ValueError("no crossover without coupling: preset k must be positive")
+    A, C = first_order_closed_form(dim, a, 3.0, k, 1.0)
+    B = -second_order_drude_closed_form(dim, a, k, preset.hbar_omega, 1.0)
+    return (B + math.sqrt(B * B + 4.0 * A * C)) / (2.0 * A) / a

@@ -19,14 +19,21 @@ where alpha = <x^4> / a^4 is the per-axis fourth-moment ratio of the cloud
 convergent (for a Gaussian its coefficients grow like (2n-1)!!), and the
 later terms s^-7, s^-9, ... are not negligible at 1e-6 relative for s up to
 about 15.
+
+scipy is imported only inside the quadrature route, where nothing cheaper
+does the job: ``quad`` in ``_quad``, ``ellipk`` for the ring kernel, and the
+Drude ``support_radius`` root that sets the integration range.  ``ellipk``
+stays scipy's because an arithmetic-geometric-mean K(m) in plain ``math``
+differs from it by a few ulp, which would move the printed ring and d = 2
+potentials.  The multipole forms and the moment helpers need none of it, so
+the package imports without scipy, and only ``v_a_numeric`` and
+``NumericRadialAtom`` (see ``atoms``) load it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ellipk
 
 from .atoms import DrudeAtom, Hydrogen1DAtom, NumericRadialAtom, RingAtom
 
@@ -157,6 +164,8 @@ def shell_theorem_check(atom, radii):
 
 
 def _quad(fn, lo, hi, points=None):
+    from scipy.integrate import quad
+
     val, err = quad(
         fn, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400, points=points
     )
@@ -186,10 +195,13 @@ def _cloud_1d(atom, r, support):
 
 
 def _cloud_2d(atom, r, s, support):
+    from scipy.special import ellipk
+
     r_par = math.sqrt(float(r[0] ** 2 + r[1] ** 2))
 
     def integrand(u):
-        return float(atom.radial_density(u)) * u * _ring_kernel(u, r_par, s)
+        kernel = _ring_kernel(u, r_par, s, ellipk)
+        return float(atom.radial_density(u)) * u * kernel
 
     pts = [r_par] if (abs(float(r[2])) < 1e-300 and r_par < support) else None
     return _quad(integrand, 0.0, support, points=pts)
@@ -210,8 +222,12 @@ def _cloud_3d(atom, s, support):
     return 4.0 * math.pi * (enclosed / s + outer)
 
 
-def _ring_kernel(u, r_par, s):
-    """Angular integral of 1/|r - u e(phi)| over a circle of radius u."""
+def _ring_kernel(u, r_par, s, ellipk):
+    """Angular integral of 1/|r - u e(phi)| over a circle of radius u.
+
+    ``ellipk`` is scipy's complete elliptic integral K(m), imported once by
+    the caller rather than on every integrand call.
+    """
     A = u * u + s * s
     B = 2.0 * u * r_par
     m = 2.0 * B / (A + B)
@@ -228,6 +244,8 @@ def _shell_cloud_potential(dim, radius, r, s):
         d_minus = math.sqrt((rx + radius) ** 2 + perp2)
         return 0.5 / d_plus + 0.5 / d_minus
     if dim == 2:
+        from scipy.special import ellipk
+
         r_par = math.sqrt(float(r[0] ** 2 + r[1] ** 2))
-        return _ring_kernel(radius, r_par, s) / (2.0 * math.pi)
+        return _ring_kernel(radius, r_par, s, ellipk) / (2.0 * math.pi)
     return 1.0 / max(s, radius)

@@ -30,6 +30,25 @@ def _gaussian_radial_atom(dim, sigma=1.0, rmax=9.0, n=3000):
     return NumericRadialAtom(dim, r, rho)
 
 
+def _per_call_radial_moment(dim, r, rho, order):
+    """Radial moment with the spline evaluated afresh for every integral."""
+    from scipy.interpolate import CubicSpline
+
+    spline = CubicSpline(r, np.clip(rho, 0.0, None))
+    nodes, weights = np.polynomial.legendre.leggauss(NumericRadialAtom._GL_ORDER)
+    a, b = r[:-1], r[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    u = mid[:, None] + half[:, None] * nodes[None, :]
+
+    def integrate(weight_fn):
+        vals = spline(u) * weight_fn(u)
+        return float(np.sum(half[:, None] * weights[None, :] * vals))
+
+    area = {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[dim]
+    norm = 1.0 / (integrate(lambda v: v ** (dim - 1)) * area)
+    return norm * area * integrate(lambda v: v ** (order + dim - 1))
+
+
 class TestDrudeMoments:
     def test_odd_moments_vanish(self):
         atom = DrudeAtom.bohr_matched(3)
@@ -61,6 +80,15 @@ class TestDrudeMoments:
         )
 
 
+class TestDrudeInputs:
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["omega", "mass", "hbar"])
+    def test_rejects_non_finite_or_non_positive(self, name, bad):
+        kwargs = {"omega": 0.5, "mass": 1.0, "hbar": 1.0, name: bad}
+        with pytest.raises(ValueError):
+            DrudeAtom(2, **kwargs)
+
+
 class TestRing:
     def test_alpha_d2_is_three_halves(self):
         ring = RingAtom(2, radius=2.0)
@@ -82,6 +110,11 @@ class TestRing:
     def test_d3_shell_alpha(self):
         shell = RingAtom(3, radius=1.0)
         assert alpha(shell) == pytest.approx(9.0 / 5.0, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_radius(self, radius):
+        with pytest.raises(ValueError):
+            RingAtom(2, radius=radius)
 
 
 class TestHydrogen1D:
@@ -130,6 +163,29 @@ class TestNumericRadial:
         r = np.linspace(0.1, 1.0, 10)
         with pytest.raises(NonNormalizableDensityError):
             NumericRadialAtom(2, r, np.full_like(r, np.nan))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_moments_bit_identical_to_per_call_quadrature(self, dim):
+        r = np.linspace(1e-9, 9.0, 4000)
+        rho = np.exp(-(r**2) / 2) * (1.0 + 0.3 * r)
+        atom = NumericRadialAtom(dim, r, rho)
+        for order in list(range(MOMENT_CAP + 1)) + [4, 2, 16]:
+            assert atom.radial_moment(order) == _per_call_radial_moment(
+                dim, r, rho, order
+            )
+
+    def test_each_order_integrated_once(self):
+        atom = _gaussian_radial_atom(3)
+        fresh = _gaussian_radial_atom(3)
+        powers = []
+        integrate = atom._integrate
+        atom._integrate = lambda power: powers.append(power) or integrate(power)
+        atom._spline = None  # the quadrature nodes were evaluated on construction
+        for _ in range(3):
+            for e in [(2, 0, 0), (4, 0, 0), (2, 2, 0), (6, 2, 2), (0, 0, 2)]:
+                assert moment(atom, e) == moment(fresh, e)
+        assert alpha(atom) == alpha(fresh)
+        assert sorted(powers) == [4, 6, 12]  # orders 2, 4 and 10 at d = 3
 
     def test_from_file(self, tmp_path):
         sigma = 1.0

@@ -1,10 +1,14 @@
 """Command-line interface: formats, determinism, exit codes, fault reporting."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import vdwdim
 from vdwdim import cli, multipole, potential, verify
 from vdwdim.oracle import ConvergenceError
 from vdwdim.potential import QuadratureError
@@ -166,6 +170,83 @@ class TestCurve:
         with pytest.raises(SystemExit) as exc:
             cli.main(["curve", "--rmin", "-1"])
         assert exc.value.code == 2
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "exact --preset custom --hbar-omega 1 --a 0",
+            "curve --preset custom --hbar-omega 1 --k 0",
+            "curve --preset custom --hbar-omega nan",
+            "curve --preset custom --hbar-omega 1 --a inf",
+            "potential --radii nan",
+            "potential --radii 10,inf",
+            "potential --thetas nan",
+            "potential --dim 2 --atom ring --radius nan",
+        ],
+    )
+    def test_single_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv", ["curve --rmin nan", "curve --rmax inf", "exact --rmax nan"]
+    )
+    def test_non_finite_grid_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert [l for l in captured.err.splitlines() if "error:" in l] == [
+            "vdw: error: need 0 < rmin <= rmax < inf and steps >= 1"
+        ]
+
+
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+import vdwdim
+from vdwdim import cli
+
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+report = {"import vdwdim": scipy_loaded()}
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = cli.main(argv.split())
+        except SystemExit as exc:  # --version
+            code = exc.code
+    report[argv] = (code, scipy_loaded())
+print(json.dumps(report))
+"""
+
+
+class TestImportPath:
+    def test_scipy_loaded_only_by_quadrature(self):
+        src = os.path.dirname(os.path.dirname(vdwdim.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        free = [
+            "--version",
+            "expand --dim 3 --order 12",
+            "curve --format json",
+            "exact",
+            "verify --level fast",
+        ]
+        quadrature = "potential --methods quadrature"
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, *free, quadrature],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        report = json.loads(proc.stdout)
+        assert report.pop("import vdwdim") is False
+        assert report.pop(quadrature) == [0, True]
+        assert report == {argv: [0, False] for argv in free}
 
 
 class TestExact:

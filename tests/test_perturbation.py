@@ -385,6 +385,25 @@ class TestDominanceCrossover:
         with pytest.raises(ValueError):
             dominance_crossover(3)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_custom_preset_gap_changes_sign(self, dim):
+        preset = DrudePreset.custom(hbar_omega=0.8, a=2.0, k=3.0)
+        rt = dominance_crossover(dim, preset)
+
+        def gap(r_tilde):
+            R = r_tilde * preset.a
+            r5, r7 = first_order_closed_form(dim, preset.a, 3.0, preset.k, R)
+            r6 = second_order_drude_closed_form(
+                dim, preset.a, preset.k, preset.hbar_omega, R
+            )
+            return r5 - abs(r6) - r7
+
+        assert gap(rt * (1 - 1e-9)) < 0 < gap(rt * (1 + 1e-9))
+
+    def test_rejected_without_coupling(self):
+        with pytest.raises(ValueError):
+            dominance_crossover(1, DrudePreset.custom(hbar_omega=0.5, k=0.0))
+
 
 class TestPreset:
     def test_bohr_matching(self):
@@ -395,6 +414,29 @@ class TestPreset:
             preset.k / (2 * preset.a), rel=1e-15, abs=0.0
         )
         assert preset.validity_radius() == pytest.approx(2.0, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"hbar_omega": 1.0, "a": 0.0},
+            {"hbar_omega": 1.0, "a": -1.0},
+            {"hbar_omega": 1.0, "a": math.inf},
+            {"hbar_omega": 0.0},
+            {"hbar_omega": math.nan},
+            {"hbar_omega": math.inf},
+            {"hbar_omega": 1.0, "k": -1.0},
+            {"hbar_omega": 1.0, "k": math.nan},
+            {"hbar_omega": 1.0, "k": math.inf},
+        ],
+    )
+    def test_custom_rejects_bad_units(self, kwargs):
+        with pytest.raises(ValueError):
+            DrudePreset.custom(**kwargs)
+
+    def test_curve_needs_coupling(self):
+        preset = DrudePreset.custom(hbar_omega=1.0, k=0.0)
+        with pytest.raises(ValueError):
+            total_energy_curve(1, [5.0], preset)
 
     def test_custom_override(self):
         preset = DrudePreset.custom(hbar_omega=0.8, a=2.0, k=3.0)
