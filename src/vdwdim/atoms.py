@@ -183,10 +183,6 @@ class DrudeAtom(AtomModel):
 
         return brentq(surv, 1e-9 * self.a, 40.0 * self.a)
 
-    def spectrum(self, cutoff):
-        """Oscillator levels hbar omega (sum n_i + d/2) up to total cutoff."""
-        return drude_spectrum(self, cutoff)
-
 
 class RingAtom(AtomModel):
     """All electron density concentrated at one radius (shell distribution).
@@ -227,13 +223,6 @@ class Hydrogen1DAtom(AtomModel):
 
     def radial_moment(self, order):
         return 1.0 if order == 0 else 0.0
-
-    def moment(self, exponents):
-        exponents = _check_exponents(self.dim, exponents)
-        return 1.0 if sum(exponents) == 0 else 0.0
-
-    def characteristic_length(self):
-        return 0.0
 
     def alpha(self):
         raise DegenerateAtomError("alpha undefined for the collapsed 1D atom")

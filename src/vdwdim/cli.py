@@ -15,7 +15,6 @@ import numpy as np
 
 from . import __version__, multipole, perturbation, potential, verify
 from .atoms import DegenerateAtomError, DrudeAtom, Hydrogen1DAtom, RingAtom
-from .multipole import ExpansionCapError
 from .oracle import ConvergenceError
 from .potential import QuadratureError
 
@@ -162,77 +161,64 @@ def cmd_potential(args):
     return 0
 
 
+_CURVE_COLUMNS = ("R_tilde", "r5", "r6", "r7", "total", "exact", "dim", "preset")
+_EXACT_COLUMNS = ("R_tilde", "exact", "r6", "residual", "dim", "preset")
+
+
+def _cell(value):
+    """One CSV cell: None is empty, a float is ``_fmt``, anything else str."""
+    if value is None:
+        return ""
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _csv_lines(columns, records):
+    return [",".join(columns)] + [
+        ",".join(_cell(rec[c]) for c in columns) for rec in records
+    ]
+
+
 def _curve_rows(args):
+    """Curve rows, their scale, and one record dict per row."""
     preset = _preset_from_args(args)
     grid = np.linspace(args.rmin, args.rmax, args.steps)
     rows = perturbation.total_energy_curve(args.dim, grid, preset)
     scale = preset.k / preset.a if args.si else 1.0
-    return preset, rows, scale
+    records = [
+        {
+            "R_tilde": row.r_tilde,
+            "r5": row.first_order_r5 * scale,
+            "r6": row.second_order_r6 * scale,
+            "r7": row.first_order_r7 * scale,
+            "total": row.total_truncated * scale,
+            "exact": None if row.exact is None else row.exact * scale,
+            "exact_valid": row.exact_valid,
+            "dim": row.dim,
+            "preset": preset.name,
+        }
+        for row in rows
+    ]
+    return rows, scale, records
 
 
 def cmd_curve(args):
-    preset, rows, scale = _curve_rows(args)
+    _, _, records = _curve_rows(args)
     if args.format == "json":
-        data = []
-        for row in rows:
-            data.append(
-                {
-                    "R_tilde": row.r_tilde,
-                    "r5": row.first_order_r5 * scale,
-                    "r6": row.second_order_r6 * scale,
-                    "r7": row.first_order_r7 * scale,
-                    "total": row.total_truncated * scale,
-                    "exact": None if row.exact is None else row.exact * scale,
-                    "exact_valid": row.exact_valid,
-                    "dim": row.dim,
-                    "preset": preset.name,
-                }
-            )
-        _emit([json.dumps(data, indent=2, sort_keys=True)], args.output)
-        return 0
-    lines = ["R_tilde,r5,r6,r7,total,exact,dim,preset"]
-    for row in rows:
-        exact = "" if row.exact is None else _fmt(row.exact * scale)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.r_tilde),
-                    _fmt(row.first_order_r5 * scale),
-                    _fmt(row.second_order_r6 * scale),
-                    _fmt(row.first_order_r7 * scale),
-                    _fmt(row.total_truncated * scale),
-                    exact,
-                    str(row.dim),
-                    preset.name,
-                ]
-            )
-        )
-    _emit(lines, args.output)
+        _emit([json.dumps(records, indent=2, sort_keys=True)], args.output)
+    else:
+        _emit(_csv_lines(_CURVE_COLUMNS, records), args.output)
     return 0
 
 
 def cmd_exact(args):
-    preset, rows, scale = _curve_rows(args)
-    lines = ["R_tilde,exact,r6,residual,dim,preset"]
-    for row in rows:
-        if row.exact is None:
-            exact = residual = ""
-        else:
-            exact = _fmt(row.exact * scale)
-            residual = _fmt(abs(row.exact - row.second_order_r6) * scale)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(row.r_tilde),
-                    exact,
-                    _fmt(row.second_order_r6 * scale),
-                    residual,
-                    str(row.dim),
-                    preset.name,
-                ]
-            )
+    rows, scale, records = _curve_rows(args)
+    for row, rec in zip(rows, records):
+        rec["residual"] = (
+            None
+            if row.exact is None
+            else abs(row.exact - row.second_order_r6) * scale
         )
-    _emit(lines, args.output)
+    _emit(_csv_lines(_EXACT_COLUMNS, records), args.output)
     return 0
 
 
@@ -345,14 +331,7 @@ def main(argv=None):
             parser.error("need 0 < rmin <= rmax < inf and steps >= 1")
     try:
         return args.func(args)
-    except (
-        CliError,
-        ExpansionCapError,
-        DegenerateAtomError,
-        ValueError,
-        ConvergenceError,
-        QuadratureError,
-    ) as exc:
+    except (CliError, ValueError, ConvergenceError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,9 +5,10 @@ k/R^3) leaves the two-atom system harmonic.  In the symmetric/antisymmetric
 coordinates (r_A +- r_B)/sqrt(2) it decouples into 2d oscillators with
 shifted frequencies
 
-    w_n^2 = omega^2 + n k / (m R^3),   n in {-2, -1, 0, +1, +2},
+    w_n = omega sqrt(1 + n x),   n in {-2, -1, 0, +1, +2},
 
-with multiplicities {1, d-1, 2d (reference), d-1, 1}.  The correction
+with multiplicities {1, d-1, 2d (reference), d-1, 1} and the coupling ratio
+x = k / (m omega^2 R^3).  The correction
 
     (hbar/2) [ w_2 + w_-2 + (d-1)(w_1 + w_-1) - 2d w_0 ]
 
@@ -18,9 +19,10 @@ why the expansion has no R^-9 term:
 
     -(3+d) k^2 a^4 / (2 hbar omega R^6) [1 + 5(d+15) x^2 / (16(d+3)) + O(x^4)],
 
-with x = k / (m omega^2 R^3); the x^4 coefficient inside the bracket is
-21(d+63) / (128(d+3)), i.e. 21/8 for d = 1.  The mode with n = -2 softens as
-the atoms approach and the model collapses once omega^2 < 2k/(m R^3).
+where the x^4 coefficient inside the bracket is 21(d+63) / (128(d+3)), i.e.
+21/8 for d = 1.  The mode with n = -2 softens as the atoms approach; the pair
+is stable iff 2x < 1, the package's one stability predicate.  Curve rows
+leave ``exact`` empty exactly where ``exact_correction`` raises.
 """
 
 import math
@@ -42,18 +44,22 @@ class NormalModeSet:
     valid: bool
 
 
-def shifted_frequencies(dim, omega, k, mass, R):
-    """Normal-mode frequencies of the dipole-coupled pair at separation R."""
+def _coupling_ratio(omega, k, mass, R):
+    """x = k / (m omega^2 R^3); the pair is stable iff 2x < 1."""
     if omega <= 0 or mass <= 0 or R <= 0:
         raise ValueError("omega, mass, R must be positive")
-    shift = k / (mass * R**3)
+    return k / (mass * omega**2 * R**3)
+
+
+def shifted_frequencies(dim, omega, k, mass, R):
+    """Normal-mode frequencies of the dipole-coupled pair at separation R."""
+    x = _coupling_ratio(omega, k, mass, R)
     freqs = {}
     for n in (-2, -1, 0, 1, 2):
-        w2 = omega**2 + n * shift
-        freqs[n] = math.sqrt(w2) if w2 >= 0 else float("nan")
+        w2 = 1.0 + n * x
+        freqs[n] = omega * math.sqrt(w2) if w2 >= 0 else float("nan")
     mult = {-2: 1, -1: dim - 1, 0: 2 * dim, 1: dim - 1, 2: 1}
-    valid = omega**2 - 2.0 * shift > 0
-    return NormalModeSet(freqs, mult, valid)
+    return NormalModeSet(freqs, mult, bool(2.0 * x < 1.0))
 
 
 def _pair_shift(u):
@@ -62,24 +68,25 @@ def _pair_shift(u):
     return w / (1.0 + math.sqrt(1.0 + 0.5 * w))
 
 
-def exact_correction(dim, omega, k, mass, R, hbar=1.0):
+def exact_correction(dim, omega, k, mass, R):
     """Ground-state energy shift of the dipole-truncated pair.
 
-    Equals (hbar/2) [w_2 + w_-2 + (d-1)(w_1 + w_-1) - 2d omega], computed
-    stably; negative for every valid R.
+    Equals (1/2) [w_2 + w_-2 + (d-1)(w_1 + w_-1) - 2d omega] with hbar = 1,
+    computed stably; negative for every stable R.
     """
-    modes = shifted_frequencies(dim, omega, k, mass, R)
-    if not modes.valid:
+    x = _coupling_ratio(omega, k, mass, R)
+    if not 2.0 * x < 1.0:
         raise InstabilityError(
             f"soft mode at R = {R:g}: need R^3 > 2k/(m omega^2)"
         )
-    x = k / (mass * omega**2 * R**3)
-    return (
-        0.5
-        * hbar
-        * omega
-        * (_pair_shift(2.0 * x) + (dim - 1) * _pair_shift(x))
-    )
+    return 0.5 * omega * (_pair_shift(2.0 * x) + (dim - 1) * _pair_shift(x))
+
+
+def second_order_drude_closed_form(dim, a, k, hbar_omega, R):
+    """-(3+d) k^2 a^4 / (2 hbar omega R^6), the leading term of the correction."""
+    if hbar_omega <= 0:
+        raise ValueError("hbar_omega must be positive")
+    return -(3 + dim) * k**2 * a**4 / (2.0 * hbar_omega * R**6)
 
 
 @dataclass(frozen=True)
@@ -89,7 +96,7 @@ class ResidualReport:
     slope: float
 
 
-def series_residual(dim, preset, r_tilde_values, hbar=1.0):
+def series_residual(dim, preset, r_tilde_values):
     """Log-log decay of |exact - leading R^-6 term| over a grid of R/a.
 
     The fitted slope should be about -12; it certifies that no odd
@@ -100,8 +107,8 @@ def series_residual(dim, preset, r_tilde_values, hbar=1.0):
     res = np.empty_like(r_tilde)
     for i, rt in enumerate(r_tilde):
         R = rt * a
-        exact = exact_correction(dim, preset.omega, k, preset.mass, R, hbar)
-        leading = -(3 + dim) * k**2 * a**4 / (2.0 * preset.hbar_omega * R**6)
+        exact = exact_correction(dim, preset.omega, k, preset.mass, R)
+        leading = second_order_drude_closed_form(dim, a, k, preset.hbar_omega, R)
         res[i] = abs(exact - leading)
     if np.all(res > 0) and r_tilde.size >= 2:
         slope = float(np.polyfit(np.log(r_tilde), np.log(res), 1)[0])

@@ -63,6 +63,11 @@ def _check_overlap(atom, R, overlap_tol):
         )
 
 
+def _oscillator_length(atom):
+    """ell = sqrt(hbar / (m omega)), the unit of the Gauss-Hermite nodes."""
+    return math.sqrt(atom.hbar / (atom.mass * atom.omega))
+
+
 def _hermite_columns(n_basis, xi):
     """Orthonormal Hermite functions (weight e^{-xi^2}) at the nodes."""
     h = np.empty((n_basis, xi.size))
@@ -79,7 +84,7 @@ def _hermite_columns(n_basis, xi):
 def _coupling_matrix(atom, R, mode, max_power, cutoff, nodes, k):
     """H_I in the flattened product Hermite basis, shape (n^2, n^2)."""
     xi, w = np.polynomial.hermite.hermgauss(nodes)
-    ell = math.sqrt(atom.hbar / (atom.mass * atom.omega))
+    ell = _oscillator_length(atom)
     x = ell * xi
     if mode == "full":
         gap = min(
@@ -164,7 +169,7 @@ def oscillator_basis_diag(
     if nodes is None:
         nodes = 2 * cutoff + 8
         if mode == "full":
-            ell = math.sqrt(atom.hbar / (atom.mass * atom.omega))
+            ell = _oscillator_length(atom)
             nodes = _nodes_off_nucleus(R / ell, nodes)
 
     n = cutoff + 1
@@ -257,7 +262,7 @@ def direct_first_order(atom_a, atom_b, R, nodes=None, k=1.0, overlap_tol=1e-8):
 
 def _tensor_cloud(atom, xi, w):
     """Tensor grid of ground-density quadrature points, zero-padded to 3D."""
-    ell = math.sqrt(atom.hbar / (atom.mass * atom.omega))
+    ell = _oscillator_length(atom)
     axes = [ell * xi] * atom.dim
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.zeros((grids[0].size, 3))

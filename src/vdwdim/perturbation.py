@@ -21,12 +21,13 @@ the R^-7 cross contribution exactly.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import drude_exact, kernels
 from .atoms import AtomKindError, DrudeAtom, _multi_indices, _positive
+from .drude_exact import second_order_drude_closed_form
 from .multipole import series_arrays
 from .potential import even_moments, multipole_coefficients
 
@@ -74,13 +75,6 @@ def first_order_via_potential(atom_a, atom_b, R, k=1.0):
         - c5 * (17.5 * m2x - 2.5 * r2)
     ) * k / R**7
     return r5, r7
-
-
-def second_order_drude_closed_form(dim, a, k, hbar_omega, R):
-    """-(3+d) k^2 a^4 / (2 hbar omega R^6)."""
-    if hbar_omega <= 0:
-        raise ValueError("hbar_omega must be positive")
-    return -(3 + dim) * k**2 * a**4 / (2.0 * hbar_omega * R**6)
 
 
 def _x_column_elements(atom, max_power, cutoff):
@@ -207,7 +201,7 @@ class DrudePreset:
         return DrudeAtom(dim, omega=self.omega, mass=self.mass)
 
     def validity_radius(self):
-        """Minimum R (in units of a) where the truncated pair is stable."""
+        """R/a where x = k / (m omega^2 R^3) is 1/2; reported, not a gate."""
         r3 = 2.0 * self.k / (self.mass * self.omega**2)
         return r3 ** (1.0 / 3.0) / self.a
 
@@ -217,7 +211,8 @@ class EnergyBreakdown:
     """Corrections at one separation, in units of k/a.
 
     Closed forms are authoritative for the per-term columns; the exact column
-    is the normal-mode value of the dipole-truncated pair when it exists.
+    is the normal-mode value of the dipole-truncated pair, or None where that
+    pair is unstable.  ``exact_valid`` is derived from it.
     """
 
     r_tilde: float
@@ -227,10 +222,10 @@ class EnergyBreakdown:
     second_order_r6: float
     total_truncated: float
     exact: float = None
-    exact_valid: bool = False
-    routes: tuple = field(
-        default=("closed_form", "closed_form", "closed_form", "normal_mode")
-    )
+
+    @property
+    def exact_valid(self):
+        return self.exact is not None
 
 
 def total_energy_curve(dim, r_tilde_values, preset=None):
@@ -240,21 +235,20 @@ def total_energy_curve(dim, r_tilde_values, preset=None):
     a, k = preset.a, preset.k
     if k == 0:
         raise ValueError("energies are in units of k/a: preset k must be positive")
-    validity = preset.validity_radius()
     scale = a / k
     rows = []
     for rt in np.asarray(r_tilde_values, dtype=float):
-        if rt <= 0:
-            raise ValueError("separations must be positive")
+        if not _positive(rt):
+            raise ValueError("separations must be finite and positive")
         R = rt * a
         r5, r7 = first_order_closed_form(dim, a, 3.0, k, R)
         r6 = second_order_drude_closed_form(dim, a, k, preset.hbar_omega, R)
-        valid = bool(rt > validity)
-        exact = None
-        if valid:
+        try:
             exact = scale * drude_exact.exact_correction(
                 dim, preset.omega, k, preset.mass, R
             )
+        except drude_exact.InstabilityError:
+            exact = None
         rows.append(
             EnergyBreakdown(
                 r_tilde=float(rt),
@@ -264,7 +258,6 @@ def total_energy_curve(dim, r_tilde_values, preset=None):
                 second_order_r6=scale * r6,
                 total_truncated=scale * (r5 + r6 + r7),
                 exact=exact,
-                exact_valid=valid,
             )
         )
     return rows

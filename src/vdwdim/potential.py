@@ -96,6 +96,14 @@ def even_moments(atom):
     return m2x, r2, m4x, x2r2, r4
 
 
+def _field_norm(r):
+    """|r| of a field point, which must be finite and nonzero."""
+    s = float(np.linalg.norm(r))
+    if not (np.all(np.isfinite(r)) and s > 0):
+        raise ValueError("field point must be finite and nonzero")
+    return s
+
+
 def _in_plane_cos2(atom, r):
     r = np.asarray(r, dtype=float)
     s2 = float(r @ r)
@@ -114,7 +122,7 @@ def v_a_multipole(atom, r, order=3):
     if order not in (3, 5):
         raise UnsupportedOrderError("order must be 3 or 5")
     r = np.asarray(r, dtype=float)
-    s = float(np.linalg.norm(r))
+    s = _field_norm(r)
     cos2 = _in_plane_cos2(atom, r)
     a2 = atom.radial_moment(2) / atom.dim
     value = -(3.0 * cos2 - atom.dim) * a2 / (2.0 * s**3)
@@ -131,9 +139,7 @@ def v_a_multipole(atom, r, order=3):
 def v_a_numeric(atom, r):
     """Potential by adaptive quadrature of the electron cloud (1e-8 relative)."""
     r = np.asarray(r, dtype=float)
-    s = float(np.linalg.norm(r))
-    if s <= 0:
-        raise ValueError("field point must be nonzero")
+    s = _field_norm(r)
 
     if isinstance(atom, Hydrogen1DAtom):
         # density collapsed onto the nucleus: exact cancellation
@@ -242,10 +248,15 @@ def _shell_cloud_potential(dim, radius, r, s):
         perp2 = float(r[1] ** 2 + r[2] ** 2)
         d_plus = math.sqrt((rx - radius) ** 2 + perp2)
         d_minus = math.sqrt((rx + radius) ** 2 + perp2)
+        if min(d_plus, d_minus) == 0.0:
+            raise DivergentPotentialError("d=1 shell potential diverges on a charge")
         return 0.5 / d_plus + 0.5 / d_minus
     if dim == 2:
         from scipy.special import ellipk
 
         r_par = math.sqrt(float(r[0] ** 2 + r[1] ** 2))
-        return _ring_kernel(radius, r_par, s, ellipk) / (2.0 * math.pi)
+        cloud = _ring_kernel(radius, r_par, s, ellipk) / (2.0 * math.pi)
+        if not math.isfinite(cloud):
+            raise DivergentPotentialError("d=2 shell potential diverges on the ring")
+        return cloud
     return 1.0 / max(s, radius)

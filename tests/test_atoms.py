@@ -121,8 +121,10 @@ class TestHydrogen1D:
     def test_collapsed_ground_state(self):
         atom = Hydrogen1DAtom()
         assert characteristic_length(atom) == 0.0
-        assert moment(atom, (2,)) == 0.0
-        assert moment(atom, (0,)) == 1.0
+        for degree in range(MOMENT_CAP + 1):
+            assert moment(atom, (degree,)) == (1.0 if degree == 0 else 0.0)
+        with pytest.raises(MomentCapError):
+            moment(atom, (MOMENT_CAP + 1,))
 
     def test_alpha_raises(self):
         with pytest.raises(DegenerateAtomError):

@@ -184,6 +184,8 @@ class TestBadNumbers:
             "potential --radii 10,inf",
             "potential --thetas nan",
             "potential --dim 2 --atom ring --radius nan",
+            "potential --dim 1 --atom ring --radii 1",
+            "potential --dim 2 --atom ring --radii 1",
         ],
     )
     def test_single_error_line(self, capsys, argv):
@@ -250,6 +252,19 @@ class TestImportPath:
 
 
 class TestExact:
+    def test_row_on_stability_radius_is_blank(self, capsys):
+        # R^3 = 2k / (m omega^2) = 64 at R/a = 4: the first row is exactly
+        # on the stability radius, so only its exact and residual are blank
+        code, out, err = run_cli(
+            capsys, "exact", "--preset", "custom", "--hbar-omega", "1",
+            "--k", "16", "--rmin", "4", "--rmax", "12", "--steps", "4",
+        )
+        assert code == 0 and err == ""
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 4
+        assert rows[0][1] == rows[0][3] == ""
+        assert all(float(r[1]) < 0 and r[3] != "" for r in rows[1:])
+
     def test_residual_column_tiny_at_large_r(self, capsys):
         _, out, _ = run_cli(
             capsys, "exact", "--dim", "1", "--rmin", "10", "--rmax", "10",

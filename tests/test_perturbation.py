@@ -6,6 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from vdwdim.drude_exact import (
+    InstabilityError,
+    exact_correction,
+    shifted_frequencies,
+)
 from vdwdim.atoms import (
     DrudeAtom,
     Hydrogen1DAtom,
@@ -355,6 +360,35 @@ class TestEnergyCurve:
         assert not rows[0].exact_valid and rows[0].exact is None
         assert not rows[1].exact_valid
         assert rows[2].exact_valid and rows[2].exact < 0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_separation(self, bad):
+        with pytest.raises(ValueError):
+            total_energy_curve(1, [5.0, bad])
+
+    def test_one_stability_decision_at_the_radius(self):
+        # custom presets at validity_radius() and one ulp either side: the
+        # curve never raises, and a row lacks exact exactly where the
+        # normal-mode route calls the pair unstable
+        rng = np.random.default_rng(1401)
+        lows, highs = np.log([0.05, 0.3, 0.1]), np.log([5.0, 3.0, 20.0])
+        for _ in range(300):
+            hw, a, k = (float(v) for v in np.exp(rng.uniform(lows, highs)))
+            preset = DrudePreset.custom(hbar_omega=hw, a=a, k=k)
+            rv = preset.validity_radius()
+            grid = [np.nextafter(rv, 0.0), rv, np.nextafter(rv, np.inf)]
+            dim = int(rng.integers(1, 4))
+            for row in total_energy_curve(dim, grid, preset):
+                R = row.r_tilde * preset.a
+                modes = shifted_frequencies(dim, preset.omega, k, preset.mass, R)
+                try:
+                    exact_correction(dim, preset.omega, k, preset.mass, R)
+                    stable = True
+                except InstabilityError:
+                    stable = False
+                assert row.exact_valid is stable
+                assert (row.exact is not None) is stable
+                assert modes.valid is stable
 
     def test_sign_law(self):
         for dim in (1, 2):

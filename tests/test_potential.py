@@ -97,6 +97,21 @@ class TestNumericQuadrature:
         with pytest.raises(DivergentPotentialError, match="diverges"):
             v_a_numeric(atom, [5, 0, 0])
 
+    @pytest.mark.parametrize(
+        "dim, point", [(1, [1.0, 0, 0]), (1, [-1.0, 0, 0]), (2, [0, 1.0, 0])]
+    )
+    def test_on_the_shell_charge_is_divergent(self, dim, point):
+        with pytest.raises(DivergentPotentialError, match="diverges"):
+            v_a_numeric(RingAtom(dim, radius=1.0), point)
+
+    @pytest.mark.parametrize("route", [v_a_numeric, v_a_multipole])
+    @pytest.mark.parametrize(
+        "point", [[math.nan, 0, 0], [math.inf, 0, 0], [3.0, 0, -math.inf]]
+    )
+    def test_rejects_non_finite_field_point(self, route, point):
+        with pytest.raises(ValueError, match="finite"):
+            route(DrudeAtom.bohr_matched(1), point)
+
     def test_method_tags(self):
         atom = DrudeAtom.bohr_matched(1)
         assert v_a_numeric(atom, [5, 0, 1]).method == "quadrature"
