@@ -8,6 +8,10 @@ package carries the symbolic expansion, atom models, the electrostatic
 potential, both perturbative orders, the exact normal-mode solution of the
 dipole-coupled Drude pair, and brute-force oracles that validate everything
 against the exact kernel.
+
+Results are in reduced units with k = hbar = 1.  Only the Drude presets and
+the closed forms and normal modes they feed take k as an argument, because a
+custom preset varies it.
 """
 
 __version__ = "0.1.0"
@@ -17,10 +21,7 @@ from .atoms import (
     Hydrogen1DAtom,
     NumericRadialAtom,
     RingAtom,
-    alpha,
-    characteristic_length,
     drude_spectrum,
-    moment,
 )
 from .drude_exact import exact_correction, shifted_frequencies
 from .kernels import backend_name
@@ -55,9 +56,7 @@ __all__ = [
     "Monomial",
     "NumericRadialAtom",
     "RingAtom",
-    "alpha",
     "backend_name",
-    "characteristic_length",
     "direct_first_order",
     "dominance_crossover",
     "drude_spectrum",
@@ -67,7 +66,6 @@ __all__ = [
     "expand_interaction",
     "first_order_closed_form",
     "first_order_expectation",
-    "moment",
     "oscillator_basis_diag",
     "parity_cross_term",
     "second_order_drude_closed_form",

@@ -111,37 +111,37 @@ class AtomModel:
         e4 = (4,) + (0,) * (self.dim - 1)
         return self.moment(e4) / a2**2
 
-    def support_radius(self, eps=1e-12) -> float:
-        """Radius enclosing all but ``eps`` of the electron cloud."""
+    def support_radius(self) -> float:
+        """Radius enclosing all but 1e-14 of the electron cloud."""
         raise NotImplementedError
 
 
 class DrudeAtom(AtomModel):
     """Electron bound by an isotropic harmonic potential; Gaussian ground state.
 
-    a^2 = hbar / (2 m omega), every Gaussian moment is a double factorial,
-    and alpha = 3.
+    In units with hbar = 1: a^2 = 1 / (2 m omega), every Gaussian moment is
+    a double factorial, and alpha = 3.
     """
 
-    def __init__(self, dim, omega, mass=1.0, hbar=1.0):
+    def __init__(self, dim, omega, mass=1.0):
         if dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2, or 3")
-        if not all(_positive(v) for v in (omega, mass, hbar)):
-            raise ValueError("omega, mass, hbar must be finite and positive")
+        if not all(_positive(v) for v in (omega, mass)):
+            raise ValueError("omega and mass must be finite and positive")
         self.dim = dim
         self.omega = omega
         self.mass = mass
-        self.hbar = hbar
-        self.a = math.sqrt(hbar / (2.0 * mass * omega))
+        self.a = math.sqrt(1.0 / (2.0 * mass * omega))
 
     @classmethod
     def bohr_matched(cls, dim):
         """Reduced units with a = 1 and hbar * omega = k / (2 a) for k = 1."""
-        return cls(dim, omega=0.5, mass=1.0, hbar=1.0)
+        return cls(dim, omega=0.5, mass=1.0)
 
     @property
     def hbar_omega(self):
-        return self.hbar * self.omega
+        """Level spacing hbar omega, equal to omega since hbar = 1."""
+        return self.omega
 
     def moment(self, exponents) -> float:
         exponents = _check_exponents(self.dim, exponents)
@@ -173,13 +173,13 @@ class DrudeAtom(AtomModel):
             -(r**2) / (2.0 * a2)
         )
 
-    def support_radius(self, eps=1e-12):
+    def support_radius(self):
         from scipy.optimize import brentq
         from scipy.special import gammaincc
 
         # survival of |r| for the isotropic Gaussian is Q(d/2, r^2 / 2 a^2)
         def surv(r):
-            return gammaincc(self.dim / 2.0, r**2 / (2.0 * self.a**2)) - eps
+            return gammaincc(self.dim / 2.0, r**2 / (2.0 * self.a**2)) - 1e-14
 
         return brentq(surv, 1e-9 * self.a, 40.0 * self.a)
 
@@ -205,9 +205,6 @@ class RingAtom(AtomModel):
     def radial_moment(self, order):
         return self.radius**order
 
-    def support_radius(self, eps=1e-12):
-        return self.radius
-
 
 class Hydrogen1DAtom(AtomModel):
     """1D hydrogen-like atom whose ground state collapses onto the nucleus.
@@ -226,9 +223,6 @@ class Hydrogen1DAtom(AtomModel):
 
     def alpha(self):
         raise DegenerateAtomError("alpha undefined for the collapsed 1D atom")
-
-    def support_radius(self, eps=1e-12):
-        return 0.0
 
 
 class NumericRadialAtom(AtomModel):
@@ -301,28 +295,13 @@ class NumericRadialAtom(AtomModel):
         out = np.where(inside, np.clip(self._spline(np.clip(r, self._r[0], self._r[-1])), 0.0, None), 0.0)
         return self._norm * out
 
-    def support_radius(self, eps=1e-12):
+    def support_radius(self):
         return float(self._r[-1])
 
 
 def _sphere_area(dim):
     # surface of the unit (d-1)-sphere; d = 1 counts the two half-lines
     return {1: 2.0, 2: 2.0 * math.pi, 3: 4.0 * math.pi}[dim]
-
-
-def moment(atom, exponents):
-    """Ground-state moment <prod x_i^e_i> of an atom model."""
-    return atom.moment(exponents)
-
-
-def characteristic_length(atom):
-    """a with a^2 = <|r|^2> / d (zero for the collapsed 1D atom)."""
-    return atom.characteristic_length()
-
-
-def alpha(atom):
-    """Shape coefficient <x^4> / a^4."""
-    return atom.alpha()
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atoms import _positive
+
 
 class InstabilityError(ValueError):
     """The dipole-truncated pair has no stable ground state at this R."""
@@ -46,8 +48,11 @@ class NormalModeSet:
 
 def _coupling_ratio(omega, k, mass, R):
     """x = k / (m omega^2 R^3); the pair is stable iff 2x < 1."""
-    if omega <= 0 or mass <= 0 or R <= 0:
-        raise ValueError("omega, mass, R must be positive")
+    if not all(_positive(v) for v in (omega, mass, R)):
+        raise ValueError("omega, mass, R must be finite and positive")
+    # k = 0 is the uncoupled pair
+    if not (math.isfinite(k) and k >= 0):
+        raise ValueError("k must be finite and non-negative")
     return k / (mass * omega**2 * R**3)
 
 

@@ -2,9 +2,10 @@
 
 Two neutral atoms sit a distance R apart along the x-axis.  With electron
 displacements ``r_a`` and ``r_b`` confined to the first ``dim`` coordinates,
-the interaction energy is the four-site combination
+the interaction energy, in units of the Coulomb constant k, is the four-site
+combination
 
-    k * ( 1/R + 1/|R x - r_a + r_b| - 1/|R x - r_a| - 1/|R x + r_b| ).
+    1/R + 1/|R x - r_a + r_b| - 1/|R x - r_a| - 1/|R x + r_b|.
 
 Only the mixed kernel is expanded.  With t = r_a - r_b, the Legendre
 generating function (Jackson, *Classical Electrodynamics*, sec. 3.3) gives
@@ -36,7 +37,7 @@ MAX_EXPANSION_POWER = 12
 
 
 class SingularConfigurationError(ValueError):
-    """A kernel denominator fell below the configured epsilon."""
+    """A kernel denominator fell below 1e-12 of the separation."""
 
 
 class ExpansionCapError(ValueError):
@@ -106,18 +107,17 @@ class InteractionSeries:
         return cls(int(data["dim"]), int(data["max_power"]), ordered)
 
 
-def exact_interaction(R, r_a, r_b, k=1.0, eps=None):
-    """Four-site Coulomb coupling, evaluated without any expansion.
+def exact_interaction(R, r_a, r_b):
+    """Four-site Coulomb coupling in units of k, evaluated without expansion.
 
     ``r_a`` and ``r_b`` are length-d sequences (d <= 3), zero-padded into 3D
     because the Coulomb field always lives in three dimensions.  Raises
-    ``SingularConfigurationError`` when any denominator drops below ``eps``
-    (default 1e-12 * R); the model assumes non-overlapping atoms anyway.
+    ``SingularConfigurationError`` when any denominator drops below 1e-12 R;
+    the model assumes non-overlapping atoms anyway.
     """
     if R <= 0:
         raise ValueError("separation must be positive")
-    if eps is None:
-        eps = 1e-12 * R
+    eps = 1e-12 * R
     a = _pad3(r_a)
     b = _pad3(r_b)
     d_ab = np.linalg.norm(np.array([R, 0.0, 0.0]) - a + b)
@@ -127,7 +127,7 @@ def exact_interaction(R, r_a, r_b, k=1.0, eps=None):
         raise SingularConfigurationError(
             f"kernel denominator below epsilon {eps:g}"
         )
-    return k * (1.0 / R + 1.0 / d_ab - 1.0 / d_a - 1.0 / d_b)
+    return 1.0 / R + 1.0 / d_ab - 1.0 / d_a - 1.0 / d_b
 
 
 def expand_interaction(dim, max_power) -> InteractionSeries:
@@ -158,8 +158,8 @@ def expand_interaction(dim, max_power) -> InteractionSeries:
     return InteractionSeries(dim, max_power, terms)
 
 
-def evaluate_series(series, R, r_a, r_b, k=1.0):
-    """Numeric value of the truncated series at one configuration."""
+def evaluate_series(series, R, r_a, r_b):
+    """Value of the truncated series at one configuration, in units of k."""
     total = 0.0
     for power, monos in series.terms.items():
         s = 0.0
@@ -171,13 +171,7 @@ def evaluate_series(series, R, r_a, r_b, k=1.0):
                 v *= r_b[c] ** e
             s += v
         total += s / R**power
-    return k * total
-
-
-def evaluate_series_batch(series, R, pts_a, pts_b, k=1.0):
-    """Vectorized series evaluation over (n, 3) zero-padded configurations."""
-    powers, coeffs, exp_a, exp_b = series_arrays(series)
-    return k * kernels.series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b)
+    return total
 
 
 def series_arrays(series):
@@ -204,7 +198,7 @@ class TruncationReport:
     radius: float
 
 
-def truncation_residual(series, r_values, sample_count, radius, seed=0, k=1.0):
+def truncation_residual(series, r_values, sample_count, radius, seed=0):
     """Compare the truncated series against the exact kernel on random clouds.
 
     Draws ``sample_count`` configurations uniformly in the d-ball of the given
@@ -221,8 +215,8 @@ def truncation_residual(series, r_values, sample_count, radius, seed=0, k=1.0):
     max_res = np.empty_like(r_values)
     rms_res = np.empty_like(r_values)
     for i, R in enumerate(r_values):
-        exact = k * kernels.four_site_batch(R, pts_a, pts_b)
-        approx = k * kernels.series_batch(
+        exact = kernels.four_site_batch(R, pts_a, pts_b)
+        approx = kernels.series_batch(
             powers, coeffs, exp_a, exp_b, R, pts_a, pts_b
         )
         diff = np.abs(exact - approx)

@@ -64,8 +64,8 @@ def _check_overlap(atom, R, overlap_tol):
 
 
 def _oscillator_length(atom):
-    """ell = sqrt(hbar / (m omega)), the unit of the Gauss-Hermite nodes."""
-    return math.sqrt(atom.hbar / (atom.mass * atom.omega))
+    """ell = sqrt(1 / (m omega)) (hbar = 1), the unit of the Gauss-Hermite nodes."""
+    return math.sqrt(1.0 / (atom.mass * atom.omega))
 
 
 def _hermite_columns(n_basis, xi):
@@ -81,8 +81,8 @@ def _hermite_columns(n_basis, xi):
     return h
 
 
-def _coupling_matrix(atom, R, mode, max_power, cutoff, nodes, k):
-    """H_I in the flattened product Hermite basis, shape (n^2, n^2)."""
+def _coupling_matrix(atom, R, mode, max_power, cutoff, nodes):
+    """H_I (k = 1) in the flattened product Hermite basis, shape (n^2, n^2)."""
     xi, w = np.polynomial.hermite.hermgauss(nodes)
     ell = _oscillator_length(atom)
     x = ell * xi
@@ -106,7 +106,26 @@ def _coupling_matrix(atom, R, mode, max_power, cutoff, nodes, k):
     # q[(i, k), p] = h_i(x_p) h_k(x_p) w_p, so <ij|H_I|kl> = (q G q^T)[(i,k),(j,l)]
     q = (h[:, None, :] * (h * w)[None, :, :]).reshape(n * n, nodes)
     m4 = (q @ grid @ q.T).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    return k * m4.reshape(n * n, n * n)
+    return m4.reshape(n * n, n * n)
+
+
+def _hamiltonian(atom, R, mode, max_power, cutoff, nodes):
+    """H_A + H_B + H_I on product states |ij>, i, j <= cutoff, at i n + j."""
+    n = cutoff + 1
+    levels = atom.hbar_omega * (
+        np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0
+    )
+    return np.diag(levels.ravel()) + _coupling_matrix(
+        atom, R, mode, max_power, cutoff, nodes
+    )
+
+
+def _ground_energy(ham, cutoff):
+    """Lowest eigenvalue of the principal block of ``ham`` with i, j <= cutoff."""
+    n = math.isqrt(ham.shape[0])
+    m = cutoff + 1
+    block = ham.reshape(n, n, n, n)[:m, :m, :m, :m].reshape(m * m, m * m)
+    return float(np.linalg.eigvalsh(block)[0])
 
 
 def _nodes_off_nucleus(xi_nucleus, nodes):
@@ -130,35 +149,7 @@ def _nodes_off_nucleus(xi_nucleus, nodes):
         nodes += 1
 
 
-def oscillator_basis_diag(
-    atom,
-    R,
-    mode="full",
-    max_power=3,
-    cutoff=10,
-    nodes=None,
-    k=1.0,
-    overlap_tol=1e-8,
-    conv_tol=1e-6,
-):
-    """Lowest eigenvalue of H_A + H_B + H_I for a 1D Drude pair.
-
-    ``mode`` selects the exact kernel ("full") or the series truncated at
-    ``max_power`` ("truncated").  The convergence error is the variational
-    drop from the sub-basis with cutoff - 2; exceeding ``conv_tol`` relative
-    to the ground energy raises.
-
-    In full mode the discretized expectation of the kernel is regularization
-    sensitive once the clouds overlap appreciably (R/a below about 8): the
-    exact expectation of 1/|R - x_A + x_B| picks up a logarithmic
-    electron-coincidence contribution weighted by the exponentially small
-    overlap, so dense grids that land nodes near that line shift the answer.
-    The node count 2 cutoff + 8 can also put a node next to the other
-    nucleus, x = R, where -1/|R - x_A| is singular; without an explicit
-    ``nodes``, full mode therefore takes the first count from 2 cutoff + 8
-    up that keeps R in the middle half of a node gap or beyond the
-    outermost node.  An explicit ``nodes`` is used as given.
-    """
+def _check_pair(atom, R, cutoff, overlap_tol):
     if not isinstance(atom, DrudeAtom):
         raise AtomKindError("oracle diagonalization requires a Drude atom")
     if atom.dim != 1:
@@ -166,82 +157,78 @@ def oscillator_basis_diag(
     if cutoff < 3:
         raise ValueError("cutoff must be at least 3")
     _check_overlap(atom, R, overlap_tol)
-    if nodes is None:
-        nodes = 2 * cutoff + 8
-        if mode == "full":
-            ell = _oscillator_length(atom)
-            nodes = _nodes_off_nucleus(R / ell, nodes)
 
-    n = cutoff + 1
-    h_int = _coupling_matrix(atom, R, mode, max_power, cutoff, nodes, k)
-    levels = atom.hbar_omega * (
-        np.arange(n)[:, None] + np.arange(n)[None, :] + 1.0
-    )
-    ham = np.diag(levels.ravel()) + h_int
 
-    e0 = float(np.linalg.eigvalsh(ham)[0])
-    sub = _sub_basis_indices(n, cutoff - 2)
-    e0_sub = float(np.linalg.eigvalsh(ham[np.ix_(sub, sub)])[0])
-    conv_err = e0_sub - e0
-    if conv_err / abs(e0) > conv_tol:
+_CONV_TOL = 1e-6
+
+
+def oscillator_basis_diag(
+    atom, R, mode="full", max_power=3, cutoff=10, overlap_tol=1e-8
+):
+    """Lowest eigenvalue of H_A + H_B + H_I for a 1D Drude pair, k = hbar = 1.
+
+    ``mode`` selects the exact kernel ("full") or the series truncated at
+    ``max_power`` ("truncated").  The convergence error is the variational
+    drop from the sub-basis with cutoff - 2; exceeding 1e-6 relative to the
+    ground energy raises ``ConvergenceError``.
+
+    In full mode the discretized expectation of the kernel is regularization
+    sensitive once the clouds overlap appreciably (R/a below about 8): the
+    exact expectation of 1/|R - x_A + x_B| picks up a logarithmic
+    electron-coincidence contribution weighted by the exponentially small
+    overlap, so dense grids that land nodes near that line shift the answer.
+    The node count 2 cutoff + 8 can also put a node next to the other
+    nucleus, x = R, where -1/|R - x_A| is singular; full mode therefore
+    takes the first count from 2 cutoff + 8 up that keeps R in the middle
+    half of a node gap or beyond the outermost node.
+    """
+    _check_pair(atom, R, cutoff, overlap_tol)
+    nodes = 2 * cutoff + 8
+    if mode == "full":
+        nodes = _nodes_off_nucleus(R / _oscillator_length(atom), nodes)
+    ham = _hamiltonian(atom, R, mode, max_power, cutoff, nodes)
+    e0 = _ground_energy(ham, cutoff)
+    conv_err = _ground_energy(ham, cutoff - 2) - e0
+    if conv_err / abs(e0) > _CONV_TOL:
         raise ConvergenceError(
             f"basis not converged: drop {conv_err:.3e} at cutoff {cutoff}"
         )
-    uncoupled = atom.hbar_omega  # two 1D oscillators in their ground states
     return OracleResult(
         ground_energy=e0,
-        correction=e0 - uncoupled,
+        correction=e0 - atom.hbar_omega,  # minus two uncoupled ground states
         cutoff=cutoff,
         convergence_error=conv_err,
         mode=mode if mode == "full" else f"truncated({max_power})",
     )
 
 
-def _sub_basis_indices(n, sub_cutoff):
-    idx = []
-    for i in range(sub_cutoff + 1):
-        for j in range(sub_cutoff + 1):
-            idx.append(i * n + j)
-    return np.array(idx, dtype=np.intp)
-
-
 def convergence_report(
-    atom, R, mode="full", max_power=3, cutoffs=(6, 10, 14), k=1.0, overlap_tol=1e-8
+    atom, R, mode="full", max_power=3, cutoffs=(6, 10, 14), overlap_tol=1e-8
 ):
-    """Ground energy versus basis cutoff, at a fixed quadrature grid.
+    """Ground energy versus basis cutoff at a fixed quadrature grid, k = hbar = 1.
 
-    The node count is pinned to the largest cutoff so the ladder shares one
-    coupling operator and the energies are strictly variational in the basis.
+    H is assembled once, at the largest cutoff on 2 max + 8 nodes, and each
+    rung is its principal block, so the ladder shares one coupling operator
+    and the energies are strictly variational in the basis.
     """
     cutoffs = tuple(sorted(cutoffs))
-    nodes = 2 * max(cutoffs) + 8
-    corrections = []
-    energies = []
-    for c in cutoffs:
-        res = oscillator_basis_diag(
-            atom,
-            R,
-            mode=mode,
-            max_power=max_power,
-            cutoff=c,
-            nodes=nodes,
-            k=k,
-            overlap_tol=overlap_tol,
-            conv_tol=np.inf,
-        )
-        corrections.append(res.correction)
-        energies.append(res.ground_energy)
-    return ConvergenceReport(cutoffs, tuple(corrections), tuple(energies))
+    top = cutoffs[-1]
+    _check_pair(atom, R, cutoffs[0], overlap_tol)
+    ham = _hamiltonian(atom, R, mode, max_power, top, 2 * top + 8)
+    energies = tuple(_ground_energy(ham, c) for c in cutoffs)
+    corrections = tuple(e - atom.hbar_omega for e in energies)
+    return ConvergenceReport(cutoffs, corrections, energies)
 
 
-_DEFAULT_NODES = {1: 80, 2: 48, 3: 18}
+_NODES_PER_AXIS = {1: 80, 2: 48, 3: 18}
 
 
-def direct_first_order(atom_a, atom_b, R, nodes=None, k=1.0, overlap_tol=1e-8):
-    """<0|H_I|0> by tensor Gauss-Hermite quadrature of the exact kernel.
+def direct_first_order(atom_a, atom_b, R, overlap_tol=1e-8):
+    """<0|H_I|0> (k = 1) by tensor Gauss-Hermite quadrature of the exact kernel.
 
     Works for Drude pairs in d = 1, 2 (and d = 3 as a modest-order zero
-    check).  Node placement follows the Gaussian ground-state weight.
+    check), on 80, 48 or 18 nodes per axis.  Node placement follows the
+    Gaussian ground-state weight.
     """
     if not isinstance(atom_a, DrudeAtom) or not isinstance(atom_b, DrudeAtom):
         raise AtomKindError("direct quadrature requires Drude atoms")
@@ -250,14 +237,12 @@ def direct_first_order(atom_a, atom_b, R, nodes=None, k=1.0, overlap_tol=1e-8):
     dim = atom_a.dim
     _check_overlap(atom_a, R, overlap_tol)
     _check_overlap(atom_b, R, overlap_tol)
-    if nodes is None:
-        nodes = _DEFAULT_NODES[dim]
 
-    xi, w = np.polynomial.hermite.hermgauss(nodes)
+    xi, w = np.polynomial.hermite.hermgauss(_NODES_PER_AXIS[dim])
     w = w / math.sqrt(math.pi)
     pts_a, w_a = _tensor_cloud(atom_a, xi, w)
     pts_b, w_b = _tensor_cloud(atom_b, xi, w)
-    return k * kernels.pair_expectation(R, pts_a, w_a, pts_b, w_b)
+    return kernels.pair_expectation(R, pts_a, w_a, pts_b, w_b)
 
 
 def _tensor_cloud(atom, xi, w):

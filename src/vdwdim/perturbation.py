@@ -18,6 +18,10 @@ term connects the ground state only to single-excitation pairs, so the sum
 saturates at cutoff 1 and reproduces -(3+d) k^2 a^4 / (2 hbar omega R^6).
 Opposite inversion parity of the even- and odd-degree coupling terms kills
 the R^-7 cross contribution exactly.
+
+The expectation, potential and sum-over-states routes work with
+k = hbar = 1; the closed forms and ``DrudePreset`` keep k, because presets
+vary it.
 """
 
 import math
@@ -32,8 +36,8 @@ from .multipole import series_arrays
 from .potential import even_moments, multipole_coefficients
 
 
-def first_order_expectation(series, atom_a, atom_b, R, k=1.0):
-    """Per-power first-order corrections  k R^-n m_A^T C_n m_B.
+def first_order_expectation(series, atom_a, atom_b, R):
+    """Per-power first-order corrections  R^-n m_A^T C_n m_B, in units of k.
 
     C_n holds the unscaled coefficients of the order-n polynomial between the
     distinct exponent rows of the two atoms (``kernels._bilinear_form``) and
@@ -47,7 +51,7 @@ def first_order_expectation(series, atom_a, atom_b, R, k=1.0):
     m_a = np.array([atom_a.moment(row[: series.dim]) for row in rows_a])
     m_b = np.array([atom_b.moment(row[: series.dim]) for row in rows_b])
     totals = {power: float(m_a @ c @ m_b) for power, c in per_power}
-    return {power: k * totals.get(power, 0.0) / R**power for power in series.terms}
+    return {power: totals.get(power, 0.0) / R**power for power in series.terms}
 
 
 def first_order_closed_form(dim, a, alpha, k, R):
@@ -57,8 +61,8 @@ def first_order_closed_form(dim, a, alpha, k, R):
     return r5, r7
 
 
-def first_order_via_potential(atom_a, atom_b, R, k=1.0):
-    """(r5, r7) from the electrostatic-potential route.
+def first_order_via_potential(atom_a, atom_b, R):
+    """(r5, r7) from the electrostatic-potential route, in units of k.
 
     Atom A enters through its multipole coefficients (c3, c5); the expectation
     over atom B's cloud of the shifted potential is expanded to matching order
@@ -69,11 +73,11 @@ def first_order_via_potential(atom_a, atom_b, R, k=1.0):
         raise ValueError("atoms must share a dimension")
     c3, c5 = multipole_coefficients(atom_a)
     m2x, r2, m4x, x2r2, r4 = even_moments(atom_b)
-    r5 = -c3 * (7.5 * m2x - 1.5 * r2) * k / R**5
+    r5 = -c3 * (7.5 * m2x - 1.5 * r2) / R**5
     r7 = (
         -c3 * (315.0 / 8.0 * m4x - 105.0 / 4.0 * x2r2 + 15.0 / 8.0 * r4)
         - c5 * (17.5 * m2x - 2.5 * r2)
-    ) * k / R**7
+    ) / R**7
     return r5, r7
 
 
@@ -125,11 +129,12 @@ def _require_drude(*atoms):
             raise AtomKindError("sum over states requires Drude atoms")
 
 
-def second_order_sum(series, atom_a, atom_b, R, cutoff=1, k=1.0):
+def second_order_sum(series, atom_a, atom_b, R, cutoff=1):
     """-sum_{n != 0} |<n|H_I|0>|^2 / (E_n - E_0) over product oscillator states.
 
-    ``series`` supplies the coupling polynomials (normally just the n = 3
-    dipole-dipole term, for which cutoff 1 is already exact).
+    In units with k = hbar = 1.  ``series`` supplies the coupling polynomials
+    (normally just the n = 3 dipole-dipole term, for which cutoff 1 is
+    already exact).
     """
     _require_drude(atom_a, atom_b)
     if cutoff < 1:
@@ -137,20 +142,21 @@ def second_order_sum(series, atom_a, atom_b, R, cutoff=1, k=1.0):
     states, amps = _series_amplitudes(series, atom_a, atom_b, cutoff)
     coupling = np.zeros((states.shape[0], states.shape[0]))
     for power, amp in amps.items():
-        coupling += k * R ** (-float(power)) * amp
+        coupling += R ** (-float(power)) * amp
     energies = _excitation_energies(states, atom_a, atom_b)
     coupling[0, 0] = 0.0
     energies[0, 0] = 1.0
     return float(-np.sum(coupling**2 / energies))
 
 
-def parity_cross_term(series, atom_a, atom_b, cutoff=8, R=1.0, k=1.0, powers=(3, 4)):
-    """Second-order cross contribution of two coupling orders.
+def parity_cross_term(series, atom_a, atom_b, cutoff=8, powers=(3, 4)):
+    """Second-order cross contribution of two coupling orders at R = 1.
 
-    Evaluates -k^2 R^-(p+q) sum_{n != 0} <0|T_p|n><n|T_q|0> / (E_n - E_0).
-    For (p, q) = (3, 4) the two operators have opposite inversion parity and
-    every summand vanishes; with p = q the dipole-dipole second-order value
-    is recovered (diagnostic mode).
+    Evaluates -sum_{n != 0} <0|T_p|n><n|T_q|0> / (E_n - E_0) with k = hbar = 1;
+    at separation R it scales by R^-(p+q).  For (p, q) = (3, 4) the two
+    operators have opposite inversion parity and every summand vanishes; with
+    p = q the dipole-dipole second-order value at R = 1 is recovered
+    (diagnostic mode).
     """
     _require_drude(atom_a, atom_b)
     p, q = powers
@@ -161,7 +167,7 @@ def parity_cross_term(series, atom_a, atom_b, cutoff=8, R=1.0, k=1.0, powers=(3,
     prod = amps[p] * amps[q]
     prod[0, 0] = 0.0
     energies[0, 0] = 1.0
-    return float(-(k**2) * R ** (-float(p + q)) * np.sum(prod / energies))
+    return float(-np.sum(prod / energies))
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ the package imports without scipy, and only ``v_a_numeric`` and
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,26 +105,23 @@ def _field_norm(r):
     return s
 
 
-def _in_plane_cos2(atom, r):
-    r = np.asarray(r, dtype=float)
-    s2 = float(r @ r)
-    if s2 == 0:
-        raise ValueError("field point must be nonzero")
-    return float(np.sum(r[: atom.dim] ** 2)) / s2
-
-
 def v_a_multipole(atom, r, order=3):
     """Multipole form of the potential at a 3D field point.
 
     Order 3 is the quadrupole field, valid at any angle; order 5 adds the
     next on-axis term and is rejected off axis, where that coefficient is
-    not available.
+    not available.  A field point so close to the nucleus that s^order
+    underflows or the value overflows raises ``DivergentPotentialError``.
     """
     if order not in (3, 5):
         raise UnsupportedOrderError("order must be 3 or 5")
     r = np.asarray(r, dtype=float)
     s = _field_norm(r)
-    cos2 = _in_plane_cos2(atom, r)
+    if s**order == 0.0:
+        raise DivergentPotentialError(
+            f"multipole{order} potential diverges at |r| = {s:.3g}"
+        )
+    cos2 = float(np.sum(r[: atom.dim] ** 2)) / float(r @ r)
     a2 = atom.radial_moment(2) / atom.dim
     value = -(3.0 * cos2 - atom.dim) * a2 / (2.0 * s**3)
     if order == 5:
@@ -133,6 +131,10 @@ def v_a_multipole(atom, r, order=3):
             )
         c3, c5 = multipole_coefficients(atom)
         value = c3 / s**3 + c5 / s**5
+    if not math.isfinite(value):
+        raise DivergentPotentialError(
+            f"multipole{order} potential diverges at |r| = {s:.3g}"
+        )
     return PotentialSample(tuple(r), value, f"multipole{order}")
 
 
@@ -148,7 +150,7 @@ def v_a_numeric(atom, r):
         cloud = _shell_cloud_potential(atom.dim, atom.radius, r, s)
         return PotentialSample(tuple(r), 1.0 / s - cloud, "quadrature")
 
-    support = atom.support_radius(1e-14)
+    support = atom.support_radius()
     if atom.dim == 1:
         cloud = _cloud_1d(atom, r, support)
     elif atom.dim == 2:
@@ -170,11 +172,15 @@ def shell_theorem_check(atom, radii):
 
 
 def _quad(fn, lo, hi, points=None):
-    from scipy.integrate import quad
+    from scipy.integrate import IntegrationWarning, quad
 
-    val, err = quad(
-        fn, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400, points=points
-    )
+    # quad warns when it stops short of its own 1e-11 target; the error test
+    # below decides pass or fail against the documented 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        val, err = quad(
+            fn, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400, points=points
+        )
     if err > max(_REL_TOL * abs(val), _ABS_FLOOR):
         raise QuadratureError(
             f"quadrature error {err:.2e} too large for value {val:.6e}"

@@ -15,10 +15,7 @@ from vdwdim.atoms import (
     NonNormalizableDensityError,
     NumericRadialAtom,
     RingAtom,
-    alpha,
-    characteristic_length,
     drude_spectrum,
-    moment,
 )
 
 
@@ -52,29 +49,29 @@ def _per_call_radial_moment(dim, r, rho, order):
 class TestDrudeMoments:
     def test_odd_moments_vanish(self):
         atom = DrudeAtom.bohr_matched(3)
-        assert moment(atom, (1, 0, 0)) == 0.0
-        assert moment(atom, (2, 1, 0)) == 0.0
-        assert moment(atom, (3, 2, 0)) == 0.0
+        assert atom.moment((1, 0, 0)) == 0.0
+        assert atom.moment((2, 1, 0)) == 0.0
+        assert atom.moment((3, 2, 0)) == 0.0
 
     def test_second_moment_is_a_squared(self):
-        atom = DrudeAtom(1, omega=0.7, mass=1.3, hbar=1.0)
-        assert moment(atom, (2,)) == pytest.approx(
+        atom = DrudeAtom(1, omega=0.7, mass=1.3)
+        assert atom.moment((2,)) == pytest.approx(
             1.0 / (2 * 1.3 * 0.7), rel=1e-15, abs=0.0
         )
 
     def test_fourth_moment_gives_alpha_three(self):
         atom = DrudeAtom.bohr_matched(1)
-        assert moment(atom, (4,)) == 3.0 * atom.a**4
-        assert alpha(atom) == 3.0
+        assert atom.moment((4,)) == 3.0 * atom.a**4
+        assert atom.alpha() == 3.0
 
     def test_cross_moment_d2(self):
         atom = DrudeAtom.bohr_matched(2)
-        assert moment(atom, (2, 2)) == atom.a**4
+        assert atom.moment((2, 2)) == atom.a**4
 
     def test_characteristic_length(self):
         atom = DrudeAtom(2, omega=0.25, mass=2.0)
         want = math.sqrt(1.0 / (2 * 2.0 * 0.25))
-        assert characteristic_length(atom) == pytest.approx(want, rel=1e-15, abs=0.0)
+        assert atom.characteristic_length() == pytest.approx(want, rel=1e-15, abs=0.0)
         assert atom.radial_moment(2) == pytest.approx(
             2 * want**2, rel=1e-15, abs=0.0
         )
@@ -82,9 +79,9 @@ class TestDrudeMoments:
 
 class TestDrudeInputs:
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["omega", "mass", "hbar"])
+    @pytest.mark.parametrize("name", ["omega", "mass"])
     def test_rejects_non_finite_or_non_positive(self, name, bad):
-        kwargs = {"omega": 0.5, "mass": 1.0, "hbar": 1.0, name: bad}
+        kwargs = {"omega": 0.5, "mass": 1.0, name: bad}
         with pytest.raises(ValueError):
             DrudeAtom(2, **kwargs)
 
@@ -92,24 +89,24 @@ class TestDrudeInputs:
 class TestRing:
     def test_alpha_d2_is_three_halves(self):
         ring = RingAtom(2, radius=2.0)
-        assert moment(ring, (4, 0)) == pytest.approx(
+        assert ring.moment((4, 0)) == pytest.approx(
             (3.0 / 8.0) * 2.0**4, rel=1e-15, abs=0.0
         )
-        assert characteristic_length(ring) == pytest.approx(
+        assert ring.characteristic_length() == pytest.approx(
             2.0 / math.sqrt(2), rel=1e-15, abs=0.0
         )
-        assert alpha(ring) == pytest.approx(1.5, rel=1e-14, abs=0.0)
+        assert ring.alpha() == pytest.approx(1.5, rel=1e-14, abs=0.0)
 
     def test_narrow_numeric_shell_approaches_ring(self):
         r0, width = 1.0, 0.004
         r = np.linspace(r0 - 8 * width, r0 + 8 * width, 2000)
         rho = np.exp(-((r - r0) ** 2) / (2 * width**2))
         shell = NumericRadialAtom(2, r, rho)
-        assert alpha(shell) == pytest.approx(1.5, rel=1e-4, abs=0.0)
+        assert shell.alpha() == pytest.approx(1.5, rel=1e-4, abs=0.0)
 
     def test_d3_shell_alpha(self):
         shell = RingAtom(3, radius=1.0)
-        assert alpha(shell) == pytest.approx(9.0 / 5.0, rel=1e-14, abs=0.0)
+        assert shell.alpha() == pytest.approx(9.0 / 5.0, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_radius(self, radius):
@@ -120,40 +117,40 @@ class TestRing:
 class TestHydrogen1D:
     def test_collapsed_ground_state(self):
         atom = Hydrogen1DAtom()
-        assert characteristic_length(atom) == 0.0
+        assert atom.characteristic_length() == 0.0
         for degree in range(MOMENT_CAP + 1):
-            assert moment(atom, (degree,)) == (1.0 if degree == 0 else 0.0)
+            assert atom.moment((degree,)) == (1.0 if degree == 0 else 0.0)
         with pytest.raises(MomentCapError):
-            moment(atom, (MOMENT_CAP + 1,))
+            atom.moment((MOMENT_CAP + 1,))
 
     def test_alpha_raises(self):
         with pytest.raises(DegenerateAtomError):
-            alpha(Hydrogen1DAtom())
+            Hydrogen1DAtom().alpha()
 
 
 class TestNumericRadial:
     def test_gaussian_d3_recovers_sigma(self):
         sigma = 0.8
         atom = _gaussian_radial_atom(3, sigma=sigma)
-        assert characteristic_length(atom) == pytest.approx(sigma, abs=1e-6)
+        assert atom.characteristic_length() == pytest.approx(sigma, abs=1e-6)
 
     def test_gaussian_alpha_by_quadrature(self):
         atom = _gaussian_radial_atom(1)
-        assert alpha(atom) == pytest.approx(3.0, abs=1e-8)
+        assert atom.alpha() == pytest.approx(3.0, abs=1e-8)
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_fourth_moment_identity(self, dim):
         # <x^4> = 3 <x^2 y^2> for any isotropic model with d >= 2
         atom = _gaussian_radial_atom(dim, sigma=1.1)
-        x4 = moment(atom, (4,) + (0,) * (dim - 1))
-        x2y2 = moment(atom, (2, 2) + (0,) * (dim - 2))
+        x4 = atom.moment((4,) + (0,) * (dim - 1))
+        x2y2 = atom.moment((2, 2) + (0,) * (dim - 2))
         assert x4 == pytest.approx(3.0 * x2y2, rel=1e-10, abs=0.0)
 
     def test_isotropy(self):
         atom = _gaussian_radial_atom(3)
-        assert moment(atom, (2, 0, 0)) == moment(atom, (0, 2, 0))
-        assert moment(atom, (0, 0, 2)) == moment(atom, (2, 0, 0))
-        assert moment(atom, (1, 1, 0)) == 0.0
+        assert atom.moment((2, 0, 0)) == atom.moment((0, 2, 0))
+        assert atom.moment((0, 0, 2)) == atom.moment((2, 0, 0))
+        assert atom.moment((1, 1, 0)) == 0.0
 
     def test_renormalizes_input_density(self):
         r = np.linspace(1e-9, 6.0, 1500)
@@ -185,8 +182,8 @@ class TestNumericRadial:
         atom._spline = None  # the quadrature nodes were evaluated on construction
         for _ in range(3):
             for e in [(2, 0, 0), (4, 0, 0), (2, 2, 0), (6, 2, 2), (0, 0, 2)]:
-                assert moment(atom, e) == moment(fresh, e)
-        assert alpha(atom) == alpha(fresh)
+                assert atom.moment(e) == fresh.moment(e)
+        assert atom.alpha() == fresh.alpha()
         assert sorted(powers) == [4, 6, 12]  # orders 2, 4 and 10 at d = 3
 
     def test_from_file(self, tmp_path):
@@ -196,7 +193,7 @@ class TestNumericRadial:
         path = tmp_path / "density.txt"
         np.savetxt(path, np.column_stack([r, rho]))
         atom = NumericRadialAtom.from_file(path, dim=3)
-        assert characteristic_length(atom) == pytest.approx(sigma, abs=1e-6)
+        assert atom.characteristic_length() == pytest.approx(sigma, abs=1e-6)
 
 
 class TestContractionIdentities:
@@ -223,20 +220,20 @@ class TestContractionIdentities:
 
         # <(rA.rB)^2> = sum_ij <x_i x_j>_A <x_i x_j>_B = d a^4
         dot_sq = sum(
-            moment(atom, [e1 + e2 for e1, e2 in zip(unit(i), unit(j))]) ** 2
+            atom.moment([e1 + e2 for e1, e2 in zip(unit(i), unit(j))]) ** 2
             for i in range(d)
             for j in range(d)
         )
         assert dot_sq == pytest.approx(d * a4, rel=1e-10, abs=0.0)
         # <(rA.rB) xA xB> = sum_i <x_i x>_A <x_i x>_B = a^4
         dot_xx = sum(
-            moment(atom, [e1 + e2 for e1, e2 in zip(unit(i), unit(0))]) ** 2
+            atom.moment([e1 + e2 for e1, e2 in zip(unit(i), unit(0))]) ** 2
             for i in range(d)
         )
         assert dot_xx == pytest.approx(a4, rel=1e-10, abs=0.0)
         # <|rA|^2 |rB|^2> = d^2 a^4,  <xA^2 xB^2> = a^4,  <|rA|^2 xB^2> = d a^4
         r2 = atom.radial_moment(2)
-        x2 = moment(atom, [2] + [0] * (d - 1))
+        x2 = atom.moment([2] + [0] * (d - 1))
         assert r2 * r2 == pytest.approx(d * d * a4, rel=1e-10, abs=0.0)
         assert x2 * x2 == pytest.approx(a4, rel=1e-10, abs=0.0)
         assert r2 * x2 == pytest.approx(d * a4, rel=1e-10, abs=0.0)
@@ -262,10 +259,10 @@ class TestSpectrum:
 class TestCaps:
     def test_moment_cap(self):
         atom = DrudeAtom.bohr_matched(1)
-        assert moment(atom, (MOMENT_CAP,)) > 0
+        assert atom.moment((MOMENT_CAP,)) > 0
         with pytest.raises(MomentCapError):
-            moment(atom, (MOMENT_CAP + 2,))
+            atom.moment((MOMENT_CAP + 2,))
 
     def test_wrong_exponent_length(self):
         with pytest.raises(ValueError):
-            moment(DrudeAtom.bohr_matched(2), (2,))
+            DrudeAtom.bohr_matched(2).moment((2,))

@@ -186,6 +186,7 @@ class TestBadNumbers:
             "potential --dim 2 --atom ring --radius nan",
             "potential --dim 1 --atom ring --radii 1",
             "potential --dim 2 --atom ring --radii 1",
+            "potential --dim 1 --radii 1e-110 --methods multipole3",
         ],
     )
     def test_single_error_line(self, capsys, argv):
@@ -249,6 +250,28 @@ class TestImportPath:
         assert report.pop("import vdwdim") is False
         assert report.pop(quadrature) == [0, True]
         assert report == {argv: [0, False] for argv in free}
+
+
+class TestQuadratureWarnings:
+    def test_converged_run_keeps_stderr_empty(self):
+        # quad warns that it missed its own 1e-11 target at these points,
+        # though each value passes the 1e-8 error test
+        src = os.path.dirname(os.path.dirname(vdwdim.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vdwdim.cli", "potential", "--dim", "2",
+             "--radii", "0.5,1,2", "--thetas", "0", "--methods", "quadrature"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines() == [
+            "r,theta_deg,value,method",
+            "5.000000000000e-01,0.000000000000e+00,8.214702620205e-01,quadrature",
+            "1.000000000000e+00,0.000000000000e+00,8.607007831282e-03,quadrature",
+            "2.000000000000e+00,0.000000000000e+00,-8.374310078883e-02,quadrature",
+        ]
 
 
 class TestExact:

@@ -15,6 +15,23 @@ from vdwdim.perturbation import DrudePreset, second_order_drude_closed_form
 
 BOHR = dict(omega=0.5, k=1.0, mass=1.0)
 
+_BAD_INPUTS = [
+    (name, bad)
+    for name in ("omega", "mass", "R")
+    for bad in (0.0, -0.5, math.nan, math.inf)
+] + [("k", -1.0), ("k", math.nan), ("k", math.inf)]
+
+
+@pytest.mark.parametrize("fn", [exact_correction, shifted_frequencies])
+@pytest.mark.parametrize("name, bad", _BAD_INPUTS)
+def test_rejects_bad_input(fn, name, bad):
+    # unchecked, k < 0 ends in a math domain error, NaN in a "soft mode"
+    # InstabilityError and R = inf in a correction of -0.0
+    kwargs = {**BOHR, "R": 3.0, name: bad}
+    with pytest.raises(ValueError) as info:
+        fn(1, **kwargs)
+    assert info.type is ValueError
+
 
 class TestShiftedFrequencies:
     def test_zero_coupling(self):

@@ -15,9 +15,9 @@ from vdwdim.multipole import (
     InteractionSeries,
     SingularConfigurationError,
     evaluate_series,
-    evaluate_series_batch,
     exact_interaction,
     expand_interaction,
+    series_arrays,
     truncation_residual,
 )
 
@@ -138,7 +138,7 @@ class TestSeriesInvariants:
         pts_a = rho * rng.uniform(-1, 1, (1000, 3)) / math.sqrt(3)
         pts_b = rho * rng.uniform(-1, 1, (1000, 3)) / math.sqrt(3)
         exact = kernels.four_site_batch(R, pts_a, pts_b)
-        approx = evaluate_series_batch(series, R, pts_a, pts_b)
+        approx = kernels.series_batch(*series_arrays(series), R, pts_a, pts_b)
         assert np.max(np.abs(exact - approx)) <= _residual_bound(5, rho, R)
 
 
@@ -168,11 +168,6 @@ class TestExactInteraction:
             exact_interaction(5.0, [5.0], [0.0])
         with pytest.raises(SingularConfigurationError):
             exact_interaction(5.0, [2.0], [-3.0])
-
-    def test_coulomb_prefactor_scales(self):
-        v1 = exact_interaction(8.0, [0.3], [0.2], k=1.0)
-        v2 = exact_interaction(8.0, [0.3], [0.2], k=2.5)
-        assert v2 == pytest.approx(2.5 * v1, rel=1e-15, abs=0.0)
 
 
 class TestEvaluateSeries:
@@ -204,11 +199,9 @@ class TestEvaluateSeries:
         pts_b = np.zeros((40, 3))
         pts_a[:, :2] = rng.uniform(-0.2, 0.2, (40, 2))
         pts_b[:, :2] = rng.uniform(-0.2, 0.2, (40, 2))
-        batch = evaluate_series_batch(series, 6.0, pts_a, pts_b, k=1.3)
+        batch = kernels.series_batch(*series_arrays(series), 6.0, pts_a, pts_b)
         for i in range(40):
-            scalar = evaluate_series(
-                series, 6.0, pts_a[i, :2], pts_b[i, :2], k=1.3
-            )
+            scalar = evaluate_series(series, 6.0, pts_a[i, :2], pts_b[i, :2])
             assert batch[i] == pytest.approx(scalar, rel=1e-13, abs=1e-18)
 
 

@@ -71,13 +71,6 @@ class TestDiagonalization:
         assert res.correction > 0
         assert res.correction == pytest.approx(ref, rel=0.15, abs=0.0)
 
-    def test_zero_coupling(self):
-        atom = PRESET.atom(1)
-        res = oscillator_basis_diag(
-            atom, 8.0, mode="full", cutoff=8, k=0.0, overlap_tol=1.0
-        )
-        assert res.correction == pytest.approx(0.0, abs=1e-13)
-
     def test_overlap_gate_default_threshold(self):
         # the strict 1e-8 midpoint-density default only admits R/a >~ 12
         atom = PRESET.atom(1)
@@ -90,8 +83,7 @@ class TestDiagonalization:
         atom = PRESET.atom(1)
         with pytest.raises(ConvergenceError):
             oscillator_basis_diag(
-                atom, 2.5, mode="truncated", cutoff=4, overlap_tol=1.0,
-                conv_tol=1e-16,
+                atom, 2.5, mode="truncated", cutoff=4, overlap_tol=1.0
             )
 
     def test_requires_drude_1d(self):
@@ -115,15 +107,15 @@ class TestCouplingAssembly:
     @pytest.mark.parametrize("cutoff", [6, 12])
     def test_matches_four_index_contraction(self, cutoff):
         atom = PRESET.atom(1)
-        R, nodes, k = 9.3, 2 * cutoff + 8, 1.3
-        got = _coupling_matrix(atom, R, "full", 3, cutoff, nodes, k)
+        R, nodes = 9.3, 2 * cutoff + 8
+        got = _coupling_matrix(atom, R, "full", 3, cutoff, nodes)
         xi, w = np.polynomial.hermite.hermgauss(nodes)
-        x = math.sqrt(atom.hbar / (atom.mass * atom.omega)) * xi
+        x = math.sqrt(1.0 / (atom.mass * atom.omega)) * xi
         grid = kernels.four_site_grid_1d(R, x, x)
         n = cutoff + 1
         h = _hermite_columns(n, xi)
         q = np.einsum("ip,kp->ikp", h, h * w)
-        want = k * np.einsum("ikp,pq,jlq->ijkl", q, grid, q).reshape(n * n, n * n)
+        want = np.einsum("ikp,pq,jlq->ijkl", q, grid, q).reshape(n * n, n * n)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -170,13 +162,22 @@ class TestConvergenceLadder:
         assert all(d >= -1e-13 for d in drops)
         assert drops[-1] < 1e-7
 
-    def test_zero_coupling_ladder_flat(self):
+    @pytest.mark.parametrize("cutoff, R", [(8, 2.5), (12, 6.0)])
+    def test_rungs_read_from_one_hamiltonian(self, cutoff, R):
+        # a truncated-mode ladder topped at c uses the 2 c + 8 nodes that
+        # oscillator_basis_diag(cutoff=c) uses, and its c - 2 rung is that
+        # call's sub-basis: both read the same H, so they agree exactly
         atom = PRESET.atom(1)
         rep = convergence_report(
-            atom, 8.0, mode="full", cutoffs=(4, 6, 8), k=0.0, overlap_tol=1.0
+            atom, R, mode="truncated", cutoffs=(cutoff - 2, cutoff),
+            overlap_tol=1.0,
         )
-        assert all(abs(d) < 1e-14 for d in rep.successive_differences())
-        assert all(c == rep.corrections[0] for c in rep.corrections)
+        res = oscillator_basis_diag(
+            atom, R, mode="truncated", cutoff=cutoff, overlap_tol=1.0
+        )
+        assert rep.ground_energies[-1] == res.ground_energy
+        assert rep.corrections[-1] == res.correction
+        assert rep.successive_differences() == (res.convergence_error,)
 
 
 class TestDirectFirstOrder:
@@ -204,10 +205,6 @@ class TestDirectFirstOrder:
         atom = PRESET.atom(3)
         got = direct_first_order(atom, atom, 10.0, overlap_tol=1.0)
         assert abs(got) <= 1e-8
-
-    def test_zero_coupling(self):
-        atom = PRESET.atom(2)
-        assert direct_first_order(atom, atom, 10.0, k=0.0, overlap_tol=1.0) == 0.0
 
     def test_requires_drude(self):
         with pytest.raises(AtomKindError):

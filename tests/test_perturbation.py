@@ -241,11 +241,6 @@ class TestSecondOrder:
             1, 1.0, 1.0, 0.5, 10.0
         ) == pytest.approx(-4.0e-6, rel=1e-15, abs=0.0)
 
-    def test_zero_coupling(self):
-        atom = DrudeAtom.bohr_matched(1)
-        series = expand_interaction(1, 3)
-        assert second_order_sum(series, atom, atom, 8.0, k=0.0) == 0.0
-
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_sum_matches_closed_form(self, dim):
         atom = DrudeAtom.bohr_matched(dim)
@@ -325,11 +320,8 @@ class TestParityExclusion:
         atom = DrudeAtom.bohr_matched(1)
         series34 = expand_interaction(1, 4)
         series3 = expand_interaction(1, 3)
-        R = 7.0
-        diag = parity_cross_term(
-            series34, atom, atom, cutoff=6, R=R, powers=(3, 3)
-        )
-        want = second_order_sum(series3, atom, atom, R, cutoff=6)
+        diag = parity_cross_term(series34, atom, atom, cutoff=6, powers=(3, 3))
+        want = second_order_sum(series3, atom, atom, 1.0, cutoff=6)
         assert diag == pytest.approx(want, rel=1e-13, abs=0.0)
         assert diag != 0.0
 

@@ -181,6 +181,15 @@ class TestMultipoleForm:
         slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
         assert -slope >= 6.9
 
+    @pytest.mark.parametrize(
+        "point, order",
+        [([1e-110, 0, 0], 3), ([1e-105, 0, 0], 3), ([1e-70, 0, 0], 5)],
+    )
+    def test_multipole_next_to_nucleus_is_divergent(self, point, order):
+        # s^order underflows to zero (1e-110, 1e-70) or the value to -inf
+        with pytest.raises(DivergentPotentialError, match="diverges"):
+            v_a_multipole(DrudeAtom.bohr_matched(1), point, order)
+
 
 class TestShellTheorem:
     def test_uniform_ball(self):
