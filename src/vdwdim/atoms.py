@@ -9,12 +9,12 @@ subleading multipole of the charge cloud.
 Moments are the only interface the perturbative machinery needs; densities
 are exposed separately for the quadrature oracles and the potential module.
 
-scipy is imported inside the two methods that need it, so that importing
-the package, and every command that prints series, curves or moments of the
-closed-form atoms, does not pay for it: ``NumericRadialAtom`` builds its
-density spline with ``CubicSpline``, and ``DrudeAtom.support_radius``, which
-only the potential quadrature calls, finds its root with ``brentq`` on the
-``gammaincc`` survival function.
+scipy is imported only by ``NumericRadialAtom``, which builds its density
+spline with ``CubicSpline``, so importing the package, and every command
+that prints series, curves, moments, or potentials other than the d = 3
+quadrature (see ``potential``), does not pay for it.
+``DrudeAtom.support_radius`` reads its radius from a table of Gaussian
+survival roots.
 """
 
 import math
@@ -24,6 +24,11 @@ from fractions import Fraction
 import numpy as np
 
 MOMENT_CAP = 16
+
+# c_d with Q(d/2, c_d^2 / 2) = 1e-14, Q the regularized upper incomplete
+# gamma function: the isotropic Gaussian of per-axis variance a^2 keeps all
+# but 1e-14 of its mass within a c_d.  Correctly rounded (40-digit check).
+_GAUSS_SUPPORT = {1: 7.739256319504373, 2: 8.029469634031459, 3: 8.262747136972074}
 
 
 class MomentCapError(ValueError):
@@ -174,14 +179,7 @@ class DrudeAtom(AtomModel):
         )
 
     def support_radius(self):
-        from scipy.optimize import brentq
-        from scipy.special import gammaincc
-
-        # survival of |r| for the isotropic Gaussian is Q(d/2, r^2 / 2 a^2)
-        def surv(r):
-            return gammaincc(self.dim / 2.0, r**2 / (2.0 * self.a**2)) - 1e-14
-
-        return brentq(surv, 1e-9 * self.a, 40.0 * self.a)
+        return self.a * _GAUSS_SUPPORT[self.dim]
 
 
 class RingAtom(AtomModel):

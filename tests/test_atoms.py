@@ -77,6 +77,30 @@ class TestDrudeMoments:
         )
 
 
+class TestDrudeSupport:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_survival_at_support_is_1e_14(self, dim):
+        from scipy.optimize import brentq
+        from scipy.special import gammaincc
+
+        # Q(d/2, c^2 / 2) is the mass of the unit Gaussian beyond |r| = c
+        c = DrudeAtom.bohr_matched(dim).support_radius()
+        assert gammaincc(dim / 2.0, c**2 / 2.0) == pytest.approx(
+            1e-14, rel=1e-12, abs=0.0
+        )
+        root = brentq(
+            lambda r: gammaincc(dim / 2.0, r**2 / 2.0) - 1e-14, 1e-9, 40.0
+        )
+        assert c == root
+
+    @pytest.mark.parametrize("omega", [0.5, 0.02, 3.0])
+    def test_support_scales_with_a(self, omega):
+        for dim in (1, 2, 3):
+            atom = DrudeAtom(dim, omega=omega, mass=1.7)
+            unit = DrudeAtom.bohr_matched(dim).support_radius()
+            assert atom.support_radius() == atom.a * unit
+
+
 class TestDrudeInputs:
     @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
     @pytest.mark.parametrize("name", ["omega", "mass"])

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import dawsn, erf, k0e
+from scipy.special import dawsn, ellipkm1, erf, i0e, k0e
 
 from vdwdim.atoms import DrudeAtom, Hydrogen1DAtom, NumericRadialAtom, RingAtom
+from vdwdim import potential
 from vdwdim.potential import (
     DimensionError,
     DivergentPotentialError,
+    QuadratureError,
     UnsupportedOrderError,
     multipole_coefficients,
     shell_theorem_check,
@@ -68,6 +70,80 @@ class TestNumericQuadrature:
         closed = 1.0 / s - k0e(s**2 / 4.0) / math.sqrt(2.0 * math.pi)
         assert got == pytest.approx(closed, rel=1e-8, abs=0.0)
 
+    @pytest.mark.parametrize("s", [9.0, 14.0, 22.0, 40.0])
+    def test_closed_forms_far_field(self, s):
+        # the same three closed forms as above and 1/s - sqrt(pi/2) i0e(s^2/4)
+        # in the d=2 plane; V ~ s^-3 is a cancellation of two ~1/s terms, and
+        # the cloud beyond the support (1e-14 of it) leaves ~3e-11 at s = 40
+        line = DrudeAtom.bohr_matched(1)
+        disc = DrudeAtom.bohr_matched(2)
+        pairs = [
+            (line, [s, 0, 0], math.sqrt(2) * dawsn(s / math.sqrt(2))),
+            (line, [0, 0, s], k0e(s**2 / 4) / math.sqrt(2 * math.pi)),
+            (disc, [s, 0, 0], math.sqrt(math.pi / 2) * i0e(s**2 / 4)),
+        ]
+        for atom, point, cloud in pairs:
+            sample = v_a_numeric(atom, point)
+            closed = 1 / s - cloud
+            assert sample.value == pytest.approx(closed, rel=1e-10, abs=0.0)
+            # the panel rule aims at 1e-13 of the cloud integral
+            assert 0.0 <= sample.error <= 2e-13 * cloud
+
+    def test_next_to_the_cloud(self):
+        # d=1: the cloud potential grows like -2 rho(x) ln|r_perp| at the
+        # line, so 100 decades closer adds 2 rho(3) ln(1e100) at x = 3
+        line = DrudeAtom.bohr_matched(1)
+        far = v_a_numeric(line, [3.0, 0, 1e-50]).value
+        near = v_a_numeric(line, [3.0, 0, 1e-150]).value
+        rho = math.exp(-4.5) / math.sqrt(2 * math.pi)
+        step = 2 * rho * math.log(1e100)
+        assert far - near == pytest.approx(step, rel=1e-10, abs=0.0)
+        # d=2: the in-plane limit is finite, and reached
+        disc = DrudeAtom.bohr_matched(2)
+        plane = v_a_numeric(disc, [3.0, 0, 0]).value
+        for z in (1e-20, 1e-150):
+            above = v_a_numeric(disc, [3.0, 0, z]).value
+            assert above == pytest.approx(plane, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "s, printed",
+        [(6.0, "3.288637417942e-10"), (9.0, "1.137978600241e-15"),
+         (40.0, "2.567390744446e-16")],
+    )
+    def test_d3_output_pinned(self, s, printed):
+        # outside the cloud this is the rounding residue of (1 - 4 pi E) / s;
+        # the strings are those of perfbench/reference.json
+        sample = v_a_numeric(DrudeAtom.bohr_matched(3), [s, 0, 0])
+        assert f"{sample.value:.12e}" == printed
+        assert 0.0 < sample.error <= 1e-8
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_numeric_radial_atom(self, dim):
+        # a spline through Gaussian samples against the Gaussian itself
+        r = np.linspace(0.0, 9.0, 1000)
+        atom = NumericRadialAtom(
+            dim, r, (2 * math.pi) ** (-dim / 2.0) * np.exp(-(r**2) / 2)
+        )
+        gaussian = DrudeAtom.bohr_matched(dim)
+        points = [[12.0, 0, 0], [0, 0, 12.0], [5.0, 0, 3.0]]
+        if dim == 2:
+            points.append([3.0, 0, 0])  # in the plane, inside the cloud
+        for point in points:
+            got = v_a_numeric(atom, point)
+            want = v_a_numeric(gaussian, point).value
+            assert got.value == pytest.approx(want, rel=1e-8, abs=0.0)
+            assert got.error <= 1e-12
+
+    def test_ring_next_to_the_ring(self):
+        # K from k' itself stays accurate where 1 - m = k'^2 is below the
+        # rounding of m; ellipkm1 takes k'^2 directly
+        for z in (1e-4, 1e-8, 1e-12):
+            got = v_a_numeric(RingAtom(2, radius=1.0), [1.0, 0, z]).value
+            far = math.hypot(2.0, z)
+            cloud = 4.0 * ellipkm1((z / far) ** 2) / far / (2.0 * math.pi)
+            want = 1.0 / math.hypot(1.0, z) - cloud
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
     def test_d2_on_axis_taylor(self):
         # on axis the s^-(2m+1) coefficient is -<r^2m> <P_2m(cos phi)>
         # = -2^m m! (C(2m, m) / 4^m)^2 = -1/2, -9/8, -75/16, -3675/128, ...;
@@ -94,8 +170,24 @@ class TestNumericQuadrature:
 
     def test_d1_on_axis_inside_cloud_is_divergent(self):
         atom = DrudeAtom.bohr_matched(1)
+        # the truncated density does not vanish at the support's end either
+        for x in (5.0, atom.support_radius(), -atom.support_radius()):
+            with pytest.raises(DivergentPotentialError, match="diverges"):
+                v_a_numeric(atom, [x, 0, 0])
+
+    @pytest.mark.parametrize(
+        "atom, point",
+        [
+            (DrudeAtom.bohr_matched(1), [1e-170, 0, 0]),
+            (DrudeAtom.bohr_matched(2), [1e-320, 0, 0]),
+            (DrudeAtom.bohr_matched(3), [0, 0, 1e-320]),
+            (RingAtom(2, radius=1.0), [0, 1e-320, 0]),
+        ],
+    )
+    def test_next_to_nucleus_is_divergent(self, atom, point):
+        # |r| is nonzero here though |r|^2 underflows; 1/|r| overflows at 1e-320
         with pytest.raises(DivergentPotentialError, match="diverges"):
-            v_a_numeric(atom, [5, 0, 0])
+            v_a_numeric(atom, point)
 
     @pytest.mark.parametrize(
         "dim, point", [(1, [1.0, 0, 0]), (1, [-1.0, 0, 0]), (2, [0, 1.0, 0])]
@@ -117,6 +209,23 @@ class TestNumericQuadrature:
         assert v_a_numeric(atom, [5, 0, 1]).method == "quadrature"
         assert v_a_multipole(atom, [5, 0, 0], 3).method == "multipole3"
         assert v_a_multipole(atom, [5, 0, 0], 5).method == "multipole5"
+
+    def test_panel_cap(self):
+        # 1e5 radians over [0, 1] need far more than 2000 panels of 20 nodes
+        value, error = potential._panels(np.exp, 0.0, 1.0)
+        assert value == pytest.approx(math.e - 1.0, rel=1e-15, abs=0.0)
+        assert error <= 1e-13 * value
+        with pytest.raises(QuadratureError, match="too large"):
+            potential._panels(lambda x: 1.0 + np.cos(1e5 * x), 0.0, 1.0)
+
+    def test_error_estimates(self):
+        # quadrature samples carry their error estimate, closed forms none
+        drude = DrudeAtom.bohr_matched(1)
+        assert 0.0 < v_a_numeric(drude, [5, 0, 1]).error <= 1e-8
+        assert v_a_multipole(drude, [5, 0, 0], 3).error is None
+        assert v_a_multipole(drude, [5, 0, 0], 5).error is None
+        assert v_a_numeric(Hydrogen1DAtom(), [5, 0, 0]).error is None
+        assert v_a_numeric(RingAtom(3), [0.5, 0, 0]).error is None
 
 
 class TestMultipoleForm:
@@ -183,10 +292,12 @@ class TestMultipoleForm:
 
     @pytest.mark.parametrize(
         "point, order",
-        [([1e-110, 0, 0], 3), ([1e-105, 0, 0], 3), ([1e-70, 0, 0], 5)],
+        [([1e-110, 0, 0], 3), ([1e-105, 0, 0], 3), ([1e-70, 0, 0], 5),
+         ([1e-170, 0, 0], 3), ([0, 0, 1e-200], 3)],
     )
     def test_multipole_next_to_nucleus_is_divergent(self, point, order):
-        # s^order underflows to zero (1e-110, 1e-70) or the value to -inf
+        # s^order underflows to zero (1e-110, 1e-70) or the value to -inf;
+        # at 1e-170 and below |r|^2 underflows too, but |r| does not
         with pytest.raises(DivergentPotentialError, match="diverges"):
             v_a_multipole(DrudeAtom.bohr_matched(1), point, order)
 
