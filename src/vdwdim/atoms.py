@@ -190,8 +190,6 @@ class RingAtom(AtomModel):
     alpha = 3/2; in d = 3 a spherical shell.
     """
 
-    is_shell = True
-
     def __init__(self, dim, radius=1.0):
         if dim not in (1, 2, 3):
             raise ValueError("dim must be 1, 2, or 3")
@@ -228,10 +226,12 @@ class NumericRadialAtom(AtomModel):
 
     ``rho`` holds the full d-dimensional density at the grid radii; the mass
     under the radial measure S_{d-1} r^{d-1} dr is renormalized to one on
-    construction.  Moments use composite Gauss-Legendre quadrature on a cubic
-    spline through the samples (target 1e-8 relative for smooth densities);
-    the spline is evaluated at the nodes once, on construction, and each
-    radial order is integrated once and kept.
+    construction.  The density is zero outside [r[0], r[-1]], so a grid for
+    d = 1, whose line charge is dense at its centre, should start at 0.
+    Moments use composite Gauss-Legendre quadrature on a cubic spline through
+    the samples (target 1e-8 relative for smooth densities); the spline is
+    evaluated at the nodes once, on construction, and each radial order is
+    integrated once and kept.
     """
 
     _GL_ORDER = 12

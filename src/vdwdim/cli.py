@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__, multipole, perturbation, potential, verify
 from .atoms import DegenerateAtomError, DrudeAtom, Hydrogen1DAtom, RingAtom
 from .oracle import ConvergenceError
-from .potential import QuadratureError
+from .potential import QuadratureError, UnsupportedOrderError
 
 
 class CliError(RuntimeError):
@@ -149,9 +149,10 @@ def cmd_potential(args):
                 elif method == "multipole3":
                     sample = potential.v_a_multipole(atom, point, order=3)
                 elif method == "multipole5":
-                    if abs(math.cos(rad)) < 1.0 - 1e-12:
+                    try:
+                        sample = potential.v_a_multipole(atom, point, order=5)
+                    except UnsupportedOrderError:
                         continue  # next order is available on axis only
-                    sample = potential.v_a_multipole(atom, point, order=5)
                 else:
                     raise CliError(f"unknown method {method!r}")
                 lines.append(

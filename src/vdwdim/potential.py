@@ -2,13 +2,12 @@
 
 The atom (nucleus at the origin, electron cloud confined to the first d
 coordinates) is probed anywhere in 3D space.  The nuclear 1/|r| piece is kept
-analytic; the electron-cloud part is reduced by rotational symmetry to 1D
-adaptive quadrature (relative error 1e-8 at worst):
-
-    d = 1  integral along the line,
-    d = 2  radial integral with the in-plane angle done as a complete
-           elliptic integral,
-    d = 3  classic shell decomposition (interior/exterior pieces).
+analytic.  For d = 1 and 2 the cloud is a stack of charged shells, and one
+kernel, ``_shell_kernel``, is the potential of unit charge spread evenly
+over the shell of radius u: two half charges in d = 1, a ring in d = 2.  A
+``RingAtom`` is one shell; a density is integrated over the shells in their
+offset from the field point's foot (``_cloud``, relative error 1e-8 at
+worst).  d = 3 is the classic interior/exterior shell decomposition.
 
 For d = 3 the exterior potential vanishes identically (shell theorem); for
 d < 3 the cloud carries a permanent quadrupole whose leading field is
@@ -20,25 +19,26 @@ convergent (for a Gaussian its coefficients grow like (2n-1)!!), and the
 later terms s^-7, s^-9, ... are not negligible at 1e-6 relative for s up to
 about 15.
 
-The d = 1 and d = 2 cloud integrals use ``_panels``, adaptive 20-point
-Gauss-Legendre panels in numpy that aim at 1e-13 relative; the d = 2 ring
-kernel takes K from the arithmetic-geometric mean of the complementary
-modulus.  Only the d = 3 shell integrals import scipy, for ``quad`` in
-``_quad``: outside the cloud the d = 3 value is the rounding residue of
+``_cloud`` uses ``_panels``, adaptive 20-point Gauss-Legendre panels in
+numpy that aim at 1e-13 relative; the ring kernel takes K from the
+arithmetic-geometric mean of the complementary modulus.
+Only the d = 3 shell integrals import scipy, for ``quad`` in ``_quad``:
+outside the cloud the d = 3 value is the rounding residue of
 (1 - 4 pi E) / s, so any other rule would move its printed digits.  With
 ``CubicSpline`` in ``NumericRadialAtom`` (see ``atoms``) that is the only
 use of scipy, so the package, the multipole forms and the d = 1 and d = 2
-quadrature import none of it.
+potentials import none of it.
 """
 
 import functools
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .atoms import DrudeAtom, Hydrogen1DAtom, NumericRadialAtom, RingAtom
+from .atoms import Hydrogen1DAtom, RingAtom, _sphere_area
 
 
 class QuadratureError(RuntimeError):
@@ -103,51 +103,62 @@ def even_moments(atom):
 
 
 def _field_norm(r):
-    """|r| of a field point, which must be finite and nonzero.
+    """(|r|, r scaled by the power of two of its largest component).
 
-    The point is scaled by the power of two of its largest component before
-    the norm is taken and the norm scaled back.  That is exact, so |r| keeps
-    the bits of ``np.linalg.norm(r)`` wherever that is right, but the
-    squares of tiny (or huge) components no longer underflow (or overflow).
+    The field point must be finite and nonzero.  The scaling is exact, so
+    |r| keeps the bits of ``np.linalg.norm(r)`` wherever that is right, but
+    the squares of tiny (or huge) components no longer underflow (or
+    overflow).
     """
     largest = float(np.max(np.abs(r)))
     if not (math.isfinite(largest) and largest > 0):
         raise ValueError("field point must be finite and nonzero")
     exp = math.frexp(largest)[1]
-    return math.ldexp(float(np.linalg.norm(np.ldexp(r, -exp))), exp)
+    scaled = np.ldexp(r, -exp)
+    return math.ldexp(float(np.linalg.norm(scaled)), exp), scaled
 
 
 def v_a_multipole(atom, r, order=3):
     """Multipole form of the potential at a 3D field point.
 
     Order 3 is the quadrupole field, valid at any angle; order 5 adds the
-    next on-axis term and is rejected off axis, where that coefficient is
-    not available.  A field point so close to the nucleus that s^order
-    underflows or the value overflows raises ``DivergentPotentialError``.
+    next term on the x axis, along which ``multipole_coefficients`` are
+    taken, and is rejected off it.  A field point so close to the nucleus
+    that s^order underflows or the value overflows raises
+    ``DivergentPotentialError``; far from it the value underflows to a
+    subnormal or zero.
     """
     if order not in (3, 5):
         raise UnsupportedOrderError("order must be 3 or 5")
     r = np.asarray(r, dtype=float)
-    s = _field_norm(r)
-    if s**order == 0.0:
-        raise DivergentPotentialError(
-            f"multipole{order} potential diverges at |r| = {s:.3g}"
-        )
-    cos2 = float(np.sum(r[: atom.dim] ** 2)) / float(r @ r)
-    a2 = atom.radial_moment(2) / atom.dim
-    value = -(3.0 * cos2 - atom.dim) * a2 / (2.0 * s**3)
-    if order == 5:
-        if abs(cos2 - 1.0) > 1e-12:
+    s, scaled = _field_norm(r)
+    norm2 = float(scaled @ scaled)
+    if order == 3:
+        cos2 = float(np.sum(scaled[: atom.dim] ** 2)) / norm2
+        a2 = atom.radial_moment(2) / atom.dim
+        value = _over_power(-(3.0 * cos2 - atom.dim) * a2 / 2.0, s, 3)
+    else:
+        if abs(float(scaled[0]) ** 2 / norm2 - 1.0) > 1e-12:
             raise UnsupportedOrderError(
                 "order 5 is only available on the in-plane axis"
             )
         c3, c5 = multipole_coefficients(atom)
-        value = c3 / s**3 + c5 / s**5
+        value = _over_power(c3, s, 3) + _over_power(c5, s, 5)
     if not math.isfinite(value):
         raise DivergentPotentialError(
             f"multipole{order} potential diverges at |r| = {s:.3g}"
         )
     return PotentialSample(tuple(r), value, f"multipole{order}")
+
+
+def _over_power(c, s, n):
+    """c / s^n: inf where s^n underflows, subnormal or zero where it overflows."""
+    try:
+        power = s**n
+    except OverflowError:
+        mantissa, exp = math.frexp(s)
+        return math.ldexp(c / mantissa**n, -n * exp)
+    return math.inf if power == 0.0 else c / power
 
 
 def v_a_numeric(atom, r):
@@ -158,24 +169,33 @@ def v_a_numeric(atom, r):
     form (the collapsed 1D atom and the ring atoms).
     """
     r = np.asarray(r, dtype=float)
-    s = _field_norm(r)
+    s, _ = _field_norm(r)
 
     if isinstance(atom, Hydrogen1DAtom):
         # density collapsed onto the nucleus: exact cancellation
         return PotentialSample(tuple(r), 0.0, "quadrature")
     if not math.isfinite(1.0 / s):
         raise DivergentPotentialError(f"potential diverges at |r| = {s:.3g}")
+    d = atom.dim
+    r_par = math.hypot(*r[:d])
+    perp = math.hypot(*r[d:])
     if isinstance(atom, RingAtom):
-        cloud = _shell_cloud_potential(atom.dim, atom.radius, r, s)
+        if d == 3:
+            cloud = 1.0 / max(s, atom.radius)
+        else:
+            # the kernel is infinite on the charge and overflows next to it
+            with np.errstate(divide="ignore", over="ignore"):
+                cloud = float(_shell_kernel(d, atom.radius - r_par, r_par, perp))
+        if not math.isfinite(cloud):
+            on = "a charge" if d == 1 else "the ring"
+            raise DivergentPotentialError(f"d={d} shell potential diverges on {on}")
         return PotentialSample(tuple(r), 1.0 / s - cloud, "quadrature")
 
     support = atom.support_radius()
-    if atom.dim == 1:
-        cloud, error = _cloud_1d(atom, r, support)
-    elif atom.dim == 2:
-        cloud, error = _cloud_2d(atom, r, support)
-    else:
+    if d == 3:
         cloud, error = _cloud_3d(atom, s, support)
+    else:
+        cloud, error = _cloud(atom, r_par, perp, support)
     return PotentialSample(tuple(r), 1.0 / s - cloud, "quadrature", error)
 
 
@@ -278,44 +298,33 @@ def _panels(f, lo, hi):
         right = np.concatenate([right[keep], new_right])
 
 
-def _panels_between(f, edges):
-    """``_panels`` over each interval between consecutive edges, summed."""
-    parts = [_panels(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    return sum(val for val, _ in parts), sum(err for _, err in parts)
+def _cloud(atom, r_par, perp, support):
+    """(cloud potential, error estimate) of a d = 1 or d = 2 density.
 
-
-def _cloud_1d(atom, r, support):
-    rx = float(r[0])
-    perp2 = float(r[1] ** 2 + r[2] ** 2)
-    if perp2 == 0.0 and abs(rx) <= support:
-        # the 1/|rx - x| singularity sits on the charged line (at its end
-        # too: the density does not vanish there)
+    The shells u = r_par + t are integrated over t, so that abscissae next
+    to the foot t = 0, where the kernel peaks at about 1 / perp, stay exact;
+    the foot is an edge, and each interval has its own ``_panels`` budget.
+    """
+    d = atom.dim
+    if d == 1 and perp < sys.float_info.min and r_par <= support:
+        # the 1/|x - r_par| singularity sits on the charged line (at its
+        # end too: the density does not vanish there); at a subnormal perp
+        # the kernel's peak 1 / perp overflows
         raise DivergentPotentialError(
             f"d=1 cloud potential diverges logarithmically on the axis "
             f"inside the cloud (|x| < {support:.6g})"
         )
+    area = _sphere_area(d)
 
     def integrand(t):
-        # t = x - rx: abscissae next to the field point's foot stay exact
-        return atom.radial_density(np.abs(rx + t)) / np.sqrt(t**2 + perp2)
+        u = r_par + t
+        shells = area * atom.radial_density(u) * u ** (d - 1)
+        return shells * _shell_kernel(d, t, r_par, perp)
 
-    lo, hi = -support - rx, support - rx
-    # 1/|r - x| peaks at the foot, with height 1/|r_perp|: make it an edge
-    return _panels_between(integrand, [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi])
-
-
-def _cloud_2d(atom, r, support):
-    r_par = math.hypot(r[0], r[1])
-    z = float(r[2])
-
-    def integrand(u):
-        return atom.radial_density(u) * u * _ring_kernel(u, r_par, z)
-
-    # in the plane K has a logarithmic singularity at u = r_par: an edge
-    inside = abs(z) < 1e-300 and r_par < support
-    return _panels_between(
-        integrand, [0.0, r_par, support] if inside else [0.0, support]
-    )
+    lo, hi = -r_par, support - r_par
+    edges = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+    parts = [_panels(integrand, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    return sum(val for val, _ in parts), sum(err for _, err in parts)
 
 
 def _cloud_3d(atom, s, support):
@@ -349,32 +358,17 @@ def _elliptic_k(kp):
     return 0.5 * math.pi / a
 
 
-def _ring_kernel(u, r_par, z):
-    """Angular integral of 1/|r - u e(phi)| over a circle of radius u.
+def _shell_kernel(dim, t, r_par, perp):
+    """Potential of unit charge spread evenly over a shell in d = 1 or 2.
 
-    Seen from a field point at in-plane radius r_par and height z, the near
-    and far sides of the circle lie at hypot(u - r_par, z) and
-    hypot(u + r_par, z).  The integral is 4 K / far, with complementary
-    modulus k' = near / far; k' = 0, where K diverges, exactly on the circle.
+    The shell has radius u = r_par + t; the field point lies r_par from the
+    nucleus in the confined subspace and perp out of it, so the near and far
+    sides of the shell lie at hypot(t, perp) and hypot(2 r_par + t, perp).
+    d = 1: two half charges.  d = 2: a ring, 2 K / (pi far) with
+    complementary modulus k' = near / far.
     """
-    far = np.hypot(u + r_par, z)
-    return 4.0 * _elliptic_k(np.hypot(u - r_par, z) / far) / far
-
-
-def _shell_cloud_potential(dim, radius, r, s):
-    """Cloud potential of the ideal shell distribution at one field point."""
+    near = np.hypot(t, perp)
+    far = np.hypot(2.0 * r_par + t, perp)
     if dim == 1:
-        # two half charges at +-radius on the x-axis
-        rx = float(r[0])
-        perp2 = float(r[1] ** 2 + r[2] ** 2)
-        d_plus = math.sqrt((rx - radius) ** 2 + perp2)
-        d_minus = math.sqrt((rx + radius) ** 2 + perp2)
-        if min(d_plus, d_minus) == 0.0:
-            raise DivergentPotentialError("d=1 shell potential diverges on a charge")
-        return 0.5 / d_plus + 0.5 / d_minus
-    if dim == 2:
-        r_par = math.hypot(r[0], r[1])
-        if r_par == radius and r[2] == 0.0:
-            raise DivergentPotentialError("d=2 shell potential diverges on the ring")
-        return float(_ring_kernel(radius, r_par, float(r[2]))) / (2.0 * math.pi)
-    return 1.0 / max(s, radius)
+        return 0.5 / near + 0.5 / far
+    return 2.0 * _elliptic_k(near / far) / (math.pi * far)

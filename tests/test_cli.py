@@ -1,10 +1,12 @@
 """Command-line interface: formats, determinism, exit codes, fault reporting."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +114,21 @@ class TestPotential:
         assert code == 1
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, methods",
+        [
+            # cos^2 is 1 - 1.95e-12 at 8e-5 degrees: off axis for order 5
+            ("potential --dim 1 --radii 20 --thetas 0.00008",
+             ["quadrature", "multipole3"]),
+            # s^3 overflows a float; the value underflows
+            ("potential --radii 1e103 --methods multipole3", ["multipole3"]),
+        ],
+    )
+    def test_rows_without_error(self, capsys, argv, methods):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        assert [line.split(",")[3] for line in out.splitlines()[1:]] == methods
 
     def test_quadrature_error_single_error_line(self, capsys, monkeypatch):
         def fail(atom, point):
@@ -369,3 +386,31 @@ class TestOutputFile:
         content = target.read_text().splitlines()
         assert content[0].startswith("R_tilde,")
         assert len(content) == 4
+
+
+# stdout of the curve, exact and potential commands, as recorded for the
+# benchmark in perfbench/reference.json
+_RECORDED = json.loads(
+    (Path(__file__).resolve().parents[1] / "perfbench" / "reference.json").read_text()
+)["text"]
+
+
+def _cells_match(got, want):
+    try:
+        return math.isclose(float(got), float(want), rel_tol=1e-9, abs_tol=0.0)
+    except ValueError:
+        return got == want
+
+
+class TestRecordedTables:
+    @pytest.mark.parametrize("argv", sorted(_RECORDED))
+    def test_matches_record(self, capsys, argv):
+        # cell by cell at the benchmark's 1e-9 relative tolerance
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, err) == (0, "")
+        got = [line.split(",") for line in out.strip().splitlines()]
+        want = [line.split(",") for line in _RECORDED[argv].strip().splitlines()]
+        assert got[0] == want[0] and len(got) == len(want)
+        for got_row, want_row in zip(got[1:], want[1:]):
+            assert len(got_row) == len(want_row)
+            assert all(map(_cells_match, got_row, want_row)), (got_row, want_row)

@@ -98,6 +98,11 @@ class TestNumericQuadrature:
         rho = math.exp(-4.5) / math.sqrt(2 * math.pi)
         step = 2 * rho * math.log(1e100)
         assert far - near == pytest.approx(step, rel=1e-10, abs=0.0)
+        # and on below 1.5e-162, where r_perp^2 underflows but r_perp does not
+        for z, decades in ((1e-160, 110), (1e-170, 120)):
+            deeper = v_a_numeric(line, [3.0, 0, z]).value
+            step = 2 * rho * decades * math.log(10)
+            assert far - deeper == pytest.approx(step, rel=1e-10, abs=0.0)
         # d=2: the in-plane limit is finite, and reached
         disc = DrudeAtom.bohr_matched(2)
         plane = v_a_numeric(disc, [3.0, 0, 0]).value
@@ -143,6 +148,29 @@ class TestNumericQuadrature:
             cloud = 4.0 * ellipkm1((z / far) ** 2) / far / (2.0 * math.pi)
             want = 1.0 / math.hypot(1.0, z) - cloud
             assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+        # d=1: the near half charge 1e-170 away, the far one at 2
+        got = v_a_numeric(RingAtom(1, radius=1.0), [1.0, 0, 1e-170]).value
+        assert got == pytest.approx(1.0 - 0.5e170 - 0.25, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_ring_is_the_narrow_shell_limit(self, dim):
+        # a Gaussian shell of width w around the ring's radius differs from
+        # the ring by O(w^2): a quarter of the gap at half the width
+        ring = RingAtom(dim, radius=1.3)
+        points = [[5.0, 0, 1.0], [0.4, 0, 0.3], [2.0, 0, 0], [0, 0, 3.0]]
+        gaps = []
+        for w in (0.01, 0.005):
+            r = np.linspace(1.3 - 12 * w, 1.3 + 12 * w, 2000)
+            shell = NumericRadialAtom(dim, r, np.exp(-(((r - 1.3) / w) ** 2) / 2))
+            gaps.append(
+                np.array([
+                    abs(v_a_numeric(shell, p).value - v_a_numeric(ring, p).value)
+                    for p in points
+                ])
+            )
+        assert np.all(gaps[0] < 5e-4)
+        ratio = gaps[0] / gaps[1]
+        assert np.all((3.5 < ratio) & (ratio < 4.5)), ratio
 
     def test_d2_on_axis_taylor(self):
         # on axis the s^-(2m+1) coefficient is -<r^2m> <P_2m(cos phi)>
@@ -262,6 +290,9 @@ class TestMultipoleForm:
             v_a_multipole(atom, [3.0, 0.0, 4.0], 5)
         with pytest.raises(UnsupportedOrderError):
             v_a_multipole(atom, [3.0, 0.0, 0.0], 4)
+        # order 5 holds on the x axis, along which its coefficients are taken
+        with pytest.raises(UnsupportedOrderError):
+            v_a_multipole(DrudeAtom.bohr_matched(3), [3.0, 0.0, 4.0], 5)
 
     def test_quadrupole_sign_structure(self):
         s = 11.0
@@ -289,6 +320,17 @@ class TestMultipoleForm:
             diffs.append(abs(num - mp))
         slope = np.polyfit(np.log(radii), np.log(diffs), 1)[0]
         assert -slope >= 6.9
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_multipole_far_from_the_atom_underflows(self, dim):
+        # s^3 overflows a float beyond about 5.6e102 and s^5 beyond 1.9e61;
+        # the value underflows instead, to a subnormal (to zero for d=3)
+        atom = DrudeAtom.bohr_matched(dim)
+        c3, _ = multipole_coefficients(atom)
+        for order in (3, 5):
+            got = v_a_multipole(atom, [1e103, 0, 0], order).value
+            assert got == pytest.approx(c3 * 1e-309, rel=1e-12, abs=0.0)
+        assert v_a_multipole(atom, [1e62, 0, 0], 5).value == c3 / 1e62**3
 
     @pytest.mark.parametrize(
         "point, order",
