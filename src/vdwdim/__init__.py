@@ -12,68 +12,85 @@ against the exact kernel.
 Results are in reduced units with k = hbar = 1.  Only the Drude presets and
 the closed forms and normal modes they feed take k as an argument, because a
 custom preset varies it.
+
+Importing the package runs no submodule.  Each one is registered in
+``sys.modules`` with importlib's ``LazyLoader`` and runs on first attribute
+access, and the public names below resolve on first use (PEP 562).  So a
+command loads only the modules it calls: ``expand`` only ``multipole``,
+``curve`` and ``exact`` only ``drude_exact``; neither those nor ``--version``
+load numpy.  ``moments``, ``potential`` and ``verify`` load numpy with the
+modules that need it.
 """
+
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-from .atoms import (
-    DrudeAtom,
-    Hydrogen1DAtom,
-    NumericRadialAtom,
-    RingAtom,
-    drude_spectrum,
-)
-from .drude_exact import exact_correction, shifted_frequencies
-from .kernels import backend_name
-from .multipole import (
-    InteractionSeries,
-    Monomial,
-    evaluate_series,
-    exact_interaction,
-    expand_interaction,
-    truncation_residual,
-)
-from .oracle import direct_first_order, oscillator_basis_diag
-from .perturbation import (
-    DrudePreset,
-    EnergyBreakdown,
-    dominance_crossover,
-    first_order_closed_form,
-    first_order_expectation,
-    parity_cross_term,
-    second_order_drude_closed_form,
-    second_order_sum,
-    total_energy_curve,
-)
-from .potential import shell_theorem_check, v_a_multipole, v_a_numeric
+# public name -> submodule that defines it
+_EXPORTS = {
+    "DrudeAtom": "atoms",
+    "Hydrogen1DAtom": "atoms",
+    "NumericRadialAtom": "atoms",
+    "RingAtom": "atoms",
+    "drude_spectrum": "atoms",
+    "DrudePreset": "drude_exact",
+    "EnergyBreakdown": "drude_exact",
+    "dominance_crossover": "drude_exact",
+    "exact_correction": "drude_exact",
+    "first_order_closed_form": "drude_exact",
+    "second_order_drude_closed_form": "drude_exact",
+    "shifted_frequencies": "drude_exact",
+    "total_energy_curve": "drude_exact",
+    "backend_name": "kernels",
+    "exact_interaction": "kernels",
+    "truncation_residual": "kernels",
+    "InteractionSeries": "multipole",
+    "Monomial": "multipole",
+    "evaluate_series": "multipole",
+    "expand_interaction": "multipole",
+    "direct_first_order": "oracle",
+    "oscillator_basis_diag": "oracle",
+    "first_order_expectation": "perturbation",
+    "parity_cross_term": "perturbation",
+    "second_order_sum": "perturbation",
+    "shell_theorem_check": "potential",
+    "v_a_multipole": "potential",
+    "v_a_numeric": "potential",
+}
 
-__all__ = [
-    "DrudeAtom",
-    "DrudePreset",
-    "EnergyBreakdown",
-    "Hydrogen1DAtom",
-    "InteractionSeries",
-    "Monomial",
-    "NumericRadialAtom",
-    "RingAtom",
-    "backend_name",
-    "direct_first_order",
-    "dominance_crossover",
-    "drude_spectrum",
-    "evaluate_series",
-    "exact_correction",
-    "exact_interaction",
-    "expand_interaction",
-    "first_order_closed_form",
-    "first_order_expectation",
-    "oscillator_basis_diag",
-    "parity_cross_term",
-    "second_order_drude_closed_form",
-    "second_order_sum",
-    "shell_theorem_check",
-    "shifted_frequencies",
-    "total_energy_curve",
-    "truncation_residual",
-    "v_a_multipole",
-    "v_a_numeric",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def _register_lazily(name):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+for _name in (
+    "atoms",
+    "drude_exact",
+    "kernels",
+    "multipole",
+    "oracle",
+    "perturbation",
+    "potential",
+    "verify",
+):
+    _register_lazily(_name)
+del _name
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[module], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

@@ -9,10 +9,12 @@ subleading multipole of the charge cloud.
 Moments are the only interface the perturbative machinery needs; densities
 are exposed separately for the quadrature oracles and the potential module.
 
-scipy is imported only by ``NumericRadialAtom``, which builds its density
-spline with ``CubicSpline``, so importing the package, and every command
-that prints series, curves, moments, or potentials other than the d = 3
-quadrature (see ``potential``), does not pay for it.
+This module needs numpy, and loads when a command first asks for an atom:
+``moments``, ``potential`` and ``verify`` do, while ``expand``, ``curve``
+and ``exact`` never touch it (see the package docstring).  scipy is imported
+only by ``NumericRadialAtom``, which builds its density spline with
+``CubicSpline``, so every command that prints moments or potentials other
+than the d = 3 quadrature (see ``potential``) does not pay for it.
 ``DrudeAtom.support_radius`` reads its radius from a table of Gaussian
 survival roots.
 """
@@ -22,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+
+from .drude_exact import _positive
 
 MOMENT_CAP = 16
 
@@ -68,11 +72,6 @@ def _angular_average(dim, exponents) -> Fraction:
     for j in range(1, total + 1):
         den *= dim + 2 * j - 2
     return Fraction(num, den)
-
-
-def _positive(x):
-    """True for a finite positive number (False for NaN and inf)."""
-    return math.isfinite(x) and x > 0
 
 
 def _check_exponents(dim, exponents):

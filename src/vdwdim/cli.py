@@ -4,6 +4,21 @@ Reduced units (k = 1, a = 1) are the default everywhere; energies are
 reported in units of k/a and separations as R/a.  Output is CSV (dot decimal,
 comma separator, header row) or JSON, written to stdout unless --output is
 given.  Identical configurations produce byte-identical output.
+
+Every command loads only the modules it calls (see the package docstring),
+so this module names modules, never the objects in them, and looks those up
+when a command runs:
+
+* ``--version`` and usage errors load no submodule;
+* ``expand`` loads ``multipole``;
+* ``curve`` and ``exact`` load ``drude_exact``;
+* ``moments`` loads ``atoms``, ``potential`` adds ``potential`` (scipy only
+  for the d = 3 quadrature) and ``verify`` loads everything.
+
+numpy comes with ``atoms``, ``kernels``, ``potential`` and the modules built
+on them, so ``--version``, ``expand``, ``curve`` and ``exact`` run without
+it, error exits included: ``main`` reports a ``CliError``, ``ValueError`` or
+``OSError`` before it looks up the oracle's and the potential's own errors.
 """
 
 import argparse
@@ -11,12 +26,7 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import __version__, multipole, perturbation, potential, verify
-from .atoms import DegenerateAtomError, DrudeAtom, Hydrogen1DAtom, RingAtom
-from .oracle import ConvergenceError
-from .potential import QuadratureError, UnsupportedOrderError
+from . import __version__, atoms, drude_exact, multipole, oracle, potential, verify
 
 
 class CliError(RuntimeError):
@@ -38,22 +48,22 @@ def _emit(lines, path):
 
 def _atom_from_args(args):
     if args.atom == "drude":
-        return DrudeAtom.bohr_matched(args.dim)
+        return atoms.DrudeAtom.bohr_matched(args.dim)
     if args.atom == "ring":
-        return RingAtom(args.dim, radius=args.radius)
+        return atoms.RingAtom(args.dim, radius=args.radius)
     if args.atom == "hydrogen1d":
         if args.dim != 1:
             raise CliError("hydrogen1d is a one-dimensional model")
-        return Hydrogen1DAtom()
+        return atoms.Hydrogen1DAtom()
     raise CliError(f"unknown atom preset {args.atom!r}")
 
 
 def _preset_from_args(args):
     if args.preset == "bohr":
-        return perturbation.DrudePreset.bohr()
+        return drude_exact.DrudePreset.bohr()
     if args.hbar_omega is None:
         raise CliError("--preset custom requires --hbar-omega")
-    return perturbation.DrudePreset.custom(
+    return drude_exact.DrudePreset.custom(
         hbar_omega=args.hbar_omega, a=args.a, k=args.k
     )
 
@@ -113,7 +123,7 @@ def cmd_moments(args):
         rows.append(("x2y2", atom.moment((2, 2) + (0,) * (d - 2))))
     try:
         rows.insert(2, ("alpha", atom.alpha()))
-    except DegenerateAtomError:
+    except atoms.DegenerateAtomError:
         rows.insert(2, ("alpha", None))
     if args.format == "json":
         data = {k: v for k, v in rows}
@@ -134,6 +144,8 @@ def _finite_list(text, option):
 
 
 def cmd_potential(args):
+    import numpy as np
+
     atom = _atom_from_args(args)
     radii = _finite_list(args.radii, "--radii")
     thetas = _finite_list(args.thetas, "--thetas")
@@ -151,7 +163,7 @@ def cmd_potential(args):
                 elif method == "multipole5":
                     try:
                         sample = potential.v_a_multipole(atom, point, order=5)
-                    except UnsupportedOrderError:
+                    except potential.UnsupportedOrderError:
                         continue  # next order is available on axis only
                 else:
                     raise CliError(f"unknown method {method!r}")
@@ -179,11 +191,30 @@ def _csv_lines(columns, records):
     ]
 
 
+def _linspace(start, stop, num):
+    """``np.linspace(start, stop, num)`` bit for bit, as a list of floats.
+
+    numpy forms start + i * step and sets the last point to stop; when the
+    step underflows to zero it forms start + (i / div) * delta instead.
+    """
+    if num == 1:
+        return [start]
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        grid = [i / div * delta + start for i in range(num)]
+    else:
+        grid = [i * step + start for i in range(num)]
+    grid[-1] = stop
+    return grid
+
+
 def _curve_rows(args):
     """Curve rows, their scale, and one record dict per row."""
     preset = _preset_from_args(args)
-    grid = np.linspace(args.rmin, args.rmax, args.steps)
-    rows = perturbation.total_energy_curve(args.dim, grid, preset)
+    grid = _linspace(args.rmin, args.rmax, args.steps)
+    rows = drude_exact.total_energy_curve(args.dim, grid, preset)
     scale = preset.k / preset.a if args.si else 1.0
     records = [
         {
@@ -332,7 +363,10 @@ def main(argv=None):
             parser.error("need 0 < rmin <= rmax < inf and steps >= 1")
     try:
         return args.func(args)
-    except (CliError, ValueError, ConvergenceError, QuadratureError) as exc:
+    except (CliError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (oracle.ConvergenceError, potential.QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

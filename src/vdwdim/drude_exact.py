@@ -23,18 +23,49 @@ where the x^4 coefficient inside the bracket is 21(d+63) / (128(d+3)), i.e.
 21/8 for d = 1.  The mode with n = -2 softens as the atoms approach; the pair
 is stable iff 2x < 1, the package's one stability predicate.  Curve rows
 leave ``exact`` empty exactly where ``exact_correction`` raises.
+
+This module is also the home of the closed-form pair the ``curve`` and
+``exact`` commands print: the first-order terms r5 and r7, the leading R^-6
+term, the ``DrudePreset`` unit system and the curve rows.  It imports no
+numpy (``series_residual`` loads it when called), so those commands never
+load it.  The closed forms compute in plain floats with float64 results: a
+power of R that overflows counts as inf, so a term far out is 0.0 or -0.0,
+and a term that is not a finite number (R^p underflows as R -> 0) raises
+``SeparationRangeError``.
 """
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
 
-from .atoms import _positive
+def _positive(x):
+    """True for a finite positive number (False for NaN and inf)."""
+    return math.isfinite(x) and x > 0
 
 
 class InstabilityError(ValueError):
     """The dipole-truncated pair has no stable ground state at this R."""
+
+
+class SeparationRangeError(ValueError):
+    """A closed-form term is not a finite number at this separation."""
+
+
+def _power(x, p):
+    """x**p for x > 0, or inf where that overflows, as float64 arithmetic has it."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
+def _term(numerator, denominator, R):
+    """numerator / denominator, a multiple of a power of R, if that is finite."""
+    if denominator != 0:
+        value = numerator / denominator
+        if math.isfinite(value):
+            return value
+    raise SeparationRangeError(f"closed-form terms are not finite at R = {R:g}")
 
 
 @dataclass(frozen=True)
@@ -53,7 +84,10 @@ def _coupling_ratio(omega, k, mass, R):
     # k = 0 is the uncoupled pair
     if not (math.isfinite(k) and k >= 0):
         raise ValueError("k must be finite and non-negative")
-    return k / (mass * omega**2 * R**3)
+    denominator = mass * _power(omega, 2) * _power(R, 3)
+    if denominator == 0:  # R^3 underflows: the coupling is unbounded
+        return math.inf if k else 0.0
+    return k / denominator
 
 
 def shifted_frequencies(dim, omega, k, mass, R):
@@ -87,17 +121,152 @@ def exact_correction(dim, omega, k, mass, R):
     return 0.5 * omega * (_pair_shift(2.0 * x) + (dim - 1) * _pair_shift(x))
 
 
+def first_order_closed_form(dim, a, alpha, k, R):
+    """(r5, r7) closed-form first-order terms for an isotropic atom pair."""
+    r5 = _term(
+        3.0 * (3 - dim) * (5 - dim) * k * _power(a, 4), 4.0 * _power(R, 5), R
+    )
+    r7 = _term(
+        5.0 * (3 - dim) * (5 - dim) * (7 - dim) * alpha * k * _power(a, 6),
+        8.0 * _power(R, 7),
+        R,
+    )
+    return r5, r7
+
+
 def second_order_drude_closed_form(dim, a, k, hbar_omega, R):
     """-(3+d) k^2 a^4 / (2 hbar omega R^6), the leading term of the correction."""
     if hbar_omega <= 0:
         raise ValueError("hbar_omega must be positive")
-    return -(3 + dim) * k**2 * a**4 / (2.0 * hbar_omega * R**6)
+    return _term(
+        -(3 + dim) * _power(k, 2) * _power(a, 4),
+        2.0 * hbar_omega * _power(R, 6),
+        R,
+    )
+
+
+@dataclass(frozen=True)
+class DrudePreset:
+    """Unit system for Drude-pair curves: lengths in a, energies in k/a."""
+
+    name: str
+    a: float
+    k: float
+    hbar_omega: float
+
+    def __post_init__(self):
+        if not (_positive(self.a) and _positive(self.hbar_omega)):
+            raise ValueError("preset a and hbar_omega must be finite and positive")
+        # k = 0 is the uncoupled pair: every correction vanishes
+        if not (math.isfinite(self.k) and self.k >= 0):
+            raise ValueError("preset k must be finite and non-negative")
+
+    @classmethod
+    def bohr(cls):
+        """Reduced units with hbar omega = k / (2a), i.e. a Bohr-sized atom."""
+        return cls("bohr", a=1.0, k=1.0, hbar_omega=0.5)
+
+    @classmethod
+    def custom(cls, hbar_omega, a=1.0, k=1.0):
+        return cls("custom", a=a, k=k, hbar_omega=hbar_omega)
+
+    @property
+    def omega(self):
+        return self.hbar_omega  # hbar = 1
+
+    @property
+    def mass(self):
+        return 1.0 / (2.0 * self.a**2 * self.omega)
+
+    def atom(self, dim):
+        from .atoms import DrudeAtom
+
+        return DrudeAtom(dim, omega=self.omega, mass=self.mass)
+
+    def validity_radius(self):
+        """R/a where x = k / (m omega^2 R^3) is 1/2; reported, not a gate."""
+        r3 = 2.0 * self.k / (self.mass * self.omega**2)
+        return r3 ** (1.0 / 3.0) / self.a
+
+
+@dataclass(frozen=True)
+class EnergyBreakdown:
+    """Corrections at one separation, in units of k/a.
+
+    Closed forms are authoritative for the per-term columns; the exact column
+    is the normal-mode value of the dipole-truncated pair, or None where that
+    pair is unstable.  ``exact_valid`` is derived from it.
+    """
+
+    r_tilde: float
+    dim: int
+    first_order_r5: float
+    first_order_r7: float
+    second_order_r6: float
+    total_truncated: float
+    exact: float = None
+
+    @property
+    def exact_valid(self):
+        return self.exact is not None
+
+
+def total_energy_curve(dim, r_tilde_values, preset=None):
+    """Rows of (r5, r6, r7, total, exact) over a grid of reduced separations."""
+    if preset is None:
+        preset = DrudePreset.bohr()
+    a, k = preset.a, preset.k
+    if k == 0:
+        raise ValueError("energies are in units of k/a: preset k must be positive")
+    scale = a / k
+    rows = []
+    for rt in map(float, r_tilde_values):
+        if not _positive(rt):
+            raise ValueError("separations must be finite and positive")
+        R = rt * a
+        r5, r7 = first_order_closed_form(dim, a, 3.0, k, R)
+        r6 = second_order_drude_closed_form(dim, a, k, preset.hbar_omega, R)
+        try:
+            exact = scale * exact_correction(dim, preset.omega, k, preset.mass, R)
+        except InstabilityError:
+            exact = None
+        rows.append(
+            EnergyBreakdown(
+                r_tilde=rt,
+                dim=dim,
+                first_order_r5=scale * r5,
+                first_order_r7=scale * r7,
+                second_order_r6=scale * r6,
+                total_truncated=scale * (r5 + r6 + r7),
+                exact=exact,
+            )
+        )
+    return rows
+
+
+def dominance_crossover(dim, preset=None):
+    """Reduced separation where the R^-5 term first exceeds |r6| + r7.
+
+    With r5 = A / R^5, r6 = -B / R^6 and r7 = C / R^7, multiplying
+    r5 - |r6| - r7 = 0 by R^7 leaves A R^2 - B R - C = 0, whose positive root
+    divided by a is the crossover in units of a.
+    """
+    if dim not in (1, 2):
+        raise ValueError("crossover defined only for d = 1, 2")
+    if preset is None:
+        preset = DrudePreset.bohr()
+    a, k = preset.a, preset.k
+    if k == 0:
+        raise ValueError("no crossover without coupling: preset k must be positive")
+    A, C = first_order_closed_form(dim, a, 3.0, k, 1.0)
+    B = -second_order_drude_closed_form(dim, a, k, preset.hbar_omega, 1.0)
+    return (B + math.sqrt(B * B + 4.0 * A * C)) / (2.0 * A) / a
 
 
 @dataclass(frozen=True)
 class ResidualReport:
-    r_tilde: np.ndarray
-    residual: np.ndarray
+    r_tilde: "numpy.ndarray"
+    residual: "numpy.ndarray"
     slope: float
 
 
@@ -107,6 +276,8 @@ def series_residual(dim, preset, r_tilde_values):
     The fitted slope should be about -12; it certifies that no odd
     (R^-9-type) term survives in the expansion of the exact correction.
     """
+    import numpy as np
+
     r_tilde = np.asarray(r_tilde_values, dtype=float)
     a, k = preset.a, preset.k
     res = np.empty_like(r_tilde)

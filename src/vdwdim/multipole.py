@@ -22,6 +22,11 @@ they remove exactly its monomials of degree zero in one atom; the 1/R they
 subtract twice is restored by the nucleus-nucleus term.  What survives
 starts at 1/R^3, the order-n polynomial is homogeneous of degree n - 1 in
 the coordinates, and every monomial couples both atoms.
+
+This module holds only the exact-rational algebra and imports no numpy, so
+``vdw expand`` never loads it.  The float evaluation of the unexpanded
+kernel (``exact_interaction``), the flat arrays the batch kernels take
+(``series_arrays``) and the truncation residual live in ``kernels``.
 """
 
 import itertools
@@ -29,11 +34,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
-import numpy as np
-
-from . import kernels
-
 MAX_EXPANSION_POWER = 12
+
+# Float-side names that live in ``kernels`` and resolve here too, where the
+# tests and perfbench look them up.
+_IN_KERNELS = frozenset(
+    ("TruncationReport", "exact_interaction", "series_arrays", "truncation_residual")
+)
+
+
+def __getattr__(name):
+    if name in _IN_KERNELS:
+        from . import kernels
+
+        return getattr(kernels, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SingularConfigurationError(ValueError):
@@ -107,29 +122,6 @@ class InteractionSeries:
         return cls(int(data["dim"]), int(data["max_power"]), ordered)
 
 
-def exact_interaction(R, r_a, r_b):
-    """Four-site Coulomb coupling in units of k, evaluated without expansion.
-
-    ``r_a`` and ``r_b`` are length-d sequences (d <= 3), zero-padded into 3D
-    because the Coulomb field always lives in three dimensions.  Raises
-    ``SingularConfigurationError`` when any denominator drops below 1e-12 R;
-    the model assumes non-overlapping atoms anyway.
-    """
-    if R <= 0:
-        raise ValueError("separation must be positive")
-    eps = 1e-12 * R
-    a = _pad3(r_a)
-    b = _pad3(r_b)
-    d_ab = np.linalg.norm(np.array([R, 0.0, 0.0]) - a + b)
-    d_a = np.linalg.norm(np.array([R, 0.0, 0.0]) - a)
-    d_b = np.linalg.norm(np.array([R, 0.0, 0.0]) + b)
-    if min(R, d_ab, d_a, d_b) < eps:
-        raise SingularConfigurationError(
-            f"kernel denominator below epsilon {eps:g}"
-        )
-    return 1.0 / R + 1.0 / d_ab - 1.0 / d_a - 1.0 / d_b
-
-
 def expand_interaction(dim, max_power) -> InteractionSeries:
     """Expand the coupling through order 1/R**max_power with exact rationals."""
     if dim not in (1, 2, 3):
@@ -174,72 +166,6 @@ def evaluate_series(series, R, r_a, r_b):
     return total
 
 
-def series_arrays(series):
-    """Flat float/int arrays of the series monomials for the batch kernels."""
-    monos = [(p, m) for p in sorted(series.terms) for m in series.terms[p]]
-    powers = np.array([p for p, _ in monos], dtype=np.int64)
-    coeffs = np.array([float(m.coeff) for _, m in monos])
-    exp_a = np.zeros((len(monos), 3), dtype=np.int64)
-    exp_b = np.zeros((len(monos), 3), dtype=np.int64)
-    exp_a[:, : series.dim] = np.reshape([m.exp_a for _, m in monos], (-1, series.dim))
-    exp_b[:, : series.dim] = np.reshape([m.exp_b for _, m in monos], (-1, series.dim))
-    return powers, coeffs, exp_a, exp_b
-
-
-@dataclass(frozen=True)
-class TruncationReport:
-    """Per-radius truncation residuals of a series against the exact kernel."""
-
-    r_values: np.ndarray
-    max_residual: np.ndarray
-    rms_residual: np.ndarray
-    fitted_exponent: float
-    sample_count: int
-    radius: float
-
-
-def truncation_residual(series, r_values, sample_count, radius, seed=0):
-    """Compare the truncated series against the exact kernel on random clouds.
-
-    Draws ``sample_count`` configurations uniformly in the d-ball of the given
-    radius for every separation in ``r_values`` and reports max/RMS residuals
-    together with the decay exponent fitted on log-log axes.  The residual of
-    an order-N series decays at least as fast as R**-(N+1).
-    """
-    r_values = np.asarray(r_values, dtype=float)
-    rng = np.random.default_rng(seed)
-    pts_a = _ball_samples(rng, series.dim, sample_count, radius)
-    pts_b = _ball_samples(rng, series.dim, sample_count, radius)
-    powers, coeffs, exp_a, exp_b = series_arrays(series)
-
-    max_res = np.empty_like(r_values)
-    rms_res = np.empty_like(r_values)
-    for i, R in enumerate(r_values):
-        exact = kernels.four_site_batch(R, pts_a, pts_b)
-        approx = kernels.series_batch(
-            powers, coeffs, exp_a, exp_b, R, pts_a, pts_b
-        )
-        diff = np.abs(exact - approx)
-        max_res[i] = diff.max() if diff.size else 0.0
-        rms_res[i] = np.sqrt(np.mean(diff**2)) if diff.size else 0.0
-
-    if np.all(max_res > 0) and len(r_values) >= 2:
-        slope = np.polyfit(np.log(r_values), np.log(max_res), 1)[0]
-        exponent = -slope
-    else:
-        exponent = float("nan")
-    return TruncationReport(
-        r_values, max_res, rms_res, exponent, sample_count, radius
-    )
-
-
-def _pad3(r):
-    out = np.zeros(3)
-    r = np.asarray(r, dtype=float)
-    out[: r.size] = r
-    return out
-
-
 def _axis_exponents(dim, n):
     """Exponents of t_x, t_y, t_z in the order-n polynomial; t_y, t_z even."""
     for half in itertools.product(range(n // 2 + 1), repeat=dim - 1):
@@ -260,15 +186,3 @@ def _legendre_weight(n, axis_exp):
         (-1) ** h * factorial(n),
         4**h * factorial(h) * factorial(n - 2 * h) * prod(map(factorial, half)),
     )
-
-
-def _ball_samples(rng, dim, count, radius):
-    """Uniform samples in the d-ball of the given radius, zero-padded to 3D."""
-    pts = np.zeros((count, 3))
-    if radius > 0 and count > 0:
-        g = rng.standard_normal((count, dim))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        u = rng.random((count, 1)) ** (1.0 / dim)
-        pts[:, :dim] = radius * u * g / norms
-    return pts

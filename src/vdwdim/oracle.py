@@ -23,7 +23,7 @@ import numpy as np
 
 from . import kernels
 from .atoms import AtomKindError, DrudeAtom
-from .multipole import expand_interaction, series_arrays
+from .multipole import expand_interaction
 
 
 class OverlapError(ValueError):
@@ -97,7 +97,7 @@ def _coupling_matrix(atom, R, mode, max_power, cutoff, nodes):
         grid = kernels.four_site_grid_1d(R, x, x)
     elif mode == "truncated":
         series = expand_interaction(1, max_power)
-        powers, coeffs, exp_a, exp_b = series_arrays(series)
+        powers, coeffs, exp_a, exp_b = kernels.series_arrays(series)
         grid = kernels.series_grid_1d(powers, coeffs, exp_a, exp_b, R, x, x)
     else:
         raise ValueError("mode must be 'full' or 'truncated'")

@@ -20,19 +20,26 @@ Opposite inversion parity of the even- and odd-degree coupling terms kills
 the R^-7 cross contribution exactly.
 
 The expectation, potential and sum-over-states routes work with
-k = hbar = 1; the closed forms and ``DrudePreset`` keep k, because presets
-vary it.
+k = hbar = 1.  The closed forms, ``DrudePreset`` and the curve rows keep k,
+because presets vary it; they live in the numpy-free ``drude_exact`` and are
+re-exported here.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from . import drude_exact, kernels
-from .atoms import AtomKindError, DrudeAtom, _multi_indices, _positive
-from .drude_exact import second_order_drude_closed_form
-from .multipole import series_arrays
+from . import kernels
+from .atoms import AtomKindError, DrudeAtom, _multi_indices
+from .drude_exact import (  # noqa: F401  (re-exported; their home is drude_exact)
+    DrudePreset,
+    EnergyBreakdown,
+    dominance_crossover,
+    first_order_closed_form,
+    second_order_drude_closed_form,
+    total_energy_curve,
+)
+from .kernels import series_arrays
 from .potential import even_moments, multipole_coefficients
 
 
@@ -52,13 +59,6 @@ def first_order_expectation(series, atom_a, atom_b, R):
     m_b = np.array([atom_b.moment(row[: series.dim]) for row in rows_b])
     totals = {power: float(m_a @ c @ m_b) for power, c in per_power}
     return {power: totals.get(power, 0.0) / R**power for power in series.terms}
-
-
-def first_order_closed_form(dim, a, alpha, k, R):
-    """(r5, r7) closed-form first-order terms for an isotropic atom pair."""
-    r5 = 3.0 * (3 - dim) * (5 - dim) * k * a**4 / (4.0 * R**5)
-    r7 = 5.0 * (3 - dim) * (5 - dim) * (7 - dim) * alpha * k * a**6 / (8.0 * R**7)
-    return r5, r7
 
 
 def first_order_via_potential(atom_a, atom_b, R):
@@ -168,121 +168,3 @@ def parity_cross_term(series, atom_a, atom_b, cutoff=8, powers=(3, 4)):
     prod[0, 0] = 0.0
     energies[0, 0] = 1.0
     return float(-np.sum(prod / energies))
-
-
-@dataclass(frozen=True)
-class DrudePreset:
-    """Unit system for Drude-pair curves: lengths in a, energies in k/a."""
-
-    name: str
-    a: float
-    k: float
-    hbar_omega: float
-
-    def __post_init__(self):
-        if not (_positive(self.a) and _positive(self.hbar_omega)):
-            raise ValueError("preset a and hbar_omega must be finite and positive")
-        # k = 0 is the uncoupled pair: every correction vanishes
-        if not (math.isfinite(self.k) and self.k >= 0):
-            raise ValueError("preset k must be finite and non-negative")
-
-    @classmethod
-    def bohr(cls):
-        """Reduced units with hbar omega = k / (2a), i.e. a Bohr-sized atom."""
-        return cls("bohr", a=1.0, k=1.0, hbar_omega=0.5)
-
-    @classmethod
-    def custom(cls, hbar_omega, a=1.0, k=1.0):
-        return cls("custom", a=a, k=k, hbar_omega=hbar_omega)
-
-    @property
-    def omega(self):
-        return self.hbar_omega  # hbar = 1
-
-    @property
-    def mass(self):
-        return 1.0 / (2.0 * self.a**2 * self.omega)
-
-    def atom(self, dim):
-        return DrudeAtom(dim, omega=self.omega, mass=self.mass)
-
-    def validity_radius(self):
-        """R/a where x = k / (m omega^2 R^3) is 1/2; reported, not a gate."""
-        r3 = 2.0 * self.k / (self.mass * self.omega**2)
-        return r3 ** (1.0 / 3.0) / self.a
-
-
-@dataclass(frozen=True)
-class EnergyBreakdown:
-    """Corrections at one separation, in units of k/a.
-
-    Closed forms are authoritative for the per-term columns; the exact column
-    is the normal-mode value of the dipole-truncated pair, or None where that
-    pair is unstable.  ``exact_valid`` is derived from it.
-    """
-
-    r_tilde: float
-    dim: int
-    first_order_r5: float
-    first_order_r7: float
-    second_order_r6: float
-    total_truncated: float
-    exact: float = None
-
-    @property
-    def exact_valid(self):
-        return self.exact is not None
-
-
-def total_energy_curve(dim, r_tilde_values, preset=None):
-    """Rows of (r5, r6, r7, total, exact) over a grid of reduced separations."""
-    if preset is None:
-        preset = DrudePreset.bohr()
-    a, k = preset.a, preset.k
-    if k == 0:
-        raise ValueError("energies are in units of k/a: preset k must be positive")
-    scale = a / k
-    rows = []
-    for rt in np.asarray(r_tilde_values, dtype=float):
-        if not _positive(rt):
-            raise ValueError("separations must be finite and positive")
-        R = rt * a
-        r5, r7 = first_order_closed_form(dim, a, 3.0, k, R)
-        r6 = second_order_drude_closed_form(dim, a, k, preset.hbar_omega, R)
-        try:
-            exact = scale * drude_exact.exact_correction(
-                dim, preset.omega, k, preset.mass, R
-            )
-        except drude_exact.InstabilityError:
-            exact = None
-        rows.append(
-            EnergyBreakdown(
-                r_tilde=float(rt),
-                dim=dim,
-                first_order_r5=scale * r5,
-                first_order_r7=scale * r7,
-                second_order_r6=scale * r6,
-                total_truncated=scale * (r5 + r6 + r7),
-                exact=exact,
-            )
-        )
-    return rows
-
-
-def dominance_crossover(dim, preset=None):
-    """Reduced separation where the R^-5 term first exceeds |r6| + r7.
-
-    With r5 = A / R^5, r6 = -B / R^6 and r7 = C / R^7, multiplying
-    r5 - |r6| - r7 = 0 by R^7 leaves A R^2 - B R - C = 0, whose positive root
-    divided by a is the crossover in units of a.
-    """
-    if dim not in (1, 2):
-        raise ValueError("crossover defined only for d = 1, 2")
-    if preset is None:
-        preset = DrudePreset.bohr()
-    a, k = preset.a, preset.k
-    if k == 0:
-        raise ValueError("no crossover without coupling: preset k must be positive")
-    A, C = first_order_closed_form(dim, a, 3.0, k, 1.0)
-    B = -second_order_drude_closed_form(dim, a, k, preset.hbar_omega, 1.0)
-    return (B + math.sqrt(B * B + 4.0 * A * C)) / (2.0 * A) / a

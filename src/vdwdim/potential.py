@@ -211,8 +211,9 @@ def shell_theorem_check(atom, radii):
 
 
 def _accept(val, err):
-    """(val, err) if err meets the documented 1e-8 relative bound, else raise."""
-    if not err <= max(_REL_TOL * abs(val), _ABS_FLOOR):
+    """(val, err) if both are finite and err meets the 1e-8 bound, else raise."""
+    finite = math.isfinite(val) and math.isfinite(err)
+    if not (finite and err <= max(_REL_TOL * abs(val), _ABS_FLOOR)):
         raise QuadratureError(
             f"quadrature error {err:.2e} too large for value {val:.6e}"
         )

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import drude_exact, multipole, oracle, perturbation, potential
+from . import drude_exact, kernels, multipole, oracle, perturbation, potential
 from .atoms import DrudeAtom, NumericRadialAtom, RingAtom
 
 FIRST_ORDER_RTOL = 1e-12
@@ -179,7 +179,7 @@ def _structure_checks():
 
 def _series_consistency_check():
     series = multipole.expand_interaction(2, 5)
-    report = multipole.truncation_residual(
+    report = kernels.truncation_residual(
         series, np.geomspace(10.0, 100.0, 8), sample_count=200, radius=0.1, seed=7
     )
     ok = report.fitted_exponent >= 5.9
@@ -210,7 +210,7 @@ def _first_order_checks():
         per_power = perturbation.first_order_expectation(
             series7[d], atom, atom, R
         )
-        r5, r7 = perturbation.first_order_closed_form(d, atom.a, 3.0, 1.0, R)
+        r5, r7 = drude_exact.first_order_closed_form(d, atom.a, 3.0, 1.0, R)
         worst5 = max(worst5, _rel_or_abs(per_power[5], r5))
         worst7 = max(worst7, _rel_or_abs(per_power[7], r7))
         if per_power[3] != 0.0 or per_power[4] != 0.0 or per_power[6] != 0.0:
@@ -246,7 +246,7 @@ def _first_order_checks():
     for d in (1, 2, 3):
         atom = DrudeAtom.bohr_matched(d)
         v5, v7 = perturbation.first_order_via_potential(atom, atom, R)
-        r5, r7 = perturbation.first_order_closed_form(d, atom.a, 3.0, 1.0, R)
+        r5, r7 = drude_exact.first_order_closed_form(d, atom.a, 3.0, 1.0, R)
         worst = max(worst, _rel_or_abs(v5, r5), _rel_or_abs(v7, r7))
     out.append(
         _check(
@@ -274,7 +274,7 @@ def _second_order_checks():
         series = multipole.expand_interaction(d, 3)
         got1 = perturbation.second_order_sum(series, atom, atom, R, cutoff=1)
         got5 = perturbation.second_order_sum(series, atom, atom, R, cutoff=5)
-        want = perturbation.second_order_drude_closed_form(
+        want = drude_exact.second_order_drude_closed_form(
             d, atom.a, 1.0, atom.hbar_omega, R
         )
         worst = max(worst, _rel_or_abs(got1, want))
@@ -306,7 +306,7 @@ def _second_order_checks():
 
 
 def _drude_exact_checks():
-    preset = perturbation.DrudePreset.bohr()
+    preset = drude_exact.DrudePreset.bohr()
     out = []
     worst_slope = -math.inf
     for d in (1, 2, 3):
@@ -360,7 +360,7 @@ def _potential_checks():
         _check("multipole-vanishes-d3", ok, f"all sampled values zero: {ok}")
     )
 
-    cross = perturbation.dominance_crossover(1), perturbation.dominance_crossover(2)
+    cross = drude_exact.dominance_crossover(1), drude_exact.dominance_crossover(2)
     ok = all(3.0 <= c <= 6.0 for c in cross)
     out.append(
         _check(
@@ -387,7 +387,7 @@ def fast_checks():
 
 def _oracle_checks():
     out = []
-    preset = perturbation.DrudePreset.bohr()
+    preset = drude_exact.DrudePreset.bohr()
     atom = preset.atom(1)
 
     res = oracle.oscillator_basis_diag(
@@ -441,7 +441,7 @@ def _oracle_checks():
 
 def _quadrature_checks():
     out = []
-    preset = perturbation.DrudePreset.bohr()
+    preset = drude_exact.DrudePreset.bohr()
 
     atom1 = preset.atom(1)
     got = oracle.direct_first_order(atom1, atom1, 12.0, overlap_tol=1e-1)

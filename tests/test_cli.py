@@ -1,5 +1,6 @@
 """Command-line interface: formats, determinism, exit codes, fault reporting."""
 
+import ast
 import json
 import math
 import os
@@ -8,6 +9,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import vdwdim
@@ -240,6 +242,54 @@ class TestBadNumbers:
         ]
 
 
+_ZERO = "0.000000000000e+00"
+
+
+class TestExtremeSeparations:
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_far_rows_are_signed_zeros(self, capsys, fmt):
+        # R^p overflows: the float64 zeros, with no warning on stderr
+        code, out, err = run_cli(
+            capsys, "curve", "--rmin", "1e200", "--rmax", "1e201", "--steps", "3",
+            "--format", fmt,
+        )
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            rows = json.loads(out)
+            assert [r["R_tilde"] for r in rows] == [1e200, 5.5e200, 1e201]
+            for r in rows:
+                got = [math.copysign(1.0, r[c]) for c in ("r5", "r6", "r7", "total", "exact")]
+                assert got == [1.0, -1.0, 1.0, 1.0, -1.0]
+                assert r["r5"] == r["r6"] == r["exact"] == 0.0
+        else:
+            for line in out.splitlines()[1:]:
+                cells = line.split(",")[1:6]
+                assert cells == [_ZERO, "-" + _ZERO, _ZERO, _ZERO, "-" + _ZERO]
+
+    def test_far_exact_rows(self, capsys):
+        code, out, err = run_cli(
+            capsys, "exact", "--rmin", "1e200", "--rmax", "1e201", "--steps", "3",
+        )
+        assert (code, err) == (0, "")
+        for line in out.splitlines()[1:]:
+            assert line.split(",")[1:4] == ["-" + _ZERO, "-" + _ZERO, _ZERO]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "curve --rmin 1e-60 --rmax 1e-59 --steps 2",
+            "curve --dim 3 --rmin 1e-60 --rmax 1e-59 --steps 2",
+            "curve --dim 2 --rmin 1e-60 --rmax 1e-59 --steps 2 --format json",
+            "exact --rmin 1e-60 --rmax 1e-59 --steps 2",
+        ],
+    )
+    def test_near_rows_single_error_line(self, capsys, argv):
+        # R^6 underflows: inf, -inf and nan rows used to print here
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (1, "")
+        assert err == "error: closed-form terms are not finite at R = 1e-60\n"
+
+
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import vdwdim
@@ -286,6 +336,142 @@ class TestImportPath:
         assert report.pop(quadrature) == [0, True]
         assert report.pop(inside) == [1, False]
         assert report == {argv: [0, False] for argv in free}
+
+    def test_numpy_loaded_only_by_numeric_commands(self, tmp_path):
+        # one process: numpy stays loaded once any command loads it
+        missing = str(tmp_path / "missing" / "x.txt")
+        free = {
+            "--version": 0,
+            "expand --dim 3 --order 12": 0,
+            "expand --dim 2 --order 7 --format json": 0,
+            "expand --dim 1 --order 2": 0,
+            "curve": 0,
+            "curve --dim 2 --format json": 0,
+            "curve --dim 3 --preset custom --hbar-omega 0.8 --a 2 --k 3 --si": 0,
+            "exact --dim 2 --rmin 1 --rmax 9 --steps 9": 0,
+            "curve --rmin 1e200 --rmax 1e201 --steps 3": 0,
+            # failures: ValueError, CliError, OSError and usage errors
+            "expand --dim 3 --order 13": 1,
+            "curve --preset custom": 1,
+            "exact --preset custom --hbar-omega -1": 1,
+            "curve --rmin 1e-60 --rmax 1e-59 --steps 2": 1,
+            f"expand --dim 1 --output {missing}": 1,
+            "curve --rmin 0 --rmax 1": 2,
+            "expand --dim 4": 2,
+            "bogus": 2,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, *free, "moments"],
+            env=_probe_env(), capture_output=True, text=True, timeout=120,
+            check=True,
+        )
+        report = json.loads(proc.stdout)
+        # every module perfbench's tracer wraps is in sys.modules, unloaded
+        modules = sorted(f"vdwdim.{m}" for m in (*_TRACED_MODULES, "cli"))
+        assert report.pop("import vdwdim.cli") == {
+            "numpy": False, "vdwdim": modules,
+        }
+        assert report.pop("moments") == [0, True]
+        assert report == {argv: [code, False] for argv, code in free.items()}
+
+
+# loads vdwdim.cli as perfbench's tracer does, then reports after each command
+# whether numpy is loaded
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import vdwdim.cli
+
+loaded = sorted(m for m in sys.modules if m.startswith("vdwdim."))
+report = {"import vdwdim.cli": {"numpy": "numpy" in sys.modules, "vdwdim": loaded}}
+for argv in sys.argv[1:]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = vdwdim.cli.main(argv.split())
+        except SystemExit as exc:  # --version and usage errors
+            code = exc.code
+    report[argv] = [code, "numpy" in sys.modules]
+print(json.dumps(report))
+"""
+
+_TRACED_MODULES = (
+    "atoms", "drude_exact", "kernels", "multipole", "oracle", "perturbation",
+    "potential", "verify",
+)
+
+
+def _probe_env():
+    src = os.path.dirname(os.path.dirname(vdwdim.__file__))
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+class TestLazyExports:
+    def test_every_public_name_resolves_to_its_home(self):
+        assert len(vdwdim.__all__) == 28
+        for name in vdwdim.__all__:
+            obj = getattr(vdwdim, name)
+            home = sys.modules[f"vdwdim.{vdwdim._EXPORTS[name]}"]
+            assert obj is vars(home)[name]
+        assert set(vdwdim.__all__) <= set(dir(vdwdim))
+        with pytest.raises(AttributeError):
+            vdwdim.no_such_name
+
+    def test_moved_names_resolve_at_their_old_homes(self):
+        from vdwdim import drude_exact, kernels, perturbation
+
+        for name in (
+            "DrudePreset", "EnergyBreakdown", "dominance_crossover",
+            "first_order_closed_form", "second_order_drude_closed_form",
+            "total_energy_curve",
+        ):
+            assert getattr(perturbation, name) is getattr(drude_exact, name)
+        for name in (
+            "TruncationReport", "exact_interaction", "series_arrays",
+            "truncation_residual",
+        ):
+            assert getattr(multipole, name) is getattr(kernels, name)
+        assert callable(drude_exact.series_residual)
+        with pytest.raises(AttributeError):
+            multipole.no_such_name
+
+
+_CURVE_GRIDS = next(
+    ast.literal_eval(node.value)
+    for node in ast.parse(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "cli_workload.py")
+        .read_text()
+    ).body
+    if isinstance(node, ast.Assign) and node.targets[0].id == "CURVE_GRIDS"
+)
+
+
+class TestCurveGrid:
+    @pytest.mark.parametrize(
+        "start, stop, num",
+        list(_CURVE_GRIDS)
+        + [
+            (3.0, 12.0, 1),
+            (5.0, 5.0, 6),
+            (1e-310, 3e-310, 7),  # subnormal step
+            (5e-324, 2e-323, 10),  # step underflows to zero: numpy's branch
+            (1.0, 1.0 + 2**-52, 9),
+            (0.1, 1e300, 1000),
+        ],
+    )
+    def test_equals_numpy_linspace(self, start, stop, num):
+        want = np.linspace(start, stop, num)
+        got = cli._linspace(start, stop, num)
+        assert len(got) == num and all(type(x) is float for x in got)
+        assert all(g == w for g, w in zip(got, want.tolist()))
+
+    def test_equals_numpy_linspace_on_random_grids(self):
+        rng = np.random.default_rng(1401)
+        for _ in range(500):
+            lo, hi = sorted(float(v) for v in 10.0 ** rng.uniform(-5, 5, 2))
+            num = int(rng.integers(1, 200))
+            want = np.linspace(lo, hi, num).tolist()
+            assert cli._linspace(lo, hi, num) == want
 
 
 class TestQuadratureWarnings:
@@ -386,6 +572,16 @@ class TestOutputFile:
         content = target.read_text().splitlines()
         assert content[0].startswith("R_tilde,")
         assert len(content) == 4
+
+    def test_unwritable_path_single_error_line(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run_cli(
+            capsys, "expand", "--dim", "1", "--output", str(target)
+        )
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert str(target) in err
 
 
 # stdout of the curve, exact and potential commands, as recorded for the

@@ -6,12 +6,16 @@ import numpy as np
 import pytest
 
 from vdwdim.drude_exact import (
+    DrudePreset,
     InstabilityError,
+    SeparationRangeError,
     exact_correction,
+    first_order_closed_form,
+    second_order_drude_closed_form,
     series_residual,
     shifted_frequencies,
+    total_energy_curve,
 )
-from vdwdim.perturbation import DrudePreset, second_order_drude_closed_form
 
 BOHR = dict(omega=0.5, k=1.0, mass=1.0)
 
@@ -114,3 +118,51 @@ class TestSeriesResidual:
         rep = series_residual(1, preset, [10.0, 20.0])
         assert np.all(rep.residual == 0.0)
         assert math.isnan(rep.slope)
+
+
+def _bits(x):
+    return (x, math.copysign(1.0, x))
+
+
+class TestExtremeSeparations:
+    # Where R^p overflows the terms are the float64 zeros, signs included;
+    # where a term is not a finite number a typed ValueError names R.  Plain
+    # floats used to raise OverflowError and ZeroDivisionError here.
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_far_terms_are_signed_zeros(self, dim):
+        r5, r7 = first_order_closed_form(dim, 1.0, 3.0, 1.0, 1e200)
+        assert _bits(r5) == _bits(r7) == (0.0, 1.0)
+        r6 = second_order_drude_closed_form(dim, 1.0, 1.0, 0.5, 1e200)
+        assert _bits(r6) == (0.0, -1.0)
+        assert _bits(exact_correction(dim, 0.5, 1.0, 2.0, 1e200)) == (0.0, -1.0)
+
+    def test_far_curve_row(self):
+        (row,) = total_energy_curve(1, [1e200])
+        assert _bits(row.first_order_r5) == _bits(row.first_order_r7) == (0.0, 1.0)
+        assert _bits(row.second_order_r6) == _bits(row.exact) == (0.0, -1.0)
+        assert _bits(row.total_truncated) == (0.0, 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("R", [1e-70, 1e-60])
+    def test_near_terms_raise(self, dim, R):
+        # R^6 and R^7 underflow at 1e-60 and R^5 at 1e-70; in d = 3 r7 is 0 / 0
+        with pytest.raises(SeparationRangeError, match=f"not finite at R = {R:g}"):
+            first_order_closed_form(dim, 1.0, 3.0, 1.0, R)
+        with pytest.raises(SeparationRangeError, match=f"not finite at R = {R:g}"):
+            second_order_drude_closed_form(dim, 1.0, 1.0, 0.5, R)
+        with pytest.raises(SeparationRangeError):
+            total_energy_curve(dim, [5.0, R])
+        assert issubclass(SeparationRangeError, ValueError)
+
+    def test_subnormal_power_overflowing_term_raises(self):
+        # R^5 = 1e-310 is subnormal, and 3 / (4 R^5) overflows
+        with pytest.raises(SeparationRangeError):
+            first_order_closed_form(1, 1.0, 3.0, 1.0, 1e-62)
+
+    def test_underflowing_cube_is_unstable(self):
+        with pytest.raises(InstabilityError):
+            exact_correction(1, 0.5, 1.0, 2.0, 1e-110)
+        assert not shifted_frequencies(1, 0.5, 1.0, 2.0, 1e-110).valid
+        assert exact_correction(1, 0.5, 0.0, 2.0, 1e-110) == 0.0
+

@@ -246,6 +246,26 @@ class TestNumericQuadrature:
         with pytest.raises(QuadratureError, match="too large"):
             potential._panels(lambda x: 1.0 + np.cos(1e5 * x), 0.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "val, err",
+        [
+            (math.inf, math.inf),
+            (-math.inf, math.inf),
+            (math.inf, 0.0),
+            (1.0, math.inf),
+            (math.nan, 0.0),
+            (1.0, math.nan),
+        ],
+    )
+    def test_accept_rejects_non_finite(self, val, err):
+        # err <= max(1e-8 |val|, 1e-11) alone holds for val = err = inf
+        with pytest.raises(QuadratureError, match="too large"):
+            potential._accept(val, err)
+
+    def test_accept_passes_bounded_error(self):
+        assert potential._accept(-2.5, 2e-8) == (-2.5, 2e-8)
+        assert potential._accept(0.0, 1e-11) == (0.0, 1e-11)
+
     def test_error_estimates(self):
         # quadrature samples carry their error estimate, closed forms none
         drude = DrudeAtom.bohr_matched(1)
