@@ -165,4 +165,3 @@ class TestExtremeSeparations:
             exact_correction(1, 0.5, 1.0, 2.0, 1e-110)
         assert not shifted_frequencies(1, 0.5, 1.0, 2.0, 1e-110).valid
         assert exact_correction(1, 0.5, 0.0, 2.0, 1e-110) == 0.0
-
