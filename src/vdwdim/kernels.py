@@ -1,24 +1,34 @@
-"""Hot numeric kernels, vectorized with numpy.
+"""Hot numeric kernels, vectorized with numpy: one four-site kernel, three
+contractions, plus the float side of the truncated series.
 
-Everything here works on plain float64 arrays: the four-site Coulomb
-combination evaluated over batches of electron configurations, the same
-kernel tabulated on 1D quadrature grids, tensor-product quadrature sums for
-ground-state expectation values, and batch evaluation of a truncated
-interaction series.  Electron positions are always passed as (n, 3) arrays,
-zero-padded when the physical dimension is lower; the inter-atomic axis is x.
+``_four_site`` evaluates the exact four-site Coulomb combination
 
+    1/R + 1/|R x - a + b| - 1/|R x - a| - 1/|R x + b|
+
+on electron positions that broadcast against each other.  Positions are
+(..., 3) arrays, zero-padded when the physical dimension is lower; the
+inter-atomic axis is x.  Each public kernel is one contraction of it:
+
+* ``four_site_batch`` -- paired samples, the diagonal case;
+* ``four_site_grid_1d`` -- the outer grid of two sets of displacements on
+  the x-axis (``_on_axis``), the oracle's coupling G;
+* ``pair_expectation`` -- w_a . K . w_b over row blocks of the matrix K
+  between two point sets.
+
+The series side evaluates a truncated interaction series as the bilinear
+form Va . C(R) . Vb between monomial values of the two atoms, on paired
+samples (``series_batch``) and on the on-axis grid (``series_grid_1d``).
 The float side of the exact-rational ``multipole`` algebra lives here too:
 the scalar reference ``exact_interaction``, the flat monomial arrays
 ``series_arrays`` and ``truncation_residual``.  ``multipole`` still resolves
 those names.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .multipole import SingularConfigurationError
+from .multipole import SingularConfigurationError, _check_separation
 
 # Matrix entries per block: every (rows, columns) temporary of a blocked
 # kernel holds about this many float64 values (0.5 MB), so temporaries stay
@@ -31,11 +41,6 @@ def backend_name() -> str:
     return "numpy"
 
 
-def _check_separation(R):
-    if not (math.isfinite(R) and R > 0):
-        raise ValueError(f"separation R must be finite and positive, got {R!r}")
-
-
 def _row_blocks(n_rows, width):
     """Slices of consecutive rows, each covering about _BLOCK entries."""
     step = max(1, _BLOCK // max(1, width))
@@ -43,59 +48,58 @@ def _row_blocks(n_rows, width):
         yield slice(i0, i0 + step)
 
 
-def four_site_batch(R, pts_a, pts_b):
-    """1/R + 1/|Rx - ra + rb| - 1/|Rx - ra| - 1/|Rx + rb| for paired samples.
+def _on_axis(x):
+    """1D displacements x placed at the 3D points (x, 0, 0), shape (n, 3)."""
+    pts = np.zeros((x.shape[0], 3))
+    pts[:, 0] = x
+    return pts
 
-    ``pts_a`` and ``pts_b`` have shape (n, 3); sample i of each is one
-    two-electron configuration.  The Coulomb prefactor is not applied.
+
+def _four_site(R, a, b):
+    """1/R + 1/|Rx - a + b| - 1/|Rx - a| - 1/|Rx + b| over broadcast points.
+
+    ``a`` and ``b`` are (..., 3) arrays whose leading shapes broadcast; the
+    result has the broadcast shape.  Each single-atom term is computed on
+    its own atom's shape, so for a (rows, 1, 3) block against (1, m, 3) it
+    costs O(rows + m).  The Coulomb prefactor is not applied.
+    """
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    k = 1.0 / np.sqrt((R - ax + bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
+    k += 1.0 / R
+    k -= 1.0 / np.sqrt((R - ax) ** 2 + ay**2 + az**2)
+    k -= 1.0 / np.sqrt((R + bx) ** 2 + by**2 + bz**2)
+    return k
+
+
+def four_site_batch(R, pts_a, pts_b):
+    """Four-site kernel for paired samples, the diagonal case.
+
+    Sample i of the (n, 3) arrays ``pts_a`` and ``pts_b`` is one
+    two-electron configuration.
     """
     _check_separation(R)
-    ax, ay, az = pts_a[:, 0], pts_a[:, 1], pts_a[:, 2]
-    bx, by, bz = pts_b[:, 0], pts_b[:, 1], pts_b[:, 2]
-    d_ab = np.sqrt((R - ax + bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
-    d_a = np.sqrt((R - ax) ** 2 + ay**2 + az**2)
-    d_b = np.sqrt((R + bx) ** 2 + by**2 + bz**2)
-    return 1.0 / R + 1.0 / d_ab - 1.0 / d_a - 1.0 / d_b
+    return _four_site(R, pts_a, pts_b)
 
 
 def four_site_grid_1d(R, xa, xb):
     """Four-site kernel on the outer grid of 1D displacements xa[p], xb[q]."""
     _check_separation(R)
-    A = xa[:, None]
-    B = xb[None, :]
-    return (
-        1.0 / R
-        + 1.0 / np.abs(R - A + B)
-        - 1.0 / np.abs(R - A)
-        - 1.0 / np.abs(R + B)
-    )
+    return _four_site(R, _on_axis(xa)[:, None], _on_axis(xb)[None])
 
 
 def pair_expectation(R, pts_a, w_a, pts_b, w_b):
     """Double quadrature sum  sum_ij w_a[i] w_b[j] K(R, a_i, b_j).
 
-    Blocked over the first factor so each (rows, n_b) intermediate holds
-    about _BLOCK kernel values.  K is summed element by element: the four
-    terms nearly cancel, and summing them separately over the grid loses
-    the result.
+    Blocked over the first factor so each (rows, n_b) block of K holds about
+    _BLOCK kernel values.  K is summed element by element: the four terms
+    nearly cancel, and summing them separately over the grid loses the
+    result.
     """
     _check_separation(R)
-    inv_a = 1.0 / np.sqrt(
-        (R - pts_a[:, 0]) ** 2 + pts_a[:, 1] ** 2 + pts_a[:, 2] ** 2
-    )
-    inv_b = 1.0 / np.sqrt(
-        (R + pts_b[:, 0]) ** 2 + pts_b[:, 1] ** 2 + pts_b[:, 2] ** 2
-    )
     acc = 0.0
     for blk in _row_blocks(pts_a.shape[0], pts_b.shape[0]):
-        pa = pts_a[blk]
-        dx = R - pa[:, 0:1] + pts_b[:, 0]
-        dy = pa[:, 1:2] - pts_b[:, 1]
-        dz = pa[:, 2:3] - pts_b[:, 2]
-        k = 1.0 / np.sqrt(dx * dx + dy * dy + dz * dz)
-        k += 1.0 / R
-        k -= inv_a[blk, None]
-        k -= inv_b
+        k = _four_site(R, pts_a[blk, None], pts_b[None])
         acc += float(w_a[blk] @ k @ w_b)
     return acc
 
@@ -175,18 +179,13 @@ def series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
 def series_grid_1d(powers, coeffs, exp_a, exp_b, R, xa, xb):
     """Truncated series tabulated on the outer grid of 1D displacements.
 
-    The grid is Va . C(R) . Vb^T over the rows of ``series_batch``, with each
-    displacement x at the 3D point (x, 0, 0), evaluated in row blocks of
-    ``xa``.
+    The grid is Va . C(R) . Vb^T over the rows of ``series_batch``, with the
+    displacements placed on the x-axis by ``_on_axis``.
     """
     _check_separation(R)
     rows_a, rows_b, c = _series_matrix(powers, coeffs, exp_a, exp_b, R)
-    x_hat = (1.0, 0.0, 0.0)
-    c_vb = c @ _monomial_values(np.outer(xb, x_hat), rows_b).T
-    out = np.empty((xa.shape[0], xb.shape[0]))
-    for blk in _row_blocks(xa.shape[0], max(c_vb.shape)):
-        out[blk] = _monomial_values(np.outer(xa[blk], x_hat), rows_a) @ c_vb
-    return out
+    c_vb = c @ _monomial_values(_on_axis(xb), rows_b).T
+    return _monomial_values(_on_axis(xa), rows_a) @ c_vb
 
 
 def exact_interaction(R, r_a, r_b):
@@ -197,8 +196,7 @@ def exact_interaction(R, r_a, r_b):
     ``SingularConfigurationError`` when any denominator drops below 1e-12 R;
     the model assumes non-overlapping atoms anyway.
     """
-    if R <= 0:
-        raise ValueError("separation must be positive")
+    _check_separation(R)
     eps = 1e-12 * R
     a = _pad3(r_a)
     b = _pad3(r_b)

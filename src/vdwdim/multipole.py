@@ -23,16 +23,17 @@ subtract twice is restored by the nucleus-nucleus term.  What survives
 starts at 1/R^3, the order-n polynomial is homogeneous of degree n - 1 in
 the coordinates, and every monomial couples both atoms.
 
-This module holds only the exact-rational algebra and imports no numpy, so
-``vdw expand`` never loads it.  The float evaluation of the unexpanded
-kernel (``exact_interaction``), the flat arrays the batch kernels take
-(``series_arrays``) and the truncation residual live in ``kernels``.
+This module holds only the exact-rational algebra and the separation check
+that every entry point taking R shares (``_check_separation``).  It imports
+no numpy, so ``vdw expand`` never loads it.  The float evaluation of the
+unexpanded kernel (``exact_interaction``), the flat arrays the batch kernels
+take (``series_arrays``) and the truncation residual live in ``kernels``.
 """
 
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, isfinite, prod
 
 MAX_EXPANSION_POWER = 12
 
@@ -57,6 +58,12 @@ class SingularConfigurationError(ValueError):
 
 class ExpansionCapError(ValueError):
     """Requested expansion order exceeds MAX_EXPANSION_POWER."""
+
+
+def _check_separation(R):
+    """Reject a separation that is not finite and positive, with a ValueError."""
+    if not (isfinite(R) and R > 0):
+        raise ValueError(f"separation R must be finite and positive, got {R!r}")
 
 
 @dataclass(frozen=True)
@@ -152,6 +159,7 @@ def expand_interaction(dim, max_power) -> InteractionSeries:
 
 def evaluate_series(series, R, r_a, r_b):
     """Value of the truncated series at one configuration, in units of k."""
+    _check_separation(R)
     total = 0.0
     for power, monos in series.terms.items():
         s = 0.0

@@ -212,6 +212,8 @@ def convergence_report(
     and the energies are strictly variational in the basis.
     """
     cutoffs = tuple(sorted(cutoffs))
+    if not cutoffs:
+        raise ValueError("cutoffs must name at least one basis cutoff")
     top = cutoffs[-1]
     _check_pair(atom, R, cutoffs[0], overlap_tol)
     ham = _hamiltonian(atom, R, mode, max_power, top, 2 * top + 8)

@@ -40,6 +40,7 @@ from .drude_exact import (  # noqa: F401  (re-exported; their home is drude_exac
     total_energy_curve,
 )
 from .kernels import series_arrays
+from .multipole import _check_separation
 from .potential import even_moments, multipole_coefficients
 
 
@@ -52,6 +53,7 @@ def first_order_expectation(series, atom_a, atom_b, R):
     mapping each inverse power in the series to its energy contribution.
     Odd-degree factors make the n = 3, 4 and 6 entries vanish identically.
     """
+    _check_separation(R)
     if atom_a.dim != series.dim or atom_b.dim != series.dim:
         raise ValueError("atom dimension does not match series dimension")
     rows_a, rows_b, per_power = kernels._bilinear_form(*series_arrays(series))
@@ -69,6 +71,7 @@ def first_order_via_potential(atom_a, atom_b, R):
     with raw moments.  Independent algebra from the series route; for numeric
     densities the agreement is quadrature limited.
     """
+    _check_separation(R)
     if atom_a.dim != atom_b.dim:
         raise ValueError("atoms must share a dimension")
     c3, c5 = multipole_coefficients(atom_a)
@@ -136,6 +139,7 @@ def second_order_sum(series, atom_a, atom_b, R, cutoff=1):
     (normally just the n = 3 dipole-dipole term, for which cutoff 1 is
     already exact).
     """
+    _check_separation(R)
     _require_drude(atom_a, atom_b)
     if cutoff < 1:
         raise ValueError("cutoff must be at least 1")

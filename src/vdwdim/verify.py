@@ -258,9 +258,9 @@ def _first_order_checks():
     return out
 
 
-def _rel_or_abs(got, want, scale=1.0):
+def _rel_or_abs(got, want):
     if want == 0.0:
-        return abs(got) / scale
+        return abs(got)
     return abs(got - want) / abs(want)
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: formats, determinism, exit codes, fault reporting."""
 
 import ast
+import importlib
 import json
 import math
 import os
@@ -472,6 +473,31 @@ class TestCurveGrid:
             num = int(rng.integers(1, 200))
             want = np.linspace(lo, hi, num).tolist()
             assert cli._linspace(lo, hi, num) == want
+
+
+_TRACER_TARGETS = [
+    tuple(elt.value for elt in target.elts[:2])
+    for node in ast.parse(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+        .read_text()
+    ).body
+    if isinstance(node, ast.Assign)
+    and getattr(node.targets[0], "id", None) == "TARGETS"
+    for target in node.value.elts
+]
+
+
+class TestTracerTargets:
+    def test_every_target_resolves(self):
+        # the traced benchmark rounds wrap these by name; a renamed kernel
+        # must fail here, not only there
+        assert _TRACER_TARGETS
+        missing = []
+        for module, attr in _TRACER_TARGETS:
+            importlib.import_module(f"vdwdim.{module}")
+            if not callable(getattr(sys.modules[f"vdwdim.{module}"], attr, None)):
+                missing.append(f"{module}.{attr}")
+        assert missing == []
 
 
 class TestQuadratureWarnings:

@@ -45,6 +45,35 @@ def test_pair_expectation_matches_double_sum():
     assert got == pytest.approx(want, rel=1e-11, abs=0.0)
 
 
+def _on_x_axis(x):
+    pts = np.zeros((x.size, 3))
+    pts[:, 0] = x
+    return pts
+
+
+def test_grid_1d_is_the_batch_kernel_on_axis():
+    x = np.linspace(-3, 3, 37)
+    y = np.linspace(-2.5, 2.5, 21)
+    pts_a = np.repeat(_on_x_axis(x), y.size, axis=0)
+    pts_b = np.tile(_on_x_axis(y), (x.size, 1))
+    want = kernels.four_site_batch(R, pts_a, pts_b).reshape(x.size, y.size)
+    got = kernels.four_site_grid_1d(R, x, y)
+    assert np.array_equal(got, want)
+
+
+def test_pair_expectation_is_one_contraction_of_the_batch_kernel():
+    # 40 x 50 entries fit in one block
+    pts_a, pts_b = PTS_A[:40], PTS_B[:50]
+    rng = np.random.default_rng(7)
+    w_a = rng.random(40)
+    w_b = rng.random(50)
+    k = kernels.four_site_batch(
+        R, np.repeat(pts_a, 50, axis=0), np.tile(pts_b, (40, 1))
+    ).reshape(40, 50)
+    got = kernels.pair_expectation(R, pts_a, w_a, pts_b, w_b)
+    assert got == float(w_a @ k @ w_b)
+
+
 def test_series_batch_matches_scalar_series():
     series = multipole.expand_interaction(3, 7)
     got = kernels.series_batch(*multipole.series_arrays(series), R, PTS_A, PTS_B)

@@ -14,6 +14,8 @@ from vdwdim.oracle import (
     OverlapError,
     _coupling_matrix,
     _hermite_columns,
+    _nodes_off_nucleus,
+    _oscillator_length,
     convergence_report,
     direct_first_order,
     oscillator_basis_diag,
@@ -118,6 +120,29 @@ class TestCouplingAssembly:
         want = np.einsum("ikp,pq,jlq->ijkl", q, grid, q).reshape(n * n, n * n)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
+    @pytest.mark.parametrize("cutoff", [10, 14, 20])
+    def test_full_coupling_equals_abs_form_assembly(self, cutoff, monkeypatch):
+        # on the x-axis sqrt(fl(t * t)) == |t|, so the shared four-site
+        # kernel gives the |.| form of the grid, and the coupling, bit for bit
+        atom = PRESET.atom(1)
+        R = 14.0
+        nodes = _nodes_off_nucleus(R / _oscillator_length(atom), 2 * cutoff + 8)
+        got = _coupling_matrix(atom, R, "full", 3, cutoff, nodes)
+
+        def abs_form(R, xa, xb):
+            A = xa[:, None]
+            B = xb[None, :]
+            return (
+                1.0 / R
+                + 1.0 / np.abs(R - A + B)
+                - 1.0 / np.abs(R - A)
+                - 1.0 / np.abs(R + B)
+            )
+
+        monkeypatch.setattr(kernels, "four_site_grid_1d", abs_form)
+        want = _coupling_matrix(atom, R, "full", 3, cutoff, nodes)
+        assert np.array_equal(got, want)
+
 
 class TestConsistencyTriangle:
     def test_oracle_normal_modes_and_sum_over_states(self):
@@ -161,6 +186,10 @@ class TestConvergenceLadder:
         drops = rep.successive_differences()
         assert all(d >= -1e-13 for d in drops)
         assert drops[-1] < 1e-7
+
+    def test_empty_ladder_rejected(self):
+        with pytest.raises(ValueError, match="at least one basis cutoff"):
+            convergence_report(PRESET.atom(1), 8.0, cutoffs=(), overlap_tol=1.0)
 
     @pytest.mark.parametrize("cutoff, R", [(8, 2.5), (12, 6.0)])
     def test_rungs_read_from_one_hamiltonian(self, cutoff, R):

@@ -18,7 +18,12 @@ from vdwdim.atoms import (
     RingAtom,
     _multi_indices,
 )
-from vdwdim.multipole import InteractionSeries, expand_interaction
+from vdwdim.multipole import (
+    InteractionSeries,
+    evaluate_series,
+    exact_interaction,
+    expand_interaction,
+)
 from vdwdim.perturbation import (
     DrudePreset,
     _series_amplitudes,
@@ -469,3 +474,19 @@ class TestPreset:
         atom = preset.atom(2)
         assert atom.a == pytest.approx(2.0, rel=1e-14, abs=0.0)
         assert atom.hbar_omega == pytest.approx(0.8, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("bad_r", [0.0, -9.0, math.nan, math.inf])
+def test_entry_points_reject_bad_separation(bad_r):
+    series = expand_interaction(1, 5)
+    atom = DrudeAtom.bohr_matched(1)
+    calls = [
+        lambda: evaluate_series(series, bad_r, [0.1], [0.2]),
+        lambda: exact_interaction(bad_r, [0.1], [0.2]),
+        lambda: first_order_expectation(series, atom, atom, bad_r),
+        lambda: first_order_via_potential(atom, atom, bad_r),
+        lambda: second_order_sum(series, atom, atom, bad_r),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="separation"):
+            call()
