@@ -24,6 +24,7 @@ the scalar reference ``exact_interaction``, the flat monomial arrays
 those names.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,8 +241,12 @@ def truncation_residual(series, r_values, sample_count, radius, seed=0):
     Draws ``sample_count`` configurations uniformly in the d-ball of the given
     radius for every separation in ``r_values`` and reports max/RMS residuals
     together with the decay exponent fitted on log-log axes.  The residual of
-    an order-N series decays at least as fast as R**-(N+1).
+    an order-N series decays at least as fast as R**-(N+1).  A radius of
+    zero puts every sample at the nucleus; a negative or non-finite radius
+    raises ``ValueError``.
     """
+    if not (radius >= 0.0 and math.isfinite(radius)):
+        raise ValueError(f"radius must be finite and non-negative, got {radius!r}")
     r_values = np.asarray(r_values, dtype=float)
     rng = np.random.default_rng(seed)
     pts_a = _ball_samples(rng, series.dim, sample_count, radius)

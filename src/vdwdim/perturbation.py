@@ -163,6 +163,8 @@ def parity_cross_term(series, atom_a, atom_b, cutoff=8, powers=(3, 4)):
     (diagnostic mode).
     """
     _require_drude(atom_a, atom_b)
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1")
     p, q = powers
     if p not in series.terms or q not in series.terms:
         raise ValueError(f"series lacks requested powers {powers}")

@@ -224,6 +224,12 @@ class TestTruncationResidual:
         assert np.all(report.rms_residual == 0.0)
         assert math.isnan(report.fitted_exponent)
 
+    @pytest.mark.parametrize("radius", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_radius(self, radius):
+        series = expand_interaction(1, 5)
+        with pytest.raises(ValueError, match="radius"):
+            truncation_residual(series, [5.0, 8.0], 10, radius)
+
     def test_deterministic_for_fixed_seed(self):
         series = expand_interaction(3, 4)
         a = truncation_residual(series, [10.0, 30.0], 100, 0.2, seed=9)

@@ -4,18 +4,21 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import dawsn
+from scipy.special import dawsn, i0e
 
-from vdwdim import kernels
+from vdwdim import kernels, oracle
 from vdwdim.atoms import AtomKindError, DrudeAtom, RingAtom
 from vdwdim.drude_exact import exact_correction
 from vdwdim.oracle import (
     ConvergenceError,
     OverlapError,
     _coupling_matrix,
+    _fold_transverse,
+    _gauss_hermite,
     _hermite_columns,
     _nodes_off_nucleus,
     _oscillator_length,
+    _tensor_cloud,
     convergence_report,
     direct_first_order,
     oscillator_basis_diag,
@@ -37,6 +40,21 @@ def dawson_first_order(R, a=1.0):
         + dawsn(R / (2.0 * a)) / a
         - 2.0 * math.sqrt(2.0) * dawsn(R / (math.sqrt(2.0) * a)) / a
     )
+
+
+def disc_first_order(R, a_a, a_b):
+    """<H_I> for a 2D Drude pair: 1/R + Phi_sigma - Phi_a - Phi_b.
+
+    Phi_s(R) = sqrt(pi/2) / s * e^{-R^2/4s^2} I0(R^2/4s^2) is the mean of
+    1/|R x - u| over an isotropic 2D Gaussian u of per-axis variance s^2;
+    the electron-electron term has sigma^2 = a_A^2 + a_B^2.
+    """
+
+    def phi(s):
+        return math.sqrt(math.pi / 2.0) / s * i0e(R * R / (4.0 * s * s))
+
+    sigma = math.hypot(a_a, a_b)
+    return 1.0 / R + phi(sigma) - phi(a_a) - phi(a_b)
 
 
 class TestDiagonalization:
@@ -235,6 +253,86 @@ class TestDirectFirstOrder:
         got = direct_first_order(atom, atom, 10.0, overlap_tol=1.0)
         assert abs(got) <= 1e-8
 
+    @pytest.mark.parametrize("omega_a,omega_b", [(0.5, 0.5), (0.5, 0.75), (0.75, 0.5)])
+    def test_d2_matches_bessel_closed_form(self, omega_a, omega_b):
+        atom_a = DrudeAtom(2, omega=omega_a)
+        atom_b = DrudeAtom(2, omega=omega_b)
+        R = 12.0  # R/a = 12 for the omega = 0.5 atom, a = 1
+        got = direct_first_order(atom_a, atom_b, R, overlap_tol=1.0)
+        want = disc_first_order(R, atom_a.a, atom_b.a)
+        assert got == pytest.approx(want, rel=1e-9, abs=0.0)
+
     def test_requires_drude(self):
         with pytest.raises(AtomKindError):
             direct_first_order(RingAtom(1), RingAtom(1), 10.0, overlap_tol=1.0)
+
+
+def _full_grid_sum(atom_a, atom_b, R, nodes):
+    """The unfolded tensor sum: both atoms on their whole grids."""
+    xi, w = np.polynomial.hermite.hermgauss(nodes)
+    w = w / math.sqrt(math.pi)
+    return kernels.pair_expectation(
+        R, *_tensor_cloud(atom_a, xi, w), *_tensor_cloud(atom_b, xi, w)
+    )
+
+
+class TestTransverseFold:
+    PAIRS = {
+        "equal": (0.5, 0.5),
+        "unequal": (0.5, 0.75),
+        "unequal-swapped": (0.75, 0.5),
+    }
+
+    @pytest.mark.parametrize("pair", PAIRS)
+    @pytest.mark.parametrize("nodes", [6, 7])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_folded_sum_equals_full_grid_sum(self, dim, nodes, pair, monkeypatch):
+        # an odd count puts a node at 0; both put points on the y = z diagonal
+        omega_a, omega_b = self.PAIRS[pair]
+        atom_a = DrudeAtom(dim, omega=omega_a)
+        atom_b = DrudeAtom(dim, omega=omega_b)
+        monkeypatch.setitem(oracle._NODES_PER_AXIS, dim, nodes)
+        for R in (10.0, 12.0):
+            got = direct_first_order(atom_a, atom_b, R, overlap_tol=1.0)
+            want = _full_grid_sum(atom_a, atom_b, R, nodes)
+            assert abs(got - want) <= 1e-16
+
+    @pytest.mark.parametrize("nodes", [6, 7, 18, 48])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_folded_weights_keep_the_total(self, dim, nodes):
+        xi, w = _gauss_hermite(nodes)
+        pts, weight = _tensor_cloud(DrudeAtom(dim, omega=0.5), xi, w)
+        folded_pts, folded = _fold_transverse(pts, weight, dim)
+        assert folded.sum() == pytest.approx(weight.sum(), rel=1e-14, abs=0.0)
+        assert folded.size < weight.size or dim == 1
+        assert np.all(folded_pts[:, 1:dim] >= 0.0)
+        assert np.all(folded_pts[:, 1] >= folded_pts[:, 2])
+
+    def test_row_counts(self, monkeypatch):
+        # atom A is folded, atom B keeps its full grid
+        rows = []
+        real = kernels.pair_expectation
+
+        def spy(R, pts_a, w_a, pts_b, w_b):
+            rows.append((pts_a.shape[0], pts_b.shape[0]))
+            return real(R, pts_a, w_a, pts_b, w_b)
+
+        monkeypatch.setattr(kernels, "pair_expectation", spy)
+        for dim in (1, 2, 3):
+            atom = PRESET.atom(dim)
+            direct_first_order(atom, atom, 12.0, overlap_tol=1.0)
+        assert rows == [(80, 80), (1152, 2304), (810, 5832)]
+
+    @pytest.mark.parametrize("nodes", [6, 7, 18, 48, 80])
+    def test_gauss_hermite_symmetric_bit_for_bit(self, nodes):
+        xi, w = _gauss_hermite(nodes)
+        assert np.array_equal(xi, -xi[::-1])
+        assert np.array_equal(w, w[::-1])
+
+    @pytest.mark.parametrize("nodes", [7, 18, 28])
+    def test_gauss_hermite_cached_read_only(self, nodes):
+        xi, w = _gauss_hermite(nodes)
+        assert _gauss_hermite(nodes) is _gauss_hermite(nodes)
+        want_xi, want_w = np.polynomial.hermite.hermgauss(nodes)
+        assert np.array_equal(xi, want_xi) and np.array_equal(w, want_w)
+        assert not xi.flags.writeable and not w.flags.writeable

@@ -321,6 +321,13 @@ class TestParityExclusion:
         series = expand_interaction(2, 4)
         assert abs(parity_cross_term(series, atom, atom, cutoff=4)) <= 1e-14
 
+    @pytest.mark.parametrize("cutoff", [0, -1])
+    def test_rejects_cutoff_below_one(self, cutoff):
+        atom = DrudeAtom.bohr_matched(1)
+        series = expand_interaction(1, 5)
+        with pytest.raises(ValueError, match="cutoff"):
+            parity_cross_term(series, atom, atom, cutoff=cutoff)
+
     def test_diagnostic_mode_reproduces_second_order(self):
         atom = DrudeAtom.bohr_matched(1)
         series34 = expand_interaction(1, 4)
