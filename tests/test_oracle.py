@@ -12,9 +12,12 @@ from vdwdim.drude_exact import exact_correction
 from vdwdim.oracle import (
     ConvergenceError,
     OverlapError,
+    _correction,
     _coupling_matrix,
+    _exchange_blocks,
     _fold_transverse,
     _gauss_hermite,
+    _hamiltonian,
     _hermite_columns,
     _nodes_off_nucleus,
     _oscillator_length,
@@ -225,6 +228,140 @@ class TestConvergenceLadder:
         assert rep.ground_energies[-1] == res.ground_energy
         assert rep.corrections[-1] == res.correction
         assert rep.successive_differences() == (res.convergence_error,)
+
+
+def _diag_nodes(atom, R, mode, cutoff):
+    """The node count ``oscillator_basis_diag`` uses for this call."""
+    nodes = 2 * cutoff + 8
+    if mode == "full":
+        nodes = _nodes_off_nucleus(R / _oscillator_length(atom), nodes)
+    return nodes
+
+
+def _exchange(n):
+    """P|ij> = (-1)^(i+j) |ji> on the flattened product basis, as (perm, sign)."""
+    i, j = np.divmod(np.arange(n * n), n)
+    return j * n + i, (-1.0) ** (i + j)
+
+
+class TestExchangeSymmetry:
+    SEPARATIONS = (2.5, 8.0, 13.0, 20.0, 28.0)
+
+    @pytest.mark.parametrize("mode", ["full", "truncated"])
+    @pytest.mark.parametrize("cutoff", [4, 12, 20])
+    def test_hamiltonian_commutes_with_exchange(self, mode, cutoff):
+        # worst measured: 5.2e-11 against max |H| = 67 (7.8e-13) at
+        # cutoff 20, R/a = 8, full mode, where a node sits next to x = R
+        atom = PRESET.atom(1)
+        perm, sign = _exchange(cutoff + 1)
+        for R in self.SEPARATIONS:
+            ham = _hamiltonian(
+                atom, R, mode, 3, cutoff, _diag_nodes(atom, R, mode, cutoff)
+            )
+            swapped = sign[:, None] * ham[np.ix_(perm, perm)] * sign
+            assert np.abs(ham - swapped).max() <= 1e-11 * np.abs(ham).max()
+
+    @pytest.mark.parametrize("R", SEPARATIONS)
+    @pytest.mark.parametrize("mode", ["full", "truncated"])
+    def test_split_matches_whole_block(self, mode, R):
+        atom = PRESET.atom(1)
+        for cutoff in range(4, 21):
+            ham = _hamiltonian(
+                atom, R, mode, 3, cutoff, _diag_nodes(atom, R, mode, cutoff)
+            )
+            split = _correction(_exchange_blocks(ham), cutoff) + atom.hbar_omega
+            spectrum = np.linalg.eigvalsh(ham)
+            whole = spectrum[0] + atom.hbar_omega
+            bound = 1e-15 * abs(whole)
+            if mode == "full" and R < 8.0:
+                # the clouds overlap: coincidence nodes give a spectrum from
+                # about -5 to 229, and eigvalsh is accurate to a few eps ||H||
+                # (worst measured 1.9e-15 ||H||)
+                bound = 1e-14 * np.abs(spectrum).max()
+            assert abs(split - whole) <= bound
+
+    def test_ground_state_taken_from_either_sector(self):
+        # |01> and |10> coupled by -2: (|01> + |10>) / sqrt(2), which is
+        # P = -1 since (-1)^(0+1) = -1, sits at hbar omega - 2 below |00>
+        n = 4
+        i, j = np.divmod(np.arange(n * n), n)
+        ham = np.diag(0.5 * (i + j))
+        ham[1, n] = ham[n, 1] = -2.0
+        plus, minus = _exchange_blocks(ham)
+        assert np.linalg.eigvalsh(plus)[0] == 0.0
+        assert np.linalg.eigvalsh(minus)[0] == pytest.approx(-1.5, abs=1e-15)
+        assert _correction((plus, minus), n - 1) == np.linalg.eigvalsh(minus)[0]
+
+    @pytest.mark.parametrize("mode", ["full", "truncated"])
+    def test_eigensolves_see_only_the_sector_blocks(self, mode, monkeypatch):
+        atom = PRESET.atom(1)
+        # warm the Gauss-Hermite cache: hermgauss runs eigvalsh of its own
+        oscillator_basis_diag(atom, 13.0, mode=mode, cutoff=12, overlap_tol=1.0)
+        convergence_report(
+            atom, 13.0, mode=mode, cutoffs=(6, 10, 14), overlap_tol=1.0
+        )
+        sizes = []
+        real = np.linalg.eigvalsh
+
+        def spy(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        oscillator_basis_diag(atom, 13.0, mode=mode, cutoff=12, overlap_tol=1.0)
+        convergence_report(
+            atom, 13.0, mode=mode, cutoffs=(6, 10, 14), overlap_tol=1.0
+        )
+        rungs = (12, 10) + (6, 10, 14)
+        assert sizes == [
+            k for c in rungs for k in ((c + 1) * (c + 2) // 2, c * (c + 1) // 2)
+        ]
+        assert not {(c + 1) ** 2 for c in rungs} & set(sizes)
+
+
+class TestShiftedDiagonal:
+    @pytest.mark.parametrize("R", [8.0, 10.0, 13.0, 16.0, 20.0, 24.0, 28.0])
+    def test_truncated_matches_normal_modes_to_rounding(self, R):
+        # the correction is the lowest eigenvalue itself; read off as
+        # e0 - hbar omega it would carry e0's rounding, ~1e-16 absolute,
+        # which is 2e-9 of the correction at R/a = 28
+        atom = PRESET.atom(1)
+        want = exact_correction(1, PRESET.omega, 1.0, PRESET.mass, R)
+        for cutoff in range(12, 21):
+            res = oscillator_basis_diag(
+                atom, R, mode="truncated", cutoff=cutoff, overlap_tol=1.0
+            )
+            assert res.correction == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert res.ground_energy == res.correction + atom.hbar_omega
+
+
+class TestOracleInputs:
+    CALLS = {
+        "diag": lambda atom, **kw: oscillator_basis_diag(atom, 12.0, **kw),
+        "ladder": lambda atom, **kw: convergence_report(atom, 12.0, **kw),
+        "direct": lambda atom, **kw: direct_first_order(atom, atom, 12.0, **kw),
+    }
+
+    @pytest.mark.parametrize("call", CALLS)
+    @pytest.mark.parametrize(
+        "tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8]
+    )
+    def test_rejects_bad_overlap_tol(self, call, tol):
+        # NaN compares false, which would switch the midpoint gate off
+        with pytest.raises(ValueError, match="overlap_tol") as err:
+            self.CALLS[call](PRESET.atom(1), overlap_tol=tol)
+        assert err.type is ValueError
+
+    @pytest.mark.parametrize("cutoff", [10.5, 12.0, True, "12", None])
+    def test_rejects_non_int_cutoff(self, cutoff):
+        # 10.5 would reach hermite's "deg must be an integer" TypeError
+        atom = PRESET.atom(1)
+        with pytest.raises(ValueError, match="cutoff"):
+            oscillator_basis_diag(atom, 12.0, cutoff=cutoff, overlap_tol=1.0)
+        with pytest.raises(ValueError, match="cutoff"):
+            convergence_report(
+                atom, 12.0, cutoffs=(6, cutoff, 14), overlap_tol=1.0
+            )
 
 
 class TestDirectFirstOrder:
