@@ -18,6 +18,11 @@ inter-atomic axis is x.  Each public kernel is one contraction of it:
 The series side evaluates a truncated interaction series as the bilinear
 form Va . C(R) . Vb between monomial values of the two atoms, on paired
 samples (``series_batch``) and on the on-axis grid (``series_grid_1d``).
+Only C(R) = sum_p R^-p C_p depends on the separation, so one pass over the
+samples (``_bilinear_values``) computes Va and Vb once per row block and
+serves every C(R) of a list: ``series_batch`` is the one-separation case,
+and ``truncation_residual`` shares the monomial values across all its
+separations.
 The float side of the exact-rational ``multipole`` algebra lives here too:
 the scalar reference ``exact_interaction``, the flat monomial arrays
 ``series_arrays`` and ``truncation_residual``.  ``multipole`` still resolves
@@ -138,13 +143,14 @@ def _bilinear_form(powers, coeffs, exp_a, exp_b):
     return rows_a, rows_b, per_power()
 
 
-def _series_matrix(powers, coeffs, exp_a, exp_b, R):
-    """Distinct rows and C(R) = sum_p R^-p C_p, the whole series at R."""
+def _series_matrices(powers, coeffs, exp_a, exp_b, r_values):
+    """Distinct rows and C(R) = sum_p R^-p C_p, the whole series, at each R."""
     rows_a, rows_b, per_power = _bilinear_form(powers, coeffs, exp_a, exp_b)
-    c = np.zeros((rows_a.shape[0], rows_b.shape[0]))
+    mats = [np.zeros((rows_a.shape[0], rows_b.shape[0])) for _ in r_values]
     for p, c_p in per_power:
-        c += R ** -float(p) * c_p
-    return rows_a, rows_b, c
+        for R, c in zip(r_values, mats):
+            c += R ** -float(p) * c_p
+    return rows_a, rows_b, mats
 
 
 def _monomial_values(pts, rows):
@@ -159,22 +165,34 @@ def _monomial_values(pts, rows):
     return out
 
 
+def _bilinear_values(rows_a, rows_b, mats, pts_a, pts_b):
+    """Va[i] . C_k . Vb[i] for every matrix C_k in ``mats``, shape (k, n).
+
+    Evaluated in row blocks; each block's monomial values Va and Vb are
+    computed once and shared by every C_k.
+    """
+    out = np.empty((len(mats), pts_a.shape[0]))
+    width = max(rows_a.shape[0], rows_b.shape[0])
+    for blk in _row_blocks(pts_a.shape[0], width):
+        va = _monomial_values(pts_a[blk], rows_a)
+        vb = _monomial_values(pts_b[blk], rows_b)
+        for k, c in enumerate(mats):
+            out[k, blk] = np.einsum("ij,ij->i", va @ c, vb)
+    return out
+
+
 def series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
     """Evaluate a truncated interaction series on a batch of configurations.
 
     ``powers``/``coeffs`` are the flat monomial table (one row per monomial),
     ``exp_a``/``exp_b`` the (m, 3) exponent arrays.  Returns shape (n,).
     Sample i is the bilinear form Va[i] . C(R) . Vb[i], evaluated in row
-    blocks.
+    blocks: the one-separation case of ``_bilinear_values``, which
+    ``truncation_residual`` calls with every separation at once.
     """
     _check_separation(R)
-    rows_a, rows_b, c = _series_matrix(powers, coeffs, exp_a, exp_b, R)
-    out = np.empty(pts_a.shape[0])
-    for blk in _row_blocks(pts_a.shape[0], max(c.shape)):
-        va = _monomial_values(pts_a[blk], rows_a)
-        vb = _monomial_values(pts_b[blk], rows_b)
-        out[blk] = np.einsum("ij,ij->i", va @ c, vb)
-    return out
+    rows_a, rows_b, mats = _series_matrices(powers, coeffs, exp_a, exp_b, (R,))
+    return _bilinear_values(rows_a, rows_b, mats, pts_a, pts_b)[0]
 
 
 def series_grid_1d(powers, coeffs, exp_a, exp_b, R, xa, xb):
@@ -184,7 +202,7 @@ def series_grid_1d(powers, coeffs, exp_a, exp_b, R, xa, xb):
     displacements placed on the x-axis by ``_on_axis``.
     """
     _check_separation(R)
-    rows_a, rows_b, c = _series_matrix(powers, coeffs, exp_a, exp_b, R)
+    rows_a, rows_b, (c,) = _series_matrices(powers, coeffs, exp_a, exp_b, (R,))
     c_vb = c @ _monomial_values(_on_axis(xb), rows_b).T
     return _monomial_values(_on_axis(xa), rows_a) @ c_vb
 
@@ -239,26 +257,31 @@ def truncation_residual(series, r_values, sample_count, radius, seed=0):
     """Compare the truncated series against the exact kernel on random clouds.
 
     Draws ``sample_count`` configurations uniformly in the d-ball of the given
-    radius for every separation in ``r_values`` and reports max/RMS residuals
-    together with the decay exponent fitted on log-log axes.  The residual of
-    an order-N series decays at least as fast as R**-(N+1).  A radius of
-    zero puts every sample at the nucleus; a negative or non-finite radius
-    raises ``ValueError``.
+    radius, compares the series with the exact kernel on them at every
+    separation in ``r_values`` and reports max/RMS residuals together with
+    the decay exponent fitted on log-log axes.  The series is evaluated in
+    one pass over the samples: the monomial values of each row block are
+    computed once and shared by every separation, and only C(R) is built
+    per separation.  The residual of an order-N series decays at least as
+    fast as R**-(N+1).  A radius of zero puts every sample at the nucleus; a
+    negative or non-finite radius, or a separation that is not finite and
+    positive, raises ``ValueError`` before any sample is drawn.
     """
     if not (radius >= 0.0 and math.isfinite(radius)):
         raise ValueError(f"radius must be finite and non-negative, got {radius!r}")
     r_values = np.asarray(r_values, dtype=float)
+    for R in r_values:
+        _check_separation(R)
     rng = np.random.default_rng(seed)
     pts_a = _ball_samples(rng, series.dim, sample_count, radius)
     pts_b = _ball_samples(rng, series.dim, sample_count, radius)
-    powers, coeffs, exp_a, exp_b = series_arrays(series)
+    rows_a, rows_b, mats = _series_matrices(*series_arrays(series), r_values)
+    approx = _bilinear_values(rows_a, rows_b, mats, pts_a, pts_b)
 
     max_res = np.empty_like(r_values)
     rms_res = np.empty_like(r_values)
     for i, R in enumerate(r_values):
-        exact = four_site_batch(R, pts_a, pts_b)
-        approx = series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b)
-        diff = np.abs(exact - approx)
+        diff = np.abs(four_site_batch(R, pts_a, pts_b) - approx[i])
         max_res[i] = diff.max() if diff.size else 0.0
         rms_res[i] = np.sqrt(np.mean(diff**2)) if diff.size else 0.0
 

@@ -23,6 +23,15 @@ subtract twice is restored by the nucleus-nucleus term.  What survives
 starts at 1/R^3, the order-n polynomial is homogeneous of degree n - 1 in
 the coordinates, and every monomial couples both atoms.
 
+Each order's monomials depend only on (dim, n), so ``_order_terms`` builds
+them once per process and keeps them (``functools.lru_cache``; at most
+3 x 10 entries, dim 1-3 and n 2-11, about 2.2 MB of Fractions when all are
+built).  ``expand_interaction`` assembles a fresh ``terms`` dict from those
+cached tuples on every call, so a caller that mutates the dict it gets back
+leaves the next call unchanged; the tuples and their frozen monomials cannot
+be mutated.  Whole series are not cached per ``max_power``: that would store
+each order up to eight times.
+
 This module holds only the exact-rational algebra and the separation check
 that every entry point taking R shares (``_check_separation``).  It imports
 no numpy, so ``vdw expand`` never loads it.  The float evaluation of the
@@ -30,7 +39,9 @@ unexpanded kernel (``exact_interaction``), the flat arrays the batch kernels
 take (``series_arrays``) and the truncation residual live in ``kernels``.
 """
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, isfinite, prod
@@ -129,8 +140,25 @@ class InteractionSeries:
         return cls(int(data["dim"]), int(data["max_power"]), ordered)
 
 
+def _integer(name, value):
+    """``value`` as a plain int; a bool or a non-integral value is a ValueError."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def expand_interaction(dim, max_power) -> InteractionSeries:
-    """Expand the coupling through order 1/R**max_power with exact rationals."""
+    """Expand the coupling through order 1/R**max_power with exact rationals.
+
+    ``dim`` and ``max_power`` must be integers (a bool is not one); numpy
+    integers are taken as plain ints.  Every order is built once per process
+    (``_order_terms``) and each call returns a fresh ``terms`` dict.
+    """
+    dim = _integer("dim", dim)
+    max_power = _integer("max_power", max_power)
     if dim not in (1, 2, 3):
         raise ValueError("dim must be 1, 2, or 3")
     if max_power < 3:
@@ -139,22 +167,25 @@ def expand_interaction(dim, max_power) -> InteractionSeries:
         raise ExpansionCapError(
             f"max_power {max_power} exceeds cap {MAX_EXPANSION_POWER}"
         )
-
-    terms = {}
-    for n in range(2, max_power):
-        monos = []
-        for axis_exp in _axis_exponents(dim, n):
-            weight = _legendre_weight(n, axis_exp)
-            # binomial split of each (t_i)^m = (a_i - b_i)^m between the atoms
-            for exp_a in itertools.product(*(range(m + 1) for m in axis_exp)):
-                exp_b = tuple(m - e for m, e in zip(axis_exp, exp_a))
-                if sum(exp_a) == 0 or sum(exp_b) == 0:
-                    continue  # cancelled by a single-atom kernel
-                split = prod(map(comb, axis_exp, exp_a))
-                coeff = weight * (-1) ** sum(exp_b) * split
-                monos.append(Monomial(coeff, exp_a, exp_b))
-        terms[n + 1] = tuple(sorted(monos, key=lambda m: (m.exp_a, m.exp_b)))
+    terms = {n + 1: _order_terms(dim, n) for n in range(2, max_power)}
     return InteractionSeries(dim, max_power, terms)
+
+
+@functools.lru_cache(maxsize=None)
+def _order_terms(dim, n):
+    """Monomials of the 1/R**(n + 1) term, sorted by (exp_a, exp_b)."""
+    monos = []
+    for axis_exp in _axis_exponents(dim, n):
+        weight = _legendre_weight(n, axis_exp)
+        # binomial split of each (t_i)^m = (a_i - b_i)^m between the atoms
+        for exp_a in itertools.product(*(range(m + 1) for m in axis_exp)):
+            exp_b = tuple(m - e for m, e in zip(axis_exp, exp_a))
+            if sum(exp_a) == 0 or sum(exp_b) == 0:
+                continue  # cancelled by a single-atom kernel
+            split = prod(map(comb, axis_exp, exp_a))
+            coeff = weight * (-1) ** sum(exp_b) * split
+            monos.append(Monomial(coeff, exp_a, exp_b))
+    return tuple(sorted(monos, key=lambda m: (m.exp_a, m.exp_b)))
 
 
 def evaluate_series(series, R, r_a, r_b):

@@ -223,6 +223,19 @@ def _nodes_off_nucleus(xi_nucleus, nodes):
         nodes += 1
 
 
+def _node_count(atom, R, mode, cutoff):
+    """Quadrature nodes for a basis cutoff: 2 cutoff + 8, kept off the nucleus.
+
+    In full mode the count steps up from 2 cutoff + 8 until the other
+    nucleus keeps clear of the nodes (``_nodes_off_nucleus``); the truncated
+    series is smooth there and keeps 2 cutoff + 8.
+    """
+    nodes = 2 * cutoff + 8
+    if mode == "full":
+        nodes = _nodes_off_nucleus(R / _oscillator_length(atom), nodes)
+    return nodes
+
+
 def _check_pair(atom, R, cutoffs, overlap_tol):
     if not isinstance(atom, DrudeAtom):
         raise AtomKindError("oracle diagonalization requires a Drude atom")
@@ -267,9 +280,7 @@ def oscillator_basis_diag(
     half of a node gap or beyond the outermost node.
     """
     _check_pair(atom, R, (cutoff,), overlap_tol)
-    nodes = 2 * cutoff + 8
-    if mode == "full":
-        nodes = _nodes_off_nucleus(R / _oscillator_length(atom), nodes)
+    nodes = _node_count(atom, R, mode, cutoff)
     blocks = _exchange_blocks(
         _hamiltonian(atom, R, mode, max_power, cutoff, nodes)
     )
@@ -294,7 +305,9 @@ def convergence_report(
 ):
     """Ground energy versus basis cutoff at a fixed quadrature grid, k = hbar = 1.
 
-    H is assembled once, at the largest cutoff on 2 max + 8 nodes, with
+    H is assembled once, at the largest cutoff on the grid
+    ``oscillator_basis_diag`` would take for it (2 max + 8 nodes, stepped up
+    in full mode until no node sits next to the other nucleus), with
     hbar omega (i + j) on its diagonal, and split into its two exchange
     blocks (see the module docstring).  Each rung is the pair of leading
     principal blocks of its cutoff, so the ladder shares one coupling
@@ -308,8 +321,9 @@ def convergence_report(
     _check_pair(atom, R, cutoffs, overlap_tol)
     cutoffs = tuple(sorted(cutoffs))
     top = cutoffs[-1]
+    nodes = _node_count(atom, R, mode, top)
     blocks = _exchange_blocks(
-        _hamiltonian(atom, R, mode, max_power, top, 2 * top + 8)
+        _hamiltonian(atom, R, mode, max_power, top, nodes)
     )
     corrections = tuple(_correction(blocks, c) for c in cutoffs)
     energies = tuple(corr + atom.hbar_omega for corr in corrections)

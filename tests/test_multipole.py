@@ -236,6 +236,80 @@ class TestTruncationResidual:
         b = truncation_residual(series, [10.0, 30.0], 100, 0.2, seed=9)
         assert np.array_equal(a.max_residual, b.max_residual)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 0.0, -2.0])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_rejects_bad_separation_before_any_work(
+        self, bad, position, monkeypatch
+    ):
+        def no_work(*args):
+            raise AssertionError("samples drawn before r_values were checked")
+
+        monkeypatch.setattr(kernels, "_ball_samples", no_work)
+        r_values = [5.0, 8.0, 11.0]
+        r_values[position] = bad
+        with pytest.raises(ValueError, match="separation"):
+            truncation_residual(expand_interaction(2, 5), r_values, 10, 0.5)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("order", [3, 5, 9, 12])
+    @pytest.mark.parametrize("r_values", [[6.0], [4.0, 7.5, 12.0]])
+    def test_bit_identical_to_per_separation_series_batch(
+        self, dim, order, r_values
+    ):
+        # 700 samples span up to three row blocks at order 12
+        series = expand_interaction(dim, order)
+        report = truncation_residual(series, r_values, 700, 1.0, seed=order)
+        max_res, rms_res, exponent = _per_separation_residual(
+            series, r_values, 700, 1.0, seed=order
+        )
+        assert report.max_residual.tobytes() == max_res.tobytes()
+        assert report.rms_residual.tobytes() == rms_res.tobytes()
+        assert (
+            np.float64(report.fitted_exponent).tobytes()
+            == np.float64(exponent).tobytes()
+        )
+
+    @pytest.mark.parametrize("sample_count", [50, 2000])
+    def test_monomial_values_shared_across_separations(
+        self, sample_count, monkeypatch
+    ):
+        calls = []
+        original = kernels._monomial_values
+
+        def counted(pts, rows):
+            calls.append(pts.shape[0])
+            return original(pts, rows)
+
+        monkeypatch.setattr(kernels, "_monomial_values", counted)
+        series = expand_interaction(3, 12)
+        truncation_residual(series, [9.0], sample_count, 1.0)
+        one = list(calls)
+        calls.clear()
+        truncation_residual(series, [9.0, 12.0, 15.0], sample_count, 1.0)
+        assert calls == one
+        assert sum(one) == 2 * sample_count  # each atom's samples once
+
+
+def _per_separation_residual(series, r_values, sample_count, radius, seed):
+    """Residuals from one ``series_batch`` call per separation."""
+    r_values = np.asarray(r_values, dtype=float)
+    rng = np.random.default_rng(seed)
+    pts_a = kernels._ball_samples(rng, series.dim, sample_count, radius)
+    pts_b = kernels._ball_samples(rng, series.dim, sample_count, radius)
+    arrays = series_arrays(series)
+    max_res = np.empty_like(r_values)
+    rms_res = np.empty_like(r_values)
+    for i, R in enumerate(r_values):
+        exact = kernels.four_site_batch(R, pts_a, pts_b)
+        approx = kernels.series_batch(*arrays, R, pts_a, pts_b)
+        diff = np.abs(exact - approx)
+        max_res[i] = diff.max()
+        rms_res[i] = np.sqrt(np.mean(diff**2))
+    exponent = math.nan
+    if len(r_values) >= 2 and np.all(max_res > 0):
+        exponent = -np.polyfit(np.log(r_values), np.log(max_res), 1)[0]
+    return max_res, rms_res, exponent
+
 
 class TestSerialization:
     def test_roundtrip_through_json(self):
@@ -279,3 +353,49 @@ class TestLimits:
     def test_bad_dimension(self):
         with pytest.raises(ValueError):
             expand_interaction(4, 5)
+
+
+class TestExpansionArguments:
+    @pytest.mark.parametrize(
+        "dim, max_power",
+        [
+            (3.0, 5),
+            (3, 5.0),
+            (True, 5),
+            (3, True),
+            (np.True_, 5),
+            (np.float64(2.0), 5),
+            ("3", 5),
+            (None, 5),
+            (Fraction(3), 5),
+        ],
+    )
+    def test_rejects_bool_and_non_integral(self, dim, max_power):
+        with pytest.raises(ValueError, match="must be an integer"):
+            expand_interaction(dim, max_power)
+
+    def test_numpy_integers_become_plain_ints(self):
+        series = expand_interaction(np.int64(2), np.int32(7))
+        assert type(series.dim) is int and type(series.max_power) is int
+        assert series == expand_interaction(2, 7)
+        assert series.to_dict() == expand_interaction(2, 7).to_dict()
+
+
+class TestExpansionCache:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_memoized_equals_uncached_build(self, dim):
+        build = multipole._order_terms.__wrapped__
+        for order in range(3, multipole.MAX_EXPANSION_POWER + 1):
+            series = expand_interaction(dim, order)
+            assert series.terms == {n + 1: build(dim, n) for n in range(2, order)}
+            assert list(series.terms) == list(range(3, order + 1))
+
+    def test_mutating_returned_terms_leaves_next_call_unchanged(self):
+        first = expand_interaction(3, 7)
+        first.terms[3] = ()
+        del first.terms[7]
+        first.terms[99] = ("junk",)
+        again = expand_interaction(3, 7)
+        assert again.terms is not first.terms
+        build = multipole._order_terms.__wrapped__
+        assert again.terms == {n + 1: build(3, n) for n in range(2, 7)}

@@ -212,6 +212,20 @@ class TestConvergenceLadder:
         with pytest.raises(ValueError, match="at least one basis cutoff"):
             convergence_report(PRESET.atom(1), 8.0, cutoffs=(), overlap_tol=1.0)
 
+    def test_full_mode_ladder_keeps_nodes_off_nucleus(self):
+        # 2 * 17 + 8 = 42 nodes put one next to x = R at R/a = 8; the ladder
+        # steps up to 43 as oscillator_basis_diag does, instead of returning
+        # the spurious deep eigenvalues near -11.7 and -72.9
+        atom = PRESET.atom(1)
+        rep = convergence_report(
+            atom, 8.0, mode="full", cutoffs=(15, 17), overlap_tol=1.0
+        )
+        res = oscillator_basis_diag(atom, 8.0, cutoff=17, overlap_tol=1.0)
+        assert _diag_nodes(atom, 8.0, "full", 17) == 43
+        assert rep.corrections[-1] == res.correction
+        assert rep.successive_differences() == (res.convergence_error,)
+        assert all(0.0 < c < 1e-3 for c in rep.corrections)
+
     @pytest.mark.parametrize("cutoff, R", [(8, 2.5), (12, 6.0)])
     def test_rungs_read_from_one_hamiltonian(self, cutoff, R):
         # a truncated-mode ladder topped at c uses the 2 c + 8 nodes that
