@@ -13,8 +13,8 @@ This module needs numpy, and loads when a command first asks for an atom:
 ``moments``, ``potential`` and ``verify`` do, while ``expand``, ``curve``
 and ``exact`` never touch it (see the package docstring).  scipy is imported
 only by ``NumericRadialAtom``, which builds its density spline with
-``CubicSpline``, so every command that prints moments or potentials other
-than the d = 3 quadrature (see ``potential``) does not pay for it.
+``CubicSpline``; that is the package's only use of scipy, so no command
+that prints moments or potentials pays for it.
 ``DrudeAtom.support_radius`` reads its radius from a table of Gaussian
 survival roots.
 """

@@ -12,13 +12,18 @@ when a command runs:
 * ``--version`` and usage errors load no submodule;
 * ``expand`` loads ``multipole``;
 * ``curve`` and ``exact`` load ``drude_exact``;
-* ``moments`` loads ``atoms``, ``potential`` adds ``potential`` (scipy only
-  for the d = 3 quadrature) and ``verify`` loads everything.
+* ``moments`` loads ``atoms``, ``potential`` adds ``potential`` and
+  ``verify`` loads everything.
+
+No command loads scipy except through ``NumericRadialAtom``, whose density
+spline is scipy's ``CubicSpline``; of the commands only ``verify --level
+full`` builds one.
 
 numpy comes with ``atoms``, ``kernels``, ``potential`` and the modules built
 on them, so ``--version``, ``expand``, ``curve`` and ``exact`` run without
 it, error exits included: ``main`` reports a ``CliError``, ``ValueError`` or
 ``OSError`` before it looks up the oracle's and the potential's own errors.
+``potential`` rejects an unknown ``--methods`` entry before it loads numpy.
 """
 
 import argparse
@@ -143,13 +148,19 @@ def _finite_list(text, option):
     return values
 
 
+_POTENTIAL_METHODS = ("quadrature", "multipole3", "multipole5")
+
+
 def cmd_potential(args):
+    methods = args.methods.split(",")
+    for method in methods:
+        if method not in _POTENTIAL_METHODS:
+            raise CliError(f"unknown method {method!r}")
     import numpy as np
 
     atom = _atom_from_args(args)
     radii = _finite_list(args.radii, "--radii")
     thetas = _finite_list(args.thetas, "--thetas")
-    methods = args.methods.split(",")
     lines = ["r,theta_deg,value,method"]
     for s in radii:
         for theta in thetas:
@@ -160,13 +171,11 @@ def cmd_potential(args):
                     sample = potential.v_a_numeric(atom, point)
                 elif method == "multipole3":
                     sample = potential.v_a_multipole(atom, point, order=3)
-                elif method == "multipole5":
+                else:
                     try:
                         sample = potential.v_a_multipole(atom, point, order=5)
                     except potential.UnsupportedOrderError:
                         continue  # next order is available on axis only
-                else:
-                    raise CliError(f"unknown method {method!r}")
                 lines.append(
                     f"{_fmt(s)},{_fmt(theta)},{_fmt(sample.value)},{sample.method}"
                 )
@@ -323,7 +332,7 @@ def build_parser():
     p.add_argument("--thetas", default="0", help="comma list of angles (deg)")
     p.add_argument(
         "--methods", default="quadrature,multipole3,multipole5",
-        help="comma list drawn from quadrature, multipole3, multipole5",
+        help="comma list drawn from " + ", ".join(_POTENTIAL_METHODS),
     )
     _add_output_args(p)
     p.set_defaults(func=cmd_potential)

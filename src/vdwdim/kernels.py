@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multipole import SingularConfigurationError, _check_separation
+from .multipole import SingularConfigurationError, _check_separation, _integer
 
 # Matrix entries per block: every (rows, columns) temporary of a blocked
 # kernel holds about this many float64 values (0.5 MB), so temporaries stay
@@ -264,9 +264,13 @@ def truncation_residual(series, r_values, sample_count, radius, seed=0):
     computed once and shared by every separation, and only C(R) is built
     per separation.  The residual of an order-N series decays at least as
     fast as R**-(N+1).  A radius of zero puts every sample at the nucleus; a
-    negative or non-finite radius, or a separation that is not finite and
-    positive, raises ``ValueError`` before any sample is drawn.
+    negative or non-finite radius, a separation that is not finite and
+    positive, or a ``sample_count`` that is not a non-negative integer (a
+    bool is not one) raises ``ValueError`` before any sample is drawn.
     """
+    sample_count = _integer("sample_count", sample_count)
+    if sample_count < 0:
+        raise ValueError(f"sample_count must be non-negative, got {sample_count}")
     if not (radius >= 0.0 and math.isfinite(radius)):
         raise ValueError(f"radius must be finite and non-negative, got {radius!r}")
     r_values = np.asarray(r_values, dtype=float)

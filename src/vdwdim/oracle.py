@@ -41,7 +41,7 @@ import numpy as np
 
 from . import kernels
 from .atoms import AtomKindError, DrudeAtom
-from .multipole import expand_interaction
+from .multipole import _integer, expand_interaction
 
 
 class OverlapError(ValueError):
@@ -237,16 +237,16 @@ def _node_count(atom, R, mode, cutoff):
 
 
 def _check_pair(atom, R, cutoffs, overlap_tol):
+    """The cutoffs as plain ints, once the pair and every cutoff check out."""
     if not isinstance(atom, DrudeAtom):
         raise AtomKindError("oracle diagonalization requires a Drude atom")
     if atom.dim != 1:
         raise ValueError("oracle diagonalization is restricted to dim = 1")
-    for cutoff in cutoffs:
-        if isinstance(cutoff, bool) or not isinstance(cutoff, int):
-            raise ValueError(f"cutoff must be an int, got {cutoff!r}")
-        if cutoff < 3:
-            raise ValueError("cutoff must be at least 3")
+    cutoffs = tuple(_integer("cutoff", cutoff) for cutoff in cutoffs)
+    if any(cutoff < 3 for cutoff in cutoffs):
+        raise ValueError("cutoff must be at least 3")
     _check_overlap(atom, R, overlap_tol)
+    return cutoffs
 
 
 _CONV_TOL = 1e-6
@@ -267,7 +267,8 @@ def oscillator_basis_diag(
     drop in the correction from the sub-basis with cutoff - 2, whose blocks
     are leading principal blocks of the same two; exceeding 1e-6 relative to
     the ground energy raises ``ConvergenceError``.  ``cutoff`` must be an
-    int of at least 3 and ``overlap_tol`` finite and positive.
+    integer of at least 3 (a numpy integer is taken as an int, a bool is
+    rejected) and ``overlap_tol`` finite and positive.
 
     In full mode the discretized expectation of the kernel is regularization
     sensitive once the clouds overlap appreciably (R/a below about 8): the
@@ -279,7 +280,7 @@ def oscillator_basis_diag(
     takes the first count from 2 cutoff + 8 up that keeps R in the middle
     half of a node gap or beyond the outermost node.
     """
-    _check_pair(atom, R, (cutoff,), overlap_tol)
+    (cutoff,) = _check_pair(atom, R, (cutoff,), overlap_tol)
     nodes = _node_count(atom, R, mode, cutoff)
     blocks = _exchange_blocks(
         _hamiltonian(atom, R, mode, max_power, cutoff, nodes)
@@ -313,13 +314,12 @@ def convergence_report(
     principal blocks of its cutoff, so the ladder shares one coupling
     operator and the energies are strictly variational in the basis.  The
     corrections are the lowest eigenvalues themselves and the ground energies
-    are correction + hbar omega.  Every rung must be an int of at least 3.
+    are correction + hbar omega.  Every rung must be an integer of at least 3.
     """
     cutoffs = tuple(cutoffs)
     if not cutoffs:
         raise ValueError("cutoffs must name at least one basis cutoff")
-    _check_pair(atom, R, cutoffs, overlap_tol)
-    cutoffs = tuple(sorted(cutoffs))
+    cutoffs = tuple(sorted(_check_pair(atom, R, cutoffs, overlap_tol)))
     top = cutoffs[-1]
     nodes = _node_count(atom, R, mode, top)
     blocks = _exchange_blocks(

@@ -21,19 +21,17 @@ about 15.
 
 ``_cloud`` uses ``_panels``, adaptive 20-point Gauss-Legendre panels in
 numpy that aim at 1e-13 relative; the ring kernel takes K from the
-arithmetic-geometric mean of the complementary modulus.
-Only the d = 3 shell integrals import scipy, for ``quad`` in ``_quad``:
-outside the cloud the d = 3 value is the rounding residue of
-(1 - 4 pi E) / s, so any other rule would move its printed digits.  With
-``CubicSpline`` in ``NumericRadialAtom`` (see ``atoms``) that is the only
-use of scipy, so the package, the multipole forms and the d = 1 and d = 2
-potentials import none of it.
+arithmetic-geometric mean of the complementary modulus.  The d = 3 shell
+integrals use ``_quad``, QUADPACK's QAGS without its extrapolation, in the
+same arithmetic as scipy's ``quad``: outside the cloud the d = 3 value is
+the rounding residue of (1 - 4 pi E) / s, so any other rule would move its
+printed digits.  This module imports no scipy; only ``NumericRadialAtom``'s
+``CubicSpline`` (see ``atoms``) loads it.
 """
 
 import functools
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,15 +218,138 @@ def _accept(val, err):
     return val, err
 
 
-def _quad(fn, lo, hi):
-    from scipy.integrate import IntegrationWarning, quad
+# QUADPACK's dqk21 literals (Piessens et al., *QUADPACK*, 1983): the
+# Kronrod abscissae on [0, 1] from the outermost in, the 21-point Kronrod
+# weights in the same order, and the 10-point Gauss weights of the odd
+# abscissae 2, 4, ..., 10.
+_XGK = np.array([
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+])
+_WGK = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+_EPSABS = 1e-13
+_EPSREL = 1e-11
+_LIMIT = 400
 
-    # quad warns when it stops short of its own 1e-11 target; _accept
-    # decides pass or fail against the documented 1e-8
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, err = quad(fn, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400)
-    return _accept(val, err)
+
+def _qk21(f, a, b):
+    """(result, abserr, resabs, resasc) of f on [a, b], as QUADPACK's dqk21.
+
+    f is evaluated once, on all 21 nodes; the sums are then formed one
+    term at a time in dqk21's order, so every value keeps its bits.
+    """
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    absc = hlgth * _XGK
+    fv = f(np.concatenate([centr - absc, centr + absc, [centr]])).tolist()
+    fv1, fv2, fc = fv[:10], fv[10:20], fv[20]
+    resg = 0.0
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    for j in (1, 3, 5, 7, 9):
+        fsum = fv1[j] + fv2[j]
+        resg = resg + _WG[j // 2] * fsum
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
+    for j in (0, 2, 4, 6, 8):
+        fsum = fv1[j] + fv2[j]
+        resk = resk + _WGK[j] * fsum
+        resabs = resabs + _WGK[j] * (abs(fv1[j]) + abs(fv2[j]))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * abs(hlgth)
+    resasc = resasc * abs(hlgth)
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        abserr = resasc * min(1.0, (200.0 * abserr / resasc) ** 1.5)
+    if resabs > _UFLOW / (50.0 * _EPMACH):
+        abserr = max((_EPMACH * 50.0) * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
+def _quad(f, lo, hi):
+    """(integral, error estimate) of f over [lo, hi], as QUADPACK's QAGS.
+
+    This is scipy's ``quad(f, lo, hi, epsabs=1e-13, epsrel=1e-11,
+    limit=400)`` in the same arithmetic, for ``f`` mapping an array of
+    abscissae to an array of values.  QUADPACK's order is kept on purpose:
+    outside a d = 3 cloud the potential is the rounding residue of
+    (1 - 4 pi E) / s, so any other rule would move its printed digits.
+
+    The first 21-point Gauss-Kronrod value is returned when it passes
+    dqagse's first-interval test.  Otherwise the interval with the largest
+    error is bisected, its larger-error half taking its slot in the list and
+    the other appended, until the summed error is within max(epsabs,
+    epsrel |area|) or there are ``_LIMIT`` intervals; the value is then the
+    sum of the list in slot order.  QAGS's epsilon extrapolation is left
+    out: where QAGS would extrapolate (once the interval to bisect is at
+    most 3/8 of [lo, hi] wide), this routine keeps bisecting, so on
+    integrands that reach that point it no longer matches QAGS.  The d = 3
+    densities here pass within three intervals.  ``_accept`` decides pass
+    or fail against the documented 1e-8.
+    """
+    result, abserr, resabs, resasc = _qk21(f, lo, hi)
+    errbnd = max(_EPSABS, _EPSREL * abs(result))
+    if (
+        (abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd)
+        or (abserr <= errbnd and abserr != resasc)
+        or abserr == 0.0
+    ):
+        return _accept(result, abserr)
+    # (a, b, value, error) per interval, in dqagse's slot order
+    intervals = [(lo, hi, result, abserr)]
+    area, errsum, maxerr = result, abserr, 0
+    while True:
+        a, b, value, errmax = intervals[maxerr]
+        mid = 0.5 * (a + b)
+        area1, error1 = _qk21(f, a, mid)[:2]
+        area2, error2 = _qk21(f, mid, b)[:2]
+        errsum = errsum + (error1 + error2) - errmax
+        area = area + (area1 + area2) - value
+        halves = [(a, mid, area1, error1), (mid, b, area2, error2)]
+        if error2 > error1:  # the larger-error half takes the bisected slot
+            halves.reverse()
+        intervals[maxerr], appended = halves
+        intervals.append(appended)
+        if errsum <= max(_EPSABS, _EPSREL * abs(area)) or len(intervals) == _LIMIT:
+            break
+        maxerr = max(range(len(intervals)), key=lambda i: intervals[i][3])
+    total = 0.0
+    for interval in intervals:  # left to right, not sum()'s compensated order
+        total = total + interval[2]
+    return _accept(total, errsum)
 
 
 _GL_ORDER = 20
@@ -329,11 +450,19 @@ def _cloud(atom, r_par, perp, support):
 
 
 def _cloud_3d(atom, s, support):
+    """(cloud potential, error estimate) of a d = 3 density at radius s.
+
+    The shells inside s act as their charge E at the nucleus, E / s, and
+    those outside as 4 pi int rho u du.  Both integrals go through
+    ``_quad``, whose QUADPACK order keeps the printed digits of the exterior
+    value, the rounding residue of (1 - 4 pi E) / s.
+    """
+
     def shell_inner(u):
-        return float(atom.radial_density(u)) * u**2
+        return atom.radial_density(u) * u**2
 
     def shell_outer(u):
-        return float(atom.radial_density(u)) * u
+        return atom.radial_density(u) * u
 
     inner_top = min(s, support)
     enclosed, enclosed_err = (

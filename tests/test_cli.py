@@ -119,6 +119,17 @@ class TestPotential:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     @pytest.mark.parametrize(
+        "methods", ["bogus", "quadrature,bogus", "multipole3,bogus,also"]
+    )
+    def test_unknown_method_rejected_before_any_work(self, capsys, methods):
+        # the d = 1 quadrature on the axis inside the cloud would raise first
+        code, out, err = run_cli(
+            capsys, "potential", "--dim", "1", "--radii", "4",
+            "--methods", methods,
+        )
+        assert (code, out, err) == (1, "", "error: unknown method 'bogus'\n")
+
+    @pytest.mark.parametrize(
         "argv, methods",
         [
             # cos^2 is 1 - 1.95e-12 at 8e-5 degrees: off axis for order 5
@@ -312,7 +323,9 @@ print(json.dumps(report))
 
 
 class TestImportPath:
-    def test_scipy_loaded_only_by_quadrature(self):
+    def test_no_command_loads_scipy(self):
+        # only NumericRadialAtom's CubicSpline loads scipy, and no command
+        # below builds one (verify --level full does)
         src = os.path.dirname(os.path.dirname(vdwdim.__file__))
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
@@ -325,16 +338,16 @@ class TestImportPath:
             "potential --dim 1 --radii 9,20 --thetas 0,45,90",
             "potential --dim 2 --radii 0.5,9 --thetas 0,30 --methods quadrature",
             "potential --dim 2 --atom ring --radii 0.5,2 --thetas 0,60",
+            "potential --dim 3 --methods quadrature",
+            "potential --dim 3 --radii 2,5,9 --thetas 0,45,90",
         ]
         inside = "potential --dim 1 --radii 4 --methods quadrature"
-        quadrature = "potential --dim 3 --methods quadrature"
         proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, *free, inside, quadrature],
+            [sys.executable, "-c", _IMPORT_PROBE, *free, inside],
             env=env, capture_output=True, text=True, timeout=120, check=True,
         )
         report = json.loads(proc.stdout)
         assert report.pop("import vdwdim") is False
-        assert report.pop(quadrature) == [0, True]
         assert report.pop(inside) == [1, False]
         assert report == {argv: [0, False] for argv in free}
 
@@ -360,6 +373,8 @@ class TestImportPath:
             "curve --rmin 0 --rmax 1": 2,
             "expand --dim 4": 2,
             "bogus": 2,
+            "potential --dim 1 --methods bogus": 1,
+            "potential --dim 3 --radii 2 --methods quadrature,bogus": 1,
         }
         proc = subprocess.run(
             [sys.executable, "-c", _NUMPY_PROBE, *free, "moments"],

@@ -230,6 +230,20 @@ class TestTruncationResidual:
         with pytest.raises(ValueError, match="radius"):
             truncation_residual(series, [5.0, 8.0], 10, radius)
 
+    @pytest.mark.parametrize("count", [10.0, True, -3, "10", None])
+    def test_rejects_bad_sample_count(self, count):
+        series = expand_interaction(1, 5)
+        with pytest.raises(ValueError, match="sample_count") as err:
+            truncation_residual(series, [5.0, 8.0], count, 1.0)
+        assert err.type is ValueError
+
+    def test_numpy_sample_count_becomes_plain_int(self):
+        series = expand_interaction(1, 5)
+        got = truncation_residual(series, [5.0, 8.0], np.int64(10), 1.0)
+        want = truncation_residual(series, [5.0, 8.0], 10, 1.0)
+        assert type(got.sample_count) is int
+        assert np.array_equal(got.max_residual, want.max_residual)
+
     def test_deterministic_for_fixed_seed(self):
         series = expand_interaction(3, 4)
         a = truncation_residual(series, [10.0, 30.0], 100, 0.2, seed=9)

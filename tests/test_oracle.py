@@ -378,6 +378,20 @@ class TestOracleInputs:
             )
 
 
+    def test_numpy_integer_cutoff_becomes_plain_int(self):
+        atom = PRESET.atom(1)
+        got = oscillator_basis_diag(atom, 10.0, cutoff=np.int64(12), overlap_tol=1.0)
+        assert type(got.cutoff) is int
+        assert got == oscillator_basis_diag(atom, 10.0, cutoff=12, overlap_tol=1.0)
+        ladder = convergence_report(
+            atom, 10.0, cutoffs=(np.int32(6), np.int64(10)), overlap_tol=1.0
+        )
+        assert all(type(c) is int for c in ladder.cutoffs)
+        assert ladder == convergence_report(
+            atom, 10.0, cutoffs=(6, 10), overlap_tol=1.0
+        )
+
+
 class TestDirectFirstOrder:
     def test_matches_dawson_closed_form(self):
         atom = PRESET.atom(1)

@@ -276,6 +276,65 @@ class TestNumericQuadrature:
         assert v_a_numeric(RingAtom(3), [0.5, 0, 0]).error is None
 
 
+class TestQuadpackPort:
+    # the potential --dim 3 radii of the cli benchmark workload
+    CLI_RADII = (2.0, 5.0, 9.0, 3.0, 12.0, 6.0, 20.0, 40.0, 2.5, 7.5)
+
+    @staticmethod
+    def _integrals(monkeypatch):
+        """Every (integrand, lo, hi) that ``v_a_numeric`` hands to ``_quad``."""
+        bohr = DrudeAtom.bohr_matched(3)
+        cases = [(bohr, s) for s in TestQuadpackPort.CLI_RADII]
+        rng = np.random.default_rng(16)
+        for omega in (0.5, 1.0, 2.0):
+            atom = DrudeAtom(3, omega)
+            cases += [(atom, s) for s in 10.0 ** rng.uniform(-3, 3, 60)]
+        r = np.linspace(0.0, 1.0, 200)  # verify's shell-theorem-ball
+        ball = NumericRadialAtom(3, r + 1e-6, np.ones_like(r))
+        cases += [(ball, s) for s in (2.0, 3.0, 5.0, 0.5)]
+
+        calls = []
+        quad = potential._quad
+
+        def spy(f, lo, hi):
+            calls.append((f, lo, hi))
+            return quad(f, lo, hi)
+
+        monkeypatch.setattr(potential, "_quad", spy)
+        for atom, s in cases:
+            v_a_numeric(atom, [s, 0.0, 0.0])
+        monkeypatch.undo()
+        return calls
+
+    def test_matches_scipy_quad(self, monkeypatch):
+        from scipy.integrate import quad
+
+        lasts = []
+        for f, lo, hi in self._integrals(monkeypatch):
+            # the same numpy expression, one abscissa at a time: a Python
+            # float's u**2 goes through libm's pow, which now and then rounds
+            # u^2 differently from numpy's square
+            def scalar(u, f=f):
+                return float(f(np.array([u]))[0])
+
+            want, want_err, info = quad(
+                scalar, lo, hi, epsabs=1e-13, epsrel=1e-11, limit=400,
+                full_output=1,
+            )[:3]
+            got, got_err = potential._quad(f, lo, hi)
+            assert got == want, (lo, hi)
+            assert got_err == pytest.approx(want_err, rel=1e-12, abs=0.0)
+            lasts.append(info["last"])
+        # both the first-interval exit and the bisection loop are exercised
+        assert len(lasts) > 300 and min(lasts) == 1 and max(lasts) >= 3
+
+    def test_unbounded_error_raises(self):
+        # 1/u is not integrable at 0: every bisection of [0, h] leaves an
+        # error of order one on the leftmost interval, up to the 400 limit
+        with pytest.raises(QuadratureError, match="too large"):
+            potential._quad(lambda u: 1.0 / u, 0.0, 1.0)
+
+
 class TestMultipoleForm:
     def test_d3_vanishes_any_direction_any_order(self):
         atom = DrudeAtom.bohr_matched(3)
