@@ -19,17 +19,46 @@ The series side evaluates a truncated interaction series as the bilinear
 form Va . C(R) . Vb between monomial values of the two atoms, on paired
 samples (``series_batch``) and on the on-axis grid (``series_grid_1d``).
 Only C(R) = sum_p R^-p C_p depends on the separation, so one pass over the
-samples (``_bilinear_values``) computes Va and Vb once per row block and
+samples (``_series_values``) computes Va and Vb once per row block and
 serves every C(R) of a list: ``series_batch`` is the one-separation case,
 and ``truncation_residual`` shares the monomial values across all its
 separations.
+
+Each series has one float form (``SeriesForm``, from ``series_form``): the
+flat monomial table, the distinct exponent rows of each atom in
+lexicographic order with each monomial's row, the same rows grouped by
+transverse parity class (the parities of the y and z exponents) and the
+nonzero class blocks of C(R).  Each C(R) is one scatter into those blocks,
+and the bilinear form is contracted block by block.  A monomial of
+t = r_A - r_B has even transverse powers, so its two rows share a class:
+4 diagonal blocks at d = 3, 2 at d = 2 and 1 at d = 1, where the product is
+the dense one.  The blocks are read off the table, so a table that couples
+two classes still evaluates.  First order and the sum over states contract
+the lexicographic rows power by power (``SeriesForm.per_power``).
+
+``series_form`` keys the form on the identity of the series' per-power
+monomial tuples, which ``multipole`` builds once per process: hashing their
+Fractions would cost as much as converting them.  A bounded
+``functools.lru_cache`` (``_FORM_CACHE_SIZE``) holds the forms, and its keys
+keep those tuples alive, so an id is never reused while its entry lives.
+Every array of a form is read-only.  Building one takes 7-15 ms at d = 3,
+N = 12 (3,081 monomials, 0.32 MB of arrays); the 27 forms of the
+benchmark's series workload hold about 1.1 MB.  A series whose terms are not
+tuples, such as lists a caller may mutate in place, gets a fresh form on
+every call.  ``series_batch`` and ``series_grid_1d`` take the flat table;
+given the read-only arrays of a cached form (``series_arrays``) they use
+that form, and any other table gets a fresh one.
+
 The float side of the exact-rational ``multipole`` algebra lives here too:
 the scalar reference ``exact_interaction``, the flat monomial arrays
 ``series_arrays`` and ``truncation_residual``.  ``multipole`` still resolves
 those names.
 """
 
+import functools
 import math
+import operator
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +69,10 @@ from .multipole import SingularConfigurationError, _check_separation, _integer
 # kernel holds about this many float64 values (0.5 MB), so temporaries stay
 # cache-sized and memory does not grow with the batch.
 _BLOCK = 2**16
+
+# Series forms ``series_form`` keeps.  The benchmark's series workload
+# builds 27: d = 1-3 at orders 5-12, and each dimension's dipole term.
+_FORM_CACHE_SIZE = 64
 
 
 def backend_name() -> str:
@@ -121,36 +154,122 @@ def _distinct_rows(exps):
     return exps[first], idx
 
 
-def _bilinear_form(powers, coeffs, exp_a, exp_b):
-    """A truncated series as one matrix per inverse power between two bases.
+def _parity_classes(rows):
+    """Transverse parity class of each row, 0-3, and where each class starts.
 
-    Returns the distinct exponent rows of atom A and of atom B and an
-    iterator over (p, C_p), p increasing, that builds each C_p when reached:
-    the unscaled order-p polynomial is Va(a) . C_p . Vb(b), with Va and Vb
-    the monomials of those rows (``_monomial_values``).  Each monomial's
-    power is read from ``powers``, not from its degree.
+    The class is (e_y mod 2) + 2 (e_z mod 2).  A stable sort by class keeps
+    the rows of one class in their order; in that order class c occupies
+    positions start[c]:start[c + 1].  Returns (class, sort order, start).
     """
-    rows_a, idx_a = _distinct_rows(exp_a)
-    rows_b, idx_b = _distinct_rows(exp_b)
-
-    def per_power():
-        for p in np.unique(powers):
-            sel = powers == p
-            c = np.zeros((rows_a.shape[0], rows_b.shape[0]))
-            np.add.at(c, (idx_a[sel], idx_b[sel]), coeffs[sel])
-            yield int(p), c
-
-    return rows_a, rows_b, per_power()
+    cls = rows[:, 1] % 2 + 2 * (rows[:, 2] % 2)
+    order = np.argsort(cls, kind="stable")
+    return cls, order, np.searchsorted(cls[order], np.arange(5))
 
 
-def _series_matrices(powers, coeffs, exp_a, exp_b, r_values):
-    """Distinct rows and C(R) = sum_p R^-p C_p, the whole series, at each R."""
-    rows_a, rows_b, per_power = _bilinear_form(powers, coeffs, exp_a, exp_b)
-    mats = [np.zeros((rows_a.shape[0], rows_b.shape[0])) for _ in r_values]
-    for p, c_p in per_power:
-        for R, c in zip(r_values, mats):
-            c += R ** -float(p) * c_p
-    return rows_a, rows_b, mats
+@dataclass(frozen=True, eq=False)
+class SeriesForm:
+    """The float form of a truncated series, built from its monomial table.
+
+    ``powers``, ``coeffs``, ``exp_a`` and ``exp_b`` are the flat table, one
+    entry per monomial (``arrays``); ``distinct_powers`` are its powers,
+    increasing, and ``power_idx`` each monomial's place among them.
+    ``rows_a`` and ``rows_b`` are the distinct exponent rows of the two atoms
+    in lexicographic order, and ``idx_a``, ``idx_b`` each monomial's row;
+    ``per_power`` contracts over them.  ``class_rows_a`` and
+    ``class_rows_b`` hold the same rows grouped by transverse parity class.
+    ``blocks`` lists each nonzero (class of A, class of B) block of C(R) as
+    the slices of the two atoms' class rows and the slice of the block
+    buffer it occupies; ``slot`` is each monomial's place in that buffer of
+    ``buffer_size`` entries.
+    """
+
+    powers: np.ndarray
+    coeffs: np.ndarray
+    exp_a: np.ndarray
+    exp_b: np.ndarray
+    rows_a: np.ndarray
+    idx_a: np.ndarray
+    rows_b: np.ndarray
+    idx_b: np.ndarray
+    class_rows_a: np.ndarray
+    class_rows_b: np.ndarray
+    blocks: tuple
+    slot: np.ndarray
+    buffer_size: int
+    distinct_powers: tuple
+    power_idx: np.ndarray
+
+    @classmethod
+    def from_arrays(cls, powers, coeffs, exp_a, exp_b):
+        """Form of the flat table; the blocks are read off its monomials.
+
+        A monomial's A and B rows fix its block, so a table whose monomials
+        couple two classes gets that off-diagonal block.  For the expansion
+        every monomial has the same parity on both atoms (t = r_A - r_B has
+        even transverse powers), which gives the diagonal blocks: 4 at d = 3,
+        2 at d = 2 and 1 at d = 1.
+        """
+        rows_a, idx_a = _distinct_rows(exp_a)
+        rows_b, idx_b = _distinct_rows(exp_b)
+        cls_a, order_a, start_a = _parity_classes(rows_a)
+        cls_b, order_b, start_b = _parity_classes(rows_b)
+        # each monomial's class on either side and its place within the class
+        mc_a, mc_b = cls_a[idx_a], cls_b[idx_b]
+        at_a = np.argsort(order_a)[idx_a] - start_a[mc_a]
+        at_b = np.argsort(order_b)[idx_b] - start_b[mc_b]
+        pairs, blk = np.unique(4 * mc_a + mc_b, return_inverse=True)
+        blocks, offsets, widths, size = [], [], [], 0
+        for pair in pairs.tolist():
+            ca, cb = divmod(pair, 4)
+            sa = slice(int(start_a[ca]), int(start_a[ca + 1]))
+            sb = slice(int(start_b[cb]), int(start_b[cb + 1]))
+            n = (sa.stop - sa.start) * (sb.stop - sb.start)
+            blocks.append((sa, sb, slice(size, size + n)))
+            offsets.append(size)
+            widths.append(sb.stop - sb.start)
+            size += n
+        offsets = np.array(offsets, dtype=np.int64)
+        widths = np.array(widths, dtype=np.int64)
+        distinct, power_idx = np.unique(powers, return_inverse=True)
+        return cls(
+            powers, coeffs, exp_a, exp_b, rows_a, idx_a, rows_b, idx_b,
+            rows_a[order_a], rows_b[order_b], tuple(blocks),
+            offsets[blk] + at_a * widths[blk] + at_b, size,
+            tuple(int(p) for p in distinct), power_idx,
+        )
+
+    @property
+    def arrays(self):
+        """The flat table (powers, coeffs, exp_a, exp_b) of the batch kernels."""
+        return self.powers, self.coeffs, self.exp_a, self.exp_b
+
+    def per_power(self):
+        """(p, C_p) for each power p, increasing, over the lexicographic rows.
+
+        The unscaled order-p polynomial is Va(a) . C_p . Vb(b), with Va and
+        Vb the monomials of ``rows_a`` and ``rows_b``; each C_p is built when
+        reached.  Each monomial's power is read from ``powers``, not from
+        its degree.
+        """
+        for k, p in enumerate(self.distinct_powers):
+            sel = self.power_idx == k
+            c = np.zeros((self.rows_a.shape[0], self.rows_b.shape[0]))
+            np.add.at(c, (self.idx_a[sel], self.idx_b[sel]), self.coeffs[sel])
+            yield p, c
+
+    def block_matrices(self, R):
+        """The blocks of C(R) = sum_p R^-p C_p over the class rows.
+
+        One scatter of R^-p times each coefficient into the block buffer;
+        the blocks are views of it.
+        """
+        scale = np.array([R ** -float(p) for p in self.distinct_powers])
+        buf = np.zeros(self.buffer_size)
+        np.add.at(buf, self.slot, scale[self.power_idx] * self.coeffs)
+        return [
+            buf[cut].reshape(sa.stop - sa.start, sb.stop - sb.start)
+            for sa, sb, cut in self.blocks
+        ]
 
 
 def _monomial_values(pts, rows):
@@ -165,19 +284,22 @@ def _monomial_values(pts, rows):
     return out
 
 
-def _bilinear_values(rows_a, rows_b, mats, pts_a, pts_b):
-    """Va[i] . C_k . Vb[i] for every matrix C_k in ``mats``, shape (k, n).
+def _series_values(form, r_values, pts_a, pts_b):
+    """Va[i] . C(R) . Vb[i] at every R in ``r_values``, shape (len(r_values), n).
 
     Evaluated in row blocks; each block's monomial values Va and Vb are
-    computed once and shared by every C_k.
+    computed once and shared by every R, and each C(R) is contracted block
+    by block over the parity classes.
     """
-    out = np.empty((len(mats), pts_a.shape[0]))
-    width = max(rows_a.shape[0], rows_b.shape[0])
+    mats = [form.block_matrices(R) for R in r_values]
+    out = np.zeros((len(mats), pts_a.shape[0]))
+    width = max(form.class_rows_a.shape[0], form.class_rows_b.shape[0])
     for blk in _row_blocks(pts_a.shape[0], width):
-        va = _monomial_values(pts_a[blk], rows_a)
-        vb = _monomial_values(pts_b[blk], rows_b)
-        for k, c in enumerate(mats):
-            out[k, blk] = np.einsum("ij,ij->i", va @ c, vb)
+        va = _monomial_values(pts_a[blk], form.class_rows_a)
+        vb = _monomial_values(pts_b[blk], form.class_rows_b)
+        for k, c_blocks in enumerate(mats):
+            for (sa, sb, _), c in zip(form.blocks, c_blocks):
+                out[k, blk] += np.einsum("ij,ij->i", va[:, sa] @ c, vb[:, sb])
     return out
 
 
@@ -187,24 +309,29 @@ def series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
     ``powers``/``coeffs`` are the flat monomial table (one row per monomial),
     ``exp_a``/``exp_b`` the (m, 3) exponent arrays.  Returns shape (n,).
     Sample i is the bilinear form Va[i] . C(R) . Vb[i], evaluated in row
-    blocks: the one-separation case of ``_bilinear_values``, which
-    ``truncation_residual`` calls with every separation at once.
+    blocks and parity blocks: the one-separation case of the pass that
+    ``truncation_residual`` makes with every separation at once.
     """
     _check_separation(R)
-    rows_a, rows_b, mats = _series_matrices(powers, coeffs, exp_a, exp_b, (R,))
-    return _bilinear_values(rows_a, rows_b, mats, pts_a, pts_b)[0]
+    form = _table_form(powers, coeffs, exp_a, exp_b)
+    return _series_values(form, (R,), pts_a, pts_b)[0]
 
 
 def series_grid_1d(powers, coeffs, exp_a, exp_b, R, xa, xb):
     """Truncated series tabulated on the outer grid of 1D displacements.
 
-    The grid is Va . C(R) . Vb^T over the rows of ``series_batch``, with the
-    displacements placed on the x-axis by ``_on_axis``.
+    The grid is Va . C(R) . Vb^T over the class rows of ``series_batch``,
+    block by block, with the displacements placed on the x-axis by
+    ``_on_axis``.
     """
     _check_separation(R)
-    rows_a, rows_b, (c,) = _series_matrices(powers, coeffs, exp_a, exp_b, (R,))
-    c_vb = c @ _monomial_values(_on_axis(xb), rows_b).T
-    return _monomial_values(_on_axis(xa), rows_a) @ c_vb
+    form = _table_form(powers, coeffs, exp_a, exp_b)
+    va = _monomial_values(_on_axis(xa), form.class_rows_a)
+    vb = _monomial_values(_on_axis(xb), form.class_rows_b)
+    grid = np.zeros((va.shape[0], vb.shape[0]))
+    for (sa, sb, _), c in zip(form.blocks, form.block_matrices(R)):
+        grid += va[:, sa] @ (c @ vb[:, sb].T)
+    return grid
 
 
 def exact_interaction(R, r_a, r_b):
@@ -229,16 +356,90 @@ def exact_interaction(R, r_a, r_b):
     return 1.0 / R + 1.0 / d_ab - 1.0 / d_a - 1.0 / d_b
 
 
-def series_arrays(series):
-    """Flat float/int arrays of the series monomials for the batch kernels."""
-    monos = [(p, m) for p in sorted(series.terms) for m in series.terms[p]]
+class _SameTuples:
+    """Cache key of a series: its (power, monomial tuple) pairs by identity.
+
+    Comparing the tuples by identity costs nothing, where hashing their
+    Fractions would cost about as much as converting them.  The cache keeps
+    the key, and so the tuples, alive: an id cannot be reused while its
+    entry lives.
+    """
+
+    __slots__ = ("items", "_hash")
+
+    def __init__(self, items):
+        self.items = items
+        self._hash = hash(tuple((p, id(monos)) for p, monos in items))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return len(self.items) == len(other.items) and all(
+            p == q and a is b for (p, a), (q, b) in zip(self.items, other.items)
+        )
+
+
+def series_form(series):
+    """The float form (``SeriesForm``) of a series, built once per table.
+
+    A series whose every power holds a tuple of monomials is looked up by
+    the identity of those tuples; other containers, which can be mutated in
+    place, get a fresh form on every call.
+    """
+    items = tuple(sorted(series.terms.items(), key=lambda item: item[0]))
+    if all(type(monos) is tuple for _, monos in items):
+        return _cached_form(series.dim, _SameTuples(items))
+    return _build_form(series.dim, items)
+
+
+@functools.lru_cache(maxsize=_FORM_CACHE_SIZE)
+def _cached_form(dim, key):
+    form = _build_form(dim, key.items)
+    _FORM_OF_COEFFS[id(form.coeffs)] = form
+    return form
+
+
+# id(coeffs) -> cached form.  An entry dies with its form, which holds the
+# coeffs array, so an id is never reused while it has an entry.
+_FORM_OF_COEFFS = weakref.WeakValueDictionary()
+
+
+def _table_form(powers, coeffs, exp_a, exp_b):
+    """The form of a flat table, looked up or built.
+
+    The arrays ``series_arrays`` hands out find their cached form; any
+    other table, which the caller may change in place, gets a fresh one.
+    """
+    table = (powers, coeffs, exp_a, exp_b)
+    form = _FORM_OF_COEFFS.get(id(coeffs))
+    if form is not None and all(map(operator.is_, form.arrays, table)):
+        return form
+    return SeriesForm.from_arrays(powers, coeffs, exp_a, exp_b)
+
+
+def _build_form(dim, items):
+    """Convert the Fractions once; every array of the form is read-only."""
+    monos = [(p, m) for p, ms in items for m in ms]
     powers = np.array([p for p, _ in monos], dtype=np.int64)
     coeffs = np.array([float(m.coeff) for _, m in monos])
     exp_a = np.zeros((len(monos), 3), dtype=np.int64)
     exp_b = np.zeros((len(monos), 3), dtype=np.int64)
-    exp_a[:, : series.dim] = np.reshape([m.exp_a for _, m in monos], (-1, series.dim))
-    exp_b[:, : series.dim] = np.reshape([m.exp_b for _, m in monos], (-1, series.dim))
-    return powers, coeffs, exp_a, exp_b
+    exp_a[:, :dim] = np.reshape([m.exp_a for _, m in monos], (-1, dim))
+    exp_b[:, :dim] = np.reshape([m.exp_b for _, m in monos], (-1, dim))
+    form = SeriesForm.from_arrays(powers, coeffs, exp_a, exp_b)
+    for value in vars(form).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return form
+
+
+def series_arrays(series):
+    """Flat float/int arrays of the series monomials for the batch kernels.
+
+    They are the read-only arrays of ``series_form``.
+    """
+    return series_form(series).arrays
 
 
 @dataclass(frozen=True)
@@ -279,8 +480,7 @@ def truncation_residual(series, r_values, sample_count, radius, seed=0):
     rng = np.random.default_rng(seed)
     pts_a = _ball_samples(rng, series.dim, sample_count, radius)
     pts_b = _ball_samples(rng, series.dim, sample_count, radius)
-    rows_a, rows_b, mats = _series_matrices(*series_arrays(series), r_values)
-    approx = _bilinear_values(rows_a, rows_b, mats, pts_a, pts_b)
+    approx = _series_values(series_form(series), r_values, pts_a, pts_b)
 
     max_res = np.empty_like(r_values)
     rms_res = np.empty_like(r_values)

@@ -29,8 +29,9 @@ them once per process and keeps them (``functools.lru_cache``; at most
 built).  ``expand_interaction`` assembles a fresh ``terms`` dict from those
 cached tuples on every call, so a caller that mutates the dict it gets back
 leaves the next call unchanged; the tuples and their frozen monomials cannot
-be mutated.  Whole series are not cached per ``max_power``: that would store
-each order up to eight times.
+be mutated.  The exact side caches no whole series per ``max_power``: that
+would store each order up to eight times.  The float side does: ``kernels``
+keeps one float form per series, keyed on the identity of these tuples.
 
 This module holds only the exact-rational algebra and the separation check
 that every entry point taking R shares (``_check_separation``).  It imports

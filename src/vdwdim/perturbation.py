@@ -39,7 +39,6 @@ from .drude_exact import (  # noqa: F401  (re-exported; their home is drude_exac
     second_order_drude_closed_form,
     total_energy_curve,
 )
-from .kernels import series_arrays
 from .multipole import _check_separation
 from .potential import even_moments, multipole_coefficients
 
@@ -48,18 +47,19 @@ def first_order_expectation(series, atom_a, atom_b, R):
     """Per-power first-order corrections  R^-n m_A^T C_n m_B, in units of k.
 
     C_n holds the unscaled coefficients of the order-n polynomial between the
-    distinct exponent rows of the two atoms (``kernels._bilinear_form``) and
-    m_A, m_B the moments of those rows, each taken once.  Returns a dict
-    mapping each inverse power in the series to its energy contribution.
-    Odd-degree factors make the n = 3, 4 and 6 entries vanish identically.
+    distinct exponent rows of the two atoms (``SeriesForm.per_power`` of the
+    cached ``kernels.series_form``) and m_A, m_B the moments of those rows,
+    each taken once.  Returns a dict mapping each inverse power in the series
+    to its energy contribution.  Odd-degree factors make the n = 3, 4 and 6
+    entries vanish identically.
     """
     _check_separation(R)
     if atom_a.dim != series.dim or atom_b.dim != series.dim:
         raise ValueError("atom dimension does not match series dimension")
-    rows_a, rows_b, per_power = kernels._bilinear_form(*series_arrays(series))
-    m_a = np.array([atom_a.moment(row[: series.dim]) for row in rows_a])
-    m_b = np.array([atom_b.moment(row[: series.dim]) for row in rows_b])
-    totals = {power: float(m_a @ c @ m_b) for power, c in per_power}
+    form = kernels.series_form(series)
+    m_a = np.array([atom_a.moment(row[: series.dim]) for row in form.rows_a])
+    m_b = np.array([atom_b.moment(row[: series.dim]) for row in form.rows_b])
+    totals = {power: float(m_a @ c @ m_b) for power, c in form.per_power()}
     return {power: totals.get(power, 0.0) / R**power for power in series.terms}
 
 
@@ -102,11 +102,11 @@ def _series_amplitudes(series, atom_a, atom_b, cutoff):
 
     Power p gives F_A C_p F_B^T, with F[s, row] = prod_c <n_c|x^e_c|0>.
     """
-    rows_a, rows_b, per_power = kernels._bilinear_form(*series_arrays(series))
+    form = kernels.series_form(series)
     states = np.array(_multi_indices(series.dim, cutoff), dtype=np.int64)
-    f_a = _state_factors(atom_a, rows_a, states)
-    f_b = _state_factors(atom_b, rows_b, states)
-    amps = {power: f_a @ c @ f_b.T for power, c in per_power}
+    f_a = _state_factors(atom_a, form.rows_a, states)
+    f_b = _state_factors(atom_b, form.rows_b, states)
+    amps = {power: f_a @ c @ f_b.T for power, c in form.per_power()}
     zero = np.zeros((states.shape[0], states.shape[0]))
     return states, {power: amps.get(power, zero) for power in series.terms}
 

@@ -134,7 +134,7 @@ def v_a_multipole(atom, r, order=3):
     if order == 3:
         cos2 = float(np.sum(scaled[: atom.dim] ** 2)) / norm2
         a2 = atom.radial_moment(2) / atom.dim
-        value = _over_power(-(3.0 * cos2 - atom.dim) * a2 / 2.0, s, 3)
+        value = _over_power((atom.dim - 3.0 * cos2) * a2 / 2.0, s, 3)
     else:
         if abs(float(scaled[0]) ** 2 / norm2 - 1.0) > 1e-12:
             raise UnsupportedOrderError(

@@ -144,6 +144,16 @@ class TestPotential:
         assert (code, err) == (0, "")
         assert [line.split(",")[3] for line in out.splitlines()[1:]] == methods
 
+    def test_vanishing_quadrupole_prints_positive_zero(self, capsys):
+        # the d = 3 quadrupole (d - 3 cos^2)/2 is zero at every angle
+        code, out, err = run_cli(
+            capsys, "potential", "--dim", "3", "--radii", "5", "--thetas", "0,90",
+        )
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        quadrupole = [value for _, _, value, method in rows if method == "multipole3"]
+        assert quadrupole == ["0.000000000000e+00"] * 2
+
     def test_quadrature_error_single_error_line(self, capsys, monkeypatch):
         def fail(atom, point):
             raise QuadratureError("quadrature error 1e-03 too large")

@@ -1,5 +1,7 @@
 """The vectorized kernels against scalar references built on the exact kernel."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -128,3 +130,149 @@ def test_kernels_reject_bad_separation(bad_r):
     for call in calls:
         with pytest.raises(ValueError, match="separation"):
             call()
+
+
+def _samples(dim, count, rng):
+    pts = np.zeros((count, 3))
+    pts[:, :dim] = rng.uniform(-0.5, 0.5, (count, dim))
+    return pts
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("order", [3, 5, 8, 12])
+def test_series_batch_parity_blocks_across_block_boundary(dim, order):
+    series = multipole.expand_interaction(dim, order)
+    form = kernels.series_form(series)
+    # one block per transverse parity class; at order 3 no monomial has
+    # both y and z odd
+    assert len(form.blocks) == (2 ** (dim - 1) if order > 3 else dim)
+    width = max(form.class_rows_a.shape[0], form.class_rows_b.shape[0])
+    per_block = kernels._BLOCK // width
+    rng = np.random.default_rng(10 * dim + order)
+    pts_a = _samples(dim, per_block + 8, rng)
+    pts_b = _samples(dim, per_block + 8, rng)
+    got = kernels.series_batch(*form.arrays, R, pts_a, pts_b)
+    picked = [*range(0, per_block, per_block // 12 + 1), per_block - 1,
+              per_block, per_block + 7]
+    want = [
+        evaluate_series(series, R, pts_a[i, :dim], pts_b[i, :dim])
+        for i in picked
+    ]
+    np.testing.assert_allclose(got[picked], want, rtol=1e-12, atol=1e-18)
+
+
+def test_skipped_power_series_scaled_by_table_power():
+    # the d = 2 order-5 monomials filed under 1/R^9: the power is read from
+    # the table, not from the degree
+    base = multipole.expand_interaction(2, 5)
+    series = multipole.InteractionSeries(2, 9, {3: base.terms[3], 9: base.terms[5]})
+    assert kernels.series_form(series) is not kernels.series_form(base)
+    rng = np.random.default_rng(4)
+    pts_a, pts_b = _samples(2, 60, rng), _samples(2, 60, rng)
+    got = kernels.series_batch(*multipole.series_arrays(series), R, pts_a, pts_b)
+    want = [evaluate_series(series, R, a[:2], b[:2]) for a, b in zip(pts_a, pts_b)]
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-18)
+
+
+def test_series_batch_takes_blocks_from_the_table():
+    # y_A y_B z_A couples class (y, z odd) of A to class (y odd) of B, a block
+    # no expansion monomial fills
+    powers = np.array([3, 4, 5])
+    coeffs = np.array([-2.0, 0.75, 1.5])
+    exp_a = np.array([[1, 0, 0], [0, 1, 1], [2, 0, 0]])
+    exp_b = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 2]])
+    form = kernels.SeriesForm.from_arrays(powers, coeffs, exp_a, exp_b)
+    assert len(form.blocks) == 2
+    got = kernels.series_batch(powers, coeffs, exp_a, exp_b, R, PTS_A, PTS_B)
+    want = sum(
+        c * np.prod(PTS_A**ea, axis=1) * np.prod(PTS_B**eb, axis=1) / R**p
+        for p, c, ea, eb in zip(powers, coeffs, exp_a, exp_b)
+    )
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-18)
+
+
+class TestSeriesFormCache:
+    def test_cached_arrays_reject_writes(self):
+        form = kernels.series_form(multipole.expand_interaction(3, 6))
+        for array in vars(form).values():
+            if isinstance(array, np.ndarray):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 1
+        powers, coeffs, _, _ = multipole.series_arrays(
+            multipole.expand_interaction(3, 6)
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            coeffs *= 2.0
+
+    def test_tampered_order_gets_its_own_form(self):
+        series = multipole.expand_interaction(3, 5)
+        first = series.terms[5][0]
+        terms = dict(series.terms)
+        terms[5] = (
+            multipole.Monomial(first.coeff + Fraction(1, 7), first.exp_a, first.exp_b),
+        ) + terms[5][1:]
+        tampered = multipole.InteractionSeries(3, 5, terms)
+        clean, bad = kernels.series_form(series), kernels.series_form(tampered)
+        assert bad is not clean
+        k = list(clean.powers).index(5)
+        assert bad.coeffs[k] == float(first.coeff + Fraction(1, 7))
+        assert clean.coeffs[k] == float(first.coeff)
+        assert kernels.series_form(multipole.expand_interaction(3, 5)) is clean
+
+    def test_list_terms_mutated_in_place_are_never_stale(self):
+        base = multipole.expand_interaction(1, 4)
+        monos = list(base.terms[4])
+        series = multipole.InteractionSeries(1, 4, {3: base.terms[3], 4: monos})
+        before = multipole.series_arrays(series)[1].copy()
+        monos[0] = multipole.Monomial(Fraction(5), monos[0].exp_a, monos[0].exp_b)
+        after = multipole.series_arrays(series)[1]
+        k = len(base.terms[3])
+        assert before[k] == float(base.terms[4][0].coeff)
+        assert after[k] == 5.0
+
+    def test_batch_kernels_reuse_the_form_of_cached_arrays(self, monkeypatch):
+        arrays = multipole.series_arrays(multipole.expand_interaction(2, 6))
+        copies = tuple(a.copy() for a in arrays)
+        built = []
+        original = kernels.SeriesForm.from_arrays
+
+        def counted(*table):
+            built.append(table)
+            return original(*table)
+
+        monkeypatch.setattr(kernels.SeriesForm, "from_arrays", counted)
+        x = np.linspace(-1, 1, 5)
+        cached = kernels.series_batch(*arrays, R, PTS_A, PTS_B)
+        kernels.series_grid_1d(*arrays, R, x, x)
+        assert built == []
+        # a writable copy may change in place, so it is never looked up
+        assert np.array_equal(kernels.series_batch(*copies, R, PTS_A, PTS_B), cached)
+        copies[1][:] = 0.0
+        assert not kernels.series_batch(*copies, R, PTS_A, PTS_B).any()
+        assert len(built) == 2
+
+    def test_size_stays_within_bound(self):
+        bound = kernels._cached_form.cache_info().maxsize
+        mono = multipole.Monomial(Fraction(1), (1,), (1,))
+        for k in range(bound + 5):
+            kernels.series_form(
+                multipole.InteractionSeries(1, 3, {3: (mono,) * (k % 3 + 1)})
+            )
+        assert kernels._cached_form.cache_info().currsize <= bound
+
+    def test_holds_every_form_of_the_series_workload(self):
+        # the benchmark's series ops: d = 1-3 at orders 5-12, each with its
+        # dipole term as a series of its own
+        def workload_series():
+            for d in (1, 2, 3):
+                for n in range(5, 13):
+                    series = multipole.expand_interaction(d, n)
+                    yield series
+                    yield multipole.InteractionSeries(d, 3, {3: series.terms[3]})
+
+        kernels._cached_form.cache_clear()
+        forms = [kernels.series_form(s) for s in workload_series()]
+        assert len({id(f) for f in forms}) == 27
+        again = [kernels.series_form(s) for s in workload_series()]
+        assert all(a is b for a, b in zip(again, forms))
+        assert kernels._cached_form.cache_info().currsize == 27
