@@ -415,7 +415,7 @@ def _table_form(powers, coeffs, exp_a, exp_b):
     form = _FORM_OF_COEFFS.get(id(coeffs))
     if form is not None and all(map(operator.is_, form.arrays, table)):
         return form
-    return SeriesForm.from_arrays(powers, coeffs, exp_a, exp_b)
+    return SeriesForm.from_arrays(*table)
 
 
 def _build_form(dim, items):
