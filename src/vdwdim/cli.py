@@ -23,7 +23,9 @@ numpy comes with ``atoms``, ``kernels``, ``potential`` and the modules built
 on them, so ``--version``, ``expand``, ``curve`` and ``exact`` run without
 it, error exits included: ``main`` reports a ``CliError``, ``ValueError`` or
 ``OSError`` before it looks up the oracle's and the potential's own errors.
-``potential`` rejects an unknown ``--methods`` entry before it loads numpy.
+``potential`` rejects an unknown ``--methods`` entry, a ``--radii`` or
+``--thetas`` value that is not finite and a zero radius before it loads
+numpy, and so before it builds the atom.
 """
 
 import argparse
@@ -156,11 +158,13 @@ def cmd_potential(args):
     for method in methods:
         if method not in _POTENTIAL_METHODS:
             raise CliError(f"unknown method {method!r}")
+    radii = _finite_list(args.radii, "--radii")
+    thetas = _finite_list(args.thetas, "--thetas")
+    if 0.0 in radii:  # the nucleus: every method rejects that field point
+        raise CliError("field point must be finite and nonzero")
     import numpy as np
 
     atom = _atom_from_args(args)
-    radii = _finite_list(args.radii, "--radii")
-    thetas = _finite_list(args.thetas, "--thetas")
     lines = ["r,theta_deg,value,method"]
     for s in radii:
         for theta in thetas:

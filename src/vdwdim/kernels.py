@@ -5,15 +5,22 @@ contractions, plus the float side of the truncated series.
 
     1/R + 1/|R x - a + b| - 1/|R x - a| - 1/|R x + b|
 
-on electron positions that broadcast against each other.  Positions are
-(..., 3) arrays, zero-padded when the physical dimension is lower; the
-inter-atomic axis is x.  Each public kernel is one contraction of it:
+on electron positions that broadcast against each other.  Each position is
+an (x, y, z) tuple of components; the inter-atomic axis is x, and a
+coordinate the physical dimension lacks is the scalar 0.0, so it costs no
+pass over the kernel values.  The public kernels take (n, 3) point arrays,
+zero-padded when the dimension is lower, or 1D displacements, and each is
+one contraction of ``_four_site``:
 
-* ``four_site_batch`` -- paired samples, the diagonal case;
+* ``four_site_batch`` -- paired samples, the diagonal case, on the columns
+  of the two point arrays;
 * ``four_site_grid_1d`` -- the outer grid of two sets of displacements on
-  the x-axis (``_on_axis``), the oracle's coupling G;
+  the x-axis, the oracle's coupling G, with no y or z pass;
 * ``pair_expectation`` -- w_a . K . w_b over row blocks of the matrix K
-  between two point sets.
+  between two point sets.  When the second set is a C-order tensor grid,
+  it enters by its axes (``_grid_components``): |R x - a + b|^2 is summed
+  from per-axis pieces, and only its last addition runs over the whole
+  block.
 
 The series side evaluates a truncated interaction series as the bilinear
 form Va . C(R) . Vb between monomial values of the two atoms, on paired
@@ -97,18 +104,77 @@ def _on_axis(x):
 def _four_site(R, a, b):
     """1/R + 1/|Rx - a + b| - 1/|Rx - a| - 1/|Rx + b| over broadcast points.
 
-    ``a`` and ``b`` are (..., 3) arrays whose leading shapes broadcast; the
-    result has the broadcast shape.  Each single-atom term is computed on
-    its own atom's shape, so for a (rows, 1, 3) block against (1, m, 3) it
-    costs O(rows + m).  The Coulomb prefactor is not applied.
+    ``a`` and ``b`` are (x, y, z) tuples of components that broadcast
+    against each other.  The x components are arrays, whose broadcast with
+    the present y and z components is the result's shape; an absent y or z
+    coordinate is the scalar 0.0 and costs no pass over the result.  Each
+    single-atom term is computed on its own atom's shape, so for a
+    (rows, 1) block against (m,) columns it costs O(rows + m).  The Coulomb
+    prefactor is not applied.
     """
-    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
-    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
-    k = 1.0 / np.sqrt((R - ax + bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
+    ax, ay, az = a
+    bx, by, bz = b
+    k = _squared_norm(R - ax + bx, ay - by, az - bz)
+    np.sqrt(k, out=k)
+    np.divide(1.0, k, out=k)
     k += 1.0 / R
-    k -= 1.0 / np.sqrt((R - ax) ** 2 + ay**2 + az**2)
-    k -= 1.0 / np.sqrt((R + bx) ** 2 + by**2 + bz**2)
+    k -= 1.0 / np.sqrt(_squared_norm(R - ax, ay, az))
+    k -= 1.0 / np.sqrt(_squared_norm(R + bx, by, bz))
     return k
+
+
+def _squared_norm(x, y, z):
+    """x**2 + y**2 + z**2, summed in that order into a new array.
+
+    A part that is a scalar zero is skipped: adding 0.0 to a sum of squares
+    changes no bit, so the sum equals that of zero-padded coordinates.
+    """
+    total = x**2
+    for part in (y, z):
+        if np.ndim(part) or part:
+            total = total + part**2
+    return total
+
+
+def _present(x, y, z):
+    """(x, y, z) with an all-zero y or z component as the scalar 0.0."""
+    return (x,) + tuple(c if c.any() else 0.0 for c in (y, z))
+
+
+def _columns(pts):
+    """Components of (n, 3) points for ``_four_site``: its (n,) columns."""
+    return _present(pts[:, 0], pts[:, 1], pts[:, 2])
+
+
+def _first_repeat(values):
+    """Index of the first later entry equal to values[0], else len(values)."""
+    hits = np.flatnonzero(values[1:] == values[0])
+    return int(hits[0]) + 1 if hits.size else values.size
+
+
+def _grid_components(pts):
+    """Components of (m, 3) points for ``_four_site``, per axis when possible.
+
+    When ``pts`` is the C-order tensor grid of its own coordinates, point
+    (i, j, l) at row (i n_y + j) n_z + l, the components are its three axes,
+    shaped (n_x, 1, 1), (1, n_y, 1) and (1, 1, n_z), so a kernel block
+    against them has shape (rows, n_x, n_y, n_z) and lists the points in
+    order.  The axis lengths are read where the z and then the y coordinate
+    first repeats, and the grid is then compared with the outer product of
+    its axes, entry by entry: O(m) work, and any other point set keeps its
+    columns (``_columns``).
+    """
+    m = pts.shape[0]
+    if m:
+        n_z = _first_repeat(pts[:, 2])
+        n_y = _first_repeat(pts[::n_z, 1])
+        n_x, rest = divmod(m, n_y * n_z)
+        if not rest:
+            grid = pts.reshape(n_x, n_y, n_z, 3)
+            axes = (grid[:, :1, :1, 0], grid[:1, :, :1, 1], grid[:1, :1, :, 2])
+            if all((grid[..., c] == axes[c]).all() for c in range(3)):
+                return _present(*axes)
+    return _columns(pts)
 
 
 def four_site_batch(R, pts_a, pts_b):
@@ -118,13 +184,15 @@ def four_site_batch(R, pts_a, pts_b):
     two-electron configuration.
     """
     _check_separation(R)
-    return _four_site(R, pts_a, pts_b)
+    return _four_site(R, _columns(pts_a), _columns(pts_b))
 
 
 def four_site_grid_1d(R, xa, xb):
     """Four-site kernel on the outer grid of 1D displacements xa[p], xb[q]."""
     _check_separation(R)
-    return _four_site(R, _on_axis(xa)[:, None], _on_axis(xb)[None])
+    xa = np.asarray(xa, dtype=float)
+    xb = np.asarray(xb, dtype=float)
+    return _four_site(R, (xa[:, None], 0.0, 0.0), (xb[None], 0.0, 0.0))
 
 
 def pair_expectation(R, pts_a, w_a, pts_b, w_b):
@@ -133,13 +201,20 @@ def pair_expectation(R, pts_a, w_a, pts_b, w_b):
     Blocked over the first factor so each (rows, n_b) block of K holds about
     _BLOCK kernel values.  K is summed element by element: the four terms
     nearly cancel, and summing them separately over the grid loses the
-    result.
+    result.  When ``pts_b`` is a tensor grid (``_grid_components``) its
+    axes broadcast against each block, so forming |R x - a + b|^2 costs one
+    pass over the block instead of eight; the values are the same bit for
+    bit, and the sum is too.
     """
     _check_separation(R)
+    b = _grid_components(pts_b)
+    lead = (slice(None),) + (None,) * b[0].ndim
+    a = _columns(pts_a)
     acc = 0.0
     for blk in _row_blocks(pts_a.shape[0], pts_b.shape[0]):
-        k = _four_site(R, pts_a[blk, None], pts_b[None])
-        acc += float(w_a[blk] @ k @ w_b)
+        rows = tuple(c[blk][lead] if np.ndim(c) else c for c in a)
+        k = _four_site(R, rows, b)
+        acc += float(w_a[blk] @ k.reshape(k.shape[0], pts_b.shape[0]) @ w_b)
     return acc
 
 

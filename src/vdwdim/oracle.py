@@ -17,16 +17,24 @@ than its expansion:
   (x_A, x_B) -> (-x_B, -x_A), which acts on product states as
   P|ij> = (-1)^(i+j) |ji>.  H splits into a P = +1 block on the states
   |ij> + (-1)^(i+j) |ji> (i <= j, m(m+1)/2 of them for m = cutoff + 1) and a
-  P = -1 block on |ij> - (-1)^(i+j) |ji> (i < j, m(m-1)/2), which are solved
-  separately, for a quarter of the flops of one eigensolve on all m^2
-  states; the lowest eigenvalue is the smaller of their two.  Each block is
+  P = -1 block on |ij> - (-1)^(i+j) |ji> (i < j, m(m-1)/2).  Each block is
   gathered with the exact projection of H onto its sector, so the
   rounding-level P-asymmetry of the quadrature moves eigenvalues only at
   second order.  The pairs are ordered by j, so the blocks of a smaller
   cutoff are leading principal blocks of the larger ones.
 
+  The lowest eigenvalue is the lower of the two sectors'.  Only the P = +1
+  blocks are diagonalized outright.  One Cholesky factorization of the
+  P = -1 block, shifted to just above the highest P = +1 value in play,
+  proves that the P = -1 sector lies higher at every cutoff, for about a
+  quarter of the flops of that block's eigensolve.  Where the factorization
+  fails, the P = -1 blocks are diagonalized too, so no sector is assumed to
+  hold the ground state.
+
 * ``direct_first_order`` integrates the exact kernel against the product
-  ground density on a 2d-dimensional tensor Gauss-Hermite grid.
+  ground density on a 2d-dimensional tensor Gauss-Hermite grid, with atom
+  A's grid folded over the transverse symmetries and atom B's grid passed
+  to the kernel by its axes.
 
 Validity needs well-separated atoms; each entry point checks the electron
 density at the midpoint between the nuclei against an overlap threshold,
@@ -193,13 +201,76 @@ def _exchange_blocks(ham):
     return blocks
 
 
-def _correction(blocks, cutoff):
-    """Lowest eigenvalue over both exchange sectors of the basis i, j <= cutoff."""
+def _block_sizes(cutoff):
+    """Sizes of the P = +1 and P = -1 blocks of the basis i, j <= cutoff."""
     m = cutoff + 1
-    sizes = (m * (m + 1) // 2, m * (m - 1) // 2)
-    return min(
-        float(np.linalg.eigvalsh(b[:k, :k])[0]) for b, k in zip(blocks, sizes)
+    return m * (m + 1) // 2, m * (m - 1) // 2
+
+
+def _lowest(block, size):
+    """Lowest eigenvalue of the leading size x size block."""
+    return float(np.linalg.eigvalsh(block[:size, :size])[0])
+
+
+_UNIT_ROUNDOFF = 2.0**-53  # of float64
+
+
+def _sector_above(block, mu):
+    """True if a Cholesky factorization proves no eigenvalue of ``block`` < mu.
+
+    Factorizes S = block - (mu + tau) I for the n x n block, with
+
+        tau = 4 (n + 1) u sum_i (|block_ii| + |mu|)
+
+    and u the unit roundoff.  A factorization that runs to completion in
+    floating point is the exact one of S + E with |E| <= gamma_(n+1) |R^T| |R|
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3,
+    gamma_k = k u / (1 - k u)), so ||E||_2 <= gamma_(n+1) / (1 - gamma_(n+1))
+    trace(S) when no entry is near underflow, and trace(S) is at most the
+    sum in tau.  tau is more than twice that bound, so a completed
+    factorization puts every eigenvalue of ``block`` at or above
+    mu + tau / 2, up to the rounding of the shift; a failed one proves
+    nothing.  numpy reads the lower triangle, as ``eigvalsh`` does.
+    """
+    n = block.shape[0]
+    trace = np.abs(np.diagonal(block)).sum() + n * abs(mu)
+    tau = 4 * (n + 1) * _UNIT_ROUNDOFF * trace
+    shifted = block.copy()
+    shifted.flat[:: n + 1] -= mu + tau
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _corrections(blocks, cutoffs):
+    """Lowest eigenvalue over both exchange sectors for each cutoff.
+
+    Cutoff c is the basis i, j <= c, and ``blocks`` are the two exchange
+    blocks of the largest cutoff or a larger one.  ``eigvalsh`` solves the
+    P = +1 leading block of every cutoff.  One Cholesky factorization of the
+    whole P = -1 block then proves that it has no eigenvalue below mu, the
+    highest of those P = +1 values (``_sector_above``).  By Cauchy
+    interlacing none of its leading blocks has one either, so at every
+    cutoff the minimum over the sectors is the P = +1 value.  Only when the
+    factorization fails are the P = -1 leading blocks solved as well, and
+    each cutoff takes the lower of its two values: no sector is assumed to
+    hold the ground state.
+    """
+    plus, minus = blocks
+    lows = tuple(_lowest(plus, _block_sizes(c)[0]) for c in cutoffs)
+    if _sector_above(minus, max(lows)):
+        return lows
+    return tuple(
+        min(low, _lowest(minus, _block_sizes(c)[1]))
+        for low, c in zip(lows, cutoffs)
     )
+
+
+def _correction(blocks, cutoff):
+    """``_corrections`` for the one basis i, j <= cutoff."""
+    return _corrections(blocks, (cutoff,))[0]
 
 
 def _nodes_off_nucleus(xi_nucleus, nodes):
@@ -260,13 +331,16 @@ def oscillator_basis_diag(
     ``mode`` selects the exact kernel ("full") or the series truncated at
     ``max_power`` ("truncated").  The Hamiltonian carries hbar omega (i + j)
     on its diagonal, so its lowest eigenvalue is ``correction`` and
-    ``ground_energy`` is correction + hbar omega.  It is solved as its two
+    ``ground_energy`` is correction + hbar omega.  It is split into its two
     exchange blocks, P = +1 with m(m+1)/2 states and P = -1 with m(m-1)/2
     (m = cutoff + 1), and the lower of their two lowest eigenvalues is taken
     (see the module docstring).  The convergence error is the variational
     drop in the correction from the sub-basis with cutoff - 2, whose blocks
     are leading principal blocks of the same two; exceeding 1e-6 relative to
-    the ground energy raises ``ConvergenceError``.  ``cutoff`` must be an
+    the ground energy raises ``ConvergenceError``.  ``eigvalsh`` solves the
+    P = +1 blocks of both bases, and one Cholesky factorization of the
+    P = -1 block at ``cutoff`` shows that sector lies above both; only if
+    it fails are the P = -1 blocks diagonalized too.  ``cutoff`` must be an
     integer of at least 3 (a numpy integer is taken as an int, a bool is
     rejected) and ``overlap_tol`` finite and positive.
 
@@ -285,8 +359,8 @@ def oscillator_basis_diag(
     blocks = _exchange_blocks(
         _hamiltonian(atom, R, mode, max_power, cutoff, nodes)
     )
-    correction = _correction(blocks, cutoff)
-    conv_err = _correction(blocks, cutoff - 2) - correction
+    correction, coarse = _corrections(blocks, (cutoff, cutoff - 2))
+    conv_err = coarse - correction
     e0 = correction + atom.hbar_omega  # plus two uncoupled ground states
     if conv_err / abs(e0) > _CONV_TOL:
         raise ConvergenceError(
@@ -314,7 +388,11 @@ def convergence_report(
     principal blocks of its cutoff, so the ladder shares one coupling
     operator and the energies are strictly variational in the basis.  The
     corrections are the lowest eigenvalues themselves and the ground energies
-    are correction + hbar omega.  Every rung must be an integer of at least 3.
+    are correction + hbar omega.  ``eigvalsh`` solves each rung's P = +1
+    block; one Cholesky factorization of the P = -1 block at the largest
+    cutoff shows that sector lies above every rung, and only if it fails
+    are the P = -1 blocks diagonalized too.  Every rung must be an integer
+    of at least 3.
     """
     cutoffs = tuple(cutoffs)
     if not cutoffs:
@@ -325,7 +403,7 @@ def convergence_report(
     blocks = _exchange_blocks(
         _hamiltonian(atom, R, mode, max_power, top, nodes)
     )
-    corrections = tuple(_correction(blocks, c) for c in cutoffs)
+    corrections = _corrections(blocks, cutoffs)
     energies = tuple(corr + atom.hbar_omega for corr in corrections)
     return ConvergenceReport(cutoffs, corrections, energies)
 
@@ -347,7 +425,10 @@ def direct_first_order(atom_a, atom_b, R, overlap_tol=1e-8):
     its orbit size, while atom B keeps its full grid: the sum is that of the
     two full grids, up to rounding.  At d = 3 this evaluates 810 x 5832
     kernel values instead of 5832 x 5832; at d = 2, 1152 x 2304 instead of
-    2304 x 2304; d = 1 has no transverse axis and is not folded.
+    2304 x 2304; d = 1 has no transverse axis and is not folded.  Atom B's
+    grid is the C-order tensor grid of its axes, so ``pair_expectation``
+    broadcasts each block of atom A's points against those axes, and the
+    sum is the same bit for bit as over B's points one by one.
     """
     if not isinstance(atom_a, DrudeAtom) or not isinstance(atom_b, DrudeAtom):
         raise AtomKindError("direct quadrature requires Drude atoms")

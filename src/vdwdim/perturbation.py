@@ -49,16 +49,22 @@ def first_order_expectation(series, atom_a, atom_b, R):
     C_n holds the unscaled coefficients of the order-n polynomial between the
     distinct exponent rows of the two atoms (``SeriesForm.per_power`` of the
     cached ``kernels.series_form``) and m_A, m_B the moments of those rows,
-    each taken once.  Returns a dict mapping each inverse power in the series
-    to its energy contribution.  Odd-degree factors make the n = 3, 4 and 6
-    entries vanish identically.
+    each taken once; when the two atoms are one object and their rows
+    coincide, as they do for every expansion, m_B is m_A.  Returns a dict
+    mapping each inverse power in the series to its energy contribution.
+    Odd-degree factors make the n = 3, 4 and 6 entries vanish identically.
     """
     _check_separation(R)
     if atom_a.dim != series.dim or atom_b.dim != series.dim:
         raise ValueError("atom dimension does not match series dimension")
     form = kernels.series_form(series)
     m_a = np.array([atom_a.moment(row[: series.dim]) for row in form.rows_a])
-    m_b = np.array([atom_b.moment(row[: series.dim]) for row in form.rows_b])
+    if atom_b is atom_a and np.array_equal(form.rows_b, form.rows_a):
+        m_b = m_a
+    else:
+        m_b = np.array(
+            [atom_b.moment(row[: series.dim]) for row in form.rows_b]
+        )
     totals = {power: float(m_a @ c @ m_b) for power, c in form.per_power()}
     return {power: totals.get(power, 0.0) / R**power for power in series.terms}
 

@@ -400,6 +400,27 @@ class TestImportPath:
         assert report.pop("moments") == [0, True]
         assert report == {argv: [code, False] for argv, code in free.items()}
 
+    def test_zero_radius_rejected_before_numpy(self, capsys):
+        # the nucleus is no field point for any method; the error line is
+        # the one the potential gives for it
+        zero = [
+            "potential --dim 2 --radii 0",
+            "potential --dim 1 --radii 5,-0.0 --methods multipole3",
+            "potential --dim 3 --atom ring --radii 0 --thetas 0,90",
+        ]
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_PROBE, *zero],
+            env=_probe_env(), capture_output=True, text=True, timeout=120,
+            check=True,
+        )
+        report = json.loads(proc.stdout)
+        report.pop("import vdwdim.cli")
+        assert report == {argv: [1, False] for argv in zero}
+        for argv in zero:
+            code, out, err = run_cli(capsys, *argv.split())
+            assert (code, out) == (1, "")
+            assert err == "error: field point must be finite and nonzero\n"
+
 
 # loads vdwdim.cli as perfbench's tracer does, then reports after each command
 # whether numpy is loaded

@@ -276,3 +276,100 @@ class TestSeriesFormCache:
         again = [kernels.series_form(s) for s in workload_series()]
         assert all(a is b for a, b in zip(again, forms))
         assert kernels._cached_form.cache_info().currsize == 27
+
+
+def _padded_four_site(R, a, b):
+    """The four-site kernel on zero-padded (..., 3) points, term by term."""
+    ax, ay, az = a[..., 0], a[..., 1], a[..., 2]
+    bx, by, bz = b[..., 0], b[..., 1], b[..., 2]
+    k = 1.0 / np.sqrt((R - ax + bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
+    k += 1.0 / R
+    k -= 1.0 / np.sqrt((R - ax) ** 2 + ay**2 + az**2)
+    k -= 1.0 / np.sqrt((R + bx) ** 2 + by**2 + bz**2)
+    return k
+
+
+def _padded_pair_expectation(R, pts_a, w_a, pts_b, w_b):
+    acc = 0.0
+    for blk in kernels._row_blocks(pts_a.shape[0], pts_b.shape[0]):
+        k = _padded_four_site(R, pts_a[blk, None], pts_b[None])
+        acc += float(w_a[blk] @ k @ w_b)
+    return acc
+
+
+def _tensor_grid(axes):
+    """C-order tensor grid of the given axes, zero-padded to (m, 3)."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.zeros((grids[0].size, 3))
+    for c, g in enumerate(grids):
+        pts[:, c] = g.ravel()
+    return pts
+
+
+class TestComponentForm:
+    AXES = {
+        1: [np.linspace(-2.0, 2.0, 41)],
+        2: [np.linspace(-2.0, 2.0, 13), np.linspace(-1.5, 1.5, 11)],
+        3: [np.linspace(-2.0, 2.0, 9), np.linspace(-1.5, 1.0, 7),
+            np.linspace(-1.0, 1.2, 8)],
+    }
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_batch_bit_identical_to_padded_form(self, dim):
+        rng = np.random.default_rng(dim)
+        pts_a, pts_b = _samples(dim, 700, rng), _samples(dim, 700, rng)
+        got = kernels.four_site_batch(R, pts_a, pts_b)
+        assert np.array_equal(got, _padded_four_site(R, pts_a, pts_b))
+
+    def test_grid_1d_bit_identical_to_padded_form(self):
+        x = np.linspace(-3, 3, 37)
+        y = np.linspace(-2.5, 2.5, 21)
+        want = _padded_four_site(R, _on_x_axis(x)[:, None], _on_x_axis(y)[None])
+        assert np.array_equal(kernels.four_site_grid_1d(R, x, y), want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_pair_expectation_bit_identical_to_padded_form(self, dim):
+        # enough rows for several blocks, against a grid with unequal axes
+        rng = np.random.default_rng(10 + dim)
+        pts_b = _tensor_grid(self.AXES[dim])
+        assert np.ndim(kernels._grid_components(pts_b)[0]) == 3
+        pts_a = _samples(dim, 3 * kernels._BLOCK // len(pts_b) + 5, rng)
+        w_a, w_b = rng.random(len(pts_a)), rng.random(len(pts_b))
+        got = kernels.pair_expectation(R, pts_a, w_a, pts_b, w_b)
+        assert got == _padded_pair_expectation(R, pts_a, w_a, pts_b, w_b)
+
+    def test_all_zero_points(self):
+        zeros = np.zeros((5, 3))
+        assert np.array_equal(kernels.four_site_batch(R, zeros, zeros), np.zeros(5))
+        w = np.full(5, 0.2)
+        assert kernels.pair_expectation(R, zeros, w, zeros, w) == 0.0
+        empty = np.zeros((0, 3))
+        assert kernels.four_site_batch(R, empty, empty).shape == (0,)
+        assert kernels.pair_expectation(R, zeros, w, empty, np.zeros(0)) == 0.0
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_tensor_grid_is_the_batch_contraction(self, dim):
+        # one block: 30 rows against at most 504 grid points
+        rng = np.random.default_rng(20 + dim)
+        pts_b = _tensor_grid(self.AXES[dim])
+        pts_a = _samples(dim, 30, rng)
+        w_a, w_b = rng.random(30), rng.random(len(pts_b))
+        k = kernels.four_site_batch(
+            R, np.repeat(pts_a, len(pts_b), axis=0), np.tile(pts_b, (30, 1))
+        ).reshape(30, len(pts_b))
+        got = kernels.pair_expectation(R, pts_a, w_a, pts_b, w_b)
+        assert got == float(w_a @ k @ w_b)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_permuted_grid_agrees(self, dim):
+        # a permuted grid is no tensor grid, so it keeps its columns and sums
+        # in another order; at d = 1 any order of points is a grid
+        rng = np.random.default_rng(30 + dim)
+        pts_b = _tensor_grid(self.AXES[dim])
+        perm = rng.permutation(len(pts_b))
+        assert np.ndim(kernels._grid_components(pts_b[perm])[0]) == 1
+        pts_a = _samples(dim, 200, rng)
+        w_a, w_b = rng.random(200), rng.random(len(pts_b))
+        grid = kernels.pair_expectation(R, pts_a, w_a, pts_b, w_b)
+        permuted = kernels.pair_expectation(R, pts_a, w_a, pts_b[perm], w_b[perm])
+        assert permuted == pytest.approx(grid, rel=1e-15, abs=0.0)

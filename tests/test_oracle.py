@@ -314,6 +314,69 @@ class TestExchangeSymmetry:
         convergence_report(
             atom, 13.0, mode=mode, cutoffs=(6, 10, 14), overlap_tol=1.0
         )
+        sizes, factored = [], []
+        real_eigvalsh, real_cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+
+        def spy(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return real_eigvalsh(a, *args, **kwargs)
+
+        def cholesky_spy(a, *args, **kwargs):
+            factored.append(a.shape[0])
+            return real_cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+        oscillator_basis_diag(atom, 13.0, mode=mode, cutoff=12, overlap_tol=1.0)
+        convergence_report(
+            atom, 13.0, mode=mode, cutoffs=(6, 10, 14), overlap_tol=1.0
+        )
+        # the P = +1 block of every rung, and one factorization of the
+        # P = -1 block per solve, at its largest cutoff
+        rungs = (12, 10) + (6, 10, 14)
+        assert sizes == [(c + 1) * (c + 2) // 2 for c in rungs]
+        assert factored == [12 * 13 // 2, 14 * 15 // 2]
+        assert not {(c + 1) ** 2 for c in rungs} & set(sizes + factored)
+
+    def test_ground_state_in_minus_sector_through_the_solver(self, monkeypatch):
+        # as in test_ground_state_taken_from_either_sector, |01> and |10>
+        # coupled by -2 put a P = -1 state at hbar omega - 2; a weak
+        # exchange-symmetric coupling of |01>, |10> to |0c>, |c0> lowers it
+        # only in the basis with cutoff c, so the convergence error is the
+        # drop of the P = -1 eigenvalue
+        atom = PRESET.atom(1)
+        cutoff, n = 5, 6
+        i, j = np.divmod(np.arange(n * n), n)
+        ham = np.diag(atom.hbar_omega * (i + j))
+        ham[1, n] = ham[n, 1] = -2.0
+        g = 1e-4
+        ham[1, cutoff] = ham[cutoff, 1] = g
+        ham[n, cutoff * n] = ham[cutoff * n, n] = (-1.0) ** (1 + cutoff) * g
+        monkeypatch.setattr(oracle, "_hamiltonian", lambda *args: ham.copy())
+        res = oscillator_basis_diag(atom, 13.0, cutoff=cutoff, overlap_tol=1.0)
+        keep = (i <= cutoff - 2) & (j <= cutoff - 2)
+        fine = np.linalg.eigvalsh(ham)[0]
+        coarse = np.linalg.eigvalsh(ham[np.ix_(keep, keep)])[0]
+        _, minus = _exchange_blocks(ham)
+        assert fine < coarse == pytest.approx(-1.5, abs=1e-15)
+        assert res.correction == pytest.approx(fine, rel=1e-15, abs=0.0)
+        assert res.correction == np.linalg.eigvalsh(minus)[0]
+        assert res.convergence_error == pytest.approx(
+            coarse - fine, rel=1e-6, abs=0.0
+        )
+        assert res.convergence_error > 0.0
+
+    @pytest.mark.parametrize("gap, solved", [(0.0, True), (0.5, True), (4.0, False)])
+    def test_sectors_within_tau_fall_back_to_eigvalsh(self, gap, solved, monkeypatch):
+        # cutoffs 3 and 5: P = +1 blocks of 10 and 21 states, P = -1 of 6
+        # and 15.  Every P = +1 block has lowest eigenvalue mu = -1, and the
+        # P = -1 block sits gap * tau above it, where tau is the Cholesky
+        # backward-error bound of _sector_above (4 (n + 1) u 2 n |mu| to
+        # first order)
+        mu, n = -1.0, 15
+        tau = 4 * (n + 1) * 2.0**-53 * 2 * n * abs(mu)
+        plus = np.diag(np.linspace(mu, 3.0, 21))
+        minus = np.diag(np.full(n, mu + gap * tau))
         sizes = []
         real = np.linalg.eigvalsh
 
@@ -322,15 +385,37 @@ class TestExchangeSymmetry:
             return real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        oscillator_basis_diag(atom, 13.0, mode=mode, cutoff=12, overlap_tol=1.0)
-        convergence_report(
-            atom, 13.0, mode=mode, cutoffs=(6, 10, 14), overlap_tol=1.0
+        assert oracle._corrections((plus, minus), (3, 5)) == (mu, mu)
+        assert sizes == [10, 21] + ([6, 15] if solved else [])
+
+    def test_minus_sector_between_the_rungs(self):
+        # the P = -1 block (-1) lies below the P = +1 value of cutoff 3 (0)
+        # and above that of cutoff 5 (-2): it is the ground state of the
+        # smaller basis only, so the certificate must be taken against the
+        # highest P = +1 value in play
+        plus = np.diag(np.r_[np.arange(10.0), -2.0, np.arange(10.0)])
+        minus = np.diag(np.full(15, -1.0))
+        assert oracle._corrections((plus, minus), (3, 5)) == (-1.0, -2.0)
+
+    @pytest.mark.parametrize("mode", ["full", "truncated"])
+    @pytest.mark.parametrize("R", [2.5, 8.0, 13.0, 20.0])
+    def test_report_rungs_are_the_per_rung_minimum(self, mode, R):
+        atom = PRESET.atom(1)
+        cutoffs = (4, 7, 10, 13)
+        rep = convergence_report(
+            atom, R, mode=mode, cutoffs=cutoffs, overlap_tol=1.0
         )
-        rungs = (12, 10) + (6, 10, 14)
-        assert sizes == [
-            k for c in rungs for k in ((c + 1) * (c + 2) // 2, c * (c + 1) // 2)
-        ]
-        assert not {(c + 1) ** 2 for c in rungs} & set(sizes)
+        plus, minus = _exchange_blocks(
+            _hamiltonian(atom, R, mode, 3, 13, _diag_nodes(atom, R, mode, 13))
+        )
+        want = tuple(
+            min(
+                float(np.linalg.eigvalsh(plus[:p, :p])[0]),
+                float(np.linalg.eigvalsh(minus[:q, :q])[0]),
+            )
+            for p, q in (((c + 1) * (c + 2) // 2, c * (c + 1) // 2) for c in cutoffs)
+        )
+        assert rep.corrections == want
 
 
 class TestShiftedDiagonal:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from vdwdim import kernels
 from vdwdim.drude_exact import (
     InstabilityError,
     exact_correction,
@@ -180,6 +181,26 @@ class TestFirstOrderExpectation:
                 # every d = 3 entry is zero in exact arithmetic, so both sides
                 # are rounding noise of the summed terms
                 assert abs(got[power] - want[power]) <= 1e-13 * scale[power]
+
+    @pytest.mark.parametrize("kind", ["drude", "ring", "numeric"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_atom_takes_each_moment_once(self, dim, kind, monkeypatch):
+        # the same atom on both sides reads its moments once; a second,
+        # equal atom object reads them again and gives the same bits
+        atom, twin = _first_order_atom(kind, dim), _first_order_atom(kind, dim)
+        series = expand_interaction(dim, 9)
+        calls = []
+        for obj in (atom, twin):
+            real = obj.moment
+            monkeypatch.setattr(
+                obj, "moment", lambda e, real=real: calls.append(e) or real(e)
+            )
+        got = first_order_expectation(series, atom, atom, 9.0)
+        once = len(calls)
+        want = first_order_expectation(series, atom, twin, 9.0)
+        assert once == len(kernels.series_form(series).rows_a)
+        assert len(calls) == 3 * once
+        assert got == want
 
     def test_power_read_from_monomial_table(self):
         series = _skipped_power_series()
