@@ -24,8 +24,9 @@ on them, so ``--version``, ``expand``, ``curve`` and ``exact`` run without
 it, error exits included: ``main`` reports a ``CliError``, ``ValueError`` or
 ``OSError`` before it looks up the oracle's and the potential's own errors.
 ``potential`` rejects an unknown ``--methods`` entry, a ``--radii`` or
-``--thetas`` value that is not finite and a zero radius before it loads
-numpy, and so before it builds the atom.
+``--thetas`` value that is not finite, a zero radius and a ring ``--radius``
+that is not finite and positive before it loads numpy, and so before it
+builds the atom.
 """
 
 import argparse
@@ -162,6 +163,8 @@ def cmd_potential(args):
     thetas = _finite_list(args.thetas, "--thetas")
     if 0.0 in radii:  # the nucleus: every method rejects that field point
         raise CliError("field point must be finite and nonzero")
+    if args.atom == "ring" and not (math.isfinite(args.radius) and args.radius > 0):
+        raise CliError("radius must be finite and positive")  # as RingAtom says
     import numpy as np
 
     atom = _atom_from_args(args)

@@ -31,7 +31,9 @@ numpy (``series_residual`` loads it when called), so those commands never
 load it.  The closed forms compute in plain floats with float64 results: a
 power of R that overflows counts as inf, so a term far out is 0.0 or -0.0,
 and a term that is not a finite number (R^p underflows as R -> 0) raises
-``SeparationRangeError``.
+``SeparationRangeError``.  The curve rows and the crossover take them in the
+preset's own units, a = k = 1, where only hbar omega a / k is left, so no
+power of a is formed.
 """
 
 import math
@@ -185,8 +187,9 @@ class DrudePreset:
 
     def validity_radius(self):
         """R/a where x = k / (m omega^2 R^3) is 1/2; reported, not a gate."""
-        r3 = 2.0 * self.k / (self.mass * self.omega**2)
-        return r3 ** (1.0 / 3.0) / self.a
+        unit = _reduced(self)
+        r3 = 2.0 / (unit.mass * unit.omega**2)
+        return r3 ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -211,33 +214,42 @@ class EnergyBreakdown:
         return self.exact is not None
 
 
+def _reduced(preset):
+    """``preset`` in its own units, a = k = 1, with hbar omega a / k as hbar omega.
+
+    Lengths are R/a and energies k/a there, so no power of a is formed.
+    """
+    hbar_omega = preset.hbar_omega * preset.a / preset.k
+    if not _positive(hbar_omega):
+        raise ValueError("preset hbar_omega a / k must be finite and positive")
+    return DrudePreset(preset.name, a=1.0, k=1.0, hbar_omega=hbar_omega)
+
+
 def total_energy_curve(dim, r_tilde_values, preset=None):
-    """Rows of (r5, r6, r7, total, exact) over a grid of reduced separations."""
+    """Rows of (r5, r6, r7, total, exact) over R/a, in units of ``_reduced``."""
     if preset is None:
         preset = DrudePreset.bohr()
-    a, k = preset.a, preset.k
-    if k == 0:
+    if preset.k == 0:
         raise ValueError("energies are in units of k/a: preset k must be positive")
-    scale = a / k
+    unit = _reduced(preset)
     rows = []
     for rt in map(float, r_tilde_values):
         if not _positive(rt):
             raise ValueError("separations must be finite and positive")
-        R = rt * a
-        r5, r7 = first_order_closed_form(dim, a, 3.0, k, R)
-        r6 = second_order_drude_closed_form(dim, a, k, preset.hbar_omega, R)
+        r5, r7 = first_order_closed_form(dim, 1.0, 3.0, 1.0, rt)
+        r6 = second_order_drude_closed_form(dim, 1.0, 1.0, unit.hbar_omega, rt)
         try:
-            exact = scale * exact_correction(dim, preset.omega, k, preset.mass, R)
+            exact = exact_correction(dim, unit.omega, 1.0, unit.mass, rt)
         except InstabilityError:
             exact = None
         rows.append(
             EnergyBreakdown(
                 r_tilde=rt,
                 dim=dim,
-                first_order_r5=scale * r5,
-                first_order_r7=scale * r7,
-                second_order_r6=scale * r6,
-                total_truncated=scale * (r5 + r6 + r7),
+                first_order_r5=r5,
+                first_order_r7=r7,
+                second_order_r6=r6,
+                total_truncated=r5 + r6 + r7,
                 exact=exact,
             )
         )
@@ -247,20 +259,20 @@ def total_energy_curve(dim, r_tilde_values, preset=None):
 def dominance_crossover(dim, preset=None):
     """Reduced separation where the R^-5 term first exceeds |r6| + r7.
 
-    With r5 = A / R^5, r6 = -B / R^6 and r7 = C / R^7, multiplying
-    r5 - |r6| - r7 = 0 by R^7 leaves A R^2 - B R - C = 0, whose positive root
-    divided by a is the crossover in units of a.
+    With r5 = A / R^5, r6 = -B / R^6 and r7 = C / R^7 in the preset's own
+    units (``_reduced``), multiplying r5 - |r6| - r7 = 0 by R^7 leaves
+    A R^2 - B R - C = 0, whose positive root is the crossover in units of a.
     """
     if dim not in (1, 2):
         raise ValueError("crossover defined only for d = 1, 2")
     if preset is None:
         preset = DrudePreset.bohr()
-    a, k = preset.a, preset.k
-    if k == 0:
+    if preset.k == 0:
         raise ValueError("no crossover without coupling: preset k must be positive")
-    A, C = first_order_closed_form(dim, a, 3.0, k, 1.0)
-    B = -second_order_drude_closed_form(dim, a, k, preset.hbar_omega, 1.0)
-    return (B + math.sqrt(B * B + 4.0 * A * C)) / (2.0 * A) / a
+    unit = _reduced(preset)
+    A, C = first_order_closed_form(dim, 1.0, 3.0, 1.0, 1.0)
+    B = -second_order_drude_closed_form(dim, 1.0, 1.0, unit.hbar_omega, 1.0)
+    return (B + math.sqrt(B * B + 4.0 * A * C)) / (2.0 * A)
 
 
 @dataclass(frozen=True)

@@ -43,18 +43,19 @@ the dense one.  The blocks are read off the table, so a table that couples
 two classes still evaluates.  First order and the sum over states contract
 the lexicographic rows power by power (``SeriesForm.per_power``).
 
-``series_form`` keys the form on the identity of the series' per-power
-monomial tuples, which ``multipole`` builds once per process: hashing their
-Fractions would cost as much as converting them.  A bounded
-``functools.lru_cache`` (``_FORM_CACHE_SIZE``) holds the forms, and its keys
-keep those tuples alive, so an id is never reused while its entry lives.
+``series_form`` caches the form of each expansion, the series that
+``expand_interaction`` returns for some dimension d and order N: a
+``functools.cache`` keyed on (d, N) holds at most 30 forms, d = 1-3 and
+N = 3-12.  A series is that expansion when its powers are exactly 3..N and
+each holds the order tuple ``multipole`` keeps for it
+(``multipole._expansion_order``), so no Fraction is hashed or compared.
 Every array of a form is read-only.  Building one takes 7-15 ms at d = 3,
 N = 12 (3,081 monomials, 0.32 MB of arrays); the 27 forms of the
-benchmark's series workload hold about 1.1 MB.  A series whose terms are not
-tuples, such as lists a caller may mutate in place, gets a fresh form on
-every call.  ``series_batch`` and ``series_grid_1d`` take the flat table;
-given the read-only arrays of a cached form (``series_arrays``) they use
-that form, and any other table gets a fresh one.
+benchmark's series workload hold about 1.1 MB.  Any other series, such as
+one read back with ``from_dict`` or one whose terms are lists a caller may
+mutate in place, gets a fresh form on every call.  ``series_batch`` and
+``series_grid_1d`` take the flat table (``series_arrays``) and build its
+form on every call, about 0.1 ms for a small table.
 
 The float side of the exact-rational ``multipole`` algebra lives here too:
 the scalar reference ``exact_interaction``, the flat monomial arrays
@@ -64,22 +65,22 @@ those names.
 
 import functools
 import math
-import operator
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .multipole import SingularConfigurationError, _check_separation, _integer
+from .multipole import (
+    SingularConfigurationError,
+    _check_separation,
+    _expansion_order,
+    _expansion_terms,
+    _integer,
+)
 
 # Matrix entries per block: every (rows, columns) temporary of a blocked
 # kernel holds about this many float64 values (0.5 MB), so temporaries stay
 # cache-sized and memory does not grow with the batch.
 _BLOCK = 2**16
-
-# Series forms ``series_form`` keeps.  The benchmark's series workload
-# builds 27: d = 1-3 at orders 5-12, and each dimension's dipole term.
-_FORM_CACHE_SIZE = 64
 
 
 def backend_name() -> str:
@@ -388,7 +389,7 @@ def series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
     ``truncation_residual`` makes with every separation at once.
     """
     _check_separation(R)
-    form = _table_form(powers, coeffs, exp_a, exp_b)
+    form = SeriesForm.from_arrays(powers, coeffs, exp_a, exp_b)
     return _series_values(form, (R,), pts_a, pts_b)[0]
 
 
@@ -400,7 +401,7 @@ def series_grid_1d(powers, coeffs, exp_a, exp_b, R, xa, xb):
     ``_on_axis``.
     """
     _check_separation(R)
-    form = _table_form(powers, coeffs, exp_a, exp_b)
+    form = SeriesForm.from_arrays(powers, coeffs, exp_a, exp_b)
     va = _monomial_values(_on_axis(xa), form.class_rows_a)
     vb = _monomial_values(_on_axis(xb), form.class_rows_b)
     grid = np.zeros((va.shape[0], vb.shape[0]))
@@ -431,66 +432,21 @@ def exact_interaction(R, r_a, r_b):
     return 1.0 / R + 1.0 / d_ab - 1.0 / d_a - 1.0 / d_b
 
 
-class _SameTuples:
-    """Cache key of a series: its (power, monomial tuple) pairs by identity.
-
-    Comparing the tuples by identity costs nothing, where hashing their
-    Fractions would cost about as much as converting them.  The cache keeps
-    the key, and so the tuples, alive: an id cannot be reused while its
-    entry lives.
-    """
-
-    __slots__ = ("items", "_hash")
-
-    def __init__(self, items):
-        self.items = items
-        self._hash = hash(tuple((p, id(monos)) for p, monos in items))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return len(self.items) == len(other.items) and all(
-            p == q and a is b for (p, a), (q, b) in zip(self.items, other.items)
-        )
-
-
 def series_form(series):
-    """The float form (``SeriesForm``) of a series, built once per table.
+    """The float form (``SeriesForm``) of a series.
 
-    A series whose every power holds a tuple of monomials is looked up by
-    the identity of those tuples; other containers, which can be mutated in
-    place, get a fresh form on every call.
+    An expansion, recognised by ``multipole._expansion_order``, takes its
+    form from the cache of at most 30; any other series gets a fresh one.
     """
-    items = tuple(sorted(series.terms.items(), key=lambda item: item[0]))
-    if all(type(monos) is tuple for _, monos in items):
-        return _cached_form(series.dim, _SameTuples(items))
-    return _build_form(series.dim, items)
+    max_power = _expansion_order(series)
+    if max_power is None:
+        return _build_form(series.dim, sorted(series.terms.items()))
+    return _expansion_form(int(series.dim), max_power)
 
 
-@functools.lru_cache(maxsize=_FORM_CACHE_SIZE)
-def _cached_form(dim, key):
-    form = _build_form(dim, key.items)
-    _FORM_OF_COEFFS[id(form.coeffs)] = form
-    return form
-
-
-# id(coeffs) -> cached form.  An entry dies with its form, which holds the
-# coeffs array, so an id is never reused while it has an entry.
-_FORM_OF_COEFFS = weakref.WeakValueDictionary()
-
-
-def _table_form(powers, coeffs, exp_a, exp_b):
-    """The form of a flat table, looked up or built.
-
-    The arrays ``series_arrays`` hands out find their cached form; any
-    other table, which the caller may change in place, gets a fresh one.
-    """
-    table = (powers, coeffs, exp_a, exp_b)
-    form = _FORM_OF_COEFFS.get(id(coeffs))
-    if form is not None and all(map(operator.is_, form.arrays, table)):
-        return form
-    return SeriesForm.from_arrays(*table)
+@functools.cache
+def _expansion_form(dim, max_power):
+    return _build_form(dim, _expansion_terms(dim, max_power).items())
 
 
 def _build_form(dim, items):

@@ -23,15 +23,15 @@ subtract twice is restored by the nucleus-nucleus term.  What survives
 starts at 1/R^3, the order-n polynomial is homogeneous of degree n - 1 in
 the coordinates, and every monomial couples both atoms.
 
-Each order's monomials depend only on (dim, n), so ``_order_terms`` builds
-them once per process and keeps them (``functools.lru_cache``; at most
-3 x 10 entries, dim 1-3 and n 2-11, about 2.2 MB of Fractions when all are
-built).  ``expand_interaction`` assembles a fresh ``terms`` dict from those
-cached tuples on every call, so a caller that mutates the dict it gets back
-leaves the next call unchanged; the tuples and their frozen monomials cannot
-be mutated.  The exact side caches no whole series per ``max_power``: that
-would store each order up to eight times.  The float side does: ``kernels``
-keeps one float form per series, keyed on the identity of these tuples.
+Each order's monomials depend only on (dim, n), so ``expand_interaction``
+builds each once per process (``_order_terms``) and keeps it in ``_ORDERS``:
+at most 3 x 10 tuples, dim 1-3 and n 2-11, about 2.2 MB of Fractions when
+all are built.  Every call returns a fresh ``terms`` dict over those shared
+tuples, so a caller that mutates the dict it gets back leaves the next call
+unchanged; the tuples and their frozen monomials cannot be mutated.  As the
+tuples are shared, ``_expansion_order`` recognises the expansion through
+1/R^N by identity alone, with no Fraction hashed or compared, and
+``kernels`` keeps one float form per (dim, N) on that test.
 
 This module holds only the exact-rational algebra and the separation check
 that every entry point taking R shares (``_check_separation``).  It imports
@@ -40,7 +40,6 @@ unexpanded kernel (``exact_interaction``), the flat arrays the batch kernels
 take (``series_arrays``) and the truncation residual live in ``kernels``.
 """
 
-import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -151,12 +150,16 @@ def _integer(name, value):
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+# (dim, n) -> the monomial tuple of the 1/R**(n + 1) term, built once.
+_ORDERS = {}
+
+
 def expand_interaction(dim, max_power) -> InteractionSeries:
     """Expand the coupling through order 1/R**max_power with exact rationals.
 
     ``dim`` and ``max_power`` must be integers (a bool is not one); numpy
     integers are taken as plain ints.  Every order is built once per process
-    (``_order_terms``) and each call returns a fresh ``terms`` dict.
+    (``_ORDERS``) and each call returns a fresh ``terms`` dict.
     """
     dim = _integer("dim", dim)
     max_power = _integer("max_power", max_power)
@@ -168,11 +171,31 @@ def expand_interaction(dim, max_power) -> InteractionSeries:
         raise ExpansionCapError(
             f"max_power {max_power} exceeds cap {MAX_EXPANSION_POWER}"
         )
-    terms = {n + 1: _order_terms(dim, n) for n in range(2, max_power)}
-    return InteractionSeries(dim, max_power, terms)
+    return InteractionSeries(dim, max_power, _expansion_terms(dim, max_power))
 
 
-@functools.lru_cache(maxsize=None)
+def _expansion_terms(dim, max_power):
+    """A fresh ``terms`` dict of the memoized orders 3..max_power (``_ORDERS``)."""
+    for n in range(2, max_power):
+        if (dim, n) not in _ORDERS:
+            _ORDERS[dim, n] = _order_terms(dim, n)
+    return {n + 1: _ORDERS[dim, n] for n in range(2, max_power)}
+
+
+def _expansion_order(series):
+    """N if the powers of ``series`` are 3..N, each the tuple ``_ORDERS`` holds.
+
+    That is the expansion through 1/R**N; the memo is only read.
+    """
+    powers = sorted(series.terms)
+    if not powers or powers != list(range(3, powers[-1] + 1)):
+        return None
+    for power in powers:
+        if _ORDERS.get((series.dim, power - 1)) is not series.terms[power]:
+            return None
+    return powers[-1]
+
+
 def _order_terms(dim, n):
     """Monomials of the 1/R**(n + 1) term, sorted by (exp_a, exp_b)."""
     monos = []

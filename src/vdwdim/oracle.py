@@ -268,11 +268,6 @@ def _corrections(blocks, cutoffs):
     )
 
 
-def _correction(blocks, cutoff):
-    """``_corrections`` for the one basis i, j <= cutoff."""
-    return _corrections(blocks, (cutoff,))[0]
-
-
 def _nodes_off_nucleus(xi_nucleus, nodes):
     """Smallest node count from ``nodes`` up that keeps clear of the nucleus.
 

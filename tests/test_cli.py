@@ -312,6 +312,46 @@ class TestExtremeSeparations:
         assert err == "error: closed-form terms are not finite at R = 1e-60\n"
 
 
+class TestReducedUnits:
+    # a, k and hbar omega enter the closed forms only as hbar omega a / k;
+    # a^4 and the absolute R^5-R^7 overflow at a = 1e100 and underflow at
+    # a = 1e-100, where every reduced value is finite
+    @pytest.mark.parametrize("cmd", ["curve", "exact"])
+    @pytest.mark.parametrize("a", ["1e100", "1e-100"])
+    def test_length_enters_as_hbar_omega_a_over_k(self, capsys, cmd, a):
+        grid = ("--rmin", "3", "--rmax", "12", "--steps", "7")
+        code, out, err = run_cli(
+            capsys, cmd, "--preset", "custom", "--hbar-omega", "1", "--a", a, *grid
+        )
+        assert (code, err) == (0, "")
+        _, same, _ = run_cli(
+            capsys, cmd, "--preset", "custom", "--hbar-omega", a, *grid
+        )
+        assert out == same
+
+    @pytest.mark.parametrize("a", [1e100, 1e-100])
+    def test_terms_in_reduced_units(self, capsys, a):
+        code, out, _ = run_cli(
+            capsys, "curve", "--preset", "custom", "--hbar-omega", "1",
+            "--a", repr(a), "--rmin", "3", "--rmax", "12", "--steps", "4",
+            "--format", "json",
+        )
+        assert code == 0
+        for row in json.loads(out):
+            rt = row["R_tilde"]
+            r5, r6, r7 = 6 / rt**5, -2 / (a * rt**6), 90 / rt**7
+            assert row["r5"] == pytest.approx(r5, rel=1e-15, abs=0.0)
+            assert row["r6"] == pytest.approx(r6, rel=1e-15, abs=0.0)
+            assert row["r7"] == pytest.approx(r7, rel=1e-15, abs=0.0)
+            assert row["total"] == pytest.approx(r5 + r6 + r7, rel=1e-15, abs=0.0)
+            # the coupling ratio is 2 / (a rt^3): at a = 1e100 exact is its
+            # leading term r6, at a = 1e-100 the pair is unstable
+            if a > 1:
+                assert row["exact"] == pytest.approx(r6, rel=1e-15, abs=0.0)
+            else:
+                assert row["exact"] is None and row["exact_valid"] is False
+
+
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import vdwdim
@@ -400,26 +440,38 @@ class TestImportPath:
         assert report.pop("moments") == [0, True]
         assert report == {argv: [code, False] for argv, code in free.items()}
 
-    def test_zero_radius_rejected_before_numpy(self, capsys):
-        # the nucleus is no field point for any method; the error line is
-        # the one the potential gives for it
-        zero = [
-            "potential --dim 2 --radii 0",
-            "potential --dim 1 --radii 5,-0.0 --methods multipole3",
-            "potential --dim 3 --atom ring --radii 0 --thetas 0,90",
-        ]
+    def test_bad_radius_rejected_before_numpy(self, capsys):
+        # the nucleus is no field point for any method, and a ring needs a
+        # finite positive radius; each error line is the one the potential
+        # or RingAtom gives for it
+        field = "field point must be finite and nonzero"
+        radius = "radius must be finite and positive"
+        bad = {
+            "potential --dim 2 --radii 0": field,
+            "potential --dim 1 --radii 5,-0.0 --methods multipole3": field,
+            "potential --dim 3 --atom ring --radii 0 --thetas 0,90": field,
+            "potential --dim 2 --atom ring --radius -1": radius,
+            "potential --dim 3 --atom ring --radius 0 --methods multipole3": radius,
+            "potential --dim 1 --atom ring --radius nan --radii 5": radius,
+            "potential --dim 2 --atom ring --radius inf": radius,
+        }
         proc = subprocess.run(
-            [sys.executable, "-c", _NUMPY_PROBE, *zero],
+            [sys.executable, "-c", _NUMPY_PROBE, *bad],
             env=_probe_env(), capture_output=True, text=True, timeout=120,
             check=True,
         )
         report = json.loads(proc.stdout)
         report.pop("import vdwdim.cli")
-        assert report == {argv: [1, False] for argv in zero}
-        for argv in zero:
+        assert report == {argv: [1, False] for argv in bad}
+        for argv, line in bad.items():
             code, out, err = run_cli(capsys, *argv.split())
             assert (code, out) == (1, "")
-            assert err == "error: field point must be finite and nonzero\n"
+            assert err == f"error: {line}\n"
+        # only a ring reads --radius
+        code, out, _ = run_cli(
+            capsys, *"potential --dim 3 --radius -1 --methods multipole3".split()
+        )
+        assert code == 0 and out.startswith("r,theta_deg,value,method\n")
 
 
 # loads vdwdim.cli as perfbench's tracer does, then reports after each command

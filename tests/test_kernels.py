@@ -230,35 +230,40 @@ class TestSeriesFormCache:
         assert before[k] == float(base.terms[4][0].coeff)
         assert after[k] == 5.0
 
-    def test_batch_kernels_reuse_the_form_of_cached_arrays(self, monkeypatch):
+    def test_writable_copy_changed_in_place_is_never_stale(self):
         arrays = multipole.series_arrays(multipole.expand_interaction(2, 6))
         copies = tuple(a.copy() for a in arrays)
-        built = []
-        original = kernels.SeriesForm.from_arrays
-
-        def counted(*table):
-            built.append(table)
-            return original(*table)
-
-        monkeypatch.setattr(kernels.SeriesForm, "from_arrays", counted)
         x = np.linspace(-1, 1, 5)
         cached = kernels.series_batch(*arrays, R, PTS_A, PTS_B)
-        kernels.series_grid_1d(*arrays, R, x, x)
-        assert built == []
-        # a writable copy may change in place, so it is never looked up
         assert np.array_equal(kernels.series_batch(*copies, R, PTS_A, PTS_B), cached)
         copies[1][:] = 0.0
         assert not kernels.series_batch(*copies, R, PTS_A, PTS_B).any()
-        assert len(built) == 2
+        assert not kernels.series_grid_1d(*copies, R, x, x).any()
 
-    def test_size_stays_within_bound(self):
-        bound = kernels._cached_form.cache_info().maxsize
-        mono = multipole.Monomial(Fraction(1), (1,), (1,))
-        for k in range(bound + 5):
-            kernels.series_form(
-                multipole.InteractionSeries(1, 3, {3: (mono,) * (k % 3 + 1)})
-            )
-        assert kernels._cached_form.cache_info().currsize <= bound
+    def test_other_series_never_enter_the_cache(self):
+        base = multipole.expand_interaction(2, 6)
+        t = base.terms
+        mono = multipole.Monomial(Fraction(1), (1, 0), (1, 0))
+        others = [
+            # custom tuples
+            multipole.InteractionSeries(2, 3, {3: (mono,)}),
+            multipole.InteractionSeries(2, 4, {3: t[3], 4: (mono,) + t[4]}),
+            # the expansion read back: equal orders, but not the kept tuples
+            multipole.InteractionSeries.from_dict(base.to_dict()),
+            # expansion orders filed under other powers, or with a gap
+            multipole.InteractionSeries(2, 4, {3: t[4], 4: t[3]}),
+            multipole.InteractionSeries(2, 5, {4: t[4], 5: t[5]}),
+            multipole.InteractionSeries(2, 6, {3: t[3], 4: t[4], 6: t[6]}),
+        ]
+        kernels._expansion_form.cache_clear()
+        forms = [kernels.series_form(s) for s in others]
+        for series, form in zip(others, forms):
+            again = kernels.series_form(series)
+            assert again is not form
+            assert _same_form(again, form)
+        assert kernels._expansion_form.cache_info().currsize == 0
+        assert _same_form(forms[2], kernels.series_form(base))
+        assert kernels._expansion_form.cache_info().currsize == 1
 
     def test_holds_every_form_of_the_series_workload(self):
         # the benchmark's series ops: d = 1-3 at orders 5-12, each with its
@@ -270,12 +275,41 @@ class TestSeriesFormCache:
                     yield series
                     yield multipole.InteractionSeries(d, 3, {3: series.terms[3]})
 
-        kernels._cached_form.cache_clear()
+        kernels._expansion_form.cache_clear()
         forms = [kernels.series_form(s) for s in workload_series()]
         assert len({id(f) for f in forms}) == 27
         again = [kernels.series_form(s) for s in workload_series()]
         assert all(a is b for a, b in zip(again, forms))
-        assert kernels._cached_form.cache_info().currsize == 27
+        assert kernels._expansion_form.cache_info().currsize == 27
+
+
+def _same_form(f, g):
+    """Every field of two series forms equal, arrays entry by entry."""
+    return vars(f).keys() == vars(g).keys() and all(
+        np.array_equal(v, vars(g)[k]) if isinstance(v, np.ndarray)
+        else v == vars(g)[k]
+        for k, v in vars(f).items()
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("order", [3, 7, 12])
+def test_batch_kernels_equal_the_cached_form(dim, order, monkeypatch):
+    # the kernels build the form of the table they get; on the arrays of an
+    # expansion it gives the values of the cached form bit for bit
+    series = multipole.expand_interaction(dim, order)
+    arrays = multipole.series_arrays(series)
+    rng = np.random.default_rng(dim * order)
+    pts_a, pts_b = _samples(dim, 300, rng), _samples(dim, 300, rng)
+    x = np.linspace(-1.5, 1.5, 23)
+    batch = kernels.series_batch(*arrays, R, pts_a, pts_b)
+    grid = kernels.series_grid_1d(*arrays, R, x, x)
+    form = kernels.series_form(series)
+    monkeypatch.setattr(
+        kernels.SeriesForm, "from_arrays", staticmethod(lambda *table: form)
+    )
+    assert np.array_equal(kernels.series_batch(*arrays, R, pts_a, pts_b), batch)
+    assert np.array_equal(kernels.series_grid_1d(*arrays, R, x, x), grid)
 
 
 def _padded_four_site(R, a, b):

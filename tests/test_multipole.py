@@ -398,7 +398,7 @@ class TestExpansionArguments:
 class TestExpansionCache:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_memoized_equals_uncached_build(self, dim):
-        build = multipole._order_terms.__wrapped__
+        build = multipole._order_terms
         for order in range(3, multipole.MAX_EXPANSION_POWER + 1):
             series = expand_interaction(dim, order)
             assert series.terms == {n + 1: build(dim, n) for n in range(2, order)}
@@ -411,5 +411,30 @@ class TestExpansionCache:
         first.terms[99] = ("junk",)
         again = expand_interaction(3, 7)
         assert again.terms is not first.terms
-        build = multipole._order_terms.__wrapped__
+        build = multipole._order_terms
         assert again.terms == {n + 1: build(3, n) for n in range(2, 7)}
+
+    def test_expansion_recognised_by_its_kept_tuples(self):
+        for dim in (1, 2, 3):
+            for order in range(3, multipole.MAX_EXPANSION_POWER + 1):
+                series = expand_interaction(dim, order)
+                assert multipole._expansion_order(series) == order
+                # max_power is not read
+                again = InteractionSeries(dim, 99, dict(series.terms))
+                assert multipole._expansion_order(again) == order
+        kept = list(multipole._ORDERS)
+        t = expand_interaction(2, 5).terms
+        others = [
+            InteractionSeries(2, 2, {}),
+            InteractionSeries.from_dict(expand_interaction(2, 5).to_dict()),
+            InteractionSeries(2, 5, {n: list(m) for n, m in t.items()}),
+            InteractionSeries(2, 5, {3: t[3], 5: t[5]}),
+            InteractionSeries(2, 4, {3: t[4], 4: t[3]}),
+            InteractionSeries(2, 6, {4: t[3], 5: t[4], 6: t[5]}),
+            InteractionSeries(1, 5, dict(t)),
+            InteractionSeries(4, 3, {3: t[3]}),
+        ]
+        for series in others:
+            assert multipole._expansion_order(series) is None
+        # the memo is only read
+        assert list(multipole._ORDERS) == kept

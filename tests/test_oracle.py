@@ -12,7 +12,7 @@ from vdwdim.drude_exact import exact_correction
 from vdwdim.oracle import (
     ConvergenceError,
     OverlapError,
-    _correction,
+    _corrections,
     _coupling_matrix,
     _exchange_blocks,
     _fold_transverse,
@@ -283,7 +283,8 @@ class TestExchangeSymmetry:
             ham = _hamiltonian(
                 atom, R, mode, 3, cutoff, _diag_nodes(atom, R, mode, cutoff)
             )
-            split = _correction(_exchange_blocks(ham), cutoff) + atom.hbar_omega
+            blocks = _exchange_blocks(ham)
+            split = _corrections(blocks, (cutoff,))[0] + atom.hbar_omega
             spectrum = np.linalg.eigvalsh(ham)
             whole = spectrum[0] + atom.hbar_omega
             bound = 1e-15 * abs(whole)
@@ -304,7 +305,8 @@ class TestExchangeSymmetry:
         plus, minus = _exchange_blocks(ham)
         assert np.linalg.eigvalsh(plus)[0] == 0.0
         assert np.linalg.eigvalsh(minus)[0] == pytest.approx(-1.5, abs=1e-15)
-        assert _correction((plus, minus), n - 1) == np.linalg.eigvalsh(minus)[0]
+        lowest = np.linalg.eigvalsh(minus)[0]
+        assert _corrections((plus, minus), (n - 1,))[0] == lowest
 
     @pytest.mark.parametrize("mode", ["full", "truncated"])
     def test_eigensolves_see_only_the_sector_blocks(self, mode, monkeypatch):

@@ -9,6 +9,7 @@ import pytest
 from vdwdim import kernels
 from vdwdim.drude_exact import (
     InstabilityError,
+    _reduced,
     exact_correction,
     shifted_frequencies,
 )
@@ -394,20 +395,22 @@ class TestEnergyCurve:
     def test_one_stability_decision_at_the_radius(self):
         # custom presets at validity_radius() and one ulp either side: the
         # curve never raises, and a row lacks exact exactly where the
-        # normal-mode route calls the pair unstable
+        # normal-mode route calls the pair unstable.  The curve takes that
+        # route in the preset's own units, a = k = 1, and so does the check.
         rng = np.random.default_rng(1401)
         lows, highs = np.log([0.05, 0.3, 0.1]), np.log([5.0, 3.0, 20.0])
         for _ in range(300):
             hw, a, k = (float(v) for v in np.exp(rng.uniform(lows, highs)))
             preset = DrudePreset.custom(hbar_omega=hw, a=a, k=k)
+            unit = _reduced(preset)
             rv = preset.validity_radius()
             grid = [np.nextafter(rv, 0.0), rv, np.nextafter(rv, np.inf)]
             dim = int(rng.integers(1, 4))
             for row in total_energy_curve(dim, grid, preset):
-                R = row.r_tilde * preset.a
-                modes = shifted_frequencies(dim, preset.omega, k, preset.mass, R)
+                pair = (dim, unit.omega, 1.0, unit.mass, row.r_tilde)
+                modes = shifted_frequencies(*pair)
                 try:
-                    exact_correction(dim, preset.omega, k, preset.mass, R)
+                    exact_correction(*pair)
                     stable = True
                 except InstabilityError:
                     stable = False
