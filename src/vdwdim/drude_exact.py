@@ -33,7 +33,8 @@ power of R that overflows counts as inf, so a term far out is 0.0 or -0.0,
 and a term that is not a finite number (R^p underflows as R -> 0) raises
 ``SeparationRangeError``.  The curve rows and the crossover take them in the
 preset's own units, a = k = 1, where only hbar omega a / k is left, so no
-power of a is formed.
+power of a is formed; a row's ``exact`` makes the stability decision that
+``exact_correction`` makes on the preset's own mass and R (``_curve_exact``).
 """
 
 import math
@@ -178,7 +179,9 @@ class DrudePreset:
 
     @property
     def mass(self):
-        return 1.0 / (2.0 * self.a**2 * self.omega)
+        """1 / (2 a^2 omega); 0.0 where a^2 overflows, inf where 2 a^2 omega is 0."""
+        denominator = 2.0 * _power(self.a, 2) * self.omega
+        return 1.0 / denominator if denominator else math.inf
 
     def atom(self, dim):
         from .atoms import DrudeAtom
@@ -186,10 +189,8 @@ class DrudePreset:
         return DrudeAtom(dim, omega=self.omega, mass=self.mass)
 
     def validity_radius(self):
-        """R/a where x = k / (m omega^2 R^3) is 1/2; reported, not a gate."""
-        unit = _reduced(self)
-        r3 = 2.0 / (unit.mass * unit.omega**2)
-        return r3 ** (1.0 / 3.0)
+        """R/a = (4 k / (hbar omega a))^(1/3), where 2x = 1; reported, not a gate."""
+        return (4.0 * self.k / self.hbar_omega / self.a) ** (1.0 / 3.0)
 
 
 @dataclass(frozen=True)
@@ -215,18 +216,33 @@ class EnergyBreakdown:
 
 
 def _reduced(preset):
-    """``preset`` in its own units, a = k = 1, with hbar omega a / k as hbar omega.
-
-    Lengths are R/a and energies k/a there, so no power of a is formed.
-    """
+    """``preset`` in its own units (R/a, k/a): a = k = 1, hbar omega a / k."""
     hbar_omega = preset.hbar_omega * preset.a / preset.k
     if not _positive(hbar_omega):
         raise ValueError("preset hbar_omega a / k must be finite and positive")
     return DrudePreset(preset.name, a=1.0, k=1.0, hbar_omega=hbar_omega)
 
 
+def _curve_exact(dim, preset, unit, rt):
+    """``exact_correction`` at R = rt a in units of k/a; None where unstable.
+
+    On the preset's own omega, k, mass and R it makes the stability decision
+    ``exact_correction`` makes on them; where that route leaves float range
+    (a mass, a / k, R or coupling ratio of 0 or inf) it takes ``unit``'s.
+    """
+    pair = (preset.omega, preset.k, preset.mass, rt * preset.a)
+    scale = preset.a / preset.k
+    in_range = all(map(_positive, (*pair[2:], scale)))
+    if not (in_range and _positive(_coupling_ratio(*pair))):
+        pair, scale = (unit.omega, 1.0, unit.mass, rt), 1.0
+    try:
+        return scale * exact_correction(dim, *pair)
+    except InstabilityError:
+        return None
+
+
 def total_energy_curve(dim, r_tilde_values, preset=None):
-    """Rows of (r5, r6, r7, total, exact) over R/a, in units of ``_reduced``."""
+    """Rows of (r5, r6, r7, total, exact) over R/a, in units of k/a."""
     if preset is None:
         preset = DrudePreset.bohr()
     if preset.k == 0:
@@ -238,10 +254,6 @@ def total_energy_curve(dim, r_tilde_values, preset=None):
             raise ValueError("separations must be finite and positive")
         r5, r7 = first_order_closed_form(dim, 1.0, 3.0, 1.0, rt)
         r6 = second_order_drude_closed_form(dim, 1.0, 1.0, unit.hbar_omega, rt)
-        try:
-            exact = exact_correction(dim, unit.omega, 1.0, unit.mass, rt)
-        except InstabilityError:
-            exact = None
         rows.append(
             EnergyBreakdown(
                 r_tilde=rt,
@@ -250,7 +262,7 @@ def total_energy_curve(dim, r_tilde_values, preset=None):
                 first_order_r7=r7,
                 second_order_r6=r6,
                 total_truncated=r5 + r6 + r7,
-                exact=exact,
+                exact=_curve_exact(dim, preset, unit, rt),
             )
         )
     return rows

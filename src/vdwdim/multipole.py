@@ -183,17 +183,12 @@ def _expansion_terms(dim, max_power):
 
 
 def _expansion_order(series):
-    """N if the powers of ``series`` are 3..N, each the tuple ``_ORDERS`` holds.
-
-    That is the expansion through 1/R**N; the memo is only read.
-    """
+    """N if the powers of ``series`` are 3..N, each the very tuple in ``_ORDERS``."""
     powers = sorted(series.terms)
     if not powers or powers != list(range(3, powers[-1] + 1)):
         return None
-    for power in powers:
-        if _ORDERS.get((series.dim, power - 1)) is not series.terms[power]:
-            return None
-    return powers[-1]
+    kept = all(_ORDERS.get((series.dim, p - 1)) is series.terms[p] for p in powers)
+    return powers[-1] if kept else None
 
 
 def _order_terms(dim, n):

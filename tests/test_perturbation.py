@@ -9,7 +9,6 @@ import pytest
 from vdwdim import kernels
 from vdwdim.drude_exact import (
     InstabilityError,
-    _reduced,
     exact_correction,
     shifted_frequencies,
 )
@@ -395,28 +394,39 @@ class TestEnergyCurve:
     def test_one_stability_decision_at_the_radius(self):
         # custom presets at validity_radius() and one ulp either side: the
         # curve never raises, and a row lacks exact exactly where the
-        # normal-mode route calls the pair unstable.  The curve takes that
-        # route in the preset's own units, a = k = 1, and so does the check.
+        # normal-mode route calls the pair unstable
         rng = np.random.default_rng(1401)
         lows, highs = np.log([0.05, 0.3, 0.1]), np.log([5.0, 3.0, 20.0])
         for _ in range(300):
             hw, a, k = (float(v) for v in np.exp(rng.uniform(lows, highs)))
             preset = DrudePreset.custom(hbar_omega=hw, a=a, k=k)
-            unit = _reduced(preset)
             rv = preset.validity_radius()
             grid = [np.nextafter(rv, 0.0), rv, np.nextafter(rv, np.inf)]
             dim = int(rng.integers(1, 4))
             for row in total_energy_curve(dim, grid, preset):
-                pair = (dim, unit.omega, 1.0, unit.mass, row.r_tilde)
-                modes = shifted_frequencies(*pair)
+                R = row.r_tilde * preset.a
+                modes = shifted_frequencies(dim, preset.omega, k, preset.mass, R)
                 try:
-                    exact_correction(*pair)
+                    exact_correction(dim, preset.omega, k, preset.mass, R)
                     stable = True
                 except InstabilityError:
                     stable = False
                 assert row.exact_valid is stable
                 assert (row.exact is not None) is stable
                 assert modes.valid is stable
+
+    @pytest.mark.parametrize("hw, a", [(1e-150, 1e160), (1e150, 1e-160)])
+    def test_rows_where_the_mass_leaves_float_range(self, hw, a):
+        # a^2 overflows (underflows), so the preset's mass is 0.0 (inf) and
+        # the rows take the normal-mode route at a = k = 1, where the same
+        # pair has hbar omega = hw * a
+        preset = DrudePreset.custom(hbar_omega=hw, a=a)
+        same = DrudePreset.custom(hbar_omega=hw * a)
+        grid = [3.0, 12.0, 5e3]
+        for dim in (1, 2, 3):
+            rows = total_energy_curve(dim, grid, preset)
+            assert rows == total_energy_curve(dim, grid, same)
+            assert [row.exact_valid for row in rows] == [a > 1, a > 1, True]
 
     def test_sign_law(self):
         for dim in (1, 2):
@@ -499,6 +509,17 @@ class TestPreset:
         preset = DrudePreset.custom(hbar_omega=1.0, k=0.0)
         with pytest.raises(ValueError):
             total_energy_curve(1, [5.0], preset)
+
+    def test_uncoupled_validity_radius(self):
+        assert DrudePreset.custom(hbar_omega=1.0, k=0.0).validity_radius() == 0.0
+
+    @pytest.mark.parametrize("a, mass", [(1e200, 0.0), (1e-200, math.inf)])
+    def test_mass_out_of_float_range(self, a, mass):
+        preset = DrudePreset.custom(hbar_omega=1.0, a=a)
+        assert preset.mass == mass
+        assert preset.validity_radius() == pytest.approx(
+            (4.0 / a) ** (1.0 / 3.0), rel=1e-15, abs=0.0
+        )
 
     def test_custom_override(self):
         preset = DrudePreset.custom(hbar_omega=0.8, a=2.0, k=3.0)
