@@ -297,19 +297,29 @@ class ResidualReport:
 def series_residual(dim, preset, r_tilde_values):
     """Log-log decay of |exact - leading R^-6 term| over a grid of R/a.
 
-    The fitted slope should be about -12; it certifies that no odd
-    (R^-9-type) term survives in the expansion of the exact correction.
+    The residual is in units of k/a: both terms are taken in the preset's
+    own units (``_reduced``), at R/a with a = k = 1, in plain floats, so no
+    power of a or k is formed and a preset whose a is far from 1 keeps its
+    residual in range.  A preset with k = 0 is the uncoupled pair, whose
+    residual is zero at every separation.  The fitted slope should be about
+    -12; it certifies that no odd (R^-9-type) term survives in the
+    expansion of the exact correction.
     """
     import numpy as np
 
     r_tilde = np.asarray(r_tilde_values, dtype=float)
-    a, k = preset.a, preset.k
-    res = np.empty_like(r_tilde)
-    for i, rt in enumerate(r_tilde):
-        R = rt * a
-        exact = exact_correction(dim, preset.omega, k, preset.mass, R)
-        leading = second_order_drude_closed_form(dim, a, k, preset.hbar_omega, R)
-        res[i] = abs(exact - leading)
+    if preset.k:
+        unit = _reduced(preset)
+    else:  # the uncoupled pair: both terms vanish at any hbar omega a
+        unit = DrudePreset(preset.name, a=1.0, k=0.0, hbar_omega=1.0)
+    res = []
+    for rt in map(float, r_tilde):
+        exact = exact_correction(dim, unit.omega, unit.k, unit.mass, rt)
+        leading = second_order_drude_closed_form(
+            dim, 1.0, unit.k, unit.hbar_omega, rt
+        )
+        res.append(abs(exact - leading))
+    res = np.array(res, dtype=float)
     if np.all(res > 0) and r_tilde.size >= 2:
         slope = float(np.polyfit(np.log(r_tilde), np.log(res), 1)[0])
     else:

@@ -24,12 +24,26 @@ one contraction of ``_four_site``:
 
 The series side evaluates a truncated interaction series as the bilinear
 form Va . C(R) . Vb between monomial values of the two atoms, on paired
-samples (``series_batch``) and on the on-axis grid (``series_grid_1d``).
-Only C(R) = sum_p R^-p C_p depends on the separation, so one pass over the
+samples (``series_batch``) and on the on-axis grid (``series_grid_1d``, or
+``series_form_grid_1d`` for a form already built).  Only
+C(R) = sum_p R^-p C_p depends on the separation, so one pass over the
 samples (``_series_values``) computes Va and Vb once per row block and
 serves every C(R) of a list: ``series_batch`` is the one-separation case,
 and ``truncation_residual`` shares the monomial values across all its
 separations.
+
+The monomial tables are stored samples last, shape (rows, samples):
+``_monomial_values`` builds each axis's powers as a (top + 1, samples)
+table of cumulative products and gathers its rows by exponent, so every
+factor is a contiguous row and every value is the same product, bit for
+bit, as in the samples-first layout it replaced.  Each parity block of a
+paired evaluation is one GEMM C_block . Vb per separation followed by a
+column-wise dot with Va; the grid is Va^T . (C_block . Vb).  Two variants
+were measured and left out: stacking the separations of
+``truncation_residual`` into one GEMM changes bits against one
+``series_batch`` call per separation, and splitting each parity block by
+degree into a staircase of smaller GEMMs skips zeros of C(R) but was
+slower, its many small GEMMs paying more in call overhead.
 
 Each series has one float form (``SeriesForm``, from ``series_form``): the
 flat monomial table, the distinct exponent rows of each atom in
@@ -55,7 +69,8 @@ benchmark's series workload hold about 1.1 MB.  Any other series, such as
 one read back with ``from_dict`` or one whose terms are lists a caller may
 mutate in place, gets a fresh form on every call.  ``series_batch`` and
 ``series_grid_1d`` take the flat table (``series_arrays``) and build its
-form on every call, about 0.1 ms for a small table.
+form on every call, about 0.1 ms for a small table; the oracle's truncated
+mode passes the cached form to ``series_form_grid_1d`` instead.
 
 The float side of the exact-rational ``multipole`` algebra lives here too:
 the scalar reference ``exact_interaction``, the flat monomial arrays
@@ -349,23 +364,43 @@ class SeriesForm:
 
 
 def _monomial_values(pts, rows):
-    """prod_c pts[:, c] ** rows[m, c] for every point and row, shape (n, m)."""
-    out = np.ones((pts.shape[0], rows.shape[0]))
+    """prod_c pts[:, c] ** rows[m, c] for every row and point, shape (m, n).
+
+    Samples run along the last axis.  For each axis with a nonzero exponent
+    the powers pts[:, c]**e, e = 0..top, are one (top + 1, n) table of
+    cumulative products, the products ``np.vander`` forms, and the axis's
+    factor of every row is a row gather of that table by the row's
+    exponent.  The first gather is the output and later axes multiply into
+    it in place, in the order c = 0, 1, 2, so each value is the product
+    1 * x^e_x * y^e_y * z^e_z of the columns-first layout, bit for bit, with
+    no array of ones filled unless no axis has an exponent.
+    """
+    out = None
     for c in range(rows.shape[1]):
-        top = rows[:, c].max(initial=0)
+        top = int(rows[:, c].max(initial=0))
         if top:
-            # cumulative power table: pts[:, c]**e for e = 0..top
-            table = np.vander(pts[:, c], top + 1, increasing=True)
-            out *= table[:, rows[:, c]]
+            table = np.empty((top + 1, pts.shape[0]))
+            table[0] = 1.0
+            table[1:] = pts[:, c]
+            np.multiply.accumulate(table[1:], axis=0, out=table[1:])
+            if out is None:
+                out = table[rows[:, c]]
+            else:
+                out *= table[rows[:, c]]
+    if out is None:
+        out = np.ones((rows.shape[0], pts.shape[0]))
     return out
 
 
 def _series_values(form, r_values, pts_a, pts_b):
     """Va[i] . C(R) . Vb[i] at every R in ``r_values``, shape (len(r_values), n).
 
-    Evaluated in row blocks; each block's monomial values Va and Vb are
-    computed once and shared by every R, and each C(R) is contracted block
-    by block over the parity classes.
+    Evaluated in row blocks of samples; each block's monomial values Va and
+    Vb, (rows, samples) tables, are computed once and shared by every R.
+    Each C(R) is contracted parity block by parity block: one GEMM
+    C_block . Vb[class rows] per (separation, block), then a column-wise dot
+    with Va[class rows].  The separations are not stacked into one GEMM,
+    so each row of the result has the bits of a one-separation call.
     """
     mats = [form.block_matrices(R) for R in r_values]
     out = np.zeros((len(mats), pts_a.shape[0]))
@@ -375,7 +410,7 @@ def _series_values(form, r_values, pts_a, pts_b):
         vb = _monomial_values(pts_b[blk], form.class_rows_b)
         for k, c_blocks in enumerate(mats):
             for (sa, sb, _), c in zip(form.blocks, c_blocks):
-                out[k, blk] += np.einsum("ij,ij->i", va[:, sa] @ c, vb[:, sb])
+                out[k, blk] += np.einsum("an,an->n", c @ vb[sb], va[sa])
     return out
 
 
@@ -396,17 +431,26 @@ def series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
 def series_grid_1d(powers, coeffs, exp_a, exp_b, R, xa, xb):
     """Truncated series tabulated on the outer grid of 1D displacements.
 
-    The grid is Va . C(R) . Vb^T over the class rows of ``series_batch``,
+    Builds the form of the flat table and tabulates it with
+    ``series_form_grid_1d``.
+    """
+    form = SeriesForm.from_arrays(powers, coeffs, exp_a, exp_b)
+    return series_form_grid_1d(form, R, xa, xb)
+
+
+def series_form_grid_1d(form, R, xa, xb):
+    """The grid of ``series_grid_1d`` from a ``SeriesForm`` already built.
+
+    The grid is Va^T . C(R) . Vb over the class rows of ``series_batch``,
     block by block, with the displacements placed on the x-axis by
-    ``_on_axis``.
+    ``_on_axis`` and Va, Vb the (rows, displacements) monomial tables.
     """
     _check_separation(R)
-    form = SeriesForm.from_arrays(powers, coeffs, exp_a, exp_b)
     va = _monomial_values(_on_axis(xa), form.class_rows_a)
     vb = _monomial_values(_on_axis(xb), form.class_rows_b)
-    grid = np.zeros((va.shape[0], vb.shape[0]))
+    grid = np.zeros((va.shape[1], vb.shape[1]))
     for (sa, sb, _), c in zip(form.blocks, form.block_matrices(R)):
-        grid += va[:, sa] @ (c @ vb[:, sb].T)
+        grid += va[sa].T @ (c @ vb[sb])
     return grid
 
 

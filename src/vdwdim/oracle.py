@@ -144,9 +144,8 @@ def _coupling_matrix(atom, R, mode, max_power, cutoff, nodes):
             )
         grid = kernels.four_site_grid_1d(R, x, x)
     elif mode == "truncated":
-        series = expand_interaction(1, max_power)
-        powers, coeffs, exp_a, exp_b = kernels.series_arrays(series)
-        grid = kernels.series_grid_1d(powers, coeffs, exp_a, exp_b, R, x, x)
+        form = kernels.series_form(expand_interaction(1, max_power))
+        grid = kernels.series_form_grid_1d(form, R, x, x)
     else:
         raise ValueError("mode must be 'full' or 'truncated'")
     n = cutoff + 1
