@@ -31,10 +31,11 @@ numpy (``series_residual`` loads it when called), so those commands never
 load it.  The closed forms compute in plain floats with float64 results: a
 power of R that overflows counts as inf, so a term far out is 0.0 or -0.0,
 and a term that is not a finite number (R^p underflows as R -> 0) raises
-``SeparationRangeError``.  The curve rows and the crossover take them in the
-preset's own units, a = k = 1, where only hbar omega a / k is left, so no
-power of a is formed; a row's ``exact`` makes the stability decision that
-``exact_correction`` makes on the preset's own mass and R (``_curve_exact``).
+``SeparationRangeError``.  The curve rows, the crossover and
+``series_residual`` take them in the preset's own units, a = k = 1, where
+only hbar omega a / k is left, so no power of a is formed; a row's
+``exact`` makes the stability decision that ``exact_correction`` makes on
+the preset's own mass and R (``_curve_exact``).
 """
 
 import math
@@ -310,7 +311,7 @@ def series_residual(dim, preset, r_tilde_values):
     r_tilde = np.asarray(r_tilde_values, dtype=float)
     if preset.k:
         unit = _reduced(preset)
-    else:  # the uncoupled pair: both terms vanish at any hbar omega a
+    else:  # the uncoupled pair: both terms vanish whatever hbar omega is
         unit = DrudePreset(preset.name, a=1.0, k=0.0, hbar_omega=1.0)
     res = []
     for rt in map(float, r_tilde):

@@ -35,8 +35,8 @@ separations.
 The monomial tables are stored samples last, shape (rows, samples):
 ``_monomial_values`` builds each axis's powers as a (top + 1, samples)
 table of cumulative products and gathers its rows by exponent, so every
-factor is a contiguous row and every value is the same product, bit for
-bit, as in the samples-first layout it replaced.  Each parity block of a
+factor is a contiguous row and every value is the product
+1 * x^e_x * y^e_y * z^e_z formed left to right.  Each parity block of a
 paired evaluation is one GEMM C_block . Vb per separation followed by a
 column-wise dot with Va; the grid is Va^T . (C_block . Vb).  Two variants
 were measured and left out: stacking the separations of
@@ -372,8 +372,9 @@ def _monomial_values(pts, rows):
     factor of every row is a row gather of that table by the row's
     exponent.  The first gather is the output and later axes multiply into
     it in place, in the order c = 0, 1, 2, so each value is the product
-    1 * x^e_x * y^e_y * z^e_z of the columns-first layout, bit for bit, with
-    no array of ones filled unless no axis has an exponent.
+    1 * x^e_x * y^e_y * z^e_z formed left to right (1 * x = x and x * 1 = x
+    exactly, so skipped factors change no bit).  An array of ones is filled
+    only when no axis has an exponent.
     """
     out = None
     for c in range(rows.shape[1]):

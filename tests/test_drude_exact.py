@@ -1,6 +1,7 @@
 """Normal-mode solution of the dipole-coupled pair."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,28 @@ class TestSeriesResidual:
         rep = series_residual(1, preset, [10.0, 20.0])
         assert np.all(rep.residual == 0.0)
         assert math.isnan(rep.slope)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("a", [1e100, 1e-100])
+    def test_residual_is_in_units_of_k_over_a(self, dim, a):
+        # with k = a the preset's own units are Bohr's: hbar omega a / k = 0.5,
+        # so the residual in units of k/a, and its slope, are Bohr's, although
+        # a^4 and the absolute R^6 leave float range
+        grid = np.geomspace(10, 40, 12)
+        bohr = series_residual(dim, DrudePreset.bohr(), grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = series_residual(dim, DrudePreset.custom(0.5, a=a, k=a), grid)
+        assert rep.slope == bohr.slope
+        assert np.array_equal(rep.residual, bohr.residual)
+
+    def test_far_unit_length_raises_no_warning(self):
+        # a^4 overflows at a = 1e100; in units of k/a, with hbar omega a / k
+        # = 1e100, the residual is about 2e-315
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = series_residual(1, DrudePreset.custom(1.0, a=1e100), [20, 40, 80])
+        assert np.all((rep.residual >= 0.0) & (rep.residual < 1e-300))
 
 
 def _bits(x):

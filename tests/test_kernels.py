@@ -312,6 +312,91 @@ def test_batch_kernels_equal_the_cached_form(dim, order, monkeypatch):
     assert np.array_equal(kernels.series_grid_1d(*arrays, R, x, x), grid)
 
 
+def _repeated_products(pts, rows):
+    """(rows, samples) monomial values, each power by repeated multiplication.
+
+    x^e is ((x * x) * x)..., and a row's value is 1 * x^e_x * y^e_y * z^e_z
+    multiplied left to right, one sample at a time in Python floats.
+    """
+    out = np.empty((rows.shape[0], pts.shape[0]))
+    for m, row in enumerate(rows.tolist()):
+        for i, point in enumerate(pts.tolist()):
+            value = 1.0
+            for x, e in zip(point, row):
+                power = 1.0
+                for _ in range(e):
+                    power *= x
+                value *= power
+            out[m, i] = value
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_monomial_values_are_samples_last_repeated_products(dim):
+    form = kernels.series_form(multipole.expand_interaction(dim, 8))
+    rng = np.random.default_rng(dim)
+    pts = _samples(dim, 37, rng) * 3.0
+    for rows in (form.class_rows_a, form.class_rows_b):
+        # d < 3 leaves the y and z columns without an exponent
+        assert (rows[:, dim:] == 0).all()
+        got = kernels._monomial_values(pts, rows)
+        assert got.shape == (rows.shape[0], 37)
+        assert np.array_equal(got, _repeated_products(pts, rows))
+
+
+def test_monomial_values_skip_an_axis_between_two():
+    # y has no exponent while x and z do; a row of zeros is the value 1
+    rows = np.array([[0, 0, 0], [3, 0, 1], [0, 0, 4], [2, 0, 0]])
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, (23, 3))
+    got = kernels._monomial_values(pts, rows)
+    assert np.array_equal(got, _repeated_products(pts, rows))
+    assert (got[0] == 1.0).all()
+    no_exponent = kernels._monomial_values(pts, np.zeros((2, 3), dtype=np.int64))
+    assert no_exponent.shape == (2, 23) and (no_exponent == 1.0).all()
+
+
+def test_monomial_values_of_each_row_block(monkeypatch):
+    # a batch one block and 8 samples long: each block's tables are the
+    # repeated products of its own samples
+    series = multipole.expand_interaction(3, 6)
+    form = kernels.series_form(series)
+    width = max(form.class_rows_a.shape[0], form.class_rows_b.shape[0])
+    per_block = kernels._BLOCK // width
+    rng = np.random.default_rng(11)
+    pts_a, pts_b = _samples(3, per_block + 8, rng), _samples(3, per_block + 8, rng)
+    calls = []
+    original = kernels._monomial_values
+
+    def recorded(pts, rows):
+        out = original(pts, rows)
+        calls.append((pts.copy(), rows, out))
+        return out
+
+    monkeypatch.setattr(kernels, "_monomial_values", recorded)
+    kernels.series_batch(*form.arrays, R, pts_a, pts_b)
+    assert [c[0].shape[0] for c in calls] == [per_block] * 2 + [8] * 2
+    for pts, rows, out in calls:
+        assert out.shape == (rows.shape[0], pts.shape[0])
+        assert np.array_equal(out, _repeated_products(pts, rows))
+
+
+def test_series_grid_1d_tabulates_each_atom_once(monkeypatch):
+    arrays = multipole.series_arrays(multipole.expand_interaction(1, 9))
+    xa, xb = np.linspace(-2.0, 2.0, 17), np.linspace(-1.0, 1.0, 11)
+    calls = []
+    original = kernels._monomial_values
+
+    def counted(pts, rows):
+        calls.append(pts[:, 0].copy())
+        return original(pts, rows)
+
+    monkeypatch.setattr(kernels, "_monomial_values", counted)
+    grid = kernels.series_grid_1d(*arrays, R, xa, xb)
+    assert grid.shape == (17, 11)
+    assert len(calls) == 2
+    assert np.array_equal(calls[0], xa) and np.array_equal(calls[1], xb)
+
+
 def _padded_four_site(R, a, b):
     """The four-site kernel on zero-padded (..., 3) points, term by term."""
     ax, ay, az = a[..., 0], a[..., 1], a[..., 2]

@@ -164,6 +164,35 @@ class TestCouplingAssembly:
         want = _coupling_matrix(atom, R, "full", 3, cutoff, nodes)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("max_power", [3, 8])
+    def test_truncated_mode_converts_its_series_once(self, max_power, monkeypatch):
+        # the cached form of the expansion goes straight to the grid; the
+        # coupling equals that of a form rebuilt from the flat table, bit
+        # for bit
+        from vdwdim.multipole import expand_interaction
+
+        atom = PRESET.atom(1)
+        R, cutoff = 11.0, 8
+        nodes = 2 * cutoff + 8
+        form = kernels.series_form(expand_interaction(1, max_power))
+        core = kernels.series_form_grid_1d
+        monkeypatch.setattr(
+            kernels, "series_form_grid_1d",
+            lambda f, R, xa, xb: core(
+                kernels.SeriesForm.from_arrays(*f.arrays), R, xa, xb
+            ),
+        )
+        want = _coupling_matrix(atom, R, "truncated", max_power, cutoff, nodes)
+        monkeypatch.undo()
+
+        def no_rebuild(*table):
+            raise AssertionError("form rebuilt from the flat table")
+
+        monkeypatch.setattr(kernels.SeriesForm, "from_arrays", no_rebuild)
+        got = _coupling_matrix(atom, R, "truncated", max_power, cutoff, nodes)
+        assert kernels.series_form(expand_interaction(1, max_power)) is form
+        assert np.array_equal(got, want)
+
 
 class TestConsistencyTriangle:
     def test_oracle_normal_modes_and_sum_over_states(self):
