@@ -26,6 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .drude_exact import _positive
+from .multipole import _integer
 
 MOMENT_CAP = 16
 
@@ -75,7 +76,7 @@ def _angular_average(dim, exponents) -> Fraction:
 
 
 def _check_exponents(dim, exponents):
-    exponents = tuple(int(e) for e in exponents)
+    exponents = tuple(_integer("exponent", e) for e in exponents)
     if len(exponents) != dim:
         raise ValueError(f"expected {dim} exponents, got {len(exponents)}")
     if any(e < 0 for e in exponents):
@@ -311,6 +312,7 @@ def drude_spectrum(atom, cutoff):
     """Oscillator eigenvalues and multi-indices with total quanta <= cutoff."""
     if not isinstance(atom, DrudeAtom):
         raise AtomKindError("spectrum available only for Drude atoms")
+    cutoff = _integer("cutoff", cutoff)
     if cutoff < 0:
         raise ValueError("cutoff must be non-negative")
     levels = []

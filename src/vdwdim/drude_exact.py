@@ -47,6 +47,11 @@ def _positive(x):
     return math.isfinite(x) and x > 0
 
 
+def _check_dim(dim):
+    if dim not in (1, 2, 3):
+        raise ValueError(f"dim must be 1, 2, or 3, got {dim!r}")
+
+
 class InstabilityError(ValueError):
     """The dipole-truncated pair has no stable ground state at this R."""
 
@@ -96,6 +101,7 @@ def _coupling_ratio(omega, k, mass, R):
 
 def shifted_frequencies(dim, omega, k, mass, R):
     """Normal-mode frequencies of the dipole-coupled pair at separation R."""
+    _check_dim(dim)
     x = _coupling_ratio(omega, k, mass, R)
     freqs = {}
     for n in (-2, -1, 0, 1, 2):
@@ -117,6 +123,7 @@ def exact_correction(dim, omega, k, mass, R):
     Equals (1/2) [w_2 + w_-2 + (d-1)(w_1 + w_-1) - 2d omega] with hbar = 1,
     computed stably; negative for every stable R.
     """
+    _check_dim(dim)
     x = _coupling_ratio(omega, k, mass, R)
     if not 2.0 * x < 1.0:
         raise InstabilityError(
@@ -127,6 +134,7 @@ def exact_correction(dim, omega, k, mass, R):
 
 def first_order_closed_form(dim, a, alpha, k, R):
     """(r5, r7) closed-form first-order terms for an isotropic atom pair."""
+    _check_dim(dim)
     r5 = _term(
         3.0 * (3 - dim) * (5 - dim) * k * _power(a, 4), 4.0 * _power(R, 5), R
     )
@@ -140,6 +148,7 @@ def first_order_closed_form(dim, a, alpha, k, R):
 
 def second_order_drude_closed_form(dim, a, k, hbar_omega, R):
     """-(3+d) k^2 a^4 / (2 hbar omega R^6), the leading term of the correction."""
+    _check_dim(dim)
     if hbar_omega <= 0:
         raise ValueError("hbar_omega must be positive")
     return _term(
@@ -244,6 +253,7 @@ def _curve_exact(dim, preset, unit, rt):
 
 def total_energy_curve(dim, r_tilde_values, preset=None):
     """Rows of (r5, r6, r7, total, exact) over R/a, in units of k/a."""
+    _check_dim(dim)
     if preset is None:
         preset = DrudePreset.bohr()
     if preset.k == 0:
@@ -308,6 +318,7 @@ def series_residual(dim, preset, r_tilde_values):
     """
     import numpy as np
 
+    _check_dim(dim)
     r_tilde = np.asarray(r_tilde_values, dtype=float)
     if preset.k:
         unit = _reduced(preset)

@@ -46,16 +46,16 @@ degree into a staircase of smaller GEMMs skips zeros of C(R) but was
 slower, its many small GEMMs paying more in call overhead.
 
 Each series has one float form (``SeriesForm``, from ``series_form``): the
-flat monomial table, the distinct exponent rows of each atom in
-lexicographic order with each monomial's row, the same rows grouped by
-transverse parity class (the parities of the y and z exponents) and the
-nonzero class blocks of C(R).  Each C(R) is one scatter into those blocks,
-and the bilinear form is contracted block by block.  A monomial of
-t = r_A - r_B has even transverse powers, so its two rows share a class:
-4 diagonal blocks at d = 3, 2 at d = 2 and 1 at d = 1, where the product is
-the dense one.  The blocks are read off the table, so a table that couples
-two classes still evaluates.  First order and the sum over states contract
-the lexicographic rows power by power (``SeriesForm.per_power``).
+flat monomial table, each atom's distinct exponent rows grouped by
+transverse parity class (the parities of the y and z exponents) with each
+monomial's row, and the nonzero class blocks of sum_p w_p C_p, one scatter
+per weighting (R^-p gives C(R), a unit vector one C_p).  The grid and the
+second-order amplitudes contract them as sum_blocks Va^T . C_block . Vb
+(``SeriesForm.contract``); first order sums each power over its monomials.
+A monomial of t = r_A - r_B has even transverse powers, so its two rows
+share a class: 4 diagonal blocks at d = 3, 2 at d = 2 and 1 at d = 1, where
+the product is the dense one.  The blocks are read off the table, so a
+table that couples two classes still evaluates.
 
 ``series_form`` caches the form of each expansion, the series that
 ``expand_interaction`` returns for some dimension d and order N: a
@@ -63,9 +63,9 @@ the lexicographic rows power by power (``SeriesForm.per_power``).
 N = 3-12.  A series is that expansion when its powers are exactly 3..N and
 each holds the order tuple ``multipole`` keeps for it
 (``multipole._expansion_order``), so no Fraction is hashed or compared.
-Every array of a form is read-only.  Building one takes 7-15 ms at d = 3,
-N = 12 (3,081 monomials, 0.32 MB of arrays); the 27 forms of the
-benchmark's series workload hold about 1.1 MB.  Any other series, such as
+Every array of a form is read-only.  Building one takes about 6 ms at
+d = 3, N = 12 (3,081 monomials, 0.31 MB of arrays; 2-core Xeon, numpy);
+the 27 forms of the benchmark's series workload hold about 1.0 MB.  Any other series, such as
 one read back with ``from_dict`` or one whose terms are lists a caller may
 mutate in place, gets a fresh form on every call.  ``series_batch`` and
 ``series_grid_1d`` take the flat table (``series_arrays``) and build its
@@ -112,7 +112,7 @@ def _row_blocks(n_rows, width):
 
 def _on_axis(x):
     """1D displacements x placed at the 3D points (x, 0, 0), shape (n, 3)."""
-    pts = np.zeros((x.shape[0], 3))
+    pts = np.zeros((len(x), 3))
     pts[:, 0] = x
     return pts
 
@@ -234,27 +234,19 @@ def pair_expectation(R, pts_a, w_a, pts_b, w_b):
     return acc
 
 
-def _distinct_rows(exps):
-    """Sorted distinct rows of an exponent array and each row's index.
+def _class_rows(exps):
+    """Distinct rows of an exponent array, each row's index and class starts.
 
-    One integer per row, sum_c e_c base^(k-1-c), sorts as the row does.
+    One integer per row, the class (e_y mod 2) + 2 (e_z mod 2) and then the
+    code sum_c e_c base^(k-1-c), sorts the rows by class and lexicographically
+    within a class: class c occupies rows start[c]:start[c + 1].
     """
     base = int(exps.max(initial=0)) + 1
-    codes = exps @ base ** np.arange(exps.shape[1] - 1, -1, -1)
-    _, first, idx = np.unique(codes, return_index=True, return_inverse=True)
-    return exps[first], idx
-
-
-def _parity_classes(rows):
-    """Transverse parity class of each row, 0-3, and where each class starts.
-
-    The class is (e_y mod 2) + 2 (e_z mod 2).  A stable sort by class keeps
-    the rows of one class in their order; in that order class c occupies
-    positions start[c]:start[c + 1].  Returns (class, sort order, start).
-    """
-    cls = rows[:, 1] % 2 + 2 * (rows[:, 2] % 2)
-    order = np.argsort(cls, kind="stable")
-    return cls, order, np.searchsorted(cls[order], np.arange(5))
+    k = exps.shape[1]
+    cls = exps[:, 1] % 2 + 2 * (exps[:, 2] % 2)
+    key = cls * base**k + exps @ base ** np.arange(k - 1, -1, -1)
+    _, first, idx = np.unique(key, return_index=True, return_inverse=True)
+    return exps[first], idx, np.searchsorted(cls[first], np.arange(5))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,13 +257,11 @@ class SeriesForm:
     entry per monomial (``arrays``); ``distinct_powers`` are its powers,
     increasing, and ``power_idx`` each monomial's place among them.
     ``rows_a`` and ``rows_b`` are the distinct exponent rows of the two atoms
-    in lexicographic order, and ``idx_a``, ``idx_b`` each monomial's row;
-    ``per_power`` contracts over them.  ``class_rows_a`` and
-    ``class_rows_b`` hold the same rows grouped by transverse parity class.
-    ``blocks`` lists each nonzero (class of A, class of B) block of C(R) as
-    the slices of the two atoms' class rows and the slice of the block
-    buffer it occupies; ``slot`` is each monomial's place in that buffer of
-    ``buffer_size`` entries.
+    in the order of ``_class_rows``, and ``idx_a``, ``idx_b`` each monomial's
+    row.  ``blocks`` lists each nonzero (class of A, class of B) block of the
+    coefficient matrices as the slices of the two atoms' rows and the slice
+    of the block buffer it occupies; ``slot`` is each monomial's place in
+    that buffer of ``buffer_size`` entries.
     """
 
     powers: np.ndarray
@@ -282,8 +272,6 @@ class SeriesForm:
     idx_a: np.ndarray
     rows_b: np.ndarray
     idx_b: np.ndarray
-    class_rows_a: np.ndarray
-    class_rows_b: np.ndarray
     blocks: tuple
     slot: np.ndarray
     buffer_size: int
@@ -300,14 +288,12 @@ class SeriesForm:
         even transverse powers), which gives the diagonal blocks: 4 at d = 3,
         2 at d = 2 and 1 at d = 1.
         """
-        rows_a, idx_a = _distinct_rows(exp_a)
-        rows_b, idx_b = _distinct_rows(exp_b)
-        cls_a, order_a, start_a = _parity_classes(rows_a)
-        cls_b, order_b, start_b = _parity_classes(rows_b)
+        rows_a, idx_a, start_a = _class_rows(exp_a)
+        rows_b, idx_b, start_b = _class_rows(exp_b)
         # each monomial's class on either side and its place within the class
-        mc_a, mc_b = cls_a[idx_a], cls_b[idx_b]
-        at_a = np.argsort(order_a)[idx_a] - start_a[mc_a]
-        at_b = np.argsort(order_b)[idx_b] - start_b[mc_b]
+        mc_a = np.searchsorted(start_a, idx_a, side="right") - 1
+        mc_b = np.searchsorted(start_b, idx_b, side="right") - 1
+        at_a, at_b = idx_a - start_a[mc_a], idx_b - start_b[mc_b]
         pairs, blk = np.unique(4 * mc_a + mc_b, return_inverse=True)
         blocks, offsets, widths, size = [], [], [], 0
         for pair in pairs.tolist():
@@ -319,13 +305,11 @@ class SeriesForm:
             offsets.append(size)
             widths.append(sb.stop - sb.start)
             size += n
-        offsets = np.array(offsets, dtype=np.int64)
-        widths = np.array(widths, dtype=np.int64)
+        offsets, widths = np.array([offsets, widths], dtype=np.int64)
         distinct, power_idx = np.unique(powers, return_inverse=True)
         return cls(
             powers, coeffs, exp_a, exp_b, rows_a, idx_a, rows_b, idx_b,
-            rows_a[order_a], rows_b[order_b], tuple(blocks),
-            offsets[blk] + at_a * widths[blk] + at_b, size,
+            tuple(blocks), offsets[blk] + at_a * widths[blk] + at_b, size,
             tuple(int(p) for p in distinct), power_idx,
         )
 
@@ -334,33 +318,30 @@ class SeriesForm:
         """The flat table (powers, coeffs, exp_a, exp_b) of the batch kernels."""
         return self.powers, self.coeffs, self.exp_a, self.exp_b
 
-    def per_power(self):
-        """(p, C_p) for each power p, increasing, over the lexicographic rows.
+    def inverse_powers(self, R):
+        """R^-p for each of ``distinct_powers``: the weights of C(R)."""
+        return np.array([R ** -float(p) for p in self.distinct_powers])
 
-        The unscaled order-p polynomial is Va(a) . C_p . Vb(b), with Va and
-        Vb the monomials of ``rows_a`` and ``rows_b``; each C_p is built when
-        reached.  Each monomial's power is read from ``powers``, not from
-        its degree.
+    def block_matrices(self, weights):
+        """The blocks of sum_p w_p C_p, w_p one weight per ``distinct_powers``.
+
+        Weights R^-p (``inverse_powers``) give C(R), a unit vector one C_p.
+        One scatter of each coefficient times the weight of its power, read
+        from ``powers``, into the block buffer; the blocks are views of it.
         """
-        for k, p in enumerate(self.distinct_powers):
-            sel = self.power_idx == k
-            c = np.zeros((self.rows_a.shape[0], self.rows_b.shape[0]))
-            np.add.at(c, (self.idx_a[sel], self.idx_b[sel]), self.coeffs[sel])
-            yield p, c
-
-    def block_matrices(self, R):
-        """The blocks of C(R) = sum_p R^-p C_p over the class rows.
-
-        One scatter of R^-p times each coefficient into the block buffer;
-        the blocks are views of it.
-        """
-        scale = np.array([R ** -float(p) for p in self.distinct_powers])
         buf = np.zeros(self.buffer_size)
-        np.add.at(buf, self.slot, scale[self.power_idx] * self.coeffs)
+        np.add.at(buf, self.slot, np.asarray(weights)[self.power_idx] * self.coeffs)
         return [
             buf[cut].reshape(sa.stop - sa.start, sb.stop - sb.start)
             for sa, sb, cut in self.blocks
         ]
+
+    def contract(self, va, c_blocks, vb):
+        """sum_blocks Va[sa]^T . C_block . Vb[sb]; Va, Vb have a row per row."""
+        out = np.zeros((va.shape[1], vb.shape[1]))
+        for (sa, sb, _), c in zip(self.blocks, c_blocks):
+            out += va[sa].T @ (c @ vb[sb])
+        return out
 
 
 def _monomial_values(pts, rows):
@@ -403,12 +384,12 @@ def _series_values(form, r_values, pts_a, pts_b):
     with Va[class rows].  The separations are not stacked into one GEMM,
     so each row of the result has the bits of a one-separation call.
     """
-    mats = [form.block_matrices(R) for R in r_values]
+    mats = [form.block_matrices(form.inverse_powers(R)) for R in r_values]
     out = np.zeros((len(mats), pts_a.shape[0]))
-    width = max(form.class_rows_a.shape[0], form.class_rows_b.shape[0])
+    width = max(form.rows_a.shape[0], form.rows_b.shape[0])
     for blk in _row_blocks(pts_a.shape[0], width):
-        va = _monomial_values(pts_a[blk], form.class_rows_a)
-        vb = _monomial_values(pts_b[blk], form.class_rows_b)
+        va = _monomial_values(pts_a[blk], form.rows_a)
+        vb = _monomial_values(pts_b[blk], form.rows_b)
         for k, c_blocks in enumerate(mats):
             for (sa, sb, _), c in zip(form.blocks, c_blocks):
                 out[k, blk] += np.einsum("an,an->n", c @ vb[sb], va[sa])
@@ -442,17 +423,14 @@ def series_grid_1d(powers, coeffs, exp_a, exp_b, R, xa, xb):
 def series_form_grid_1d(form, R, xa, xb):
     """The grid of ``series_grid_1d`` from a ``SeriesForm`` already built.
 
-    The grid is Va^T . C(R) . Vb over the class rows of ``series_batch``,
-    block by block, with the displacements placed on the x-axis by
-    ``_on_axis`` and Va, Vb the (rows, displacements) monomial tables.
+    The grid is Va^T . C(R) . Vb, contracted block by block
+    (``SeriesForm.contract``), with the displacements placed on the x-axis
+    by ``_on_axis`` and Va, Vb the (rows, displacements) monomial tables.
     """
     _check_separation(R)
-    va = _monomial_values(_on_axis(xa), form.class_rows_a)
-    vb = _monomial_values(_on_axis(xb), form.class_rows_b)
-    grid = np.zeros((va.shape[1], vb.shape[1]))
-    for (sa, sb, _), c in zip(form.blocks, form.block_matrices(R)):
-        grid += va[sa].T @ (c @ vb[sb])
-    return grid
+    va = _monomial_values(_on_axis(xa), form.rows_a)
+    vb = _monomial_values(_on_axis(xb), form.rows_b)
+    return form.contract(va, form.block_matrices(form.inverse_powers(R)), vb)
 
 
 def exact_interaction(R, r_a, r_b):

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import kernels
 from .atoms import AtomKindError, DrudeAtom
-from .multipole import _integer, expand_interaction
+from .multipole import _check_separation, _integer, expand_interaction
 
 
 class OverlapError(ValueError):
@@ -86,6 +86,7 @@ class ConvergenceReport:
 
 
 def _check_overlap(atom, R, overlap_tol):
+    _check_separation(R)
     if not (math.isfinite(overlap_tol) and overlap_tol > 0):
         raise ValueError(
             f"overlap_tol must be finite and positive, got {overlap_tol!r}"

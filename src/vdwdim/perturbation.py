@@ -39,34 +39,37 @@ from .drude_exact import (  # noqa: F401  (re-exported; their home is drude_exac
     second_order_drude_closed_form,
     total_energy_curve,
 )
-from .multipole import _check_separation
+from .multipole import _check_separation, _integer
 from .potential import even_moments, multipole_coefficients
 
 
-def first_order_expectation(series, atom_a, atom_b, R):
-    """Per-power first-order corrections  R^-n m_A^T C_n m_B, in units of k.
+def _check_dims(series, *atoms):
+    if any(atom.dim != series.dim for atom in atoms):
+        raise ValueError("atom dimension does not match series dimension")
 
-    C_n holds the unscaled coefficients of the order-n polynomial between the
-    distinct exponent rows of the two atoms (``SeriesForm.per_power`` of the
-    cached ``kernels.series_form``) and m_A, m_B the moments of those rows,
-    each taken once; when the two atoms are one object and their rows
-    coincide, as they do for every expansion, m_B is m_A.  Returns a dict
-    mapping each inverse power in the series to its energy contribution.
-    Odd-degree factors make the n = 3, 4 and 6 entries vanish identically.
+
+def first_order_expectation(series, atom_a, atom_b, R):
+    """Per-power first-order corrections  R^-n sum_m c_m <A_m> <B_m>, units of k.
+
+    The moments of the distinct rows of the cached ``kernels.series_form``
+    are each taken once (atom B reuses atom A's when they are one object
+    with the same rows, as for every expansion), and c_m <A_m> <B_m> is
+    summed power by power in monomial order, the plain per-monomial sum.
+    Returns a dict mapping each inverse power in the series to its energy
+    contribution; odd-degree factors make n = 3, 4 and 6 vanish identically.
     """
     _check_separation(R)
-    if atom_a.dim != series.dim or atom_b.dim != series.dim:
-        raise ValueError("atom dimension does not match series dimension")
+    _check_dims(series, atom_a, atom_b)
     form = kernels.series_form(series)
     m_a = np.array([atom_a.moment(row[: series.dim]) for row in form.rows_a])
     if atom_b is atom_a and np.array_equal(form.rows_b, form.rows_a):
         m_b = m_a
     else:
-        m_b = np.array(
-            [atom_b.moment(row[: series.dim]) for row in form.rows_b]
-        )
-    totals = {power: float(m_a @ c @ m_b) for power, c in form.per_power()}
-    return {power: totals.get(power, 0.0) / R**power for power in series.terms}
+        m_b = np.array([atom_b.moment(row[: series.dim]) for row in form.rows_b])
+    terms = form.coeffs * m_a[form.idx_a] * m_b[form.idx_b]
+    totals = np.bincount(form.power_idx, terms).tolist()
+    by_power = dict(zip(form.distinct_powers, totals))
+    return {power: by_power.get(power, 0.0) / R**power for power in series.terms}
 
 
 def first_order_via_potential(atom_a, atom_b, R):
@@ -106,23 +109,36 @@ def _x_column_elements(atom, max_power, cutoff):
 def _series_amplitudes(series, atom_a, atom_b, cutoff):
     """Per-power transition amplitudes <n_a n_b|T_p|0 0> over product states.
 
-    Power p gives F_A C_p F_B^T, with F[s, row] = prod_c <n_c|x^e_c|0>.
+    Power p gives F_A^T C_p F_B (``SeriesForm.contract``), with C_p the
+    blocks of a unit weight on p and F[row, s] = prod_c <n_c|x^e_c|0>.
     """
     form = kernels.series_form(series)
     states = np.array(_multi_indices(series.dim, cutoff), dtype=np.int64)
     f_a = _state_factors(atom_a, form.rows_a, states)
     f_b = _state_factors(atom_b, form.rows_b, states)
-    amps = {power: f_a @ c @ f_b.T for power, c in form.per_power()}
-    zero = np.zeros((states.shape[0], states.shape[0]))
-    return states, {power: amps.get(power, zero) for power in series.terms}
+    unit = {p: [float(q == p) for q in form.distinct_powers] for p in series.terms}
+    return states, {
+        p: form.contract(f_a, form.block_matrices(w), f_b) for p, w in unit.items()
+    }
 
 
 def _state_factors(atom, rows, states):
     cols = _x_column_elements(atom, int(rows.max(initial=0)), int(states.max()))
-    f = np.ones((states.shape[0], rows.shape[0]))
+    f = np.ones((rows.shape[0], states.shape[0]))
     for c in range(states.shape[1]):
-        f *= cols[rows[:, c]][:, states[:, c]].T
+        f *= cols[rows[:, c]][:, states[:, c]]
     return f
+
+
+def _check_states(series, atom_a, atom_b, cutoff):
+    """``cutoff`` as an int of at least 1, for Drude atoms of the series dim."""
+    if not all(isinstance(atom, DrudeAtom) for atom in (atom_a, atom_b)):
+        raise AtomKindError("sum over states requires Drude atoms")
+    _check_dims(series, atom_a, atom_b)
+    cutoff = _integer("cutoff", cutoff)
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1")
+    return cutoff
 
 
 def _excitation_energies(states, atom_a, atom_b):
@@ -132,23 +148,15 @@ def _excitation_energies(states, atom_a, atom_b):
     )
 
 
-def _require_drude(*atoms):
-    for atom in atoms:
-        if not isinstance(atom, DrudeAtom):
-            raise AtomKindError("sum over states requires Drude atoms")
-
-
 def second_order_sum(series, atom_a, atom_b, R, cutoff=1):
     """-sum_{n != 0} |<n|H_I|0>|^2 / (E_n - E_0) over product oscillator states.
 
     In units with k = hbar = 1.  ``series`` supplies the coupling polynomials
     (normally just the n = 3 dipole-dipole term, for which cutoff 1 is
-    already exact).
+    already exact).  ``cutoff`` must be an integer of at least 1.
     """
     _check_separation(R)
-    _require_drude(atom_a, atom_b)
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
+    cutoff = _check_states(series, atom_a, atom_b, cutoff)
     states, amps = _series_amplitudes(series, atom_a, atom_b, cutoff)
     coupling = np.zeros((states.shape[0], states.shape[0]))
     for power, amp in amps.items():
@@ -168,9 +176,7 @@ def parity_cross_term(series, atom_a, atom_b, cutoff=8, powers=(3, 4)):
     p = q the dipole-dipole second-order value at R = 1 is recovered
     (diagnostic mode).
     """
-    _require_drude(atom_a, atom_b)
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
+    cutoff = _check_states(series, atom_a, atom_b, cutoff)
     p, q = powers
     if p not in series.terms or q not in series.terms:
         raise ValueError(f"series lacks requested powers {powers}")

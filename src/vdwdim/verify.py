@@ -207,13 +207,13 @@ def _first_order_checks():
     worst7 = 0.0
     for d in (1, 2, 3):
         atom = DrudeAtom.bohr_matched(d)
-        per_power = perturbation.first_order_expectation(
+        by_power = perturbation.first_order_expectation(
             series7[d], atom, atom, R
         )
         r5, r7 = drude_exact.first_order_closed_form(d, atom.a, 3.0, 1.0, R)
-        worst5 = max(worst5, _rel_or_abs(per_power[5], r5))
-        worst7 = max(worst7, _rel_or_abs(per_power[7], r7))
-        if per_power[3] != 0.0 or per_power[4] != 0.0 or per_power[6] != 0.0:
+        worst5 = max(worst5, _rel_or_abs(by_power[5], r5))
+        worst7 = max(worst7, _rel_or_abs(by_power[7], r7))
+        if by_power[3] != 0.0 or by_power[4] != 0.0 or by_power[6] != 0.0:
             worst5 = math.inf
     out.append(
         _check(

@@ -279,8 +279,23 @@ class TestSpectrum:
         with pytest.raises(AtomKindError):
             drude_spectrum(RingAtom(2), 1)
 
+    @pytest.mark.parametrize("cutoff", [2.0, 1.5, math.nan, True])
+    def test_rejects_non_integer_cutoff(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be an integer"):
+            drude_spectrum(DrudeAtom.bohr_matched(2), cutoff)
+
 
 class TestCaps:
+    @pytest.mark.parametrize(
+        "atom, exponents",
+        [(DrudeAtom.bohr_matched(1), (2.5,)), (RingAtom(2), (2, 1.5)),
+         (DrudeAtom.bohr_matched(2), (2.0, 0)), (RingAtom(2), (True, 1))],
+    )
+    def test_rejects_non_integer_exponents(self, atom, exponents):
+        # int() once read (2.5,) as (2,) and (2, 1.5) as (2, 1)
+        with pytest.raises(ValueError, match="exponent must be an integer"):
+            atom.moment(exponents)
+
     def test_moment_cap(self):
         atom = DrudeAtom.bohr_matched(1)
         assert atom.moment((MOMENT_CAP,)) > 0

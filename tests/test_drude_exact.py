@@ -38,6 +38,28 @@ def test_rejects_bad_input(fn, name, bad):
     assert info.type is ValueError
 
 
+CLOSED_FORMS = {
+    "shifted_frequencies": lambda d: shifted_frequencies(d, **BOHR, R=3.0),
+    "exact_correction": lambda d: exact_correction(d, **BOHR, R=3.0),
+    "first_order": lambda d: first_order_closed_form(d, 1.0, 3.0, 1.0, 5.0),
+    "second_order": lambda d: second_order_drude_closed_form(
+        d, 1.0, 1.0, 0.5, 5.0
+    ),
+    "curve": lambda d: total_energy_curve(d, [5.0]),
+    "empty_curve": lambda d: total_energy_curve(d, []),
+    "residual": lambda d: series_residual(d, DrudePreset.bohr(), [10.0, 20.0]),
+}
+
+
+@pytest.mark.parametrize("fn", CLOSED_FORMS)
+@pytest.mark.parametrize("dim", [0, 4, 7, -1])
+def test_closed_forms_reject_dimension(fn, dim):
+    # total_energy_curve(4, [5.0]) once gave rows and exact_correction(7, ...)
+    # a value
+    with pytest.raises(ValueError, match="dim must be 1, 2, or 3"):
+        CLOSED_FORMS[fn](dim)
+
+
 class TestShiftedFrequencies:
     def test_zero_coupling(self):
         modes = shifted_frequencies(2, omega=0.7, k=0.0, mass=1.0, R=5.0)

@@ -111,6 +111,17 @@ def test_series_grid_1d_matches_scalar_series(dim):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-18)
 
 
+def test_grid_1d_kernels_take_sequences():
+    # the series grid once read x.shape of its displacements, so a list
+    # raised AttributeError where four_site_grid_1d took it
+    arrays = multipole.series_arrays(multipole.expand_interaction(2, 6))
+    xa, xb = [-0.4, 0.1, 0.3], (0.2, -0.5)
+    for kernel, args in ((kernels.series_grid_1d, arrays),
+                         (kernels.four_site_grid_1d, ())):
+        got = kernel(*args, R, xa, xb)
+        assert np.array_equal(got, kernel(*args, R, np.array(xa), np.array(xb)))
+
+
 def test_active_backend_reported():
     assert backend_name() == "numpy"
 
@@ -146,7 +157,7 @@ def test_series_batch_parity_blocks_across_block_boundary(dim, order):
     # one block per transverse parity class; at order 3 no monomial has
     # both y and z odd
     assert len(form.blocks) == (2 ** (dim - 1) if order > 3 else dim)
-    width = max(form.class_rows_a.shape[0], form.class_rows_b.shape[0])
+    width = max(form.rows_a.shape[0], form.rows_b.shape[0])
     per_block = kernels._BLOCK // width
     rng = np.random.default_rng(10 * dim + order)
     pts_a = _samples(dim, per_block + 8, rng)
@@ -159,6 +170,37 @@ def test_series_batch_parity_blocks_across_block_boundary(dim, order):
         for i in picked
     ]
     np.testing.assert_allclose(got[picked], want, rtol=1e-12, atol=1e-18)
+
+
+def _parity_class(rows):
+    return rows[:, 1] % 2 + 2 * (rows[:, 2] % 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("order", [3, 6, 12])
+def test_rows_grouped_by_class_and_lexicographic_within(dim, order):
+    form = kernels.series_form(multipole.expand_interaction(dim, order))
+    for rows, idx, exps in ((form.rows_a, form.idx_a, form.exp_a),
+                            (form.rows_b, form.idx_b, form.exp_b)):
+        assert np.array_equal(rows[idx], exps)
+        cls = _parity_class(rows)
+        assert (np.diff(cls) >= 0).all()
+        keys = [(c, *row) for c, row in zip(cls.tolist(), rows.tolist())]
+        assert keys == sorted(set(keys))
+    for sa, sb, _ in form.blocks:
+        # every block pairs one class of A with one class of B
+        assert len(set(_parity_class(form.rows_a[sa]).tolist())) == 1
+        assert len(set(_parity_class(form.rows_b[sb]).tolist())) == 1
+
+
+def test_rows_of_an_unsorted_table_by_class():
+    exps = np.array([[0, 1, 1], [2, 0, 0], [0, 1, 0], [1, 0, 0], [2, 0, 0],
+                     [0, 0, 3], [1, 1, 0]])
+    rows, idx, start = kernels._class_rows(exps)
+    assert rows.tolist() == [[1, 0, 0], [2, 0, 0], [0, 1, 0], [1, 1, 0],
+                             [0, 0, 3], [0, 1, 1]]
+    assert np.array_equal(rows[idx], exps)
+    assert start.tolist() == [0, 2, 4, 5, 6]
 
 
 def test_skipped_power_series_scaled_by_table_power():
@@ -336,7 +378,7 @@ def test_monomial_values_are_samples_last_repeated_products(dim):
     form = kernels.series_form(multipole.expand_interaction(dim, 8))
     rng = np.random.default_rng(dim)
     pts = _samples(dim, 37, rng) * 3.0
-    for rows in (form.class_rows_a, form.class_rows_b):
+    for rows in (form.rows_a, form.rows_b):
         # d < 3 leaves the y and z columns without an exponent
         assert (rows[:, dim:] == 0).all()
         got = kernels._monomial_values(pts, rows)
@@ -360,7 +402,7 @@ def test_monomial_values_of_each_row_block(monkeypatch):
     # repeated products of its own samples
     series = multipole.expand_interaction(3, 6)
     form = kernels.series_form(series)
-    width = max(form.class_rows_a.shape[0], form.class_rows_b.shape[0])
+    width = max(form.rows_a.shape[0], form.rows_b.shape[0])
     per_block = kernels._BLOCK // width
     rng = np.random.default_rng(11)
     pts_a, pts_b = _samples(3, per_block + 8, rng), _samples(3, per_block + 8, rng)

@@ -482,6 +482,20 @@ class TestOracleInputs:
             self.CALLS[call](PRESET.atom(1), overlap_tol=tol)
         assert err.type is ValueError
 
+    @pytest.mark.parametrize("R", [-1.0, 0.0, math.nan, math.inf])
+    def test_separation_checked_before_overlap(self, R):
+        # R = -1 or 0 once raised OverlapError "... increase R"
+        atom = PRESET.atom(1)
+        calls = [
+            lambda: oscillator_basis_diag(atom, R),
+            lambda: convergence_report(atom, R),
+            lambda: direct_first_order(atom, atom, R),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="separation") as err:
+                call()
+            assert err.type is ValueError
+
     @pytest.mark.parametrize("cutoff", [10.5, 12.0, True, "12", None])
     def test_rejects_non_int_cutoff(self, cutoff):
         # 10.5 would reach hermite's "deg must be an integer" TypeError

@@ -184,6 +184,18 @@ class TestFirstOrderExpectation:
 
     @pytest.mark.parametrize("kind", ["drude", "ring", "numeric"])
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_equals_per_monomial_sum_at_every_order(self, dim, kind):
+        # each power is summed monomial by monomial in table order, so the
+        # values are the reference's bits, zeros of d = 3 included
+        atom = _first_order_atom(kind, dim)
+        for order in range(3, 13):
+            series = expand_interaction(dim, order)
+            got = first_order_expectation(series, atom, atom, 9.0)
+            want, _ = _per_monomial_first_order(series, atom, atom, 9.0)
+            assert got == want, order
+
+    @pytest.mark.parametrize("kind", ["drude", "ring", "numeric"])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_one_atom_takes_each_moment_once(self, dim, kind, monkeypatch):
         # the same atom on both sides reads its moments once; a second,
         # equal atom object reads them again and gives the same bits
@@ -292,6 +304,38 @@ class TestSecondOrder:
         series = expand_interaction(2, 3)
         with pytest.raises(AtomKindError):
             second_order_sum(series, RingAtom(2), RingAtom(2), 8.0)
+
+
+SUM_OVER_STATES = {
+    "second": lambda series, atom, **kw: second_order_sum(
+        series, atom, atom, 8.0, **kw
+    ),
+    "cross": lambda series, atom, **kw: parity_cross_term(
+        series, atom, atom, **kw
+    ),
+}
+
+
+@pytest.mark.parametrize("call", SUM_OVER_STATES)
+@pytest.mark.parametrize("cutoff", [2.0, 1.5, math.nan, True, "2"])
+def test_sum_over_states_rejects_non_integer_cutoff(call, cutoff):
+    series, atom = expand_interaction(1, 4), DrudeAtom.bohr_matched(1)
+    with pytest.raises(ValueError, match="cutoff must be an integer"):
+        SUM_OVER_STATES[call](series, atom, cutoff=cutoff)
+
+
+@pytest.mark.parametrize("call", ["first", *SUM_OVER_STATES])
+def test_atoms_must_match_series_dimension(call):
+    # a d = 1 series with d = 2 atoms once gave -7.5e-6 and -0.0
+    calls = {
+        "first": lambda series, atom: first_order_expectation(
+            series, atom, atom, 8.0
+        ),
+        **SUM_OVER_STATES,
+    }
+    series, atom = expand_interaction(1, 4), DrudeAtom.bohr_matched(2)
+    with pytest.raises(ValueError, match="dimension"):
+        calls[call](series, atom)
 
 
 class TestSeriesAmplitudes:
