@@ -52,6 +52,14 @@ class AtomKindError(TypeError):
     """Operation restricted to a different atom kind."""
 
 
+def _atom_dim(dim):
+    """``dim`` as a plain int in {1, 2, 3}; a bool or a float is rejected."""
+    dim = _integer("dim", dim)
+    if dim not in (1, 2, 3):
+        raise ValueError("dim must be 1, 2, or 3")
+    return dim
+
+
 def _double_factorial(n):
     out = 1
     while n > 1:
@@ -129,11 +137,9 @@ class DrudeAtom(AtomModel):
     """
 
     def __init__(self, dim, omega, mass=1.0):
-        if dim not in (1, 2, 3):
-            raise ValueError("dim must be 1, 2, or 3")
+        self.dim = _atom_dim(dim)
         if not all(_positive(v) for v in (omega, mass)):
             raise ValueError("omega and mass must be finite and positive")
-        self.dim = dim
         self.omega = omega
         self.mass = mass
         self.a = math.sqrt(1.0 / (2.0 * mass * omega))
@@ -191,11 +197,9 @@ class RingAtom(AtomModel):
     """
 
     def __init__(self, dim, radius=1.0):
-        if dim not in (1, 2, 3):
-            raise ValueError("dim must be 1, 2, or 3")
+        self.dim = _atom_dim(dim)
         if not _positive(radius):
             raise ValueError("radius must be finite and positive")
-        self.dim = dim
         self.radius = radius
 
     def radial_moment(self, order):
@@ -239,8 +243,7 @@ class NumericRadialAtom(AtomModel):
     def __init__(self, dim, r, rho):
         from scipy.interpolate import CubicSpline
 
-        if dim not in (1, 2, 3):
-            raise ValueError("dim must be 1, 2, or 3")
+        dim = _atom_dim(dim)
         r = np.asarray(r, dtype=float)
         rho = np.asarray(rho, dtype=float)
         if r.ndim != 1 or r.shape != rho.shape or r.size < 4:

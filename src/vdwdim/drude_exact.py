@@ -28,9 +28,11 @@ This module is also the home of the closed-form pair the ``curve`` and
 ``exact`` commands print: the first-order terms r5 and r7, the leading R^-6
 term, the ``DrudePreset`` unit system and the curve rows.  It imports no
 numpy (``series_residual`` loads it when called), so those commands never
-load it.  The closed forms compute in plain floats with float64 results: a
-power of R that overflows counts as inf, so a term far out is 0.0 or -0.0,
-and a term that is not a finite number (R^p underflows as R -> 0) raises
+load it.  The closed forms take R and hbar omega finite and positive, and a,
+alpha and k finite and non-negative, or raise a ValueError naming the
+argument.  They compute in plain floats with float64 results: a power of R
+that overflows counts as inf, so a term far out is 0.0 or -0.0, and a term
+that is not a finite number (R^p underflows as R -> 0) raises
 ``SeparationRangeError``.  The curve rows, the crossover and
 ``series_residual`` take them in the preset's own units, a = k = 1, where
 only hbar omega a / k is left, so no power of a is formed; a row's
@@ -45,6 +47,16 @@ from dataclasses import dataclass
 def _positive(x):
     """True for a finite positive number (False for NaN and inf)."""
     return math.isfinite(x) and x > 0
+
+
+def _check_terms(positive, non_negative):
+    """ValueError naming the first closed-form argument out of its range."""
+    for name, x in positive.items():
+        if not _positive(x):
+            raise ValueError(f"{name} must be finite and positive, got {x!r}")
+    for name, x in non_negative.items():
+        if not (math.isfinite(x) and x >= 0):
+            raise ValueError(f"{name} must be finite and non-negative, got {x!r}")
 
 
 def _check_dim(dim):
@@ -135,6 +147,7 @@ def exact_correction(dim, omega, k, mass, R):
 def first_order_closed_form(dim, a, alpha, k, R):
     """(r5, r7) closed-form first-order terms for an isotropic atom pair."""
     _check_dim(dim)
+    _check_terms({"R": R}, {"a": a, "alpha": alpha, "k": k})
     r5 = _term(
         3.0 * (3 - dim) * (5 - dim) * k * _power(a, 4), 4.0 * _power(R, 5), R
     )
@@ -149,8 +162,7 @@ def first_order_closed_form(dim, a, alpha, k, R):
 def second_order_drude_closed_form(dim, a, k, hbar_omega, R):
     """-(3+d) k^2 a^4 / (2 hbar omega R^6), the leading term of the correction."""
     _check_dim(dim)
-    if hbar_omega <= 0:
-        raise ValueError("hbar_omega must be positive")
+    _check_terms({"hbar_omega": hbar_omega, "R": R}, {"a": a, "k": k})
     return _term(
         -(3 + dim) * _power(k, 2) * _power(a, 4),
         2.0 * hbar_omega * _power(R, 6),

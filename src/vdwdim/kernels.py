@@ -50,7 +50,7 @@ flat monomial table, each atom's distinct exponent rows grouped by
 transverse parity class (the parities of the y and z exponents) with each
 monomial's row, and the nonzero class blocks of sum_p w_p C_p, one scatter
 per weighting (R^-p gives C(R), a unit vector one C_p).  The grid and the
-second-order amplitudes contract them as sum_blocks Va^T . C_block . Vb
+second-order sum over states contract them as sum_blocks Va^T . C_block . Vb
 (``SeriesForm.contract``); first order sums each power over its monomials.
 A monomial of t = r_A - r_B has even transverse powers, so its two rows
 share a class: 4 diagonal blocks at d = 3, 2 at d = 2 and 1 at d = 1, where
@@ -337,7 +337,11 @@ class SeriesForm:
         ]
 
     def contract(self, va, c_blocks, vb):
-        """sum_blocks Va[sa]^T . C_block . Vb[sb]; Va, Vb have a row per row."""
+        """sum_blocks Va[sa]^T . C_block . Vb[sb]; Va, Vb have a row per row.
+
+        The on-axis grid's values, or the transition amplitudes of the
+        perturbation module's sum over product states, one per weighting.
+        """
         out = np.zeros((va.shape[1], vb.shape[1]))
         for (sa, sb, _), c in zip(self.blocks, c_blocks):
             out += va[sa].T @ (c @ vb[sb])

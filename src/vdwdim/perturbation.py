@@ -13,9 +13,10 @@ vanish identically in d = 3, where the exterior potential of a spherical
 cloud is zero.
 
 Second order is evaluated for Drude atoms by an explicit sum over product
-oscillator states with ladder-operator matrix elements; the dipole-dipole
-term connects the ground state only to single-excitation pairs, so the sum
-saturates at cutoff 1 and reproduces -(3+d) k^2 a^4 / (2 hbar omega R^6).
+oscillator states with ladder-operator matrix elements, contracting
+C(R) = sum_p R^-p C_p with the states once; the dipole-dipole term connects
+the ground state only to single-excitation pairs, so the sum saturates at
+cutoff 1 and reproduces -(3+d) k^2 a^4 / (2 hbar omega R^6).
 Opposite inversion parity of the even- and odd-degree coupling terms kills
 the R^-7 cross contribution exactly.
 
@@ -106,22 +107,6 @@ def _x_column_elements(atom, max_power, cutoff):
     return np.array(cols)[:, : cutoff + 1]
 
 
-def _series_amplitudes(series, atom_a, atom_b, cutoff):
-    """Per-power transition amplitudes <n_a n_b|T_p|0 0> over product states.
-
-    Power p gives F_A^T C_p F_B (``SeriesForm.contract``), with C_p the
-    blocks of a unit weight on p and F[row, s] = prod_c <n_c|x^e_c|0>.
-    """
-    form = kernels.series_form(series)
-    states = np.array(_multi_indices(series.dim, cutoff), dtype=np.int64)
-    f_a = _state_factors(atom_a, form.rows_a, states)
-    f_b = _state_factors(atom_b, form.rows_b, states)
-    unit = {p: [float(q == p) for q in form.distinct_powers] for p in series.terms}
-    return states, {
-        p: form.contract(f_a, form.block_matrices(w), f_b) for p, w in unit.items()
-    }
-
-
 def _state_factors(atom, rows, states):
     cols = _x_column_elements(atom, int(rows.max(initial=0)), int(states.max()))
     f = np.ones((rows.shape[0], states.shape[0]))
@@ -141,11 +126,25 @@ def _check_states(series, atom_a, atom_b, cutoff):
     return cutoff
 
 
-def _excitation_energies(states, atom_a, atom_b):
+def _sum_over_states(form, atom_a, atom_b, cutoff, *weightings):
+    """-sum_{n != 0} <0|T_L|n><n|T_R|0> / (E_n - E_0) over product states.
+
+    Each weighting of ``form.distinct_powers`` gives one operator
+    sum_p w_p T_p, contracted once as F_A^T C F_B (``SeriesForm.contract``)
+    with C the blocks of the weighting and F[row, s] = prod_c <n_c|x^e_c|0>.
+    T_L is the first weighting and T_R the last, so one weighting serves
+    both sides.
+    """
+    states = np.array(_multi_indices(atom_a.dim, cutoff), dtype=np.int64)
+    f_a = _state_factors(atom_a, form.rows_a, states)
+    f_b = _state_factors(atom_b, form.rows_b, states)
+    amps = [form.contract(f_a, form.block_matrices(w), f_b) for w in weightings]
     quanta = states.sum(axis=1).astype(float)
-    return (
-        atom_a.hbar_omega * quanta[:, None] + atom_b.hbar_omega * quanta[None, :]
-    )
+    energies = np.add.outer(atom_a.hbar_omega * quanta, atom_b.hbar_omega * quanta)
+    prod = amps[0] * amps[-1]
+    prod[0, 0] = 0.0
+    energies[0, 0] = 1.0
+    return float(-np.sum(prod / energies))
 
 
 def second_order_sum(series, atom_a, atom_b, R, cutoff=1):
@@ -157,14 +156,8 @@ def second_order_sum(series, atom_a, atom_b, R, cutoff=1):
     """
     _check_separation(R)
     cutoff = _check_states(series, atom_a, atom_b, cutoff)
-    states, amps = _series_amplitudes(series, atom_a, atom_b, cutoff)
-    coupling = np.zeros((states.shape[0], states.shape[0]))
-    for power, amp in amps.items():
-        coupling += R ** (-float(power)) * amp
-    energies = _excitation_energies(states, atom_a, atom_b)
-    coupling[0, 0] = 0.0
-    energies[0, 0] = 1.0
-    return float(-np.sum(coupling**2 / energies))
+    form = kernels.series_form(series)
+    return _sum_over_states(form, atom_a, atom_b, cutoff, form.inverse_powers(R))
 
 
 def parity_cross_term(series, atom_a, atom_b, cutoff=8, powers=(3, 4)):
@@ -174,15 +167,12 @@ def parity_cross_term(series, atom_a, atom_b, cutoff=8, powers=(3, 4)):
     at separation R it scales by R^-(p+q).  For (p, q) = (3, 4) the two
     operators have opposite inversion parity and every summand vanishes; with
     p = q the dipole-dipole second-order value at R = 1 is recovered
-    (diagnostic mode).
+    (diagnostic mode).  Only T_p and T_q are contracted.
     """
     cutoff = _check_states(series, atom_a, atom_b, cutoff)
     p, q = powers
     if p not in series.terms or q not in series.terms:
         raise ValueError(f"series lacks requested powers {powers}")
-    states, amps = _series_amplitudes(series, atom_a, atom_b, cutoff)
-    energies = _excitation_energies(states, atom_a, atom_b)
-    prod = amps[p] * amps[q]
-    prod[0, 0] = 0.0
-    energies[0, 0] = 1.0
-    return float(-np.sum(prod / energies))
+    form = kernels.series_form(series)
+    unit = {m: [float(n == m) for n in form.distinct_powers] for m in (p, q)}
+    return _sum_over_states(form, atom_a, atom_b, cutoff, *unit.values())

@@ -110,6 +110,41 @@ class TestDrudeInputs:
             DrudeAtom(2, **kwargs)
 
 
+def _gaussian_grid_atom(dim):
+    r = np.linspace(0.0, 8.0, 200)
+    return NumericRadialAtom(dim, r, np.exp(-(r**2) / 2.0))
+
+
+ATOM_KINDS = {
+    "drude": lambda dim: DrudeAtom(dim, 0.5),
+    "ring": RingAtom,
+    "numeric": _gaussian_grid_atom,
+}
+
+
+class TestDimension:
+    # DrudeAtom(2.0, 0.5) and RingAtom(2.0) once constructed and failed later
+    # with a TypeError from alpha(), a multipole potential or a moment
+
+    @pytest.mark.parametrize("kind", ATOM_KINDS)
+    @pytest.mark.parametrize("dim", [2.0, True, "2"])
+    def test_rejects_non_integer(self, kind, dim):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            ATOM_KINDS[kind](dim)
+
+    @pytest.mark.parametrize("kind", ATOM_KINDS)
+    @pytest.mark.parametrize("dim", [0, 4, -1])
+    def test_rejects_out_of_range(self, kind, dim):
+        with pytest.raises(ValueError, match="dim must be 1, 2, or 3"):
+            ATOM_KINDS[kind](dim)
+
+    @pytest.mark.parametrize("kind", ATOM_KINDS)
+    def test_numpy_integer_becomes_int(self, kind):
+        atom = ATOM_KINDS[kind](np.int64(2))
+        assert type(atom.dim) is int and atom.dim == 2
+        assert atom.moment((2, 0)) == ATOM_KINDS[kind](2).moment((2, 0))
+
+
 class TestRing:
     def test_alpha_d2_is_three_halves(self):
         ring = RingAtom(2, radius=2.0)

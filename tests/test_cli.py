@@ -659,7 +659,47 @@ class TestExact:
         assert float(cols[3]) == pytest.approx(80.0 / 10.0**12, rel=1e-3, abs=0.0)
 
 
+# The check lines of ``vdw verify --level full`` as recorded; the fast level
+# prints the first 19.  A change may add checks but not reword these.
+_VERIFY_LINES = """\
+[PASS] golden-expansion-order-3: 3 monomials, exact match: True
+[PASS] golden-expansion-order-4: 10 monomials, exact match: True
+[PASS] golden-expansion-order-5: 30 monomials, exact match: True
+[PASS] expansion-structure-d1: powers 3..9, 28 monomials
+[PASS] expansion-structure-d2: powers 3..9, 206 monomials
+[PASS] expansion-structure-d3: powers 3..9, 738 monomials
+[PASS] series-kernel-decay: fitted residual exponent 6.00 (want >= 5.9)
+[PASS] series-json-roundtrip: equal after roundtrip: True
+[PASS] first-order-route-agreement: max relative gap 0.00e+00 at R^-5 (want <= 1e-12)
+[PASS] first-order-r7-agreement: max relative gap 0.00e+00 at R^-7
+[PASS] first-order-ring: ring d=2 coefficient gap 1.51e-16
+[PASS] first-order-potential-route: max relative gap 0.00e+00 across d = 1, 2, 3
+[PASS] second-order-route-agreement: max relative gap 0.00e+00, cutoff-1 saturation: True
+[PASS] parity-exclusion: largest cross term 0.00e+00 (want <= 1e-14)
+[PASS] normal-mode-residual-slope: worst log-log slope -12.00 (want <= -11.5)
+[PASS] normal-mode-attraction: correction < 0 on grid: True
+[PASS] quadrupole-sign-structure: V(axis) -5.787e-04 < 0 < V(perp) 2.894e-04, node 0.0e+00
+[PASS] multipole-vanishes-d3: all sampled values zero: True
+[PASS] dominance-crossover: crossover radii d=1: 4.221, d=2: 4.817
+[PASS] oracle-vs-normal-modes: relative gap 6.32e-16 at R/a = 6 (want <= 1e-8)
+[PASS] sign-flip-d1: R/a=8: dev 0.2%; R/a=10: dev 0.4%; R/a=14: dev 0.4%; R/a=20: dev 0.2%
+[PASS] oracle-convergence: truncated drops 7.76e-07 -> 3.18e-09; full-mode last drop 4.58e-09
+[PASS] direct-first-order: deviation from asymptotics at R/a = 12: d=1 1.24%, d=2 0.91%
+[PASS] direct-first-order-vanishes-d3: |<H_I>| = 8.59e-14 (want <= 1e-8)
+[PASS] shell-theorem-ball: max exterior |V| = 1.11e-16 (uniform ball)
+[PASS] potential-multipole-agreement: on-axis residual decays with exponent 7.05 (want >= 6.9)
+""".splitlines()
+
+
 class TestVerify:
+    @pytest.mark.parametrize("level, recorded", [("fast", 19), ("full", 26)])
+    def test_recorded_lines_unchanged(self, capsys, level, recorded):
+        code, out, err = run_cli(capsys, "verify", "--level", level)
+        assert (code, err) == (0, "")
+        *checks, summary = out.splitlines()
+        assert [l for l in _VERIFY_LINES[:recorded] if l not in checks] == []
+        assert summary == f"{len(checks)}/{len(checks)} checks passed (level {level})"
+
     def test_fast_level_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--level", "fast")
         assert code == 0

@@ -165,6 +165,35 @@ class TestSeriesResidual:
         assert np.all((rep.residual >= 0.0) & (rep.residual < 1e-300))
 
 
+class TestClosedFormInputs:
+    # a negative R or a once gave sign-flipped terms, and a NaN a or
+    # hbar omega raised SeparationRangeError naming R
+
+    @pytest.mark.parametrize("name, bad", [
+        ("R", -2.0), ("R", 0.0), ("R", math.inf), ("a", -1.0), ("a", math.nan),
+        ("alpha", -3.0), ("alpha", math.inf), ("k", -1.0), ("k", math.nan),
+    ])
+    def test_first_order_names_bad_argument(self, name, bad):
+        args = {"a": 1.0, "alpha": 3.0, "k": 1.0, "R": 5.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite") as err:
+            first_order_closed_form(1, **args)
+        assert err.type is ValueError
+
+    @pytest.mark.parametrize("name, bad", [
+        ("R", -2.0), ("hbar_omega", 0.0), ("hbar_omega", math.nan),
+        ("a", math.nan), ("a", -1.0), ("k", math.inf),
+    ])
+    def test_second_order_names_bad_argument(self, name, bad):
+        args = {"a": 1.0, "k": 1.0, "hbar_omega": 0.5, "R": 5.0, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be finite") as err:
+            second_order_drude_closed_form(1, **args)
+        assert err.type is ValueError
+
+    def test_zero_a_alpha_and_k_are_allowed(self):
+        assert first_order_closed_form(1, 0.0, 0.0, 0.0, 5.0) == (0.0, 0.0)
+        assert second_order_drude_closed_form(1, 0.0, 0.0, 0.5, 5.0) == 0.0
+
+
 def _bits(x):
     return (x, math.copysign(1.0, x))
 

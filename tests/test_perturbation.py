@@ -27,7 +27,8 @@ from vdwdim.multipole import (
 )
 from vdwdim.perturbation import (
     DrudePreset,
-    _series_amplitudes,
+    _state_factors,
+    _sum_over_states,
     _x_column_elements,
     dominance_crossover,
     first_order_closed_form,
@@ -338,6 +339,27 @@ def test_atoms_must_match_series_dimension(call):
         calls[call](series, atom)
 
 
+def _unit_amplitudes(series, atom_a, atom_b, cutoff):
+    """<n_a n_b|T_p|0 0> per power: the contraction of a unit weighting on p."""
+    form = kernels.series_form(series)
+    states = np.array(_multi_indices(series.dim, cutoff), dtype=np.int64)
+    f_a = _state_factors(atom_a, form.rows_a, states)
+    f_b = _state_factors(atom_b, form.rows_b, states)
+    amps = {}
+    for p in series.terms:
+        unit = [float(q == p) for q in form.distinct_powers]
+        amps[p] = form.contract(f_a, form.block_matrices(unit), f_b)
+    return states, amps
+
+
+def _energies(states, atom_a, atom_b):
+    """E_n - E_0 per product state; 1.0 for the ground pair, which is skipped."""
+    quanta = states.sum(axis=1).astype(float)
+    energies = np.add.outer(atom_a.hbar_omega * quanta, atom_b.hbar_omega * quanta)
+    energies[0, 0] = 1.0
+    return energies
+
+
 class TestSeriesAmplitudes:
     @staticmethod
     def _assert_matches(got, want):
@@ -357,7 +379,7 @@ class TestSeriesAmplitudes:
         atom_b = DrudeAtom(dim, omega=0.7, mass=1.3)
         series = expand_interaction(dim, 6)
         self._assert_matches(
-            _series_amplitudes(series, atom_a, atom_b, 4),
+            _unit_amplitudes(series, atom_a, atom_b, 4),
             _per_monomial_amplitudes(series, atom_a, atom_b, 4),
         )
 
@@ -365,11 +387,71 @@ class TestSeriesAmplitudes:
         series = _skipped_power_series()
         atom_a = DrudeAtom.bohr_matched(2)
         atom_b = DrudeAtom(2, omega=0.7, mass=1.3)
-        got = _series_amplitudes(series, atom_a, atom_b, 4)
+        got = _unit_amplitudes(series, atom_a, atom_b, 4)
         assert list(got[1]) == [3, 9]
         self._assert_matches(
             got, _per_monomial_amplitudes(series, atom_a, atom_b, 4)
         )
+
+    @pytest.mark.parametrize("power", [3, 4, 5, 6])
+    def test_unit_weighting_sums_per_monomial_amplitudes(self, power):
+        # one unit weighting serves both sides of the sum over states
+        atom_a = DrudeAtom.bohr_matched(3)
+        atom_b = DrudeAtom(3, omega=0.7, mass=1.3)
+        series = expand_interaction(3, 6)
+        form = kernels.series_form(series)
+        unit = [float(q == power) for q in form.distinct_powers]
+        got = _sum_over_states(form, atom_a, atom_b, 4, unit)
+        states, amps = _per_monomial_amplitudes(series, atom_a, atom_b, 4)
+        terms = amps[power] ** 2 / _energies(states, atom_a, atom_b)
+        terms[0, 0] = 0.0
+        assert got == pytest.approx(-np.sum(terms), rel=1e-12, abs=0.0)
+
+
+class TestSumOverStates:
+    @staticmethod
+    def _count_contractions(monkeypatch):
+        calls = []
+        real = kernels.SeriesForm.contract
+
+        def spy(form, va, c_blocks, vb):
+            calls.append(len(c_blocks))
+            return real(form, va, c_blocks, vb)
+
+        monkeypatch.setattr(kernels.SeriesForm, "contract", spy)
+        return calls
+
+    def test_second_order_contracts_once(self, monkeypatch):
+        calls = self._count_contractions(monkeypatch)
+        atom = DrudeAtom.bohr_matched(3)
+        second_order_sum(expand_interaction(3, 8), atom, atom, 8.0, cutoff=2)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("powers, count", [((3, 4), 2), ((3, 5), 2), ((5, 5), 1)])
+    def test_cross_term_contracts_its_two_powers(self, monkeypatch, powers, count):
+        calls = self._count_contractions(monkeypatch)
+        atom = DrudeAtom.bohr_matched(2)
+        series = expand_interaction(2, 10)
+        parity_cross_term(series, atom, atom, cutoff=3, powers=powers)
+        assert len(calls) == count
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_second_order_matches_per_power_sum(self, dim):
+        # C(R) contracted once against the amplitudes of each power weighted
+        # by R^-p and summed: the same sum, with other rounding
+        atom_a = DrudeAtom.bohr_matched(dim)
+        atom_b = DrudeAtom(dim, omega=0.7, mass=1.3)
+        for max_power in range(3, 9):
+            series = expand_interaction(dim, max_power)
+            for cutoff in (1, 2, 3):
+                states, amps = _unit_amplitudes(series, atom_a, atom_b, cutoff)
+                energies = _energies(states, atom_a, atom_b)
+                for R in (6.0, 8.0, 11.3):
+                    coupling = sum(R ** -float(p) * amp for p, amp in amps.items())
+                    coupling[0, 0] = 0.0
+                    want = float(-np.sum(coupling**2 / energies))
+                    got = second_order_sum(series, atom_a, atom_b, R, cutoff=cutoff)
+                    assert got == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestParityExclusion:
