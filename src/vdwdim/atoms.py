@@ -8,6 +8,8 @@ subleading multipole of the charge cloud.
 
 Moments are the only interface the perturbative machinery needs; densities
 are exposed separately for the quadrature oracles and the potential module.
+``moment`` checks its exponents and calls ``_moment``, which a caller holding
+checked rows (a series form's) calls directly; other checks are drude_exact's.
 
 This module needs numpy, and loads when a command first asks for an atom:
 ``moments``, ``potential`` and ``verify`` do, while ``expand``, ``curve``
@@ -25,8 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .drude_exact import _positive
-from .multipole import _integer
+from .drude_exact import _check_terms, _dimension, _integer
 
 MOMENT_CAP = 16
 
@@ -50,14 +51,6 @@ class NonNormalizableDensityError(ValueError):
 
 class AtomKindError(TypeError):
     """Operation restricted to a different atom kind."""
-
-
-def _atom_dim(dim):
-    """``dim`` as a plain int in {1, 2, 3}; a bool or a float is rejected."""
-    dim = _integer("dim", dim)
-    if dim not in (1, 2, 3):
-        raise ValueError("dim must be 1, 2, or 3")
-    return dim
 
 
 def _double_factorial(n):
@@ -84,11 +77,9 @@ def _angular_average(dim, exponents) -> Fraction:
 
 
 def _check_exponents(dim, exponents):
-    exponents = tuple(_integer("exponent", e) for e in exponents)
+    exponents = tuple(_integer("exponent", e, 0) for e in exponents)
     if len(exponents) != dim:
         raise ValueError(f"expected {dim} exponents, got {len(exponents)}")
-    if any(e < 0 for e in exponents):
-        raise ValueError("exponents must be non-negative")
     if sum(exponents) > MOMENT_CAP:
         raise MomentCapError(
             f"total degree {sum(exponents)} exceeds cap {MOMENT_CAP}"
@@ -106,7 +97,10 @@ class AtomModel:
 
     def moment(self, exponents) -> float:
         """Ground-state expectation of prod_i x_i^e_i (zero for odd degrees)."""
-        exponents = _check_exponents(self.dim, exponents)
+        return self._moment(_check_exponents(self.dim, exponents))
+
+    def _moment(self, exponents):
+        """``moment`` of ``dim`` plain non-negative ints, taken as checked."""
         ang = _angular_average(self.dim, exponents)
         if ang == 0:
             return 0.0
@@ -137,9 +131,8 @@ class DrudeAtom(AtomModel):
     """
 
     def __init__(self, dim, omega, mass=1.0):
-        self.dim = _atom_dim(dim)
-        if not all(_positive(v) for v in (omega, mass)):
-            raise ValueError("omega and mass must be finite and positive")
+        self.dim = _dimension(dim)
+        _check_terms({"omega": omega, "mass": mass})
         self.omega = omega
         self.mass = mass
         self.a = math.sqrt(1.0 / (2.0 * mass * omega))
@@ -154,8 +147,7 @@ class DrudeAtom(AtomModel):
         """Level spacing hbar omega, equal to omega since hbar = 1."""
         return self.omega
 
-    def moment(self, exponents) -> float:
-        exponents = _check_exponents(self.dim, exponents)
+    def _moment(self, exponents):
         if any(e % 2 for e in exponents):
             return 0.0
         out = self.a ** sum(exponents)
@@ -197,9 +189,8 @@ class RingAtom(AtomModel):
     """
 
     def __init__(self, dim, radius=1.0):
-        self.dim = _atom_dim(dim)
-        if not _positive(radius):
-            raise ValueError("radius must be finite and positive")
+        self.dim = _dimension(dim)
+        _check_terms({"radius": radius})
         self.radius = radius
 
     def radial_moment(self, order):
@@ -243,7 +234,7 @@ class NumericRadialAtom(AtomModel):
     def __init__(self, dim, r, rho):
         from scipy.interpolate import CubicSpline
 
-        dim = _atom_dim(dim)
+        dim = _dimension(dim)
         r = np.asarray(r, dtype=float)
         rho = np.asarray(rho, dtype=float)
         if r.ndim != 1 or r.shape != rho.shape or r.size < 4:
@@ -315,9 +306,7 @@ def drude_spectrum(atom, cutoff):
     """Oscillator eigenvalues and multi-indices with total quanta <= cutoff."""
     if not isinstance(atom, DrudeAtom):
         raise AtomKindError("spectrum available only for Drude atoms")
-    cutoff = _integer("cutoff", cutoff)
-    if cutoff < 0:
-        raise ValueError("cutoff must be non-negative")
+    cutoff = _integer("cutoff", cutoff, 0)
     levels = []
     for quanta in _multi_indices(atom.dim, cutoff):
         energy = atom.hbar_omega * (sum(quanta) + atom.dim / 2.0)

@@ -163,8 +163,8 @@ def cmd_potential(args):
     thetas = _finite_list(args.thetas, "--thetas")
     if 0.0 in radii:  # the nucleus: every method rejects that field point
         raise CliError("field point must be finite and nonzero")
-    if args.atom == "ring" and not (math.isfinite(args.radius) and args.radius > 0):
-        raise CliError("radius must be finite and positive")  # as RingAtom says
+    if args.atom == "ring":
+        drude_exact._check_terms({"radius": args.radius})  # RingAtom's check
     import numpy as np
 
     atom = _atom_from_args(args)

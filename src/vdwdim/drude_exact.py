@@ -27,13 +27,15 @@ leave ``exact`` empty exactly where ``exact_correction`` raises.
 This module is also the home of the closed-form pair the ``curve`` and
 ``exact`` commands print: the first-order terms r5 and r7, the leading R^-6
 term, the ``DrudePreset`` unit system and the curve rows.  It imports no
-numpy (``series_residual`` loads it when called), so those commands never
-load it.  The closed forms take R and hbar omega finite and positive, and a,
-alpha and k finite and non-negative, or raise a ValueError naming the
-argument.  They compute in plain floats with float64 results: a power of R
-that overflows counts as inf, so a term far out is 0.0 or -0.0, and a term
-that is not a finite number (R^p underflows as R -> 0) raises
-``SeparationRangeError``.  The curve rows, the crossover and
+numpy (``series_residual`` loads it when called) and no ``fractions``, so
+those commands never load either.  As the package's leaf it is the one home
+of the argument checks every module shares (``_integer``, ``_dimension``,
+``_check_terms``, ``_check_separation``), each a ValueError naming the
+argument.  The closed forms take R and hbar omega finite and positive, and
+a, alpha and k finite and non-negative.  They compute in plain floats with
+float64 results: a power of R that overflows counts as inf, so a term far
+out is 0.0 or -0.0, and a term that is not a finite number (R^p underflows
+as R -> 0) raises ``SeparationRangeError``.  The curve rows, the crossover and
 ``series_residual`` take them in the preset's own units, a = k = 1, where
 only hbar omega a / k is left, so no power of a is formed; a row's
 ``exact`` makes the stability decision that ``exact_correction`` makes on
@@ -41,6 +43,7 @@ the preset's own mass and R (``_curve_exact``).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 
@@ -49,19 +52,41 @@ def _positive(x):
     return math.isfinite(x) and x > 0
 
 
-def _check_terms(positive, non_negative):
-    """ValueError naming the first closed-form argument out of its range."""
+def _check_terms(positive, non_negative=None):
+    """ValueError naming the first argument not finite and positive/non-negative."""
     for name, x in positive.items():
         if not _positive(x):
             raise ValueError(f"{name} must be finite and positive, got {x!r}")
-    for name, x in non_negative.items():
+    for name, x in (non_negative or {}).items():
         if not (math.isfinite(x) and x >= 0):
             raise ValueError(f"{name} must be finite and non-negative, got {x!r}")
 
 
-def _check_dim(dim):
+def _check_separation(R):
+    """Reject a separation that is not finite and positive, with a ValueError."""
+    _check_terms({"separation R": R})
+
+
+def _integer(name, value, minimum=None):
+    """``value`` as a plain int of at least ``minimum``; a bool is no integer."""
+    if not isinstance(value, bool):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if minimum is None or value >= minimum:
+                return value
+            raise ValueError(f"{name} must be at least {minimum}, got {value}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _dimension(dim):
+    """``dim`` as a plain int in {1, 2, 3}, or a ValueError."""
+    dim = _integer("dim", dim)
     if dim not in (1, 2, 3):
-        raise ValueError(f"dim must be 1, 2, or 3, got {dim!r}")
+        raise ValueError(f"dim must be 1, 2, or 3, got {dim}")
+    return dim
 
 
 class InstabilityError(ValueError):
@@ -100,11 +125,8 @@ class NormalModeSet:
 
 def _coupling_ratio(omega, k, mass, R):
     """x = k / (m omega^2 R^3); the pair is stable iff 2x < 1."""
-    if not all(_positive(v) for v in (omega, mass, R)):
-        raise ValueError("omega, mass, R must be finite and positive")
     # k = 0 is the uncoupled pair
-    if not (math.isfinite(k) and k >= 0):
-        raise ValueError("k must be finite and non-negative")
+    _check_terms({"omega": omega, "mass": mass, "R": R}, {"k": k})
     denominator = mass * _power(omega, 2) * _power(R, 3)
     if denominator == 0:  # R^3 underflows: the coupling is unbounded
         return math.inf if k else 0.0
@@ -113,7 +135,7 @@ def _coupling_ratio(omega, k, mass, R):
 
 def shifted_frequencies(dim, omega, k, mass, R):
     """Normal-mode frequencies of the dipole-coupled pair at separation R."""
-    _check_dim(dim)
+    dim = _dimension(dim)
     x = _coupling_ratio(omega, k, mass, R)
     freqs = {}
     for n in (-2, -1, 0, 1, 2):
@@ -135,7 +157,7 @@ def exact_correction(dim, omega, k, mass, R):
     Equals (1/2) [w_2 + w_-2 + (d-1)(w_1 + w_-1) - 2d omega] with hbar = 1,
     computed stably; negative for every stable R.
     """
-    _check_dim(dim)
+    dim = _dimension(dim)
     x = _coupling_ratio(omega, k, mass, R)
     if not 2.0 * x < 1.0:
         raise InstabilityError(
@@ -146,7 +168,7 @@ def exact_correction(dim, omega, k, mass, R):
 
 def first_order_closed_form(dim, a, alpha, k, R):
     """(r5, r7) closed-form first-order terms for an isotropic atom pair."""
-    _check_dim(dim)
+    dim = _dimension(dim)
     _check_terms({"R": R}, {"a": a, "alpha": alpha, "k": k})
     r5 = _term(
         3.0 * (3 - dim) * (5 - dim) * k * _power(a, 4), 4.0 * _power(R, 5), R
@@ -161,7 +183,7 @@ def first_order_closed_form(dim, a, alpha, k, R):
 
 def second_order_drude_closed_form(dim, a, k, hbar_omega, R):
     """-(3+d) k^2 a^4 / (2 hbar omega R^6), the leading term of the correction."""
-    _check_dim(dim)
+    dim = _dimension(dim)
     _check_terms({"hbar_omega": hbar_omega, "R": R}, {"a": a, "k": k})
     return _term(
         -(3 + dim) * _power(k, 2) * _power(a, 4),
@@ -180,11 +202,8 @@ class DrudePreset:
     hbar_omega: float
 
     def __post_init__(self):
-        if not (_positive(self.a) and _positive(self.hbar_omega)):
-            raise ValueError("preset a and hbar_omega must be finite and positive")
         # k = 0 is the uncoupled pair: every correction vanishes
-        if not (math.isfinite(self.k) and self.k >= 0):
-            raise ValueError("preset k must be finite and non-negative")
+        _check_terms({"a": self.a, "hbar_omega": self.hbar_omega}, {"k": self.k})
 
     @classmethod
     def bohr(cls):
@@ -240,8 +259,7 @@ class EnergyBreakdown:
 def _reduced(preset):
     """``preset`` in its own units (R/a, k/a): a = k = 1, hbar omega a / k."""
     hbar_omega = preset.hbar_omega * preset.a / preset.k
-    if not _positive(hbar_omega):
-        raise ValueError("preset hbar_omega a / k must be finite and positive")
+    _check_terms({"preset hbar_omega a / k": hbar_omega})
     return DrudePreset(preset.name, a=1.0, k=1.0, hbar_omega=hbar_omega)
 
 
@@ -265,7 +283,7 @@ def _curve_exact(dim, preset, unit, rt):
 
 def total_energy_curve(dim, r_tilde_values, preset=None):
     """Rows of (r5, r6, r7, total, exact) over R/a, in units of k/a."""
-    _check_dim(dim)
+    dim = _dimension(dim)
     if preset is None:
         preset = DrudePreset.bohr()
     if preset.k == 0:
@@ -273,8 +291,6 @@ def total_energy_curve(dim, r_tilde_values, preset=None):
     unit = _reduced(preset)
     rows = []
     for rt in map(float, r_tilde_values):
-        if not _positive(rt):
-            raise ValueError("separations must be finite and positive")
         r5, r7 = first_order_closed_form(dim, 1.0, 3.0, 1.0, rt)
         r6 = second_order_drude_closed_form(dim, 1.0, 1.0, unit.hbar_omega, rt)
         rows.append(
@@ -298,7 +314,7 @@ def dominance_crossover(dim, preset=None):
     units (``_reduced``), multiplying r5 - |r6| - r7 = 0 by R^7 leaves
     A R^2 - B R - C = 0, whose positive root is the crossover in units of a.
     """
-    if dim not in (1, 2):
+    if _dimension(dim) == 3:
         raise ValueError("crossover defined only for d = 1, 2")
     if preset is None:
         preset = DrudePreset.bohr()
@@ -330,7 +346,7 @@ def series_residual(dim, preset, r_tilde_values):
     """
     import numpy as np
 
-    _check_dim(dim)
+    dim = _dimension(dim)
     r_tilde = np.asarray(r_tilde_values, dtype=float)
     if preset.k:
         unit = _reduced(preset)

@@ -79,18 +79,12 @@ those names.
 """
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .multipole import (
-    SingularConfigurationError,
-    _check_separation,
-    _expansion_order,
-    _expansion_terms,
-    _integer,
-)
+from .drude_exact import _check_separation, _check_terms, _integer
+from .multipole import SingularConfigurationError, _expansion_order, _expansion_terms
 
 # Matrix entries per block: every (rows, columns) temporary of a blocked
 # kernel holds about this many float64 values (0.5 MB), so temporaries stay
@@ -286,8 +280,10 @@ class SeriesForm:
         couple two classes gets that off-diagonal block.  For the expansion
         every monomial has the same parity on both atoms (t = r_A - r_B has
         even transverse powers), which gives the diagonal blocks: 4 at d = 3,
-        2 at d = 2 and 1 at d = 1.
+        2 at d = 2 and 1 at d = 1.  A negative exponent is a ValueError.
         """
+        if min(exp_a.min(initial=0), exp_b.min(initial=0)) < 0:
+            raise ValueError("series exponents must be non-negative")
         rows_a, idx_a, start_a = _class_rows(exp_a)
         rows_b, idx_b, start_b = _class_rows(exp_b)
         # each monomial's class on either side and its place within the class
@@ -527,11 +523,8 @@ def truncation_residual(series, r_values, sample_count, radius, seed=0):
     positive, or a ``sample_count`` that is not a non-negative integer (a
     bool is not one) raises ``ValueError`` before any sample is drawn.
     """
-    sample_count = _integer("sample_count", sample_count)
-    if sample_count < 0:
-        raise ValueError(f"sample_count must be non-negative, got {sample_count}")
-    if not (radius >= 0.0 and math.isfinite(radius)):
-        raise ValueError(f"radius must be finite and non-negative, got {radius!r}")
+    sample_count = _integer("sample_count", sample_count, 0)
+    _check_terms({}, {"radius": radius})
     r_values = np.asarray(r_values, dtype=float)
     for R in r_values:
         _check_separation(R)

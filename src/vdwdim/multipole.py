@@ -33,18 +33,19 @@ tuples are shared, ``_expansion_order`` recognises the expansion through
 1/R^N by identity alone, with no Fraction hashed or compared, and
 ``kernels`` keeps one float form per (dim, N) on that test.
 
-This module holds only the exact-rational algebra and the separation check
-that every entry point taking R shares (``_check_separation``).  It imports
-no numpy, so ``vdw expand`` never loads it.  The float evaluation of the
-unexpanded kernel (``exact_interaction``), the flat arrays the batch kernels
-take (``series_arrays``) and the truncation residual live in ``kernels``.
+This module holds only the exact-rational algebra; its argument checks are
+the shared ones of ``drude_exact``.  It imports no numpy, so ``vdw expand``
+never loads it.  The float evaluation of the unexpanded kernel
+(``exact_interaction``), the flat arrays the batch kernels take
+(``series_arrays``) and the truncation residual live in ``kernels``.
 """
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, isfinite, prod
+from math import comb, factorial, prod
+
+from .drude_exact import _check_separation, _dimension, _integer
 
 MAX_EXPANSION_POWER = 12
 
@@ -69,12 +70,6 @@ class SingularConfigurationError(ValueError):
 
 class ExpansionCapError(ValueError):
     """Requested expansion order exceeds MAX_EXPANSION_POWER."""
-
-
-def _check_separation(R):
-    """Reject a separation that is not finite and positive, with a ValueError."""
-    if not (isfinite(R) and R > 0):
-        raise ValueError(f"separation R must be finite and positive, got {R!r}")
 
 
 @dataclass(frozen=True)
@@ -140,16 +135,6 @@ class InteractionSeries:
         return cls(int(data["dim"]), int(data["max_power"]), ordered)
 
 
-def _integer(name, value):
-    """``value`` as a plain int; a bool or a non-integral value is a ValueError."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 # (dim, n) -> the monomial tuple of the 1/R**(n + 1) term, built once.
 _ORDERS = {}
 
@@ -161,12 +146,8 @@ def expand_interaction(dim, max_power) -> InteractionSeries:
     integers are taken as plain ints.  Every order is built once per process
     (``_ORDERS``) and each call returns a fresh ``terms`` dict.
     """
-    dim = _integer("dim", dim)
-    max_power = _integer("max_power", max_power)
-    if dim not in (1, 2, 3):
-        raise ValueError("dim must be 1, 2, or 3")
-    if max_power < 3:
-        raise ValueError("max_power must be at least 3")
+    dim = _dimension(dim)
+    max_power = _integer("max_power", max_power, 3)
     if max_power > MAX_EXPANSION_POWER:
         raise ExpansionCapError(
             f"max_power {max_power} exceeds cap {MAX_EXPANSION_POWER}"

@@ -49,7 +49,8 @@ import numpy as np
 
 from . import kernels
 from .atoms import AtomKindError, DrudeAtom
-from .multipole import _check_separation, _integer, expand_interaction
+from .drude_exact import _check_separation, _check_terms, _integer
+from .multipole import expand_interaction
 
 
 class OverlapError(ValueError):
@@ -87,10 +88,7 @@ class ConvergenceReport:
 
 def _check_overlap(atom, R, overlap_tol):
     _check_separation(R)
-    if not (math.isfinite(overlap_tol) and overlap_tol > 0):
-        raise ValueError(
-            f"overlap_tol must be finite and positive, got {overlap_tol!r}"
-        )
+    _check_terms({"overlap_tol": overlap_tol})
     mid = atom.radial_density(R / 2.0)
     if mid > overlap_tol:
         raise OverlapError(
@@ -181,24 +179,28 @@ def _exchange_blocks(ham):
 
         v_a v_b [H(ij,kl) + s_b H(ij,lk) + s_a H(ji,kl) + s_a s_b H(ji,lk)],
 
-    summed over rows first and then over columns.  Pairs run j-major,
-    (0,0), (0,1), (1,1), (0,2), ..., so the first m(m+1)/2 or m(m-1)/2 rows
-    are the states with i, j < m.
+    summed over rows first and then over columns.  The rows of H at |ij>
+    and at |ji> are gathered once, for every pair i <= j: their weighted sum
+    gives the P = +1 rows, their difference on the pairs i < j the P = -1
+    rows.  Pairs run j-major, (0,0), (0,1), (1,1), (0,2), ..., so the first
+    m(m+1)/2 or m(m-1)/2 rows are the states with i, j < m.
     """
     n = math.isqrt(ham.shape[0])
-    blocks = []
-    for parity, diagonal in ((1.0, 0), (-1.0, -1)):
-        j, i = np.tril_indices(n, diagonal)
-        sign = parity * (-1.0) ** (i + j)
-        v = np.where(i == j, 0.5, math.sqrt(0.5))
-        pair, swap = i * n + j, j * n + i
-        w = sign * v
-        rows = ham[pair] * v[:, None]
-        rows += ham[swap] * w[:, None]
-        block = rows[:, pair] * v
-        block += rows[:, swap] * w
-        blocks.append(block)
-    return blocks
+    j, i = np.tril_indices(n)
+    v = np.where(i == j, 0.5, math.sqrt(0.5))
+    w = (-1.0) ** (i + j) * v
+    pair, swap = i * n + j, j * n + i
+    plus = ham[pair] * v[:, None]
+    swapped = ham[swap] * w[:, None]
+    off = i != j  # the P = -1 states, in the same order
+    minus = plus[off]
+    minus -= swapped[off]
+    plus += swapped
+    del swapped  # frees its memory before the column gathers
+    return [
+        rows[:, pair[keep]] * v[keep] + rows[:, swap[keep]] * (sign * w[keep])
+        for rows, keep, sign in ((plus, slice(None), 1.0), (minus, off, -1.0))
+    ]
 
 
 def _block_sizes(cutoff):
@@ -308,9 +310,7 @@ def _check_pair(atom, R, cutoffs, overlap_tol):
         raise AtomKindError("oracle diagonalization requires a Drude atom")
     if atom.dim != 1:
         raise ValueError("oracle diagonalization is restricted to dim = 1")
-    cutoffs = tuple(_integer("cutoff", cutoff) for cutoff in cutoffs)
-    if any(cutoff < 3 for cutoff in cutoffs):
-        raise ValueError("cutoff must be at least 3")
+    cutoffs = tuple(_integer("cutoff", cutoff, 3) for cutoff in cutoffs)
     _check_overlap(atom, R, overlap_tol)
     return cutoffs
 

@@ -40,7 +40,7 @@ from .drude_exact import (  # noqa: F401  (re-exported; their home is drude_exac
     second_order_drude_closed_form,
     total_energy_curve,
 )
-from .multipole import _check_separation, _integer
+from .drude_exact import _check_separation, _integer
 from .potential import even_moments, multipole_coefficients
 
 
@@ -56,17 +56,20 @@ def first_order_expectation(series, atom_a, atom_b, R):
     are each taken once (atom B reuses atom A's when they are one object
     with the same rows, as for every expansion), and c_m <A_m> <B_m> is
     summed power by power in monomial order, the plain per-monomial sum.
+    A form's rows are checked when it is built, so they go to ``_moment``
+    unchecked, as plain ints (numpy int64 exponents would change a ** E).
     Returns a dict mapping each inverse power in the series to its energy
     contribution; odd-degree factors make n = 3, 4 and 6 vanish identically.
     """
     _check_separation(R)
     _check_dims(series, atom_a, atom_b)
     form = kernels.series_form(series)
-    m_a = np.array([atom_a.moment(row[: series.dim]) for row in form.rows_a])
-    if atom_b is atom_a and np.array_equal(form.rows_b, form.rows_a):
+    rows_a, rows_b = (r[:, : series.dim].tolist() for r in (form.rows_a, form.rows_b))
+    m_a = np.array([atom_a._moment(row) for row in rows_a])
+    if atom_b is atom_a and rows_b == rows_a:
         m_b = m_a
     else:
-        m_b = np.array([atom_b.moment(row[: series.dim]) for row in form.rows_b])
+        m_b = np.array([atom_b._moment(row) for row in rows_b])
     terms = form.coeffs * m_a[form.idx_a] * m_b[form.idx_b]
     totals = np.bincount(form.power_idx, terms).tolist()
     by_power = dict(zip(form.distinct_powers, totals))
@@ -120,10 +123,7 @@ def _check_states(series, atom_a, atom_b, cutoff):
     if not all(isinstance(atom, DrudeAtom) for atom in (atom_a, atom_b)):
         raise AtomKindError("sum over states requires Drude atoms")
     _check_dims(series, atom_a, atom_b)
-    cutoff = _integer("cutoff", cutoff)
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1")
-    return cutoff
+    return _integer("cutoff", cutoff, 1)
 
 
 def _sum_over_states(form, atom_a, atom_b, cutoff, *weightings):

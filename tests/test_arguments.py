@@ -1,0 +1,177 @@
+"""Argument checks at every public entry point: dimensions and counts.
+
+Each entry point takes its ``dim`` or count through the shared checks of
+``drude_exact``, so all reject the same inputs with a ValueError naming the
+argument and take a numpy integer as a plain int.
+"""
+
+import numpy as np
+import pytest
+
+from vdwdim.atoms import DrudeAtom, NumericRadialAtom, RingAtom, drude_spectrum
+from vdwdim.drude_exact import (
+    DrudePreset,
+    dominance_crossover,
+    exact_correction,
+    first_order_closed_form,
+    second_order_drude_closed_form,
+    series_residual,
+    shifted_frequencies,
+    total_energy_curve,
+)
+from vdwdim.kernels import truncation_residual
+from vdwdim.multipole import InteractionSeries, expand_interaction
+from vdwdim.oracle import convergence_report, oscillator_basis_diag
+from vdwdim.perturbation import (
+    first_order_expectation,
+    parity_cross_term,
+    second_order_sum,
+)
+
+NOT_INTEGERS = [True, 2.0, "2", None]
+
+
+def _numeric_atom(dim):
+    r = np.linspace(0.0, 8.0, 200)
+    return NumericRadialAtom(dim, r, np.exp(-(r**2) / 2.0))
+
+
+def _kinds(value):
+    """``value`` with every leaf replaced by its type, for comparing types."""
+    if isinstance(value, (tuple, list)):
+        return [_kinds(v) for v in value]
+    return type(value)
+
+
+# each entry maps a dim to what the call returns that depends on it
+DIM_ENTRY_POINTS = {
+    "expand_interaction": lambda d: expand_interaction(d, 5).dim,
+    "DrudeAtom": lambda d: DrudeAtom(d, omega=0.5).dim,
+    "RingAtom": lambda d: RingAtom(d).dim,
+    "NumericRadialAtom": lambda d: _numeric_atom(d).dim,
+    "shifted_frequencies": lambda d: sorted(
+        shifted_frequencies(d, 0.5, 1.0, 1.0, 5.0).multiplicities.items()
+    ),
+    "exact_correction": lambda d: exact_correction(d, 0.5, 1.0, 1.0, 5.0),
+    "first_order_closed_form": lambda d: first_order_closed_form(
+        d, 1.0, 3.0, 1.0, 5.0
+    ),
+    "second_order_drude_closed_form": lambda d: second_order_drude_closed_form(
+        d, 1.0, 1.0, 0.5, 5.0
+    ),
+    "total_energy_curve": lambda d: [
+        (row.dim, row.total_truncated, row.exact)
+        for row in total_energy_curve(d, [5.0, 8.0])
+    ],
+    "dominance_crossover": dominance_crossover,
+    "series_residual": lambda d: series_residual(
+        d, DrudePreset.bohr(), [10.0, 20.0]
+    ).residual.tolist(),
+}
+
+
+@pytest.mark.parametrize("entry", DIM_ENTRY_POINTS)
+class TestDimension:
+    @pytest.mark.parametrize("dim", NOT_INTEGERS, ids=repr)
+    def test_rejects_non_integer(self, entry, dim):
+        # second_order_drude_closed_form(True, ...) once returned the d = 1
+        # value and total_energy_curve(2.0, ...) rows with the float dim 2.0
+        with pytest.raises(ValueError, match="^dim must be an integer") as err:
+            DIM_ENTRY_POINTS[entry](dim)
+        assert err.type is ValueError
+
+    @pytest.mark.parametrize("dim", [0, 4])
+    def test_rejects_out_of_range(self, entry, dim):
+        with pytest.raises(ValueError, match="^dim must be 1, 2, or 3") as err:
+            DIM_ENTRY_POINTS[entry](dim)
+        assert err.type is ValueError
+
+    def test_numpy_integer_is_a_plain_int(self, entry):
+        got = DIM_ENTRY_POINTS[entry](np.int64(2))
+        want = DIM_ENTRY_POINTS[entry](2)
+        assert got == want and _kinds(got) == _kinds(want)
+
+
+def test_crossover_needs_a_repulsive_dimension():
+    with pytest.raises(ValueError, match="only for d = 1, 2"):
+        dominance_crossover(3)
+
+
+def _series(dim=1, max_power=3):
+    return expand_interaction(dim, max_power)
+
+
+def _oracle(cutoff):
+    result = oscillator_basis_diag(
+        DrudeAtom(1, 0.5), 20.0, mode="truncated", cutoff=cutoff, overlap_tol=1.0
+    )
+    return result.cutoff, result.correction
+
+
+def _ladder(cutoff):
+    report = convergence_report(
+        DrudeAtom(1, 0.5), 20.0, mode="truncated", cutoffs=(cutoff, 5),
+        overlap_tol=1.0,
+    )
+    return list(report.cutoffs), list(report.corrections)
+
+
+def _residual(count):
+    report = truncation_residual(_series(2, 5), [5.0, 8.0], count, 1.0)
+    return report.sample_count, report.max_residual.tolist()
+
+
+# name -> (argument name, its minimum, call of a value, what it returns)
+COUNTS = {
+    "drude_spectrum": ("cutoff", 0, lambda c: [
+        (lv.energy, list(lv.quanta))
+        for lv in drude_spectrum(DrudeAtom(2, 0.5), c)
+    ]),
+    "oscillator_basis_diag": ("cutoff", 3, _oracle),
+    "convergence_report": ("cutoff", 3, _ladder),
+    "second_order_sum": ("cutoff", 1, lambda c: second_order_sum(
+        _series(2), DrudeAtom(2, 0.5), DrudeAtom(2, 0.5), 6.0, cutoff=c
+    )),
+    "parity_cross_term": ("cutoff", 1, lambda c: parity_cross_term(
+        _series(2, 4), DrudeAtom(2, 0.5), DrudeAtom(2, 0.5), cutoff=c
+    )),
+    "truncation_residual": ("sample_count", 0, _residual),
+    "expand_interaction": ("max_power", 3, lambda n: [
+        (p, len(monos)) for p, monos in expand_interaction(2, n).terms.items()
+    ]),
+}
+
+
+@pytest.mark.parametrize("entry", COUNTS)
+class TestCount:
+    @pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+    def test_rejects_non_integer(self, entry, value):
+        name, _, call = COUNTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be an integer") as err:
+            call(value)
+        assert err.type is ValueError
+
+    def test_rejects_below_minimum(self, entry):
+        name, minimum, call = COUNTS[entry]
+        with pytest.raises(ValueError, match=f"^{name} must be at least {minimum}"):
+            call(minimum - 1)
+
+    def test_minimum_and_numpy_integer(self, entry):
+        _, minimum, call = COUNTS[entry]
+        want = call(minimum)
+        got = call(np.int64(minimum))
+        assert got == want and _kinds(got) == _kinds(want)
+
+
+def test_series_with_negative_exponent_is_rejected():
+    # first order hands a form's rows to the atoms unchecked, so the form
+    # itself rejects a row no moment is defined for
+    series = InteractionSeries.from_dict({
+        "dim": 1, "max_power": 3, "terms": [
+            {"power": 3, "coeff_num": 1, "coeff_den": 1,
+             "expA": [-1], "expB": [1]},
+        ],
+    })
+    atom = DrudeAtom(1, 0.5)
+    with pytest.raises(ValueError, match="exponents must be non-negative"):
+        first_order_expectation(series, atom, atom, 5.0)

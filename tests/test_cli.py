@@ -440,7 +440,7 @@ class TestImportPath:
             "potential --dim 3 --radii 2 --methods quadrature,bogus": 1,
         }
         proc = subprocess.run(
-            [sys.executable, "-c", _NUMPY_PROBE, *free, "moments"],
+            [sys.executable, "-c", _LOADED_PROBE, "numpy", *free, "moments"],
             env=_probe_env(), capture_output=True, text=True, timeout=120,
             check=True,
         )
@@ -453,23 +453,57 @@ class TestImportPath:
         assert report.pop("moments") == [0, True]
         assert report == {argv: [code, False] for argv, code in free.items()}
 
+    def test_leaf_loads_neither_numpy_nor_fractions(self):
+        # drude_exact holds every argument check, and curve and exact load
+        # it alone
+        probe = (
+            "import json, sys, vdwdim.drude_exact; "
+            "print(json.dumps([m in sys.modules for m in ('numpy', 'fractions')]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=_probe_env(), capture_output=True,
+            text=True, timeout=120, check=True,
+        )
+        assert json.loads(proc.stdout) == [False, False]
+
+    def test_closed_form_commands_load_no_fractions(self):
+        commands = {
+            "--version": 0,
+            "curve": 0,
+            "curve --dim 2 --format json": 0,
+            "exact --dim 3 --rmin 1 --rmax 9 --steps 9": 0,
+            "curve --preset custom": 1,
+            "exact --preset custom --hbar-omega -1": 1,
+            "curve --rmin 1e-60 --rmax 1e-59 --steps 2": 1,
+            "exact --rmin 0 --rmax 1": 2,
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_PROBE, "fractions", *commands],
+            env=_probe_env(), capture_output=True, text=True, timeout=120,
+            check=True,
+        )
+        report = json.loads(proc.stdout)
+        assert report.pop("import vdwdim.cli")["fractions"] is False
+        assert report == {argv: [code, False] for argv, code in commands.items()}
+
     def test_bad_radius_rejected_before_numpy(self, capsys):
         # the nucleus is no field point for any method, and a ring needs a
         # finite positive radius; each error line is the one the potential
         # or RingAtom gives for it
         field = "field point must be finite and nonzero"
-        radius = "radius must be finite and positive"
+        radius = "radius must be finite and positive, got "
         bad = {
             "potential --dim 2 --radii 0": field,
             "potential --dim 1 --radii 5,-0.0 --methods multipole3": field,
             "potential --dim 3 --atom ring --radii 0 --thetas 0,90": field,
-            "potential --dim 2 --atom ring --radius -1": radius,
-            "potential --dim 3 --atom ring --radius 0 --methods multipole3": radius,
-            "potential --dim 1 --atom ring --radius nan --radii 5": radius,
-            "potential --dim 2 --atom ring --radius inf": radius,
+            "potential --dim 2 --atom ring --radius -1": radius + "-1.0",
+            "potential --dim 3 --atom ring --radius 0 --methods multipole3":
+                radius + "0.0",
+            "potential --dim 1 --atom ring --radius nan --radii 5": radius + "nan",
+            "potential --dim 2 --atom ring --radius inf": radius + "inf",
         }
         proc = subprocess.run(
-            [sys.executable, "-c", _NUMPY_PROBE, *bad],
+            [sys.executable, "-c", _LOADED_PROBE, "numpy", *bad],
             env=_probe_env(), capture_output=True, text=True, timeout=120,
             check=True,
         )
@@ -488,21 +522,22 @@ class TestImportPath:
 
 
 # loads vdwdim.cli as perfbench's tracer does, then reports after each command
-# whether numpy is loaded
-_NUMPY_PROBE = """
+# whether the module named by the first argument is loaded
+_LOADED_PROBE = """
 import contextlib, io, json, sys
 import vdwdim.cli
 
+watched = sys.argv[1]
 loaded = sorted(m for m in sys.modules if m.startswith("vdwdim."))
-report = {"import vdwdim.cli": {"numpy": "numpy" in sys.modules, "vdwdim": loaded}}
-for argv in sys.argv[1:]:
+report = {"import vdwdim.cli": {watched: watched in sys.modules, "vdwdim": loaded}}
+for argv in sys.argv[2:]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = vdwdim.cli.main(argv.split())
         except SystemExit as exc:  # --version and usage errors
             code = exc.code
-    report[argv] = [code, "numpy" in sys.modules]
+    report[argv] = [code, watched in sys.modules]
 print(json.dumps(report))
 """
 

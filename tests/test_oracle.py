@@ -287,6 +287,24 @@ def _exchange(n):
     return j * n + i, (-1.0) ** (i + j)
 
 
+def _sector_gathers(ham):
+    """The exchange blocks gathered from H sector by sector, rows then columns."""
+    n = math.isqrt(ham.shape[0])
+    blocks = []
+    for parity, diagonal in ((1.0, 0), (-1.0, -1)):
+        j, i = np.tril_indices(n, diagonal)
+        sign = parity * (-1.0) ** (i + j)
+        v = np.where(i == j, 0.5, math.sqrt(0.5))
+        pair, swap = i * n + j, j * n + i
+        w = sign * v
+        rows = ham[pair] * v[:, None]
+        rows += ham[swap] * w[:, None]
+        block = rows[:, pair] * v
+        block += rows[:, swap] * w
+        blocks.append(block)
+    return blocks
+
+
 class TestExchangeSymmetry:
     SEPARATIONS = (2.5, 8.0, 13.0, 20.0, 28.0)
 
@@ -323,6 +341,20 @@ class TestExchangeSymmetry:
                 # (worst measured 1.9e-15 ||H||)
                 bound = 1e-14 * np.abs(spectrum).max()
             assert abs(split - whole) <= bound
+
+    @pytest.mark.parametrize("R", (8.0, 13.0, 20.0))
+    @pytest.mark.parametrize("mode", ["full", "truncated"])
+    def test_blocks_equal_two_gather_projection(self, mode, R):
+        # both blocks come from one gather of the |ij> and |ji> rows; they
+        # equal, bit for bit, the blocks gathered sector by sector from H
+        atom = PRESET.atom(1)
+        for cutoff in (4, 10, 16, 20):
+            ham = _hamiltonian(
+                atom, R, mode, 3, cutoff, _diag_nodes(atom, R, mode, cutoff)
+            )
+            got, want = _exchange_blocks(ham), _sector_gathers(ham)
+            for block, ref in zip(got, want, strict=True):
+                assert block.shape == ref.shape and (block == ref).all()
 
     def test_ground_state_taken_from_either_sector(self):
         # |01> and |10> coupled by -2: (|01> + |10>) / sqrt(2), which is

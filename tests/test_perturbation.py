@@ -204,9 +204,9 @@ class TestFirstOrderExpectation:
         series = expand_interaction(dim, 9)
         calls = []
         for obj in (atom, twin):
-            real = obj.moment
+            real = obj._moment
             monkeypatch.setattr(
-                obj, "moment", lambda e, real=real: calls.append(e) or real(e)
+                obj, "_moment", lambda e, real=real: calls.append(e) or real(e)
             )
         got = first_order_expectation(series, atom, atom, 9.0)
         once = len(calls)
