@@ -34,7 +34,7 @@ separations.
 
 The monomial tables are stored samples last, shape (rows, samples):
 ``_monomial_values`` builds each axis's powers as a (top + 1, samples)
-table of cumulative products and gathers its rows by exponent, so every
+table of repeated products and gathers its rows by exponent, so every
 factor is a contiguous row and every value is the product
 1 * x^e_x * y^e_y * z^e_z formed left to right.  Each parity block of a
 paired evaluation is one GEMM C_block . Vb per separation followed by a
@@ -44,6 +44,15 @@ were measured and left out: stacking the separations of
 ``series_batch`` call per separation, and splitting each parity block by
 degree into a staircase of smaller GEMMs skips zeros of C(R) but was
 slower, its many small GEMMs paying more in call overhead.
+
+On the blocked path (``_series_values``) the power tables, Va, Vb, the
+gather scratch and the GEMM outputs are views of one per-thread workspace
+(``_work``), reused by every block of every call; only results are fresh
+arrays.  The reason is the first touch of fresh memory: with new tables
+per block, a warm round of the benchmark's series workload (24 ops) took
+about 7,600 minor page faults and 90-110 ms; with the workspace, and the
+row-wise tables and unchecked gathers of ``_monomial_values``, it takes
+about 120 faults and 50 ms (2-core VM, numpy, one BLAS thread).
 
 Each series has one float form (``SeriesForm``, from ``series_form``): the
 flat monomial table, each atom's distinct exponent rows grouped by
@@ -79,6 +88,7 @@ those names.
 """
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +98,29 @@ from .multipole import SingularConfigurationError, _expansion_order, _expansion_
 
 # Matrix entries per block: every (rows, columns) temporary of a blocked
 # kernel holds about this many float64 values (0.5 MB), so temporaries stay
-# cache-sized and memory does not grow with the batch.
+# cache-sized and memory does not grow with the batch.  The blocked series
+# path holds its temporaries in a per-thread workspace (``_work``) of a few
+# such buffers, reused across calls, because fresh ones cost about 7,600
+# minor page faults per warm series round against about 120.
 _BLOCK = 2**16
+
+# This thread's workspace buffers by slot name (``_work``).
+_WORKSPACE = threading.local()
+
+
+def _work(slot, rows, cols):
+    """A C-contiguous (rows, cols) view of this thread's buffer ``slot``.
+
+    Each buffer is flat float64 of at least _BLOCK entries and grows to the
+    largest request, so its contents are whatever the last user of the slot
+    left there.  A view is valid until the next request for its slot.
+    """
+    size = rows * cols
+    buf = getattr(_WORKSPACE, slot, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(max(size, _BLOCK))
+        setattr(_WORKSPACE, slot, buf)
+    return buf[:size].reshape(rows, cols)
 
 
 def backend_name() -> str:
@@ -344,33 +375,62 @@ class SeriesForm:
         return out
 
 
-def _monomial_values(pts, rows):
+def _power_table(x, table):
+    """x**e for e = 0..top in the rows of the (top + 1, n) ``table``, top >= 1.
+
+    Row by row, table[e] = table[e - 1] * x: the products of
+    ``np.multiply.accumulate`` down the rows, in the same order, which on a
+    wide table runs column by column and is about 5x slower.
+    """
+    table[0] = 1.0
+    table[1] = x
+    for e in range(2, table.shape[0]):
+        np.multiply(table[e - 1], table[1], out=table[e])
+    return table
+
+
+def _monomial_values(pts, rows, out=None, scratch=None):
     """prod_c pts[:, c] ** rows[m, c] for every row and point, shape (m, n).
 
     Samples run along the last axis.  For each axis with a nonzero exponent
     the powers pts[:, c]**e, e = 0..top, are one (top + 1, n) table of
-    cumulative products, the products ``np.vander`` forms, and the axis's
-    factor of every row is a row gather of that table by the row's
-    exponent.  The first gather is the output and later axes multiply into
-    it in place, in the order c = 0, 1, 2, so each value is the product
-    1 * x^e_x * y^e_y * z^e_z formed left to right (1 * x = x and x * 1 = x
-    exactly, so skipped factors change no bit).  An array of ones is filled
-    only when no axis has an exponent.
+    repeated products (``_power_table``), the products ``np.vander`` forms,
+    and the axis's factor of every row is a row gather of that table by the
+    row's exponent.  The first gather fills the output and later axes
+    gather into ``scratch`` and multiply into it in place, in the order
+    c = 0, 1, 2, so each value is the product 1 * x^e_x * y^e_y * z^e_z
+    formed left to right (1 * x = x and x * 1 = x exactly, so skipped
+    factors change no bit).  The output is filled with ones only when no
+    axis has an exponent.
+
+    ``out`` and ``scratch`` are (m, n) buffers; the blocked series path
+    passes workspace views (``_work``), and its power tables then live in
+    the workspace too.  A call without ``out`` allocates all of them fresh,
+    so an unblocked caller such as the grid holds no workspace memory.
+    Every exponent is in [0, top], so the gathers' ``mode="clip"`` never
+    clips; with the default ``"raise"``, ``np.take`` into ``out`` buffers
+    the index check and is about 3x slower.
     """
-    out = None
+    fresh = out is None
+    if fresh:
+        out = np.empty((rows.shape[0], pts.shape[0]))
+    filled = False
     for c in range(rows.shape[1]):
         top = int(rows[:, c].max(initial=0))
         if top:
-            table = np.empty((top + 1, pts.shape[0]))
-            table[0] = 1.0
-            table[1:] = pts[:, c]
-            np.multiply.accumulate(table[1:], axis=0, out=table[1:])
-            if out is None:
-                out = table[rows[:, c]]
+            shape = (top + 1, pts.shape[0])
+            table = np.empty(shape) if fresh else _work("table", *shape)
+            _power_table(pts[:, c], table)
+            if not filled:
+                np.take(table, rows[:, c], axis=0, out=out, mode="clip")
+                filled = True
             else:
-                out *= table[rows[:, c]]
-    if out is None:
-        out = np.ones((rows.shape[0], pts.shape[0]))
+                if scratch is None:
+                    scratch = np.empty_like(out)
+                np.take(table, rows[:, c], axis=0, out=scratch, mode="clip")
+                out *= scratch
+    if not filled:
+        out.fill(1.0)
     return out
 
 
@@ -382,17 +442,26 @@ def _series_values(form, r_values, pts_a, pts_b):
     Each C(R) is contracted parity block by parity block: one GEMM
     C_block . Vb[class rows] per (separation, block), then a column-wise dot
     with Va[class rows].  The separations are not stacked into one GEMM,
-    so each row of the result has the bits of a one-separation call.
+    so each row of the result has the bits of a one-separation call.  Va,
+    Vb, the gather scratch and each GEMM's output are views of this
+    thread's workspace (``_work``); only the result is a fresh array.
     """
     mats = [form.block_matrices(form.inverse_powers(R)) for R in r_values]
     out = np.zeros((len(mats), pts_a.shape[0]))
-    width = max(form.rows_a.shape[0], form.rows_b.shape[0])
-    for blk in _row_blocks(pts_a.shape[0], width):
-        va = _monomial_values(pts_a[blk], form.rows_a)
-        vb = _monomial_values(pts_b[blk], form.rows_b)
+    m_a, m_b = form.rows_a.shape[0], form.rows_b.shape[0]
+    for blk in _row_blocks(pts_a.shape[0], max(m_a, m_b)):
+        a, b = pts_a[blk], pts_b[blk]
+        n = a.shape[0]
+        va = _monomial_values(
+            a, form.rows_a, _work("va", m_a, n), _work("gather", m_a, n)
+        )
+        vb = _monomial_values(
+            b, form.rows_b, _work("vb", m_b, n), _work("gather", m_b, n)
+        )
         for k, c_blocks in enumerate(mats):
             for (sa, sb, _), c in zip(form.blocks, c_blocks):
-                out[k, blk] += np.einsum("an,an->n", c @ vb[sb], va[sa])
+                w = np.matmul(c, vb[sb], out=_work("gemm", c.shape[0], n))
+                out[k, blk] += np.einsum("an,an->n", w, va[sa])
     return out
 
 

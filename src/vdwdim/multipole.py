@@ -120,8 +120,19 @@ class InteractionSeries:
 
     @classmethod
     def from_dict(cls, data) -> "InteractionSeries":
+        """The series of ``to_dict``; each row's expA and expB hold dim entries.
+
+        A row whose exponent lists have another length raises ``ValueError``
+        naming its index and both lists.
+        """
+        dim = int(data["dim"])
         terms = {}
-        for row in data["terms"]:
+        for i, row in enumerate(data["terms"]):
+            if len(row["expA"]) != dim or len(row["expB"]) != dim:
+                raise ValueError(
+                    f"term {i}: expA {row['expA']} and expB {row['expB']} "
+                    f"must each have dim = {dim} entries"
+                )
             mono = Monomial(
                 Fraction(int(row["coeff_num"]), int(row["coeff_den"])),
                 tuple(int(e) for e in row["expA"]),
@@ -132,7 +143,7 @@ class InteractionSeries:
             n: tuple(sorted(monos, key=lambda m: (m.exp_a, m.exp_b)))
             for n, monos in sorted(terms.items())
         }
-        return cls(int(data["dim"]), int(data["max_power"]), ordered)
+        return cls(dim, int(data["max_power"]), ordered)
 
 
 # (dim, n) -> the monomial tuple of the 1/R**(n + 1) term, built once.

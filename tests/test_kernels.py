@@ -1,5 +1,8 @@
 """The vectorized kernels against scalar references built on the exact kernel."""
 
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -409,9 +412,10 @@ def test_monomial_values_of_each_row_block(monkeypatch):
     calls = []
     original = kernels._monomial_values
 
-    def recorded(pts, rows):
-        out = original(pts, rows)
-        calls.append((pts.copy(), rows, out))
+    def recorded(pts, rows, *buffers):
+        # the next block reuses the workspace buffer, so keep a copy
+        out = original(pts, rows, *buffers)
+        calls.append((pts.copy(), rows, out.copy()))
         return out
 
     monkeypatch.setattr(kernels, "_monomial_values", recorded)
@@ -437,6 +441,109 @@ def test_series_grid_1d_tabulates_each_atom_once(monkeypatch):
     assert grid.shape == (17, 11)
     assert len(calls) == 2
     assert np.array_equal(calls[0], xa) and np.array_equal(calls[1], xb)
+
+
+@pytest.mark.parametrize("top", [1, 2, 5, 12])
+def test_power_table_is_the_accumulated_products(top):
+    x = np.random.default_rng(top).uniform(-3.0, 3.0, 2000)
+    want = np.empty((top + 1, 2000))
+    want[0] = 1.0
+    want[1:] = x
+    np.multiply.accumulate(want[1:], axis=0, out=want[1:])
+    got = kernels._power_table(x, np.full((top + 1, 2000), np.nan))
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_monomial_values_into_buffers_equal_fresh(dim):
+    form = kernels.series_form(multipole.expand_interaction(dim, 10))
+    pts = _samples(dim, 150, np.random.default_rng(30 + dim)) * 3.0
+    for rows in (form.rows_a, form.rows_b, np.zeros((3, 3), dtype=np.int64)):
+        out, scratch = (np.full((rows.shape[0], 150), np.nan) for _ in range(2))
+        got = kernels._monomial_values(pts, rows, out, scratch)
+        assert got is out
+        assert np.array_equal(got, kernels._monomial_values(pts, rows))
+
+
+def test_warm_truncation_residual_allocates_under_a_mebibyte():
+    # the tables of every block live in the workspace; the parent's fresh
+    # tables peaked at 2.6 MiB here
+    series = multipole.expand_interaction(3, 12)
+    multipole.truncation_residual(series, [9.0, 12.0, 15.0], 2000, 1.0)
+    tracemalloc.start()
+    try:
+        multipole.truncation_residual(series, [9.0, 12.0, 15.0], 2000, 1.0, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def _in_thread(fn, *args):
+    """fn(*args) run in a new thread, which must finish within 60 s."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn(*args)))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and len(result) == 1
+    return result[0]
+
+
+def test_workspace_is_per_thread():
+    series = multipole.expand_interaction(3, 8)
+    multipole.truncation_residual(series, [9.0], 500, 1.0)
+    mine = dict(vars(kernels._WORKSPACE))
+    assert set(mine) == {"va", "vb", "gather", "table", "gemm"}
+
+    def theirs():
+        multipole.truncation_residual(series, [9.0], 500, 1.0)
+        return {slot: kernels._work(slot, 1, kernels._BLOCK) for slot in mine}
+
+    other = _in_thread(theirs)
+    for a in mine.values():
+        assert not any(np.shares_memory(a, b) for b in other.values())
+    assert all(vars(kernels._WORKSPACE)[slot] is buf for slot, buf in mine.items())
+
+
+def _report_bytes(report):
+    return b"".join(
+        np.asarray(v, dtype=float).tobytes()
+        for v in (report.max_residual, report.rms_residual, report.fitted_exponent)
+    )
+
+
+def test_concurrent_truncation_residuals_equal_sequential():
+    # three threads on a two-core machine, with a short switch interval so
+    # they interleave inside the blocked loop
+    cases = [(3, 12, 2000), (2, 9, 1500), (1, 11, 2500)]
+
+    def run(dim, order, count):
+        series = multipole.expand_interaction(dim, order)
+        report = multipole.truncation_residual(
+            series, [8.0, 10.0, 13.0], count, 1.0, seed=order
+        )
+        return _report_bytes(report)
+
+    want = [run(*case) for case in cases]
+    got = [None] * len(cases)
+
+    def worker(i):
+        for _ in range(3):
+            value = run(*cases[i])
+            got[i] = value if got[i] in (None, value) else b"differs"
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == want
 
 
 def _padded_four_site(R, a, b):

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -290,9 +291,9 @@ class TestTruncationResidual:
         calls = []
         original = kernels._monomial_values
 
-        def counted(pts, rows):
+        def counted(pts, rows, *buffers):
             calls.append(pts.shape[0])
-            return original(pts, rows)
+            return original(pts, rows, *buffers)
 
         monkeypatch.setattr(kernels, "_monomial_values", counted)
         series = expand_interaction(3, 12)
@@ -339,6 +340,23 @@ class TestSerialization:
             assert isinstance(row["coeff_num"], int)
             assert isinstance(row["coeff_den"], int)
             assert len(row["expA"]) == 3 and len(row["expB"]) == 3
+
+    @pytest.mark.parametrize(
+        "exp_a, exp_b",
+        [([[1], [2]], [[1, 0], [1, 0]]),  # one-entry expA rows read as [1, 2]
+         ([[1, 0], [2, 0]], [[1, 0], [1, 0, 0]])],  # one row too long
+    )
+    def test_exponent_lists_must_have_dim_entries(self, exp_a, exp_b):
+        data = {"dim": 2, "max_power": 3, "terms": [
+            {"power": 3, "coeff_num": 1, "coeff_den": 1, "expA": a, "expB": b}
+            for a, b in zip(exp_a, exp_b)
+        ]}
+        bad = next(i for i, row in enumerate(data["terms"])
+                   if len(row["expA"]) != 2 or len(row["expB"]) != 2)
+        row = data["terms"][bad]
+        want = f"term {bad}: expA {row['expA']} and expB {row['expB']} "
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+            InteractionSeries.from_dict(data)
 
 
 # SHA-256 of the sorted-key JSON of each order-12 series, recorded from an
