@@ -147,6 +147,19 @@ class DrudeAtom(AtomModel):
         """Level spacing hbar omega, equal to omega since hbar = 1."""
         return self.omega
 
+    def position_matrix(self, levels):
+        """<m|x|n> of one coordinate on the oscillator levels 0..levels - 1.
+
+        The ladder x = a (b + b^dagger) makes it tridiagonal, with
+        <n+1|x|n> = <n|x|n+1> = a sqrt(n + 1).  These are the only ladder
+        elements in the package: the sum over states and the oracle's
+        truncated mode take their powers.
+        """
+        x = np.zeros((levels, levels))
+        for n in range(levels - 1):
+            x[n, n + 1] = x[n + 1, n] = self.a * math.sqrt(n + 1)
+        return x
+
     def _moment(self, exponents):
         if any(e % 2 for e in exponents):
             return 0.0

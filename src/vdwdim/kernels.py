@@ -24,9 +24,8 @@ one contraction of ``_four_site``:
 
 The series side evaluates a truncated interaction series as the bilinear
 form Va . C(R) . Vb between monomial values of the two atoms, on paired
-samples (``series_batch``) and on the on-axis grid (``series_grid_1d``, or
-``series_form_grid_1d`` for a form already built).  Only
-C(R) = sum_p R^-p C_p depends on the separation, so one pass over the
+samples (``series_batch``) and on the on-axis grid (``series_grid_1d``).
+Only C(R) = sum_p R^-p C_p depends on the separation, so one pass over the
 samples (``_series_values``) computes Va and Vb once per row block and
 serves every C(R) of a list: ``series_batch`` is the one-separation case,
 and ``truncation_residual`` shares the monomial values across all its
@@ -58,9 +57,11 @@ Each series has one float form (``SeriesForm``, from ``series_form``): the
 flat monomial table, each atom's distinct exponent rows grouped by
 transverse parity class (the parities of the y and z exponents) with each
 monomial's row, and the nonzero class blocks of sum_p w_p C_p, one scatter
-per weighting (R^-p gives C(R), a unit vector one C_p).  The grid and the
-second-order sum over states contract them as sum_blocks Va^T . C_block . Vb
-(``SeriesForm.contract``); first order sums each power over its monomials.
+per weighting (R^-p gives C(R), a unit vector one C_p).  The grid, the
+second-order sum over states and the d = 1 oracle's truncated coupling
+contract them as sum_blocks Va^T . C_block . Vb (``SeriesForm.contract``),
+the last two with ladder matrix elements in place of monomial values;
+first order sums each power over its monomials.
 A monomial of t = r_A - r_B has even transverse powers, so its two rows
 share a class: 4 diagonal blocks at d = 3, 2 at d = 2 and 1 at d = 1, where
 the product is the dense one.  The blocks are read off the table, so a
@@ -78,8 +79,7 @@ the 27 forms of the benchmark's series workload hold about 1.0 MB.  Any other se
 one read back with ``from_dict`` or one whose terms are lists a caller may
 mutate in place, gets a fresh form on every call.  ``series_batch`` and
 ``series_grid_1d`` take the flat table (``series_arrays``) and build its
-form on every call, about 0.1 ms for a small table; the oracle's truncated
-mode passes the cached form to ``series_form_grid_1d`` instead.
+form on every call, about 0.1 ms for a small table.
 
 The float side of the exact-rational ``multipole`` algebra lives here too:
 the scalar reference ``exact_interaction``, the flat monomial arrays
@@ -366,8 +366,9 @@ class SeriesForm:
     def contract(self, va, c_blocks, vb):
         """sum_blocks Va[sa]^T . C_block . Vb[sb]; Va, Vb have a row per row.
 
-        The on-axis grid's values, or the transition amplitudes of the
-        perturbation module's sum over product states, one per weighting.
+        The on-axis grid's values, the transition amplitudes of the
+        perturbation module's sum over product states, one per weighting,
+        or the oracle's truncated coupling between product states.
         """
         out = np.zeros((va.shape[1], vb.shape[1]))
         for (sa, sb, _), c in zip(self.blocks, c_blocks):
@@ -482,20 +483,12 @@ def series_batch(powers, coeffs, exp_a, exp_b, R, pts_a, pts_b):
 def series_grid_1d(powers, coeffs, exp_a, exp_b, R, xa, xb):
     """Truncated series tabulated on the outer grid of 1D displacements.
 
-    Builds the form of the flat table and tabulates it with
-    ``series_form_grid_1d``.
+    Builds the form of the flat table; the grid is Va^T . C(R) . Vb,
+    contracted block by block (``SeriesForm.contract``), with the
+    displacements placed on the x-axis by ``_on_axis`` and Va, Vb the
+    (rows, displacements) monomial tables.
     """
     form = SeriesForm.from_arrays(powers, coeffs, exp_a, exp_b)
-    return series_form_grid_1d(form, R, xa, xb)
-
-
-def series_form_grid_1d(form, R, xa, xb):
-    """The grid of ``series_grid_1d`` from a ``SeriesForm`` already built.
-
-    The grid is Va^T . C(R) . Vb, contracted block by block
-    (``SeriesForm.contract``), with the displacements placed on the x-axis
-    by ``_on_axis`` and Va, Vb the (rows, displacements) monomial tables.
-    """
     _check_separation(R)
     va = _monomial_values(_on_axis(xa), form.rows_a)
     vb = _monomial_values(_on_axis(xb), form.rows_b)

@@ -1,13 +1,22 @@
 """Brute-force ground-state computations that validate the perturbative results.
 
 Two independent instruments, both built on the exact four-site kernel rather
-than its expansion:
+than its expansion (the diagonalization's truncated mode excepted):
 
 * ``oscillator_basis_diag`` assembles the full two-atom Hamiltonian of a 1D
-  Drude pair in the product Hermite basis, with coupling matrix elements from
-  tensorized Gauss-Hermite quadrature, and diagonalizes it.  Truncating the
-  coupling at the dipole term reproduces the normal-mode answer; keeping the
-  full kernel exposes the repulsive R^-5 physics directly.
+  Drude pair in the product Hermite basis and diagonalizes it.  Keeping the
+  full kernel exposes the repulsive R^-5 physics directly; only this full
+  mode uses quadrature, tensorized Gauss-Hermite, for the coupling matrix
+  elements.  Truncating the coupling at the dipole term reproduces the
+  normal-mode answer.  The truncated coupling is a polynomial, so its
+  elements <ij|H_I|kl> = (F_A^T C(R) F_B)[(i,k),(j,l)] are exact ladder
+  algebra, with F[row, (i,k)] = <i|x^e_row|k> from powers of
+  ``DrudeAtom.position_matrix``, contracted by ``SeriesForm.contract`` as
+  the sum over states in ``perturbation`` is.  Quadrature on 2 cutoff + 8
+  nodes gives the same matrix up to rounding: it integrates every degree up
+  to 4 cutoff + 15 exactly, and h_i h_k x^e (h_i the orthonormal Hermite
+  polynomials) has degree at most 2 cutoff + 10, since an order-N expansion
+  has exponents up to N - 2 <= 10.
 
   Two things keep that eigensolve small and accurate.  The diagonal holds
   hbar omega (i + j), the level of |ij> less the uncoupled ground energy
@@ -19,9 +28,9 @@ than its expansion:
   |ij> + (-1)^(i+j) |ji> (i <= j, m(m+1)/2 of them for m = cutoff + 1) and a
   P = -1 block on |ij> - (-1)^(i+j) |ji> (i < j, m(m-1)/2).  Each block is
   gathered with the exact projection of H onto its sector, so the
-  rounding-level P-asymmetry of the quadrature moves eigenvalues only at
-  second order.  The pairs are ordered by j, so the blocks of a smaller
-  cutoff are leading principal blocks of the larger ones.
+  rounding-level P-asymmetry of the assembled coupling moves eigenvalues
+  only at second order.  The pairs are ordered by j, so the blocks of a
+  smaller cutoff are leading principal blocks of the larger ones.
 
   The lowest eigenvalue is the lower of the two sectors'.  Only the P = +1
   blocks are diagonalized outright.  One Cholesky factorization of the
@@ -128,42 +137,66 @@ def _hermite_columns(n_basis, xi):
     return h
 
 
-def _coupling_matrix(atom, R, mode, max_power, cutoff, nodes):
-    """H_I (k = 1) in the flattened product Hermite basis, shape (n^2, n^2)."""
+def _coupling_matrix(atom, R, cutoff, nodes):
+    """Full-kernel H_I (k = 1) by quadrature on ``nodes`` nodes, (n^2, n^2)."""
     xi, w = _gauss_hermite(nodes)
-    ell = _oscillator_length(atom)
-    x = ell * xi
-    if mode == "full":
-        gap = min(
-            np.abs(R - x[:, None] + x[None, :]).min(), np.abs(R - x).min()
+    x = _oscillator_length(atom) * xi
+    gap = min(np.abs(R - x[:, None] + x[None, :]).min(), np.abs(R - x).min())
+    if gap < 1e-8 * R:
+        raise ValueError(
+            "quadrature node hit a kernel singularity; change the node count"
         )
-        if gap < 1e-8 * R:
-            raise ValueError(
-                "quadrature node hit a kernel singularity; change the node count"
-            )
-        grid = kernels.four_site_grid_1d(R, x, x)
-    elif mode == "truncated":
-        form = kernels.series_form(expand_interaction(1, max_power))
-        grid = kernels.series_form_grid_1d(form, R, x, x)
-    else:
-        raise ValueError("mode must be 'full' or 'truncated'")
+    grid = kernels.four_site_grid_1d(R, x, x)
     n = cutoff + 1
     h = _hermite_columns(n, xi)
     # q[(i, k), p] = h_i(x_p) h_k(x_p) w_p, so <ij|H_I|kl> = (q G q^T)[(i,k),(j,l)]
     q = (h[:, None, :] * (h * w)[None, :, :]).reshape(n * n, nodes)
-    m4 = (q @ grid @ q.T).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-    return m4.reshape(n * n, n * n)
+    return _product_order(q @ grid @ q.T, n)
 
 
-def _hamiltonian(atom, R, mode, max_power, cutoff, nodes):
+def _ladder_coupling(atom, R, max_power, cutoff):
+    """H_I (k = 1) of the series truncated at ``max_power``, by ladder algebra.
+
+    F[e, (i,k)] = <i|x^e|k> for i, k <= cutoff are powers of the position
+    matrix on the levels 0..cutoff + top, top the highest exponent of the
+    series, so no path of at most top steps from a level k <= cutoff leaves
+    them and no power is cut off.  The cached form of the expansion
+    contracts F_A^T C(R) F_B (``SeriesForm.contract``).
+    """
+    form = kernels.series_form(expand_interaction(1, max_power))
+    n = cutoff + 1
+    top = int(max(form.rows_a.max(), form.rows_b.max()))
+    x = atom.position_matrix(n + top)
+    powers = [np.eye(n + top, n)]
+    for _ in range(top):
+        powers.append(x @ powers[-1])
+    elements = np.array(powers)[:, :n].reshape(top + 1, n * n)
+    c_blocks = form.block_matrices(form.inverse_powers(R))
+    m = form.contract(
+        elements[form.rows_a[:, 0]], c_blocks, elements[form.rows_b[:, 0]]
+    )
+    return _product_order(m, n)
+
+
+def _product_order(m, n):
+    """M[(i,k),(j,l)] as <ij|H_I|kl>, the product state |ij> at i n + j."""
+    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _hamiltonian(atom, R, mode, max_power, cutoff):
     """H_A + H_B + H_I - hbar omega on product states |ij>, i, j <= cutoff.
 
-    The state |ij> sits at i n + j; its diagonal entry is hbar omega (i + j),
-    its level above the uncoupled ground state, so the lowest eigenvalue is
-    the correction.
+    H_I is the exact kernel's by quadrature on ``_node_count`` nodes in full
+    mode and the truncated series' by ladder algebra otherwise.  The state
+    |ij> sits at i n + j; its diagonal entry is hbar omega (i + j), its
+    level above the uncoupled ground state, so the lowest eigenvalue is the
+    correction.
     """
     n = cutoff + 1
-    ham = _coupling_matrix(atom, R, mode, max_power, cutoff, nodes)
+    if mode == "full":
+        ham = _coupling_matrix(atom, R, cutoff, _node_count(atom, R, cutoff))
+    else:
+        ham = _ladder_coupling(atom, R, max_power, cutoff)
     quanta = np.arange(n)[:, None] + np.arange(n)[None, :]
     ham.flat[:: n * n + 1] += atom.hbar_omega * quanta.ravel()
     return ham
@@ -291,28 +324,43 @@ def _nodes_off_nucleus(xi_nucleus, nodes):
         nodes += 1
 
 
-def _node_count(atom, R, mode, cutoff):
-    """Quadrature nodes for a basis cutoff: 2 cutoff + 8, kept off the nucleus.
+def _node_count(atom, R, cutoff):
+    """Full-mode nodes for a basis cutoff: 2 cutoff + 8, kept off the nucleus.
 
-    In full mode the count steps up from 2 cutoff + 8 until the other
-    nucleus keeps clear of the nodes (``_nodes_off_nucleus``); the truncated
-    series is smooth there and keeps 2 cutoff + 8.
+    Only full mode has nodes; the truncated series' elements are exact
+    ladder algebra (``_ladder_coupling``).  The count steps up from
+    2 cutoff + 8 until the other nucleus keeps clear of the nodes
+    (``_nodes_off_nucleus``).
     """
-    nodes = 2 * cutoff + 8
-    if mode == "full":
-        nodes = _nodes_off_nucleus(R / _oscillator_length(atom), nodes)
-    return nodes
+    return _nodes_off_nucleus(R / _oscillator_length(atom), 2 * cutoff + 8)
 
 
-def _check_pair(atom, R, cutoffs, overlap_tol):
-    """The cutoffs as plain ints, once the pair and every cutoff check out."""
+def _check_pair(atom, R, mode, cutoffs, overlap_tol):
+    """The cutoffs as plain ints, once pair, mode and every cutoff check out."""
     if not isinstance(atom, DrudeAtom):
         raise AtomKindError("oracle diagonalization requires a Drude atom")
     if atom.dim != 1:
         raise ValueError("oracle diagonalization is restricted to dim = 1")
+    if mode not in ("full", "truncated"):
+        raise ValueError("mode must be 'full' or 'truncated'")
     cutoffs = tuple(_integer("cutoff", cutoff, 3) for cutoff in cutoffs)
     _check_overlap(atom, R, overlap_tol)
     return cutoffs
+
+
+def _diagonalize(atom, R, mode, max_power, cutoffs, overlap_tol, below=None):
+    """The checked cutoffs, sorted, and the correction of every rung.
+
+    The rungs are the cutoffs and, when ``below`` is given, the largest
+    cutoff less ``below``.  H is assembled once, at the largest cutoff, and
+    split into its two exchange blocks; each rung reads their leading
+    principal blocks (``_corrections``).
+    """
+    cutoffs = tuple(sorted(_check_pair(atom, R, mode, cutoffs, overlap_tol)))
+    top = cutoffs[-1]
+    blocks = _exchange_blocks(_hamiltonian(atom, R, mode, max_power, top))
+    rungs = cutoffs if below is None else cutoffs + (top - below,)
+    return cutoffs, _corrections(blocks, rungs)
 
 
 _CONV_TOL = 1e-6
@@ -335,9 +383,10 @@ def oscillator_basis_diag(
     the ground energy raises ``ConvergenceError``.  ``eigvalsh`` solves the
     P = +1 blocks of both bases, and one Cholesky factorization of the
     P = -1 block at ``cutoff`` shows that sector lies above both; only if
-    it fails are the P = -1 blocks diagonalized too.  ``cutoff`` must be an
-    integer of at least 3 (a numpy integer is taken as an int, a bool is
-    rejected) and ``overlap_tol`` finite and positive.
+    it fails are the P = -1 blocks diagonalized too.  ``mode`` must be
+    "full" or "truncated", ``cutoff`` an integer of at least 3 (a numpy
+    integer is taken as an int, a bool is rejected) and ``overlap_tol``
+    finite and positive.
 
     In full mode the discretized expectation of the kernel is regularization
     sensitive once the clouds overlap appreciably (R/a below about 8): the
@@ -349,12 +398,9 @@ def oscillator_basis_diag(
     takes the first count from 2 cutoff + 8 up that keeps R in the middle
     half of a node gap or beyond the outermost node.
     """
-    (cutoff,) = _check_pair(atom, R, (cutoff,), overlap_tol)
-    nodes = _node_count(atom, R, mode, cutoff)
-    blocks = _exchange_blocks(
-        _hamiltonian(atom, R, mode, max_power, cutoff, nodes)
+    (cutoff,), (correction, coarse) = _diagonalize(
+        atom, R, mode, max_power, (cutoff,), overlap_tol, below=2
     )
-    correction, coarse = _corrections(blocks, (cutoff, cutoff - 2))
     conv_err = coarse - correction
     e0 = correction + atom.hbar_omega  # plus two uncoupled ground states
     if conv_err / abs(e0) > _CONV_TOL:
@@ -373,11 +419,11 @@ def oscillator_basis_diag(
 def convergence_report(
     atom, R, mode="full", max_power=3, cutoffs=(6, 10, 14), overlap_tol=1e-8
 ):
-    """Ground energy versus basis cutoff at a fixed quadrature grid, k = hbar = 1.
+    """Ground energy versus basis cutoff from one Hamiltonian, k = hbar = 1.
 
-    H is assembled once, at the largest cutoff on the grid
-    ``oscillator_basis_diag`` would take for it (2 max + 8 nodes, stepped up
-    in full mode until no node sits next to the other nucleus), with
+    H is assembled once, at the largest cutoff, as ``oscillator_basis_diag``
+    would assemble it for that cutoff (in full mode on 2 max + 8 nodes,
+    stepped up until no node sits next to the other nucleus), with
     hbar omega (i + j) on its diagonal, and split into its two exchange
     blocks (see the module docstring).  Each rung is the pair of leading
     principal blocks of its cutoff, so the ladder shares one coupling
@@ -387,18 +433,15 @@ def convergence_report(
     block; one Cholesky factorization of the P = -1 block at the largest
     cutoff shows that sector lies above every rung, and only if it fails
     are the P = -1 blocks diagonalized too.  Every rung must be an integer
-    of at least 3.
+    of at least 3, and ``mode`` is checked as ``oscillator_basis_diag``
+    checks it.
     """
     cutoffs = tuple(cutoffs)
     if not cutoffs:
         raise ValueError("cutoffs must name at least one basis cutoff")
-    cutoffs = tuple(sorted(_check_pair(atom, R, cutoffs, overlap_tol)))
-    top = cutoffs[-1]
-    nodes = _node_count(atom, R, mode, top)
-    blocks = _exchange_blocks(
-        _hamiltonian(atom, R, mode, max_power, top, nodes)
+    cutoffs, corrections = _diagonalize(
+        atom, R, mode, max_power, cutoffs, overlap_tol
     )
-    corrections = _corrections(blocks, cutoffs)
     energies = tuple(corr + atom.hbar_omega for corr in corrections)
     return ConvergenceReport(cutoffs, corrections, energies)
 

@@ -13,7 +13,8 @@ vanish identically in d = 3, where the exterior potential of a spherical
 cloud is zero.
 
 Second order is evaluated for Drude atoms by an explicit sum over product
-oscillator states with ladder-operator matrix elements, contracting
+oscillator states with ladder-operator matrix elements (powers of
+``DrudeAtom.position_matrix``, their one home), contracting
 C(R) = sum_p R^-p C_p with the states once; the dipole-dipole term connects
 the ground state only to single-excitation pairs, so the sum saturates at
 cutoff 1 and reproduces -(3+d) k^2 a^4 / (2 hbar omega R^6).
@@ -25,8 +26,6 @@ k = hbar = 1.  The closed forms, ``DrudePreset`` and the curve rows keep k,
 because presets vary it; they live in the numpy-free ``drude_exact`` and are
 re-exported here.
 """
-
-import math
 
 import numpy as np
 
@@ -98,11 +97,13 @@ def first_order_via_potential(atom_a, atom_b, R):
 
 
 def _x_column_elements(atom, max_power, cutoff):
-    """<n|x^p|0> for p <= max_power, n <= cutoff, one oscillator coordinate."""
+    """<n|x^p|0> for p <= max_power, n <= cutoff, one oscillator coordinate.
+
+    Repeated products of the atom's ladder matrix (``position_matrix``)
+    with the ground state.
+    """
     size = cutoff + max_power + 2
-    x = np.zeros((size, size))
-    for n in range(size - 1):
-        x[n, n + 1] = x[n + 1, n] = atom.a * math.sqrt(n + 1)
+    x = atom.position_matrix(size)
     cols = [np.zeros(size)]
     cols[0][0] = 1.0
     for _ in range(max_power):

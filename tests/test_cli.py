@@ -716,7 +716,7 @@ _VERIFY_LINES = """\
 [PASS] quadrupole-sign-structure: V(axis) -5.787e-04 < 0 < V(perp) 2.894e-04, node 0.0e+00
 [PASS] multipole-vanishes-d3: all sampled values zero: True
 [PASS] dominance-crossover: crossover radii d=1: 4.221, d=2: 4.817
-[PASS] oracle-vs-normal-modes: relative gap 6.32e-16 at R/a = 6 (want <= 1e-8)
+[PASS] oracle-vs-normal-modes: relative gap 1.58e-16 at R/a = 6 (want <= 1e-8)
 [PASS] sign-flip-d1: R/a=8: dev 0.2%; R/a=10: dev 0.4%; R/a=14: dev 0.4%; R/a=20: dev 0.2%
 [PASS] oracle-convergence: truncated drops 7.76e-07 -> 3.18e-09; full-mode last drop 4.58e-09
 [PASS] direct-first-order: deviation from asymptotics at R/a = 12: d=1 1.24%, d=2 0.91%

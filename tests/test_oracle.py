@@ -19,6 +19,7 @@ from vdwdim.oracle import (
     _gauss_hermite,
     _hamiltonian,
     _hermite_columns,
+    _ladder_coupling,
     _nodes_off_nucleus,
     _oscillator_length,
     _tensor_cloud,
@@ -131,7 +132,7 @@ class TestCouplingAssembly:
     def test_matches_four_index_contraction(self, cutoff):
         atom = PRESET.atom(1)
         R, nodes = 9.3, 2 * cutoff + 8
-        got = _coupling_matrix(atom, R, "full", 3, cutoff, nodes)
+        got = _coupling_matrix(atom, R, cutoff, nodes)
         xi, w = np.polynomial.hermite.hermgauss(nodes)
         x = math.sqrt(1.0 / (atom.mass * atom.omega)) * xi
         grid = kernels.four_site_grid_1d(R, x, x)
@@ -148,7 +149,7 @@ class TestCouplingAssembly:
         atom = PRESET.atom(1)
         R = 14.0
         nodes = _nodes_off_nucleus(R / _oscillator_length(atom), 2 * cutoff + 8)
-        got = _coupling_matrix(atom, R, "full", 3, cutoff, nodes)
+        got = _coupling_matrix(atom, R, cutoff, nodes)
 
         def abs_form(R, xa, xb):
             A = xa[:, None]
@@ -161,37 +162,60 @@ class TestCouplingAssembly:
             )
 
         monkeypatch.setattr(kernels, "four_site_grid_1d", abs_form)
-        want = _coupling_matrix(atom, R, "full", 3, cutoff, nodes)
+        want = _coupling_matrix(atom, R, cutoff, nodes)
         assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("max_power", [3, 8])
-    def test_truncated_mode_converts_its_series_once(self, max_power, monkeypatch):
-        # the cached form of the expansion goes straight to the grid; the
-        # coupling equals that of a form rebuilt from the flat table, bit
-        # for bit
+    @pytest.mark.parametrize("cutoff", [8, 12, 20])
+    @pytest.mark.parametrize("max_power", [3, 8, 12])
+    def test_truncated_mode_converts_its_series_once(
+        self, max_power, cutoff, monkeypatch
+    ):
+        # the cached form of the expansion contracts the ladder elements,
+        # with no form rebuilt from the flat table, and the coupling is the
+        # quadrature one, q G q^T of the series grid on 2 cutoff + 8 nodes,
+        # which integrate every h_i h_k x^e exactly
         from vdwdim.multipole import expand_interaction
 
         atom = PRESET.atom(1)
-        R, cutoff = 11.0, 8
-        nodes = 2 * cutoff + 8
+        R, n, nodes = 11.0, cutoff + 1, 2 * cutoff + 8
         form = kernels.series_form(expand_interaction(1, max_power))
-        core = kernels.series_form_grid_1d
-        monkeypatch.setattr(
-            kernels, "series_form_grid_1d",
-            lambda f, R, xa, xb: core(
-                kernels.SeriesForm.from_arrays(*f.arrays), R, xa, xb
-            ),
-        )
-        want = _coupling_matrix(atom, R, "truncated", max_power, cutoff, nodes)
-        monkeypatch.undo()
+        xi, w = np.polynomial.hermite.hermgauss(nodes)
+        x = math.sqrt(1.0 / (atom.mass * atom.omega)) * xi
+        grid = kernels.series_grid_1d(*form.arrays, R, x, x)
+        h = _hermite_columns(n, xi)
+        q = np.einsum("ip,kp->ikp", h, h * w).reshape(n * n, nodes)
+        m4 = (q @ grid @ q.T).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+        want = m4.reshape(n * n, n * n)
 
         def no_rebuild(*table):
             raise AssertionError("form rebuilt from the flat table")
 
         monkeypatch.setattr(kernels.SeriesForm, "from_arrays", no_rebuild)
-        got = _coupling_matrix(atom, R, "truncated", max_power, cutoff, nodes)
+        got = _ladder_coupling(atom, R, max_power, cutoff)
         assert kernels.series_form(expand_interaction(1, max_power)) is form
-        assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_truncated_mode_uses_no_quadrature(self, monkeypatch):
+        # the truncated coupling is ladder algebra: no node, Hermite column
+        # or tabulated grid is built on its way
+        def forbidden(*args, **kwargs):
+            raise AssertionError("truncated mode reached the quadrature")
+
+        for name in (
+            "_gauss_hermite", "_hermite_columns", "_node_count",
+            "_nodes_off_nucleus", "_coupling_matrix",
+        ):
+            monkeypatch.setattr(oracle, name, forbidden)
+        for name in ("series_grid_1d", "four_site_grid_1d"):
+            monkeypatch.setattr(kernels, name, forbidden)
+        atom = PRESET.atom(1)
+        res = oscillator_basis_diag(
+            atom, 13.0, mode="truncated", cutoff=12, overlap_tol=1.0
+        )
+        rep = convergence_report(
+            atom, 13.0, mode="truncated", cutoffs=(10, 12), overlap_tol=1.0
+        )
+        assert rep.corrections[-1] == res.correction
 
 
 class TestConsistencyTriangle:
@@ -316,9 +340,7 @@ class TestExchangeSymmetry:
         atom = PRESET.atom(1)
         perm, sign = _exchange(cutoff + 1)
         for R in self.SEPARATIONS:
-            ham = _hamiltonian(
-                atom, R, mode, 3, cutoff, _diag_nodes(atom, R, mode, cutoff)
-            )
+            ham = _hamiltonian(atom, R, mode, 3, cutoff)
             swapped = sign[:, None] * ham[np.ix_(perm, perm)] * sign
             assert np.abs(ham - swapped).max() <= 1e-11 * np.abs(ham).max()
 
@@ -327,9 +349,7 @@ class TestExchangeSymmetry:
     def test_split_matches_whole_block(self, mode, R):
         atom = PRESET.atom(1)
         for cutoff in range(4, 21):
-            ham = _hamiltonian(
-                atom, R, mode, 3, cutoff, _diag_nodes(atom, R, mode, cutoff)
-            )
+            ham = _hamiltonian(atom, R, mode, 3, cutoff)
             blocks = _exchange_blocks(ham)
             split = _corrections(blocks, (cutoff,))[0] + atom.hbar_omega
             spectrum = np.linalg.eigvalsh(ham)
@@ -349,9 +369,7 @@ class TestExchangeSymmetry:
         # equal, bit for bit, the blocks gathered sector by sector from H
         atom = PRESET.atom(1)
         for cutoff in (4, 10, 16, 20):
-            ham = _hamiltonian(
-                atom, R, mode, 3, cutoff, _diag_nodes(atom, R, mode, cutoff)
-            )
+            ham = _hamiltonian(atom, R, mode, 3, cutoff)
             got, want = _exchange_blocks(ham), _sector_gathers(ham)
             for block, ref in zip(got, want, strict=True):
                 assert block.shape == ref.shape and (block == ref).all()
@@ -469,7 +487,7 @@ class TestExchangeSymmetry:
             atom, R, mode=mode, cutoffs=cutoffs, overlap_tol=1.0
         )
         plus, minus = _exchange_blocks(
-            _hamiltonian(atom, R, mode, 3, 13, _diag_nodes(atom, R, mode, 13))
+            _hamiltonian(atom, R, mode, 3, 13)
         )
         want = tuple(
             min(
@@ -495,6 +513,19 @@ class TestShiftedDiagonal:
             )
             assert res.correction == pytest.approx(want, rel=1e-12, abs=0.0)
             assert res.ground_energy == res.correction + atom.hbar_omega
+
+    @pytest.mark.parametrize("R", [6.0, 8.0, 10.0, 14.0, 20.0, 28.0])
+    def test_truncated_rounds_only_in_the_eigensolve(self, R):
+        # the ladder elements are exact, so the correction carries only the
+        # eigensolve's rounding: worst measured 2.2e-16 relative, against
+        # 3.4e-15 with elements from Gauss-Hermite quadrature
+        atom = PRESET.atom(1)
+        want = exact_correction(1, PRESET.omega, 1.0, PRESET.mass, R)
+        for cutoff in range(12, 21):
+            res = oscillator_basis_diag(
+                atom, R, mode="truncated", cutoff=cutoff, overlap_tol=1.0
+            )
+            assert res.correction == pytest.approx(want, rel=1e-15, abs=0.0)
 
 
 class TestOracleInputs:
@@ -539,6 +570,19 @@ class TestOracleInputs:
                 atom, 12.0, cutoffs=(6, cutoff, 14), overlap_tol=1.0
             )
 
+
+    @pytest.mark.parametrize("mode", ["bogus", None])
+    def test_rejects_unknown_mode(self, mode):
+        # checked with the pair, before the overlap gate: at R = 2 the
+        # default threshold would raise OverlapError
+        atom = PRESET.atom(1)
+        for call in (oscillator_basis_diag, convergence_report):
+            for R, kw in ((12.0, {"overlap_tol": 1.0}), (2.0, {})):
+                with pytest.raises(
+                    ValueError, match="mode must be 'full' or 'truncated'"
+                ) as err:
+                    call(atom, R, mode=mode, **kw)
+                assert err.type is ValueError
 
     def test_numpy_integer_cutoff_becomes_plain_int(self):
         atom = PRESET.atom(1)
