@@ -13,10 +13,9 @@ checked rows (a series form's) calls directly; other checks are drude_exact's.
 
 This module needs numpy, and loads when a command first asks for an atom:
 ``moments``, ``potential`` and ``verify`` do, while ``expand``, ``curve``
-and ``exact`` never touch it (see the package docstring).  scipy is imported
-only by ``NumericRadialAtom``, which builds its density spline with
-``CubicSpline``; that is the package's only use of scipy, so no command
-that prints moments or potentials pays for it.
+and ``exact`` never touch it (see the package docstring).
+``NumericRadialAtom``'s density spline is ``_NotAKnotCubic``, a numpy port
+of the one scipy ``CubicSpline`` configuration it needs, bit for bit.
 ``DrudeAtom.support_radius`` reads its radius from a table of Gaussian
 survival roots.
 """
@@ -236,29 +235,31 @@ class NumericRadialAtom(AtomModel):
     under the radial measure S_{d-1} r^{d-1} dr is renormalized to one on
     construction.  The density is zero outside [r[0], r[-1]], so a grid for
     d = 1, whose line charge is dense at its centre, should start at 0.
-    Moments use composite Gauss-Legendre quadrature on a cubic spline through
-    the samples (target 1e-8 relative for smooth densities); the spline is
-    evaluated at the nodes once, on construction, and each radial order is
-    integrated once and kept.
+    Moments use composite Gauss-Legendre quadrature on the not-a-knot cubic
+    spline through the samples (target 1e-8 relative for smooth densities),
+    the values of scipy's ``CubicSpline`` (``_NotAKnotCubic``); the spline
+    is evaluated at the nodes once, on construction, and each radial order
+    is integrated once and kept.  The grid must be finite and strictly
+    increasing (a ``ValueError`` otherwise).
     """
 
     _GL_ORDER = 12
 
     def __init__(self, dim, r, rho):
-        from scipy.interpolate import CubicSpline
-
         dim = _dimension(dim)
         r = np.asarray(r, dtype=float)
         rho = np.asarray(rho, dtype=float)
         if r.ndim != 1 or r.shape != rho.shape or r.size < 4:
             raise ValueError("need matching 1D arrays with at least 4 samples")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("radial grid must be finite")
         if not np.all(np.diff(r) > 0):
             raise ValueError("radial grid must be strictly increasing")
         if np.any(~np.isfinite(rho)) or np.any(rho < -1e-12 * rho.max(initial=0.0)):
             raise NonNormalizableDensityError("density must be finite and non-negative")
         self.dim = dim
         self._r = r
-        self._spline = CubicSpline(r, np.clip(rho, 0.0, None))
+        self._spline = _NotAKnotCubic(r, np.clip(rho, 0.0, None))
         nodes, weights = np.polynomial.legendre.leggauss(self._GL_ORDER)
         mid = 0.5 * (r[:-1] + r[1:])
         half = 0.5 * (r[1:] - r[:-1])
@@ -302,6 +303,77 @@ class NumericRadialAtom(AtomModel):
 
     def support_radius(self):
         return float(self._r[-1])
+
+
+class _NotAKnotCubic:
+    """scipy's ``CubicSpline(x, y)``, not-a-knot at both ends, bit for bit.
+
+    For at least 4 finite, strictly increasing ``x``: the slopes s solve
+    scipy's tridiagonal system as LAPACK's dgtsv solves it (``_gtsv``), the
+    coefficients are scipy's PPoly ones (``c[0]`` the cubic term), and a
+    point u in [x[i], x[i + 1]) (the last interval closed, the end intervals
+    extended) is summed from the constant term up, as scipy evaluates it.
+    """
+
+    def __init__(self, x, y):
+        dx = np.diff(x)
+        slope = np.diff(y) / dx
+        d0, d1 = x[2] - x[0], x[-1] - x[-3]
+        first = (dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0] * dx[0] * slope[1]
+        last = dx[-1] * dx[-1] * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]
+        inner = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+        s = np.array(_gtsv(
+            np.append(dx[1:], d1),
+            np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]])),
+            np.append(d0, dx[:-1]),
+            np.concatenate(([first / d0], inner, [last / d1])),
+        ))
+        if not np.all(np.isfinite(s)):
+            raise ValueError("spline slopes of the density are not finite")
+        t = (s[:-1] + s[1:] - 2 * slope) / dx
+        self.x = x
+        self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+    def __call__(self, u):
+        i = np.searchsorted(self.x, u, side="right") - 1
+        i = np.clip(i, 0, self.x.size - 2)
+        s = u - self.x[i]
+        out, z = np.zeros(np.shape(u)), np.ones(np.shape(u))
+        for c in self.c[::-1]:
+            out += c[i] * z
+            z *= s
+        return out
+
+
+def _gtsv(lower, diag, upper, rhs):
+    """The solution of a tridiagonal system, as LAPACK's dgtsv for one rhs.
+
+    Gaussian elimination with partial pivoting, a row swap filling in the
+    second superdiagonal (kept in ``lower``), then back substitution, all in
+    dgtsv's order of operations.  A sweep without pivoting differs in the
+    last bits wherever the grid spacing jumps.
+    """
+    dl, d, du, b = (v.tolist() for v in (lower, diag, upper, rhs))
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] -= fact * du[i]
+            b[i + 1] -= fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i], d[i + 1], du[i] = dl[i], du[i] - fact * d[i + 1], d[i + 1]
+            if i < n - 2:
+                dl[i], du[i + 1] = du[i + 1], -fact * du[i + 1]
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    if d[-1] == 0.0:  # dgtsv's INFO = N; no earlier pivot can be zero
+        raise np.linalg.LinAlgError("spline system of the radial grid is singular")
+    b[-1] /= d[-1]
+    b[-2] = (b[-2] - du[-1] * b[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
 
 
 def _sphere_area(dim):

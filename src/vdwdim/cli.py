@@ -15,10 +15,6 @@ when a command runs:
 * ``moments`` loads ``atoms``, ``potential`` adds ``potential`` and
   ``verify`` loads everything.
 
-No command loads scipy except through ``NumericRadialAtom``, whose density
-spline is scipy's ``CubicSpline``; of the commands only ``verify --level
-full`` builds one.
-
 numpy comes with ``atoms``, ``kernels``, ``potential`` and the modules built
 on them, so ``--version``, ``expand``, ``curve`` and ``exact`` run without
 it, error exits included: ``main`` reports a ``CliError``, ``ValueError`` or

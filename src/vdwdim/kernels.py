@@ -368,11 +368,18 @@ class SeriesForm:
 
         The on-axis grid's values, the transition amplitudes of the
         perturbation module's sum over product states, one per weighting,
-        or the oracle's truncated coupling between product states.
+        or the oracle's truncated coupling between product states.  The sum
+        starts from the first block's product, so a one-block form (d = 1)
+        returns that product as it is; a form with no blocks gives zeros.
         """
-        out = np.zeros((va.shape[1], vb.shape[1]))
-        for (sa, sb, _), c in zip(self.blocks, c_blocks):
-            out += va[sa].T @ (c @ vb[sb])
+        terms = (
+            va[sa].T @ (c @ vb[sb]) for (sa, sb, _), c in zip(self.blocks, c_blocks)
+        )
+        out = next(terms, None)
+        if out is None:
+            return np.zeros((va.shape[1], vb.shape[1]))
+        for term in terms:
+            out += term
         return out
 
 

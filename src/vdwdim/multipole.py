@@ -158,12 +158,18 @@ def expand_interaction(dim, max_power) -> InteractionSeries:
     (``_ORDERS``) and each call returns a fresh ``terms`` dict.
     """
     dim = _dimension(dim)
+    max_power = _max_power(max_power)
+    return InteractionSeries(dim, max_power, _expansion_terms(dim, max_power))
+
+
+def _max_power(max_power):
+    """``max_power`` as a plain int from 3 to MAX_EXPANSION_POWER."""
     max_power = _integer("max_power", max_power, 3)
     if max_power > MAX_EXPANSION_POWER:
         raise ExpansionCapError(
             f"max_power {max_power} exceeds cap {MAX_EXPANSION_POWER}"
         )
-    return InteractionSeries(dim, max_power, _expansion_terms(dim, max_power))
+    return max_power
 
 
 def _expansion_terms(dim, max_power):

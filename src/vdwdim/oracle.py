@@ -59,7 +59,7 @@ import numpy as np
 from . import kernels
 from .atoms import AtomKindError, DrudeAtom
 from .drude_exact import _check_separation, _check_terms, _integer
-from .multipole import expand_interaction
+from .multipole import _max_power, expand_interaction
 
 
 class OverlapError(ValueError):
@@ -335,14 +335,19 @@ def _node_count(atom, R, cutoff):
     return _nodes_off_nucleus(R / _oscillator_length(atom), 2 * cutoff + 8)
 
 
-def _check_pair(atom, R, mode, cutoffs, overlap_tol):
-    """The cutoffs as plain ints, once pair, mode and every cutoff check out."""
+def _check_pair(atom, R, mode, max_power, cutoffs, overlap_tol):
+    """The cutoffs as plain ints, once pair, mode, max_power and cutoffs check out.
+
+    ``max_power`` is checked in both modes, before the overlap gate, though
+    only truncated mode reads it.
+    """
     if not isinstance(atom, DrudeAtom):
         raise AtomKindError("oracle diagonalization requires a Drude atom")
     if atom.dim != 1:
         raise ValueError("oracle diagonalization is restricted to dim = 1")
     if mode not in ("full", "truncated"):
         raise ValueError("mode must be 'full' or 'truncated'")
+    _max_power(max_power)
     cutoffs = tuple(_integer("cutoff", cutoff, 3) for cutoff in cutoffs)
     _check_overlap(atom, R, overlap_tol)
     return cutoffs
@@ -356,7 +361,9 @@ def _diagonalize(atom, R, mode, max_power, cutoffs, overlap_tol, below=None):
     split into its two exchange blocks; each rung reads their leading
     principal blocks (``_corrections``).
     """
-    cutoffs = tuple(sorted(_check_pair(atom, R, mode, cutoffs, overlap_tol)))
+    cutoffs = tuple(
+        sorted(_check_pair(atom, R, mode, max_power, cutoffs, overlap_tol))
+    )
     top = cutoffs[-1]
     blocks = _exchange_blocks(_hamiltonian(atom, R, mode, max_power, top))
     rungs = cutoffs if below is None else cutoffs + (top - below,)
@@ -384,9 +391,10 @@ def oscillator_basis_diag(
     P = +1 blocks of both bases, and one Cholesky factorization of the
     P = -1 block at ``cutoff`` shows that sector lies above both; only if
     it fails are the P = -1 blocks diagonalized too.  ``mode`` must be
-    "full" or "truncated", ``cutoff`` an integer of at least 3 (a numpy
-    integer is taken as an int, a bool is rejected) and ``overlap_tol``
-    finite and positive.
+    "full" or "truncated", ``max_power`` an integer from 3 to
+    ``MAX_EXPANSION_POWER`` in either mode, ``cutoff`` an integer of at
+    least 3 (a numpy integer is taken as an int, a bool is rejected) and
+    ``overlap_tol`` finite and positive; all are checked before the overlap.
 
     In full mode the discretized expectation of the kernel is regularization
     sensitive once the clouds overlap appreciably (R/a below about 8): the
@@ -433,8 +441,8 @@ def convergence_report(
     block; one Cholesky factorization of the P = -1 block at the largest
     cutoff shows that sector lies above every rung, and only if it fails
     are the P = -1 blocks diagonalized too.  Every rung must be an integer
-    of at least 3, and ``mode`` is checked as ``oscillator_basis_diag``
-    checks it.
+    of at least 3, and ``mode`` and ``max_power`` are checked as
+    ``oscillator_basis_diag`` checks them.
     """
     cutoffs = tuple(cutoffs)
     if not cutoffs:

@@ -25,8 +25,7 @@ arithmetic-geometric mean of the complementary modulus.  The d = 3 shell
 integrals use ``_quad``, QUADPACK's QAGS without its extrapolation, in the
 same arithmetic as scipy's ``quad``: outside the cloud the d = 3 value is
 the rounding residue of (1 - 4 pi E) / s, so any other rule would move its
-printed digits.  This module imports no scipy; only ``NumericRadialAtom``'s
-``CubicSpline`` (see ``atoms``) loads it.
+printed digits.
 """
 
 import functools
@@ -306,7 +305,10 @@ def _quad(f, lo, hi):
     limit=400)`` in the same arithmetic, for ``f`` mapping an array of
     abscissae to an array of values.  QUADPACK's order is kept on purpose:
     outside a d = 3 cloud the potential is the rounding residue of
-    (1 - 4 pi E) / s, so any other rule would move its printed digits.
+    (1 - 4 pi E) / s, so any other rule would move its printed digits, and
+    the recorded d = 3 potential rows pin them.  Until a cancellation-free
+    potential frees the rule, this port is what keeps scipy out of the
+    package, which imports none.
 
     The first 21-point Gauss-Kronrod value is returned when it passes
     dqagse's first-interval test.  Otherwise the interval with the largest

@@ -20,8 +20,13 @@ from vdwdim.drude_exact import (
     total_energy_curve,
 )
 from vdwdim.kernels import truncation_residual
-from vdwdim.multipole import InteractionSeries, expand_interaction
-from vdwdim.oracle import convergence_report, oscillator_basis_diag
+from vdwdim.multipole import (
+    MAX_EXPANSION_POWER,
+    ExpansionCapError,
+    InteractionSeries,
+    expand_interaction,
+)
+from vdwdim.oracle import OverlapError, convergence_report, oscillator_basis_diag
 from vdwdim.perturbation import (
     first_order_expectation,
     parity_cross_term,
@@ -101,17 +106,18 @@ def _series(dim=1, max_power=3):
     return expand_interaction(dim, max_power)
 
 
-def _oracle(cutoff):
+def _oracle(cutoff, mode="truncated", max_power=3, R=20.0, overlap_tol=1.0):
     result = oscillator_basis_diag(
-        DrudeAtom(1, 0.5), 20.0, mode="truncated", cutoff=cutoff, overlap_tol=1.0
+        DrudeAtom(1, 0.5), R, mode=mode, max_power=max_power, cutoff=cutoff,
+        overlap_tol=overlap_tol,
     )
     return result.cutoff, result.correction
 
 
-def _ladder(cutoff):
+def _ladder(cutoff, mode="truncated", max_power=3, R=20.0, overlap_tol=1.0):
     report = convergence_report(
-        DrudeAtom(1, 0.5), 20.0, mode="truncated", cutoffs=(cutoff, 5),
-        overlap_tol=1.0,
+        DrudeAtom(1, 0.5), R, mode=mode, max_power=max_power,
+        cutoffs=(cutoff, 5), overlap_tol=overlap_tol,
     )
     return list(report.cutoffs), list(report.corrections)
 
@@ -136,6 +142,20 @@ COUNTS = {
         _series(2, 4), DrudeAtom(2, 0.5), DrudeAtom(2, 0.5), cutoff=c
     )),
     "truncation_residual": ("sample_count", 0, _residual),
+    # the oracle once read max_power only in truncated mode, after the
+    # overlap gate, so full mode took max_power="x"
+    "oscillator_basis_diag(max_power)": ("max_power", 3, lambda n: _oracle(
+        4, max_power=n
+    )),
+    "oscillator_basis_diag(full, max_power)": ("max_power", 3, lambda n: _oracle(
+        3, mode="full", max_power=n, R=13.0
+    )),
+    "convergence_report(max_power)": ("max_power", 3, lambda n: _ladder(
+        4, max_power=n
+    )),
+    "convergence_report(full, max_power)": ("max_power", 3, lambda n: _ladder(
+        3, mode="full", max_power=n, R=13.0
+    )),
     "expand_interaction": ("max_power", 3, lambda n: [
         (p, len(monos)) for p, monos in expand_interaction(2, n).terms.items()
     ]),
@@ -175,3 +195,30 @@ def test_series_with_negative_exponent_is_rejected():
     atom = DrudeAtom(1, 0.5)
     with pytest.raises(ValueError, match="exponents must be non-negative"):
         first_order_expectation(series, atom, atom, 5.0)
+
+
+ORACLE_ENTRY_POINTS = {"oscillator_basis_diag": _oracle, "convergence_report": _ladder}
+
+
+@pytest.mark.parametrize("mode", ["full", "truncated"])
+@pytest.mark.parametrize("entry", ORACLE_ENTRY_POINTS)
+class TestOracleMaxPower:
+    def test_rejects_above_cap(self, entry, mode):
+        top = MAX_EXPANSION_POWER
+        with pytest.raises(
+            ExpansionCapError, match=f"^max_power {top + 1} exceeds cap {top}$"
+        ):
+            ORACLE_ENTRY_POINTS[entry](4, mode=mode, max_power=top + 1)
+
+    @pytest.mark.parametrize(
+        "max_power, error",
+        [(2, "must be at least 3"), (99, "exceeds cap"), ("x", "must be an integer")],
+    )
+    def test_checked_before_overlap(self, entry, mode, max_power, error):
+        # at R = 2 the clouds overlap, which once hid a bad max_power
+        call = ORACLE_ENTRY_POINTS[entry]
+        with pytest.raises(OverlapError):
+            call(4, mode=mode, R=2.0, overlap_tol=1e-8)
+        with pytest.raises(ValueError, match=f"^max_power .*{error}") as err:
+            call(4, mode=mode, max_power=max_power, R=2.0, overlap_tol=1e-8)
+        assert not isinstance(err.value, OverlapError)

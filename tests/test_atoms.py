@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from vdwdim import atoms
 from vdwdim.atoms import (
     MOMENT_CAP,
     AtomKindError,
@@ -15,6 +16,7 @@ from vdwdim.atoms import (
     NonNormalizableDensityError,
     NumericRadialAtom,
     RingAtom,
+    _NotAKnotCubic,
     drude_spectrum,
 )
 
@@ -253,6 +255,107 @@ class TestNumericRadial:
         np.savetxt(path, np.column_stack([r, rho]))
         atom = NumericRadialAtom.from_file(path, dim=3)
         assert atom.characteristic_length() == pytest.approx(sigma, abs=1e-6)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_grid(self, bad):
+        # scipy's CubicSpline once rejected r = [0, 1, 2, inf]; without the
+        # check the density's mass would come out non-finite
+        r = np.array([0.0, 1.0, 2.0, 3.0])
+        r[0 if bad < 0 else -1] = bad
+        with pytest.raises(ValueError, match="^radial grid must be finite$"):
+            NumericRadialAtom(3, r, np.ones(4))
+
+
+# the grids and densities on which the spline must equal scipy's bit for bit;
+# on the clustered grid dgtsv's elimination swaps rows
+SPLINE_GRIDS = {
+    "uniform-200": np.linspace(0.0, 8.0, 200),
+    "uniform-3000": np.linspace(1e-9, 9.0, 3000),
+    "uniform-4000": np.linspace(1e-9, 9.0, 4000),
+    "log": np.geomspace(1e-6, 12.0, 500),
+    "random": np.sort(np.random.default_rng(3).uniform(0.0, 10.0, 300)),
+    "four-point": np.array([0.0, 0.3, 1.1, 2.0]),
+    "clustered": np.concatenate(
+        (np.linspace(0.0, 0.01, 50), np.linspace(0.02, 8.0, 200))
+    ),
+}
+SPLINE_DENSITIES = {
+    "gaussian": lambda r: np.exp(-(r**2) / 2),
+    "skewed": lambda r: np.exp(-(r**2) / 2) * (1.0 + 0.3 * r),
+    "shell": lambda r: np.exp(-(((r - 1.3) / 0.2) ** 2) / 2),
+}
+
+
+def _scipy_and_port(grid, density):
+    from scipy.interpolate import CubicSpline
+
+    r = SPLINE_GRIDS[grid]
+    rho = SPLINE_DENSITIES[density](r)
+    return r, CubicSpline(r, rho), _NotAKnotCubic(r, rho)
+
+
+def _thomas(lower, diag, upper, rhs):
+    """The tridiagonal solve without pivoting, for contrast with dgtsv's."""
+    dl, d, du, b = (v.tolist() for v in (lower, diag, upper, rhs))
+    for i in range(len(d) - 1):
+        fact = dl[i] / d[i]
+        d[i + 1] -= fact * du[i]
+        b[i + 1] -= fact * b[i]
+    b[-1] /= d[-1]
+    for i in range(len(d) - 2, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1]) / d[i]
+    return b
+
+
+class TestNotAKnotCubic:
+    @pytest.mark.parametrize("density", SPLINE_DENSITIES)
+    @pytest.mark.parametrize("grid", SPLINE_GRIDS)
+    def test_bit_identical_to_scipy(self, grid, density):
+        r, ref, port = _scipy_and_port(grid, density)
+        assert port.c.shape == ref.c.shape and (port.c == ref.c).all()
+        inside = r[:-1] + np.diff(r) * np.array([[0.1], [0.5], [0.93]])
+        for u in (r, inside, np.array([r[0], r[-1]]), np.float64(r[-1])):
+            assert (port(u) == ref(u)).all()
+            assert port(u).tobytes() == ref(u).tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("density", SPLINE_DENSITIES)
+    def test_clustered_grid_needs_pivoting(self, density, monkeypatch):
+        # a sweep without row swaps differs from scipy's in the last bits
+        _, ref, _ = _scipy_and_port("clustered", density)
+        monkeypatch.setattr(atoms, "_gtsv", _thomas)
+        _, _, thomas = _scipy_and_port("clustered", density)
+        assert (thomas.c != ref.c).any()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("grid", SPLINE_GRIDS)
+    def test_atom_evaluates_scipy_spline(self, grid, dim):
+        r, ref, _ = _scipy_and_port(grid, "skewed")
+        atom = NumericRadialAtom(dim, r, SPLINE_DENSITIES["skewed"](r))
+        assert (atom._rho_u == ref(atom._u)).all()
+        u = np.linspace(r[0], r[-1], 97)
+        want = atom._norm * np.clip(ref(u), 0.0, None)
+        assert (atom.radial_density(u) == want).all()
+
+    def test_singular_system_raises_as_scipy(self):
+        from scipy.interpolate import CubicSpline
+
+        # subnormal spacing: dgtsv's last pivot is exactly zero
+        r = np.array([2.0e-323, 4.4e-323, 4.9e-323, 5.9e-323])
+        with pytest.raises(np.linalg.LinAlgError):
+            CubicSpline(r, np.ones(4))
+        with pytest.raises(np.linalg.LinAlgError, match="is singular"):
+            NumericRadialAtom(3, r, np.ones(4))
+
+    def test_non_finite_slopes_raise_as_scipy(self):
+        from scipy.interpolate import CubicSpline
+
+        r = np.linspace(0.0, 1.0, 6)
+        rho = np.array([0.0, 1e308, 0.0, 1e308, 0.0, 1e308])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="must contain only finite"):
+                CubicSpline(r, rho)
+            with pytest.raises(ValueError, match="slopes .* not finite"):
+                NumericRadialAtom(3, r, rho)
 
 
 class TestContractionIdentities:

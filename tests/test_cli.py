@@ -374,6 +374,12 @@ def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 
 report = {"import vdwdim": scipy_loaded()}
+import numpy as np
+r = np.linspace(0.0, 8.0, 200)
+atom = vdwdim.NumericRadialAtom(3, r, np.exp(-(r**2) / 2.0))
+atom.moment((2, 0, 0))
+vdwdim.potential.v_a_numeric(atom, [0.0, 0.0, 12.0])
+report["NumericRadialAtom"] = scipy_loaded()
 for argv in sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
         try:
@@ -387,8 +393,9 @@ print(json.dumps(report))
 
 class TestImportPath:
     def test_no_command_loads_scipy(self):
-        # only NumericRadialAtom's CubicSpline loads scipy, and no command
-        # below builds one (verify --level full does)
+        # the package imports no scipy: NumericRadialAtom builds its spline
+        # in numpy, so neither a round trip through one (moment and
+        # potential) nor verify --level full, which builds one, loads it
         src = os.path.dirname(os.path.dirname(vdwdim.__file__))
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
@@ -398,6 +405,7 @@ class TestImportPath:
             "curve --format json",
             "exact",
             "verify --level fast",
+            "verify --level full",
             "potential --dim 1 --radii 9,20 --thetas 0,45,90",
             "potential --dim 2 --radii 0.5,9 --thetas 0,30 --methods quadrature",
             "potential --dim 2 --atom ring --radii 0.5,2 --thetas 0,60",
@@ -411,6 +419,7 @@ class TestImportPath:
         )
         report = json.loads(proc.stdout)
         assert report.pop("import vdwdim") is False
+        assert report.pop("NumericRadialAtom") is False
         assert report.pop(inside) == [1, False]
         assert report == {argv: [0, False] for argv in free}
 

@@ -436,6 +436,25 @@ class TestSumOverStates:
         assert len(calls) == count
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_exact_zeros_keep_their_sign(self, dim):
+        # each contraction starts from its first block's product; the
+        # opposite-parity cross term and an empty series stay exactly -0.0
+        atom = DrudeAtom.bohr_matched(dim)
+        empty = InteractionSeries.from_dict({"dim": dim, "max_power": 3, "terms": []})
+        values = [
+            parity_cross_term(expand_interaction(dim, 6), atom, atom, cutoff=c)
+            for c in (2, 5)
+        ] + [second_order_sum(empty, atom, atom, 5.0, cutoff=2)]
+        assert [v.hex() for v in values] == ["-0x0.0p+0"] * 3
+
+    def test_contraction_without_blocks_is_zero(self):
+        form = kernels.series_form(
+            InteractionSeries.from_dict({"dim": 2, "max_power": 3, "terms": []})
+        )
+        out = form.contract(np.ones((0, 3)), [], np.ones((0, 2)))
+        assert out.shape == (3, 2) and out.tobytes() == bytes(48)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_second_order_matches_per_power_sum(self, dim):
         # C(R) contracted once against the amplitudes of each power weighted
         # by R^-p and summed: the same sum, with other rounding
