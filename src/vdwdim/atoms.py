@@ -6,8 +6,10 @@ angular average over the (d-1)-sphere.  The characteristic length is
 a^2 = <|r|^2> / d and the shape coefficient alpha = <x^4> / a^4 controls the
 subleading multipole of the charge cloud.
 
-Moments are the only interface the perturbative machinery needs; densities
-are exposed separately for the quadrature oracles and the potential module.
+Moments are the only interface first order needs; second order and the
+oracle's truncated mode read the Drude oscillator elements <s|x^e|s'> from
+``DrudeAtom.ladder_elements``, their one home.  Densities are exposed
+separately for the quadrature oracles and the potential module.
 ``moment`` checks its exponents and calls ``_moment``, which a caller holding
 checked rows (a series form's) calls directly; other checks are drude_exact's.
 
@@ -126,7 +128,8 @@ class DrudeAtom(AtomModel):
     """Electron bound by an isotropic harmonic potential; Gaussian ground state.
 
     In units with hbar = 1: a^2 = 1 / (2 m omega), every Gaussian moment is
-    a double factorial, and alpha = 3.
+    a double factorial, and alpha = 3.  ``ladder_elements`` gives the matrix
+    elements of the coordinates' powers between oscillator states.
     """
 
     def __init__(self, dim, omega, mass=1.0):
@@ -146,18 +149,31 @@ class DrudeAtom(AtomModel):
         """Level spacing hbar omega, equal to omega since hbar = 1."""
         return self.omega
 
-    def position_matrix(self, levels):
-        """<m|x|n> of one coordinate on the oscillator levels 0..levels - 1.
+    def ladder_elements(self, rows, bras, kets):
+        """F[r, b, k] = prod_c <bras[b, c]| x_c^rows[r, c] |kets[k, c]>.
 
-        The ladder x = a (b + b^dagger) makes it tridiagonal, with
-        <n+1|x|n> = <n|x|n+1> = a sqrt(n + 1).  These are the only ladder
-        elements in the package: the sum over states and the oracle's
-        truncated mode take their powers.
+        Integer arrays with one column per axis: exponent rows, and the
+        oscillator levels of bras and kets.  x = a (b + b^dagger) is
+        tridiagonal, <n+1|x|n> = <n|x|n+1> = a sqrt(n + 1), and its powers
+        x^e |k> up to the highest exponent, top, are built on the levels
+        0..max(bras, kets + top), so no path of at most top steps from a ket
+        leaves them and no element is cut off.  These are the package's only
+        ladder elements.
         """
+        top = int(rows.max(initial=0))
+        n = int(kets.max()) + 1
+        levels = max(n + top, int(bras.max()) + 1)
         x = np.zeros((levels, levels))
-        for n in range(levels - 1):
-            x[n, n + 1] = x[n + 1, n] = self.a * math.sqrt(n + 1)
-        return x
+        up = np.arange(1, levels)
+        x[up - 1, up] = x[up, up - 1] = self.a * np.sqrt(up)
+        powers = [np.eye(levels, n)]
+        for _ in range(top):
+            powers.append(x @ powers[-1])
+        table = np.array(powers)
+        out = np.ones((rows.shape[0], bras.shape[0], kets.shape[0]))
+        for c in range(self.dim):
+            out *= table[rows[:, c, None, None], bras[:, c, None], kets[:, c]]
+        return out
 
     def _moment(self, exponents):
         if any(e % 2 for e in exponents):
@@ -239,8 +255,8 @@ class NumericRadialAtom(AtomModel):
     spline through the samples (target 1e-8 relative for smooth densities),
     the values of scipy's ``CubicSpline`` (``_NotAKnotCubic``); the spline
     is evaluated at the nodes once, on construction, and each radial order
-    is integrated once and kept.  The grid must be finite and strictly
-    increasing (a ``ValueError`` otherwise).
+    is integrated once and kept.  The grid must be finite, strictly
+    increasing and start at r >= 0 (a ``ValueError`` otherwise).
     """
 
     _GL_ORDER = 12
@@ -255,6 +271,10 @@ class NumericRadialAtom(AtomModel):
             raise ValueError("radial grid must be finite")
         if not np.all(np.diff(r) > 0):
             raise ValueError("radial grid must be strictly increasing")
+        if r[0] < 0:
+            raise ValueError(
+                f"radial grid must start at r >= 0, r[0] = {float(r[0])!r}"
+            )
         if np.any(~np.isfinite(rho)) or np.any(rho < -1e-12 * rho.max(initial=0.0)):
             raise NonNormalizableDensityError("density must be finite and non-negative")
         self.dim = dim

@@ -10,8 +10,8 @@ than its expansion (the diagonalization's truncated mode excepted):
   elements.  Truncating the coupling at the dipole term reproduces the
   normal-mode answer.  The truncated coupling is a polynomial, so its
   elements <ij|H_I|kl> = (F_A^T C(R) F_B)[(i,k),(j,l)] are exact ladder
-  algebra, with F[row, (i,k)] = <i|x^e_row|k> from powers of
-  ``DrudeAtom.position_matrix``, contracted by ``SeriesForm.contract`` as
+  algebra, with F[row, (i,k)] = <i|x^e_row|k> from
+  ``DrudeAtom.ladder_elements``, contracted by ``SeriesForm.contract`` as
   the sum over states in ``perturbation`` is.  Quadrature on 2 cutoff + 8
   nodes gives the same matrix up to rounding: it integrates every degree up
   to 4 cutoff + 15 exactly, and h_i h_k x^e (h_i the orthonormal Hermite
@@ -157,20 +157,15 @@ def _coupling_matrix(atom, R, cutoff, nodes):
 def _ladder_coupling(atom, R, max_power, cutoff):
     """H_I (k = 1) of the series truncated at ``max_power``, by ladder algebra.
 
-    F[e, (i,k)] = <i|x^e|k> for i, k <= cutoff are powers of the position
-    matrix on the levels 0..cutoff + top, top the highest exponent of the
-    series, so no path of at most top steps from a level k <= cutoff leaves
-    them and no power is cut off.  The cached form of the expansion
-    contracts F_A^T C(R) F_B (``SeriesForm.contract``).
+    F[e, (i,k)] = <i|x^e|k> for i, k <= cutoff and every exponent e of the
+    series, one table from ``DrudeAtom.ladder_elements``; the cached form of
+    the expansion contracts F_A^T C(R) F_B (``SeriesForm.contract``).
     """
     form = kernels.series_form(expand_interaction(1, max_power))
     n = cutoff + 1
-    top = int(max(form.rows_a.max(), form.rows_b.max()))
-    x = atom.position_matrix(n + top)
-    powers = [np.eye(n + top, n)]
-    for _ in range(top):
-        powers.append(x @ powers[-1])
-    elements = np.array(powers)[:, :n].reshape(top + 1, n * n)
+    exps = np.arange(int(max(form.rows_a.max(), form.rows_b.max())) + 1)[:, None]
+    levels = np.arange(n)[:, None]
+    elements = atom.ladder_elements(exps, levels, levels).reshape(-1, n * n)
     c_blocks = form.block_matrices(form.inverse_powers(R))
     m = form.contract(
         elements[form.rows_a[:, 0]], c_blocks, elements[form.rows_b[:, 0]]

@@ -13,8 +13,8 @@ vanish identically in d = 3, where the exterior potential of a spherical
 cloud is zero.
 
 Second order is evaluated for Drude atoms by an explicit sum over product
-oscillator states with ladder-operator matrix elements (powers of
-``DrudeAtom.position_matrix``, their one home), contracting
+oscillator states with the ladder elements <n|x^e|0> of
+``DrudeAtom.ladder_elements``, their one home, contracting
 C(R) = sum_p R^-p C_p with the states once; the dipole-dipole term connects
 the ground state only to single-excitation pairs, so the sum saturates at
 cutoff 1 and reproduces -(3+d) k^2 a^4 / (2 hbar omega R^6).
@@ -96,29 +96,6 @@ def first_order_via_potential(atom_a, atom_b, R):
     return r5, r7
 
 
-def _x_column_elements(atom, max_power, cutoff):
-    """<n|x^p|0> for p <= max_power, n <= cutoff, one oscillator coordinate.
-
-    Repeated products of the atom's ladder matrix (``position_matrix``)
-    with the ground state.
-    """
-    size = cutoff + max_power + 2
-    x = atom.position_matrix(size)
-    cols = [np.zeros(size)]
-    cols[0][0] = 1.0
-    for _ in range(max_power):
-        cols.append(x @ cols[-1])
-    return np.array(cols)[:, : cutoff + 1]
-
-
-def _state_factors(atom, rows, states):
-    cols = _x_column_elements(atom, int(rows.max(initial=0)), int(states.max()))
-    f = np.ones((rows.shape[0], states.shape[0]))
-    for c in range(states.shape[1]):
-        f *= cols[rows[:, c]][:, states[:, c]]
-    return f
-
-
 def _check_states(series, atom_a, atom_b, cutoff):
     """``cutoff`` as an int of at least 1, for Drude atoms of the series dim."""
     if not all(isinstance(atom, DrudeAtom) for atom in (atom_a, atom_b)):
@@ -132,13 +109,19 @@ def _sum_over_states(form, atom_a, atom_b, cutoff, *weightings):
 
     Each weighting of ``form.distinct_powers`` gives one operator
     sum_p w_p T_p, contracted once as F_A^T C F_B (``SeriesForm.contract``)
-    with C the blocks of the weighting and F[row, s] = prod_c <n_c|x^e_c|0>.
-    T_L is the first weighting and T_R the last, so one weighting serves
-    both sides.
+    with C the blocks of the weighting and F[row, s] = prod_c <n_c|x^e_c|0>
+    from ``DrudeAtom.ladder_elements`` (atom B reuses atom A's when they are
+    one object with the same rows).  T_L is the first weighting and T_R the
+    last, so one weighting serves both sides.
     """
-    states = np.array(_multi_indices(atom_a.dim, cutoff), dtype=np.int64)
-    f_a = _state_factors(atom_a, form.rows_a, states)
-    f_b = _state_factors(atom_b, form.rows_b, states)
+    dim = atom_a.dim
+    states = np.array(_multi_indices(dim, cutoff), dtype=np.int64)
+    rows_a, rows_b = form.rows_a[:, :dim], form.rows_b[:, :dim]
+    f_a = atom_a.ladder_elements(rows_a, states, states[:1])[..., 0]
+    if atom_b is atom_a and np.array_equal(rows_b, rows_a):
+        f_b = f_a
+    else:
+        f_b = atom_b.ladder_elements(rows_b, states, states[:1])[..., 0]
     amps = [form.contract(f_a, form.block_matrices(w), f_b) for w in weightings]
     quanta = states.sum(axis=1).astype(float)
     energies = np.add.outer(atom_a.hbar_omega * quanta, atom_b.hbar_omega * quanta)

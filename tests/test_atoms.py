@@ -1,6 +1,7 @@
 """Atom models: moments, characteristic length, shape coefficient, spectrum."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -101,6 +102,78 @@ class TestDrudeSupport:
             atom = DrudeAtom(dim, omega=omega, mass=1.7)
             unit = DrudeAtom.bohr_matched(dim).support_radius()
             assert atom.support_radius() == atom.a * unit
+
+
+def _ground_element(a, e, n):
+    """<n|x^e|0> = a^e sqrt(n!) e! / (n! k! 2^k), k = (e - n) / 2, to 40 digits."""
+    if e < n or (e - n) % 2:
+        return Decimal(0)
+    k = (e - n) // 2
+    count = math.factorial(e) // (math.factorial(n) * math.factorial(k) * 2**k)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return Decimal(a) ** e * Decimal(math.factorial(n)).sqrt() * count
+
+
+def _levels(dim, cutoff):
+    return np.array(atoms._multi_indices(dim, cutoff), dtype=np.int64)
+
+
+# (omega, mass): a = 0.74, 0.90 and 2.5
+LADDER_ATOMS = [(0.7, 1.3), (3.1, 0.2), (0.02, 4.0)]
+
+
+class TestLadderElements:
+    @pytest.mark.parametrize("omega, mass", LADDER_ATOMS)
+    def test_ground_column_matches_closed_form(self, omega, mass):
+        atom = DrudeAtom(1, omega, mass)
+        levels = np.arange(21)[:, None]
+        f = atom.ladder_elements(np.arange(MOMENT_CAP + 1)[:, None], levels, levels[:1])
+        for e in range(MOMENT_CAP + 1):
+            for n in range(21):
+                want = _ground_element(atom.a, e, n)
+                if want == 0:
+                    assert f[e, n, 0] == 0.0
+                else:
+                    assert abs(Decimal(f[e, n, 0]) - want) <= Decimal("1e-15") * want
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("omega, mass", LADDER_ATOMS)
+    def test_products_across_axes(self, dim, omega, mass):
+        # each factor is the one-axis element checked against the closed form
+        atom, axis = DrudeAtom(dim, omega, mass), DrudeAtom(1, omega, mass)
+        rows, states = _levels(dim, 10), _levels(dim, 8)
+        f = atom.ladder_elements(rows, states, states[:1])[..., 0]
+        one = axis.ladder_elements(
+            np.arange(11)[:, None], np.arange(9)[:, None], np.zeros((1, 1), int)
+        )[..., 0]
+        want = np.ones_like(f)
+        for c in range(dim):
+            want *= one[np.ix_(rows[:, c], states[:, c])]
+        np.testing.assert_array_equal(f, want)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_square_table_is_symmetric(self, dim):
+        atom = DrudeAtom(dim, 0.7, 1.3)
+        rows, states = _levels(dim, 8), _levels(dim, 12 if dim < 3 else 6)
+        f = atom.ladder_elements(rows, states, states)
+        flip = f.transpose(0, 2, 1)
+        np.testing.assert_array_equal(f == 0, flip == 0)
+        nonzero = f != 0
+        assert np.all(np.abs(f - flip)[nonzero] <= 1e-15 * np.abs(f[nonzero]))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_more_levels_change_no_element(self, dim):
+        atom = DrudeAtom(dim, 3.1, 0.2)
+        rows = _levels(dim, 8 if dim < 3 else 6)
+        small, big = _levels(dim, 5), _levels(dim, 9 if dim < 3 else 7)
+        at = [big.tolist().index(s) for s in small.tolist()]
+        square = atom.ladder_elements(rows, big, big)[:, at][:, :, at]
+        np.testing.assert_array_equal(square, atom.ladder_elements(rows, small, small))
+        ground = atom.ladder_elements(rows, big, big[:1])[:, at]
+        np.testing.assert_array_equal(
+            ground, atom.ladder_elements(rows, small, small[:1])
+        )
 
 
 class TestDrudeInputs:
@@ -255,6 +328,21 @@ class TestNumericRadial:
         np.savetxt(path, np.column_stack([r, rho]))
         atom = NumericRadialAtom.from_file(path, dim=3)
         assert atom.characteristic_length() == pytest.approx(sigma, abs=1e-6)
+
+    def test_rejects_negative_radii(self, tmp_path):
+        # the radial measure r^(d-1) dr once took r < 0 too: <r^2> read 6.0
+        # for the 2D unit Gaussian on [-2, 8], and rho(-1) was nonzero
+        r = np.linspace(-2.0, 8.0, 200)
+        rho = np.exp(-(r**2) / 2)
+        with pytest.raises(ValueError, match=r"start at r >= 0, r\[0\] = -2\.0$"):
+            NumericRadialAtom(2, r, rho)
+        path = tmp_path / "density.txt"
+        np.savetxt(path, np.column_stack([r, rho]))
+        with pytest.raises(ValueError, match=r"r\[0\] = -2\.0$"):
+            NumericRadialAtom.from_file(path, dim=2)
+        r0 = np.linspace(0.0, 8.0, 200)
+        atom = NumericRadialAtom(2, r0, np.exp(-(r0**2) / 2))
+        assert atom.radial_moment(2) == pytest.approx(2.0, rel=1e-7)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_grid(self, bad):

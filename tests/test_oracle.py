@@ -9,6 +9,7 @@ from scipy.special import dawsn, i0e
 from vdwdim import kernels, oracle
 from vdwdim.atoms import AtomKindError, DrudeAtom, RingAtom
 from vdwdim.drude_exact import exact_correction
+from vdwdim.multipole import expand_interaction
 from vdwdim.oracle import (
     ConvergenceError,
     OverlapError,
@@ -194,6 +195,22 @@ class TestCouplingAssembly:
         got = _ladder_coupling(atom, R, max_power, cutoff)
         assert kernels.series_form(expand_interaction(1, max_power)) is form
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    @pytest.mark.parametrize("max_power", [3, 5, 8])
+    def test_ground_column_is_the_sum_over_states_amplitude(self, max_power):
+        # second order and the truncated mode read one table: the |00>
+        # column of H_I holds the sum over states' amplitudes <ij|H_I|00>
+        atom, R, cutoff = DrudeAtom(1, omega=0.7, mass=1.3), 9.0, 12
+        n = cutoff + 1
+        form = kernels.series_form(expand_interaction(1, max_power))
+        levels = np.arange(n)[:, None]
+        f_a, f_b = (
+            atom.ladder_elements(rows[:, :1], levels, levels[:1])[..., 0]
+            for rows in (form.rows_a, form.rows_b)
+        )
+        want = form.contract(f_a, form.block_matrices(form.inverse_powers(R)), f_b)
+        got = _ladder_coupling(atom, R, max_power, cutoff)[:, 0].reshape(n, n)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_truncated_mode_uses_no_quadrature(self, monkeypatch):
         # the truncated coupling is ladder algebra: no node, Hermite column

@@ -27,9 +27,7 @@ from vdwdim.multipole import (
 )
 from vdwdim.perturbation import (
     DrudePreset,
-    _state_factors,
     _sum_over_states,
-    _x_column_elements,
     dominance_crossover,
     first_order_closed_form,
     first_order_expectation,
@@ -70,11 +68,21 @@ def _per_monomial_first_order(series, atom_a, atom_b, R):
     return value, scale
 
 
+def _axis_ground_elements(atom, max_power, cutoff):
+    """<n|x^e|0> of one axis of ``atom``, e <= max_power and n <= cutoff."""
+    axis = DrudeAtom(1, atom.omega, atom.mass)
+    levels = np.arange(cutoff + 1)[:, None]
+    exps = np.arange(max_power + 1)[:, None]
+    return axis.ladder_elements(exps, levels, levels[:1])[..., 0]
+
+
 def _per_monomial_amplitudes(series, atom_a, atom_b, cutoff):
     """<n_a n_b|T_p|0 0> as a sum of one outer product per monomial."""
     states = np.array(_multi_indices(series.dim, cutoff))
-    cols_a = _x_column_elements(atom_a, series.max_power, cutoff)
-    cols_b = _x_column_elements(atom_b, series.max_power, cutoff)
+    cols_a, cols_b = (
+        _axis_ground_elements(atom, series.max_power, cutoff)
+        for atom in (atom_a, atom_b)
+    )
     amps = {}
     for power, monos in series.terms.items():
         total = np.zeros((len(states), len(states)))
@@ -343,8 +351,10 @@ def _unit_amplitudes(series, atom_a, atom_b, cutoff):
     """<n_a n_b|T_p|0 0> per power: the contraction of a unit weighting on p."""
     form = kernels.series_form(series)
     states = np.array(_multi_indices(series.dim, cutoff), dtype=np.int64)
-    f_a = _state_factors(atom_a, form.rows_a, states)
-    f_b = _state_factors(atom_b, form.rows_b, states)
+    f_a, f_b = (
+        atom.ladder_elements(rows[:, : series.dim], states, states[:1])[..., 0]
+        for atom, rows in ((atom_a, form.rows_a), (atom_b, form.rows_b))
+    )
     amps = {}
     for p in series.terms:
         unit = [float(q == p) for q in form.distinct_powers]
