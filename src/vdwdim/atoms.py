@@ -224,6 +224,9 @@ class RingAtom(AtomModel):
     def radial_moment(self, order):
         return self.radius**order
 
+    def support_radius(self):
+        return self.radius
+
 
 class Hydrogen1DAtom(AtomModel):
     """1D hydrogen-like atom whose ground state collapses onto the nucleus.
@@ -239,6 +242,9 @@ class Hydrogen1DAtom(AtomModel):
 
     def radial_moment(self, order):
         return 1.0 if order == 0 else 0.0
+
+    def support_radius(self):
+        return 0.0
 
     def alpha(self):
         raise DegenerateAtomError("alpha undefined for the collapsed 1D atom")

@@ -44,20 +44,21 @@ were measured and left out: stacking the separations of
 degree into a staircase of smaller GEMMs skips zeros of C(R) but was
 slower, its many small GEMMs paying more in call overhead.
 
-On the blocked path (``_series_values``) the power tables, Va, Vb, the
-gather scratch and the GEMM outputs are views of one per-thread workspace
-(``_work``), reused by every block of every call; only results are fresh
+Every monomial table is built one way (``_tabulate``): Va, Vb, their power
+tables, the gather scratch and the GEMM outputs are views of one per-thread
+workspace (``_work``), reused by every call; only results are fresh
 arrays.  The reason is the first touch of fresh memory: with new tables
 per block, a warm round of the benchmark's series workload (24 ops) took
 about 7,600 minor page faults and 90-110 ms; with the workspace, and the
 row-wise tables and unchecked gathers of ``_monomial_values``, it takes
 about 120 faults and 50 ms (2-core VM, numpy, one BLAS thread).
 
-Each series has one float form (``SeriesForm``, from ``series_form``): the
-flat monomial table, each atom's distinct exponent rows grouped by
-transverse parity class (the parities of the y and z exponents) with each
+Each series has one float form (``SeriesForm``, from ``series_form``): each
+monomial's coefficient and power, each atom's distinct exponent rows grouped
+by transverse parity class (the parities of the y and z exponents) with each
 monomial's row, and the nonzero class blocks of sum_p w_p C_p, one scatter
-per weighting (R^-p gives C(R), a unit vector one C_p).  The grid, the
+per weighting (R^-p gives C(R), a unit vector one C_p).  The flat table is
+gathered from it on each call (``series_arrays``).  The grid, the
 second-order sum over states and the d = 1 oracle's truncated coupling
 contract them as sum_blocks Va^T . C_block . Vb (``SeriesForm.contract``),
 the last two with ladder matrix elements in place of monomial values;
@@ -74,12 +75,13 @@ N = 3-12.  A series is that expansion when its powers are exactly 3..N and
 each holds the order tuple ``multipole`` keeps for it
 (``multipole._expansion_order``), so no Fraction is hashed or compared.
 Every array of a form is read-only.  Building one takes about 6 ms at
-d = 3, N = 12 (3,081 monomials, 0.31 MB of arrays; 2-core Xeon, numpy);
-the 27 forms of the benchmark's series workload hold about 1.0 MB.  Any other series, such as
-one read back with ``from_dict`` or one whose terms are lists a caller may
-mutate in place, gets a fresh form on every call.  ``series_batch`` and
-``series_grid_1d`` take the flat table (``series_arrays``) and build its
-form on every call, about 0.1 ms for a small table.
+d = 3, N = 12 (3,081 monomials, 0.14 MB of arrays; 2-core Xeon, numpy);
+the 27 forms of the benchmark's series workload hold about 0.45 MB.  Any
+other series, such as one read back with ``from_dict`` or one whose terms
+are lists a caller may mutate in place, gets a fresh form on every call.
+``series_batch`` and ``series_grid_1d`` take the flat table
+(``series_arrays``) and build its form on every call, about 0.1 ms for a
+small table.
 
 The float side of the exact-rational ``multipole`` algebra lives here too:
 the scalar reference ``exact_interaction``, the flat monomial arrays
@@ -278,9 +280,9 @@ def _class_rows(exps):
 class SeriesForm:
     """The float form of a truncated series, built from its monomial table.
 
-    ``powers``, ``coeffs``, ``exp_a`` and ``exp_b`` are the flat table, one
-    entry per monomial (``arrays``); ``distinct_powers`` are its powers,
-    increasing, and ``power_idx`` each monomial's place among them.
+    ``coeffs`` holds one entry per monomial of the flat table, whose powers
+    and exponents ``arrays`` gathers per call; ``distinct_powers`` are its
+    powers, increasing, and ``power_idx`` each monomial's place among them.
     ``rows_a`` and ``rows_b`` are the distinct exponent rows of the two atoms
     in the order of ``_class_rows``, and ``idx_a``, ``idx_b`` each monomial's
     row.  ``blocks`` lists each nonzero (class of A, class of B) block of the
@@ -289,10 +291,7 @@ class SeriesForm:
     that buffer of ``buffer_size`` entries.
     """
 
-    powers: np.ndarray
     coeffs: np.ndarray
-    exp_a: np.ndarray
-    exp_b: np.ndarray
     rows_a: np.ndarray
     idx_a: np.ndarray
     rows_b: np.ndarray
@@ -335,15 +334,16 @@ class SeriesForm:
         offsets, widths = np.array([offsets, widths], dtype=np.int64)
         distinct, power_idx = np.unique(powers, return_inverse=True)
         return cls(
-            powers, coeffs, exp_a, exp_b, rows_a, idx_a, rows_b, idx_b,
+            coeffs, rows_a, idx_a, rows_b, idx_b,
             tuple(blocks), offsets[blk] + at_a * widths[blk] + at_b, size,
             tuple(int(p) for p in distinct), power_idx,
         )
 
     @property
     def arrays(self):
-        """The flat table (powers, coeffs, exp_a, exp_b) of the batch kernels."""
-        return self.powers, self.coeffs, self.exp_a, self.exp_b
+        """The flat table (powers, coeffs, exp_a, exp_b), gathered per call."""
+        powers = np.array(self.distinct_powers, dtype=np.int64)[self.power_idx]
+        return powers, self.coeffs, self.rows_a[self.idx_a], self.rows_b[self.idx_b]
 
     def inverse_powers(self, R):
         """R^-p for each of ``distinct_powers``: the weights of C(R)."""
@@ -353,8 +353,8 @@ class SeriesForm:
         """The blocks of sum_p w_p C_p, w_p one weight per ``distinct_powers``.
 
         Weights R^-p (``inverse_powers``) give C(R), a unit vector one C_p.
-        One scatter of each coefficient times the weight of its power, read
-        from ``powers``, into the block buffer; the blocks are views of it.
+        One scatter of each coefficient times the weight of its power
+        (``power_idx``) into the block buffer; the blocks are views of it.
         """
         buf = np.zeros(self.buffer_size)
         np.add.at(buf, self.slot, np.asarray(weights)[self.power_idx] * self.coeffs)
@@ -397,49 +397,42 @@ def _power_table(x, table):
     return table
 
 
-def _monomial_values(pts, rows, out=None, scratch=None):
-    """prod_c pts[:, c] ** rows[m, c] for every row and point, shape (m, n).
+def _monomial_values(pts, rows, out, scratch):
+    """prod_c pts[:, c] ** rows[m, c] for every row and point, into ``out``.
 
-    Samples run along the last axis.  For each axis with a nonzero exponent
-    the powers pts[:, c]**e, e = 0..top, are one (top + 1, n) table of
-    repeated products (``_power_table``), the products ``np.vander`` forms,
-    and the axis's factor of every row is a row gather of that table by the
-    row's exponent.  The first gather fills the output and later axes
-    gather into ``scratch`` and multiply into it in place, in the order
-    c = 0, 1, 2, so each value is the product 1 * x^e_x * y^e_y * z^e_z
-    formed left to right (1 * x = x and x * 1 = x exactly, so skipped
-    factors change no bit).  The output is filled with ones only when no
-    axis has an exponent.
-
-    ``out`` and ``scratch`` are (m, n) buffers; the blocked series path
-    passes workspace views (``_work``), and its power tables then live in
-    the workspace too.  A call without ``out`` allocates all of them fresh,
-    so an unblocked caller such as the grid holds no workspace memory.
-    Every exponent is in [0, top], so the gathers' ``mode="clip"`` never
-    clips; with the default ``"raise"``, ``np.take`` into ``out`` buffers
-    the index check and is about 3x slower.
+    ``out`` and ``scratch`` are (m, n) buffers, samples along the last axis;
+    callers pass workspace views (``_work``).  For each axis with a nonzero
+    exponent the powers pts[:, c]**e, e = 0..top, are one (top + 1, n)
+    workspace table of repeated products (``_power_table``), the products
+    ``np.vander`` forms, and the axis's factor of every row is a row gather
+    of that table by the row's exponent.  The first gather fills ``out`` and
+    later axes gather into ``scratch`` and multiply into it in place, in the
+    order c = 0, 1, 2, so each value is the product 1 * x^e_x * y^e_y *
+    z^e_z formed left to right (1 * x = x and x * 1 = x exactly, so skipped
+    factors change no bit).  ``out`` is filled with ones only when no axis
+    has an exponent.  Every exponent is in [0, top], so the gathers'
+    ``mode="clip"`` never clips; with the default ``"raise"``, ``np.take``
+    into ``out`` buffers the index check and is about 3x slower.
     """
-    fresh = out is None
-    if fresh:
-        out = np.empty((rows.shape[0], pts.shape[0]))
     filled = False
     for c in range(rows.shape[1]):
         top = int(rows[:, c].max(initial=0))
         if top:
-            shape = (top + 1, pts.shape[0])
-            table = np.empty(shape) if fresh else _work("table", *shape)
-            _power_table(pts[:, c], table)
-            if not filled:
-                np.take(table, rows[:, c], axis=0, out=out, mode="clip")
-                filled = True
-            else:
-                if scratch is None:
-                    scratch = np.empty_like(out)
-                np.take(table, rows[:, c], axis=0, out=scratch, mode="clip")
+            table = _power_table(pts[:, c], _work("table", top + 1, pts.shape[0]))
+            np.take(table, rows[:, c], axis=0, out=scratch if filled else out,
+                    mode="clip")
+            if filled:
                 out *= scratch
+            filled = True
     if not filled:
         out.fill(1.0)
     return out
+
+
+def _tabulate(pts, rows, slot):
+    """``_monomial_values`` into workspace ``slot``, its scratch slot "gather"."""
+    shape = (rows.shape[0], pts.shape[0])
+    return _monomial_values(pts, rows, _work(slot, *shape), _work("gather", *shape))
 
 
 def _series_values(form, r_values, pts_a, pts_b):
@@ -450,22 +443,16 @@ def _series_values(form, r_values, pts_a, pts_b):
     Each C(R) is contracted parity block by parity block: one GEMM
     C_block . Vb[class rows] per (separation, block), then a column-wise dot
     with Va[class rows].  The separations are not stacked into one GEMM,
-    so each row of the result has the bits of a one-separation call.  Va,
-    Vb, the gather scratch and each GEMM's output are views of this
-    thread's workspace (``_work``); only the result is a fresh array.
+    so each row of the result has the bits of a one-separation call.  Only
+    the result is a fresh array; the tables and GEMM outputs are workspace.
     """
     mats = [form.block_matrices(form.inverse_powers(R)) for R in r_values]
     out = np.zeros((len(mats), pts_a.shape[0]))
-    m_a, m_b = form.rows_a.shape[0], form.rows_b.shape[0]
-    for blk in _row_blocks(pts_a.shape[0], max(m_a, m_b)):
-        a, b = pts_a[blk], pts_b[blk]
-        n = a.shape[0]
-        va = _monomial_values(
-            a, form.rows_a, _work("va", m_a, n), _work("gather", m_a, n)
-        )
-        vb = _monomial_values(
-            b, form.rows_b, _work("vb", m_b, n), _work("gather", m_b, n)
-        )
+    width = max(form.rows_a.shape[0], form.rows_b.shape[0])
+    for blk in _row_blocks(pts_a.shape[0], width):
+        va = _tabulate(pts_a[blk], form.rows_a, "va")
+        vb = _tabulate(pts_b[blk], form.rows_b, "vb")
+        n = va.shape[1]
         for k, c_blocks in enumerate(mats):
             for (sa, sb, _), c in zip(form.blocks, c_blocks):
                 w = np.matmul(c, vb[sb], out=_work("gemm", c.shape[0], n))
@@ -491,14 +478,14 @@ def series_grid_1d(powers, coeffs, exp_a, exp_b, R, xa, xb):
     """Truncated series tabulated on the outer grid of 1D displacements.
 
     Builds the form of the flat table; the grid is Va^T . C(R) . Vb,
-    contracted block by block (``SeriesForm.contract``), with the
-    displacements placed on the x-axis by ``_on_axis`` and Va, Vb the
-    (rows, displacements) monomial tables.
+    contracted block by block (``SeriesForm.contract``), with Va, Vb the
+    unblocked workspace tables (``_tabulate``) of the displacements on the
+    x-axis.  Only tests and the benchmark's tracer name it (to be retired).
     """
-    form = SeriesForm.from_arrays(powers, coeffs, exp_a, exp_b)
     _check_separation(R)
-    va = _monomial_values(_on_axis(xa), form.rows_a)
-    vb = _monomial_values(_on_axis(xb), form.rows_b)
+    form = SeriesForm.from_arrays(powers, coeffs, exp_a, exp_b)
+    va = _tabulate(_on_axis(xa), form.rows_a, "va")
+    vb = _tabulate(_on_axis(xb), form.rows_b, "vb")
     return form.contract(va, form.block_matrices(form.inverse_powers(R)), vb)
 
 
@@ -560,7 +547,8 @@ def _build_form(dim, items):
 def series_arrays(series):
     """Flat float/int arrays of the series monomials for the batch kernels.
 
-    They are the read-only arrays of ``series_form``.
+    ``SeriesForm.arrays`` of ``series_form``: int64 powers and exponents
+    gathered on each call, and the form's read-only float64 coefficients.
     """
     return series_form(series).arrays
 

@@ -122,10 +122,11 @@ class InteractionSeries:
     def from_dict(cls, data) -> "InteractionSeries":
         """The series of ``to_dict``; each row's expA and expB hold dim entries.
 
-        A row whose exponent lists have another length raises ``ValueError``
-        naming its index and both lists.
+        Every integer passes the shared checks (``max_power`` with no minimum,
+        for ``expand --order 2``); a row that fails one, or whose exponent
+        lists have another length, raises ``ValueError`` naming its index.
         """
-        dim = int(data["dim"])
+        dim = _dimension(data["dim"])
         terms = {}
         for i, row in enumerate(data["terms"]):
             if len(row["expA"]) != dim or len(row["expB"]) != dim:
@@ -133,17 +134,19 @@ class InteractionSeries:
                     f"term {i}: expA {row['expA']} and expB {row['expB']} "
                     f"must each have dim = {dim} entries"
                 )
-            mono = Monomial(
-                Fraction(int(row["coeff_num"]), int(row["coeff_den"])),
-                tuple(int(e) for e in row["expA"]),
-                tuple(int(e) for e in row["expB"]),
-            )
-            terms.setdefault(int(row["power"]), []).append(mono)
+            num = _integer(f"term {i}: coeff_num", row["coeff_num"])
+            den = _integer(f"term {i}: coeff_den", row["coeff_den"], 1)
+            exps = [
+                tuple(_integer(f"term {i}: {key}", e, 0) for e in row[key])
+                for key in ("expA", "expB")
+            ]
+            power = _integer(f"term {i}: power", row["power"], 3)
+            terms.setdefault(power, []).append(Monomial(Fraction(num, den), *exps))
         ordered = {
             n: tuple(sorted(monos, key=lambda m: (m.exp_a, m.exp_b)))
             for n, monos in sorted(terms.items())
         }
-        return cls(dim, int(data["max_power"]), ordered)
+        return cls(dim, _integer("max_power", data["max_power"]), ordered)
 
 
 # (dim, n) -> the monomial tuple of the 1/R**(n + 1) term, built once.

@@ -102,11 +102,13 @@ def even_moments(atom):
 def _field_norm(r):
     """(|r|, r scaled by the power of two of its largest component).
 
-    The field point must be finite and nonzero.  The scaling is exact, so
-    |r| keeps the bits of ``np.linalg.norm(r)`` wherever that is right, but
-    the squares of tiny (or huge) components no longer underflow (or
-    overflow).
+    The field point must be a finite, nonzero 3-vector (ValueError).  The
+    scaling is exact, so |r| keeps the bits of ``np.linalg.norm(r)``
+    wherever that is right, but the squares of tiny (or huge) components no
+    longer underflow (or overflow).
     """
+    if r.shape != (3,):
+        raise ValueError(f"field point must have shape (3,), got {r.shape}")
     largest = float(np.max(np.abs(r)))
     if not (math.isfinite(largest) and largest > 0):
         raise ValueError("field point must be finite and nonzero")

@@ -5,6 +5,8 @@ Each entry point takes its ``dim`` or count through the shared checks of
 argument and take a numpy integer as a plain int.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from vdwdim.multipole import (
     MAX_EXPANSION_POWER,
     ExpansionCapError,
     InteractionSeries,
+    Monomial,
     expand_interaction,
 )
 from vdwdim.oracle import OverlapError, convergence_report, oscillator_basis_diag
@@ -51,6 +54,9 @@ def _kinds(value):
 # each entry maps a dim to what the call returns that depends on it
 DIM_ENTRY_POINTS = {
     "expand_interaction": lambda d: expand_interaction(d, 5).dim,
+    "InteractionSeries.from_dict": lambda d: InteractionSeries.from_dict(
+        {"dim": d, "max_power": 3, "terms": []}
+    ).dim,
     "DrudeAtom": lambda d: DrudeAtom(d, omega=0.5).dim,
     "RingAtom": lambda d: RingAtom(d).dim,
     "NumericRadialAtom": lambda d: _numeric_atom(d).dim,
@@ -186,15 +192,77 @@ class TestCount:
 def test_series_with_negative_exponent_is_rejected():
     # first order hands a form's rows to the atoms unchecked, so the form
     # itself rejects a row no moment is defined for
-    series = InteractionSeries.from_dict({
-        "dim": 1, "max_power": 3, "terms": [
-            {"power": 3, "coeff_num": 1, "coeff_den": 1,
-             "expA": [-1], "expB": [1]},
-        ],
-    })
+    series = InteractionSeries(1, 3, {3: (Monomial(Fraction(1), (-1,), (1,)),)})
     atom = DrudeAtom(1, 0.5)
     with pytest.raises(ValueError, match="exponents must be non-negative"):
         first_order_expectation(series, atom, atom, 5.0)
+
+
+def _read_back(**changes):
+    """``from_dict`` of two d = 2 terms, ``changes`` applied to term 1.
+
+    A change of expA or expB sets its first entry.
+    """
+    terms = [
+        {"power": 3, "coeff_num": -2, "coeff_den": 1, "expA": [1, 0], "expB": [1, 0]},
+        {"power": 5, "coeff_num": 9, "coeff_den": 4, "expA": [0, 2], "expB": [0, 2]},
+    ]
+    for key, value in changes.items():
+        if key in ("expA", "expB"):
+            terms[1][key] = [value, 2]
+        else:
+            terms[1][key] = value
+    return InteractionSeries.from_dict({"dim": 2, "max_power": 5, "terms": terms})
+
+
+TERM_FIELDS = ("power", "coeff_num", "coeff_den", "expA", "expB")
+# each bounded field of a serialized term -> its minimum
+TERM_MINIMUMS = {"power": 3, "coeff_den": 1, "expA": 0, "expB": 0}
+
+
+@pytest.mark.parametrize("field", TERM_MINIMUMS)
+def test_serialized_term_below_minimum_is_rejected(field):
+    # a coeff_den of 0 once raised a bare ZeroDivisionError
+    minimum = TERM_MINIMUMS[field]
+    want = f"^term 1: {field} must be at least {minimum}"
+    with pytest.raises(ValueError, match=want) as err:
+        _read_back(**{field: minimum - 1})
+    assert err.type is ValueError
+
+
+@pytest.mark.parametrize("field", TERM_FIELDS)
+class TestSerializedTerm:
+    @pytest.mark.parametrize("value", NOT_INTEGERS + [1.5, 2.9], ids=repr)
+    def test_rejects_non_integer(self, field, value):
+        # from_dict once truncated 1.5 to 1 and took "2" as 2
+        want = f"^term 1: {field} must be an integer"
+        with pytest.raises(ValueError, match=want) as err:
+            _read_back(**{field: value})
+        assert err.type is ValueError
+
+    def test_numpy_integer_is_a_plain_int(self, field):
+        value = {"power": 5, "coeff_num": 9, "coeff_den": 4, "expA": 0, "expB": 0}
+        got = _read_back(**{field: np.int64(value[field])})
+        want = _read_back()
+        assert got == want
+        for monos in got.terms.values():
+            for m in monos:
+                assert type(m.coeff.numerator) is int
+                assert _kinds([*m.exp_a, *m.exp_b]) == [int] * 4
+
+
+def test_serialized_series_reads_every_count_through_the_checks():
+    want = InteractionSeries(2, 5, {
+        3: (Monomial(Fraction(-2), (1, 0), (1, 0)),),
+        5: (Monomial(Fraction(9, 4), (0, 2), (0, 2)),),
+    })
+    assert _read_back() == want
+    # max_power has no minimum: ``expand --order 2`` writes the empty series
+    empty = InteractionSeries.from_dict({"dim": 1, "max_power": 2, "terms": []})
+    assert (empty.max_power, empty.terms) == (2, {})
+    for value in NOT_INTEGERS:
+        with pytest.raises(ValueError, match="^max_power must be an integer"):
+            InteractionSeries.from_dict({"dim": 1, "max_power": value, "terms": []})
 
 
 ORACLE_ENTRY_POINTS = {"oscillator_basis_diag": _oracle, "convergence_report": _ladder}

@@ -242,6 +242,12 @@ class TestRing:
         shell = RingAtom(3, radius=1.0)
         assert shell.alpha() == pytest.approx(9.0 / 5.0, rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_support_is_the_radius(self, dim):
+        # all the charge sits at the radius; this once raised
+        # NotImplementedError
+        assert RingAtom(dim, radius=2.5).support_radius() == 2.5
+
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_radius(self, radius):
         with pytest.raises(ValueError):
@@ -260,6 +266,11 @@ class TestHydrogen1D:
     def test_alpha_raises(self):
         with pytest.raises(DegenerateAtomError):
             Hydrogen1DAtom().alpha()
+
+    def test_support_is_the_nucleus(self):
+        # the cloud collapses onto the nucleus; this once raised
+        # NotImplementedError
+        assert Hydrogen1DAtom().support_radius() == 0.0
 
 
 class TestNumericRadial:

@@ -47,6 +47,16 @@ class TestExpand:
         series = InteractionSeries.from_dict(json.loads(out))
         assert series == multipole.expand_interaction(3, 5)
 
+    def test_json_roundtrip_below_leading_order(self, capsys):
+        # from_dict takes max_power without the expansion's minimum of 3
+        code, out, _ = run_cli(
+            capsys, "expand", "--dim", "2", "--order", "2", "--format", "json"
+        )
+        assert code == 0
+        series = InteractionSeries.from_dict(json.loads(out))
+        assert series == InteractionSeries(2, 2, {})
+        assert series.to_dict() == json.loads(out)
+
     def test_cap_exceeded_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "expand", "--dim", "1", "--order", "99")
         assert code == 1

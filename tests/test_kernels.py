@@ -146,6 +146,22 @@ def test_kernels_reject_bad_separation(bad_r):
             call()
 
 
+@pytest.mark.parametrize("kernel, points", [
+    (kernels.series_batch, (PTS_A, PTS_B)),
+    (kernels.series_grid_1d, (np.linspace(-1, 1, 5),) * 2),
+])
+def test_series_kernels_check_the_separation_before_the_table(kernel, points):
+    # series_grid_1d once built the form first, so a bad table hid a bad R
+    powers, coeffs, exp_a, exp_b = (a.copy() for a in multipole.series_arrays(
+        multipole.expand_interaction(1, 5)
+    ))
+    exp_a[0, 0] = -1
+    with pytest.raises(ValueError, match="^series exponents must be non-negative"):
+        kernel(powers, coeffs, exp_a, exp_b, R, *points)
+    with pytest.raises(ValueError, match="^separation R must"):
+        kernel(powers, coeffs, exp_a, exp_b, -1.0, *points)
+
+
 def _samples(dim, count, rng):
     pts = np.zeros((count, 3))
     pts[:, :dim] = rng.uniform(-0.5, 0.5, (count, dim))
@@ -179,12 +195,30 @@ def _parity_class(rows):
     return rows[:, 1] % 2 + 2 * (rows[:, 2] % 2)
 
 
+def _monomial_table(series):
+    """(powers, coeffs, exp_a, exp_b) read straight off the series' monomials.
+
+    One row per monomial in the order of the terms dict, exponents
+    zero-padded to three axes, with no use of the float form.
+    """
+    monos = [(p, m) for p, ms in series.terms.items() for m in ms]
+    pad = (0,) * (3 - series.dim)
+    return (
+        np.array([p for p, _ in monos], dtype=np.int64),
+        np.array([float(m.coeff) for _, m in monos]),
+        np.array([m.exp_a + pad for _, m in monos], dtype=np.int64).reshape(-1, 3),
+        np.array([m.exp_b + pad for _, m in monos], dtype=np.int64).reshape(-1, 3),
+    )
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("order", [3, 6, 12])
 def test_rows_grouped_by_class_and_lexicographic_within(dim, order):
-    form = kernels.series_form(multipole.expand_interaction(dim, order))
-    for rows, idx, exps in ((form.rows_a, form.idx_a, form.exp_a),
-                            (form.rows_b, form.idx_b, form.exp_b)):
+    series = multipole.expand_interaction(dim, order)
+    form = kernels.series_form(series)
+    _, _, exp_a, exp_b = _monomial_table(series)
+    for rows, idx, exps in ((form.rows_a, form.idx_a, exp_a),
+                            (form.rows_b, form.idx_b, exp_b)):
         assert np.array_equal(rows[idx], exps)
         cls = _parity_class(rows)
         assert (np.diff(cls) >= 0).all()
@@ -259,7 +293,7 @@ class TestSeriesFormCache:
         tampered = multipole.InteractionSeries(3, 5, terms)
         clean, bad = kernels.series_form(series), kernels.series_form(tampered)
         assert bad is not clean
-        k = list(clean.powers).index(5)
+        k = list(_monomial_table(series)[0]).index(5)
         assert bad.coeffs[k] == float(first.coeff + Fraction(1, 7))
         assert clean.coeffs[k] == float(first.coeff)
         assert kernels.series_form(multipole.expand_interaction(3, 5)) is clean
@@ -338,6 +372,34 @@ def _same_form(f, g):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("order", range(3, 13))
+def test_flat_table_rebuilds_the_cached_form(dim, order):
+    # the form stores no flat table; the one it gathers is the table of the
+    # series' monomials, in order and by dtype, and gives back the same form
+    series = multipole.expand_interaction(dim, order)
+    form = kernels.series_form(series)
+    assert _same_form(kernels.SeriesForm.from_arrays(*form.arrays), form)
+    got = multipole.series_arrays(series)
+    want = _monomial_table(series)
+    assert [a.dtype for a in got] == [np.int64, np.float64, np.int64, np.int64]
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def test_flat_table_of_a_raw_table_is_that_table():
+    # unsorted powers, and rows of A that are not the rows of B
+    table = (
+        np.array([5, 3, 4, 3]),
+        np.array([1.5, -2.0, 0.75, 0.5]),
+        np.array([[2, 0, 0], [1, 0, 0], [0, 1, 1], [0, 0, 2]]),
+        np.array([[0, 0, 2], [1, 0, 0], [0, 1, 0], [3, 0, 0]]),
+    )
+    got = kernels.SeriesForm.from_arrays(*table).arrays
+    for g, w in zip(got, table, strict=True):
+        assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("order", [3, 7, 12])
 def test_batch_kernels_equal_the_cached_form(dim, order, monkeypatch):
     # the kernels build the form of the table they get; on the arrays of an
@@ -376,6 +438,11 @@ def _repeated_products(pts, rows):
     return out
 
 
+def _nan_buffers(rows, n):
+    """The (rows, n) output and scratch buffers of ``_monomial_values``."""
+    return tuple(np.full((rows.shape[0], n), np.nan) for _ in range(2))
+
+
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_monomial_values_are_samples_last_repeated_products(dim):
     form = kernels.series_form(multipole.expand_interaction(dim, 8))
@@ -384,7 +451,7 @@ def test_monomial_values_are_samples_last_repeated_products(dim):
     for rows in (form.rows_a, form.rows_b):
         # d < 3 leaves the y and z columns without an exponent
         assert (rows[:, dim:] == 0).all()
-        got = kernels._monomial_values(pts, rows)
+        got = kernels._monomial_values(pts, rows, *_nan_buffers(rows, 37))
         assert got.shape == (rows.shape[0], 37)
         assert np.array_equal(got, _repeated_products(pts, rows))
 
@@ -393,10 +460,11 @@ def test_monomial_values_skip_an_axis_between_two():
     # y has no exponent while x and z do; a row of zeros is the value 1
     rows = np.array([[0, 0, 0], [3, 0, 1], [0, 0, 4], [2, 0, 0]])
     pts = np.random.default_rng(5).uniform(-2.0, 2.0, (23, 3))
-    got = kernels._monomial_values(pts, rows)
+    got = kernels._monomial_values(pts, rows, *_nan_buffers(rows, 23))
     assert np.array_equal(got, _repeated_products(pts, rows))
     assert (got[0] == 1.0).all()
-    no_exponent = kernels._monomial_values(pts, np.zeros((2, 3), dtype=np.int64))
+    zeros = np.zeros((2, 3), dtype=np.int64)
+    no_exponent = kernels._monomial_values(pts, zeros, *_nan_buffers(zeros, 23))
     assert no_exponent.shape == (2, 23) and (no_exponent == 1.0).all()
 
 
@@ -432,9 +500,9 @@ def test_series_grid_1d_tabulates_each_atom_once(monkeypatch):
     calls = []
     original = kernels._monomial_values
 
-    def counted(pts, rows):
+    def counted(pts, rows, *buffers):
         calls.append(pts[:, 0].copy())
-        return original(pts, rows)
+        return original(pts, rows, *buffers)
 
     monkeypatch.setattr(kernels, "_monomial_values", counted)
     grid = kernels.series_grid_1d(*arrays, R, xa, xb)
@@ -455,14 +523,16 @@ def test_power_table_is_the_accumulated_products(top):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_monomial_values_into_buffers_equal_fresh(dim):
+def test_monomial_values_fill_the_given_buffers(dim):
+    # NaN-filled buffers, as a workspace left dirty by its last user: every
+    # entry of the output is written
     form = kernels.series_form(multipole.expand_interaction(dim, 10))
     pts = _samples(dim, 150, np.random.default_rng(30 + dim)) * 3.0
     for rows in (form.rows_a, form.rows_b, np.zeros((3, 3), dtype=np.int64)):
-        out, scratch = (np.full((rows.shape[0], 150), np.nan) for _ in range(2))
+        out, scratch = _nan_buffers(rows, 150)
         got = kernels._monomial_values(pts, rows, out, scratch)
         assert got is out
-        assert np.array_equal(got, kernels._monomial_values(pts, rows))
+        assert np.array_equal(got, _repeated_products(pts, rows))
 
 
 def test_warm_truncation_residual_allocates_under_a_mebibyte():

@@ -1,6 +1,7 @@
 """Electrostatic potential: quadrature against closed forms, angular structure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -231,6 +232,18 @@ class TestNumericQuadrature:
     def test_rejects_non_finite_field_point(self, route, point):
         with pytest.raises(ValueError, match="finite"):
             route(DrudeAtom.bohr_matched(1), point)
+
+    @pytest.mark.parametrize("route", [v_a_numeric, v_a_multipole])
+    @pytest.mark.parametrize(
+        "point",
+        [[10.0], [10.0, 0.0], [10.0, 0, 0, 1.0], [[10.0, 0, 0]], [math.nan, 0.0]],
+    )
+    def test_rejects_field_point_not_a_3_vector(self, route, point):
+        # v_a_multipole once gave 0.0 at [10, 0] and v_a_numeric took 1-, 2-
+        # and 4-component points; the shape is checked before finiteness
+        want = f"field point must have shape (3,), got {np.shape(point)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            route(DrudeAtom(3, 0.5), point)
 
     def test_method_tags(self):
         atom = DrudeAtom.bohr_matched(1)
