@@ -129,7 +129,10 @@ class DrudeAtom(AtomModel):
 
     In units with hbar = 1: a^2 = 1 / (2 m omega), every Gaussian moment is
     a double factorial, and alpha = 3.  ``ladder_elements`` gives the matrix
-    elements of the coordinates' powers between oscillator states.
+    elements of the coordinates' powers between oscillator states.  omega
+    and mass must be finite and positive, and so must a, a^2 and the peak
+    density (2 pi a^2)^(-d/2) as floats; otherwise the constructor raises
+    ValueError.
     """
 
     def __init__(self, dim, omega, mass=1.0):
@@ -137,7 +140,17 @@ class DrudeAtom(AtomModel):
         _check_terms({"omega": omega, "mass": mass})
         self.omega = omega
         self.mass = mass
-        self.a = math.sqrt(1.0 / (2.0 * mass * omega))
+        try:
+            self.a = math.sqrt(1.0 / (2.0 * mass * omega))
+            sizes = (self.a, self.a**2, self._peak())
+        except (ZeroDivisionError, OverflowError):
+            sizes = (0.0,)
+        if not all(0.0 < x < math.inf for x in sizes):
+            raise ValueError(
+                f"omega = {omega!r} and mass = {mass!r} put the width a, a^2 "
+                "or the peak density (2 pi a^2)^(-d/2) outside the "
+                "finite positive floats"
+            )
 
     @classmethod
     def bohr_matched(cls, dim):
@@ -196,13 +209,19 @@ class DrudeAtom(AtomModel):
             / math.gamma(self.dim / 2.0)
         )
 
+    def _peak(self):
+        """(2 pi a^2)^(-d/2), the density at the nucleus."""
+        return (2.0 * math.pi * self.a**2) ** (-self.dim / 2.0)
+
     def radial_density(self, r):
-        """Ground-state density value at radius r (full d-dim density)."""
+        """Ground-state density value at radius r (full d-dim density).
+
+        Far out, where r^2 / (2 a^2) overflows, the exponential is 0.0 and
+        so is the density, without a warning.
+        """
         r = np.asarray(r, dtype=float)
-        a2 = self.a**2
-        return (2.0 * math.pi * a2) ** (-self.dim / 2.0) * np.exp(
-            -(r**2) / (2.0 * a2)
-        )
+        with np.errstate(over="ignore"):
+            return self._peak() * np.exp(-(r**2) / (2.0 * self.a**2))
 
     def support_radius(self):
         return self.a * _GAUSS_SUPPORT[self.dim]

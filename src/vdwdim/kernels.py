@@ -1,5 +1,6 @@
 """Hot numeric kernels, vectorized with numpy: one four-site kernel, three
-contractions, plus the float side of the truncated series.
+contractions, a sum over offsets, plus the float side of the truncated
+series.
 
 ``_four_site`` evaluates the exact four-site Coulomb combination
 
@@ -21,6 +22,13 @@ one contraction of ``_four_site``:
   it enters by its axes (``_grid_components``): |R x - a + b|^2 is summed
   from per-axis pieces, and only its last addition runs over the whole
   block.
+
+``offset_expectation`` sums the remainder h(t) = 1/|R x - t| - 1/R over a
+distribution of offsets t given by two tables, its distinct axial
+components and its distinct squared transverse lengths, each with its
+summed weight.  Since K(a, b) = h(a - b) - h(a) - h(-b), three such sums
+give the double sum of ``pair_expectation`` over tensor grids, regrouped
+(``oracle.direct_first_order``); h is formed so that it cannot cancel.
 
 The series side evaluates a truncated interaction series as the bilinear
 form Va . C(R) . Vb between monomial values of the two atoms, on paired
@@ -259,6 +267,36 @@ def pair_expectation(R, pts_a, w_a, pts_b, w_b):
         k = _four_site(R, rows, b)
         acc += float(w_a[blk] @ k.reshape(k.shape[0], pts_b.shape[0]) @ w_b)
     return acc
+
+
+def offset_expectation(R, t_x, w_x, q, w_q):
+    """sum_ij w_x[i] w_q[j] h(t_ij), where h(t) = 1/|R x - t| - 1/R.
+
+    The offsets t_ij have axial component t_x[i] and squared transverse
+    length q[j], so the weight of t_ij factorizes as w_x[i] w_q[j].  With
+    u = t_x / R, v = (q / R) / R and rho^2 = (1 - u)^2 + v,
+
+        R h = 1/rho - 1 = (u (2 - u) - v) / (rho^2 + rho),
+
+    so no two numbers near 1/R are subtracted: h keeps its relative
+    accuracy however small t / R is, and v does not overflow where R^2
+    would.  Blocked over the rows as ``pair_expectation`` is, with fresh
+    temporaries.  Each block is contracted with w_x before w_q: on the
+    oracle's tables that order rounded less than the other.
+    """
+    _check_separation(R)
+    u = t_x / R
+    inner = (1.0 - u) ** 2
+    lift = u * (2.0 - u)
+    v = q / R / R
+    acc = 0.0
+    for blk in _row_blocks(u.size, v.size):
+        denom = inner[blk, None] + v
+        denom += np.sqrt(denom)
+        num = lift[blk, None] - v
+        num /= denom
+        acc += float((w_x[blk] @ num) @ w_q)
+    return acc / R
 
 
 def _class_rows(exps):

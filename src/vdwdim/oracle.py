@@ -41,9 +41,18 @@ than its expansion (the diagonalization's truncated mode excepted):
   hold the ground state.
 
 * ``direct_first_order`` integrates the exact kernel against the product
-  ground density on a 2d-dimensional tensor Gauss-Hermite grid, with atom
-  A's grid folded over the transverse symmetries and atom B's grid passed
-  to the kernel by its axes.
+  ground density on a 2d-dimensional tensor Gauss-Hermite grid.  At d = 1
+  the kernel is summed over every pair of nodes.  At d = 2 and 3 the same
+  sum is regrouped by the offset t = a - b between the electrons: with
+  h(t) = 1/|R x - t| - 1/R the kernel is exactly
+  K(a, b) = h(a - b) - h(a) - h(-b), and h depends on the transverse
+  components only through q = t_y^2 + t_z^2.  So three sums of h over
+  tables of distinct axial offsets and distinct q values, with summed
+  weights, give the tensor sum: 1,153 x 577 values of h for the Bohr pair
+  at d = 2 and 163 x 3,403 at d = 3, where the full grids have 2,304^2
+  and 5,832^2 kernel values.  The nodes, weights and kernel are unchanged;
+  only the order of summation is, and its rounding error is smaller (see
+  ``direct_first_order``).
 
 Validity needs well-separated atoms; each entry point checks the electron
 density at the midpoint between the nuclei against an overlap threshold,
@@ -141,8 +150,7 @@ def _coupling_matrix(atom, R, cutoff, nodes):
     """Full-kernel H_I (k = 1) by quadrature on ``nodes`` nodes, (n^2, n^2)."""
     xi, w = _gauss_hermite(nodes)
     x = _oscillator_length(atom) * xi
-    gap = min(np.abs(R - x[:, None] + x[None, :]).min(), np.abs(R - x).min())
-    if gap < 1e-8 * R:
+    if _on_singularity(x, R):
         raise ValueError(
             "quadrature node hit a kernel singularity; change the node count"
         )
@@ -319,15 +327,32 @@ def _nodes_off_nucleus(xi_nucleus, nodes):
         nodes += 1
 
 
+def _on_singularity(x, R):
+    """True if a node, or the difference of two, lies within 1e-8 R of R.
+
+    There the full kernel's 1/|R - x_A| or 1/|R - x_A + x_B| is singular,
+    and ``_coupling_matrix`` refuses the grid.
+    """
+    gap = min(np.abs(R - x[:, None] + x[None, :]).min(), np.abs(R - x).min())
+    return gap < 1e-8 * R
+
+
 def _node_count(atom, R, cutoff):
     """Full-mode nodes for a basis cutoff: 2 cutoff + 8, kept off the nucleus.
 
     Only full mode has nodes; the truncated series' elements are exact
     ladder algebra (``_ladder_coupling``).  The count steps up from
     2 cutoff + 8 until the other nucleus keeps clear of the nodes
-    (``_nodes_off_nucleus``).
+    (``_nodes_off_nucleus``) and no two nodes lie R apart
+    (``_on_singularity``).  The second condition fails only within 1e-8 R
+    of isolated separations, such as cutoff 16 at R/a = 16.715294931291087,
+    whose 40 nodes hold a pair 9.4e-9 R short of R.
     """
-    return _nodes_off_nucleus(R / _oscillator_length(atom), 2 * cutoff + 8)
+    ell = _oscillator_length(atom)
+    nodes = _nodes_off_nucleus(R / ell, 2 * cutoff + 8)
+    while _on_singularity(ell * _gauss_hermite(nodes)[0], R):
+        nodes = _nodes_off_nucleus(R / ell, nodes + 1)
+    return nodes
 
 
 def _check_pair(atom, R, mode, max_power, cutoffs, overlap_tol):
@@ -459,17 +484,33 @@ def direct_first_order(atom_a, atom_b, R, overlap_tol=1e-8):
     check), on 80, 48 or 18 nodes per axis.  Node placement follows the
     Gaussian ground-state weight.
 
-    The kernel is unchanged when both atoms are reflected in a transverse
-    axis (y -> -y, z -> -z) or, at d = 3, when y and z are swapped, and each
-    atom's tensor grid is invariant under these maps.  So atom A's grid is
-    folded to one point per orbit (``_fold_transverse``), each weighted by
-    its orbit size, while atom B keeps its full grid: the sum is that of the
-    two full grids, up to rounding.  At d = 3 this evaluates 810 x 5832
-    kernel values instead of 5832 x 5832; at d = 2, 1152 x 2304 instead of
-    2304 x 2304; d = 1 has no transverse axis and is not folded.  Atom B's
-    grid is the C-order tensor grid of its axes, so ``pair_expectation``
-    broadcasts each block of atom A's points against those axes, and the
-    sum is the same bit for bit as over B's points one by one.
+    At d = 1 ``pair_expectation`` sums the kernel over the 80 x 80 pairs of
+    nodes, element by element: with no transverse axis there is nothing to
+    group, and the grouped sum would only be slower.  At d = 2 and 3 the sum
+    is regrouped by the offset t = a - b.  With h(t) = 1/|R x - t| - 1/R the
+    four-site kernel is exactly K(a, b) = h(a - b) - h(a) - h(-b), so
+
+        sum_ab w_a w_b K = sum_t W(t) h(t) - W sum_a w_a h(a) - W sum_b w_b h(-b),
+
+    W(t) the summed weight of the pairs with a - b = t and W = sum_a w_a =
+    sum_b w_b = (sum_i w_i)^d.  h depends on t_y and t_z only through
+    q = t_y^2 + t_z^2, and each sum runs over the distinct axial and
+    transverse values of its offsets (``_offset_tables``) in
+    ``kernels.offset_expectation``, whose form of h cannot cancel.  The
+    nodes, the weights and the exact kernel are those of the full tensor
+    sum; only the summation is regrouped.  For the Bohr pair this evaluates
+    1,153 x 577 values of h at d = 2 and 163 x 3,403 at d = 3, against
+    2,304 x 2,304 and 5,832 x 5,832 kernel values on the full grids, or
+    1,152 x 2,304 and 810 x 5,832 with one grid folded over the transverse
+    symmetries.  Unequal atoms share no axial offsets (d = 3: 324 x 13,195).
+
+    Rounding, against a 40-digit decimal sum on the same float64 nodes and
+    weights (omega 0.5 / 0.5 and 0.5 / 0.75, R/a 8, 12 and 20): at most
+    2.9e-18 at d = 2 on 7 nodes and d = 3 on 5, where the element-wise sum
+    reaches 9.9e-18; over 6-8 nodes at d = 2, 5-6 at d = 3 and R/a from 8
+    to 20, at most 4.4e-18 against 2.3e-17.  At d = 2, R/a = 1000 the value
+    is 2.2e-8 relative off 9/4 R^-5 + 225/8 R^-7, and the element-wise sum
+    1.7e-5, all of it rounding.
     """
     if not isinstance(atom_a, DrudeAtom) or not isinstance(atom_b, DrudeAtom):
         raise AtomKindError("direct quadrature requires Drude atoms")
@@ -481,9 +522,22 @@ def direct_first_order(atom_a, atom_b, R, overlap_tol=1e-8):
 
     xi, w = _gauss_hermite(_NODES_PER_AXIS[dim])
     w = w / math.sqrt(math.pi)
-    pts_a, w_a = _fold_transverse(*_tensor_cloud(atom_a, xi, w), dim)
-    pts_b, w_b = _tensor_cloud(atom_b, xi, w)
-    return kernels.pair_expectation(R, pts_a, w_a, pts_b, w_b)
+    if dim == 1:
+        return kernels.pair_expectation(
+            R, *_tensor_cloud(atom_a, xi, w), *_tensor_cloud(atom_b, xi, w)
+        )
+    x_a = _oscillator_length(atom_a) * xi
+    x_b = _oscillator_length(atom_b) * xi
+    nucleus, unit = np.zeros(1), np.ones(1)
+    total = float(w.sum()) ** dim
+    pair = kernels.offset_expectation(R, *_offset_tables(x_a, w, x_b, w, dim))
+    only_a = kernels.offset_expectation(
+        R, *_offset_tables(x_a, w, nucleus, unit, dim)
+    )
+    only_b = kernels.offset_expectation(
+        R, *_offset_tables(nucleus, unit, x_b, w, dim)
+    )
+    return pair - total * (only_a + only_b)
 
 
 def _tensor_cloud(atom, xi, w):
@@ -501,20 +555,27 @@ def _tensor_cloud(atom, xi, w):
     return pts, weight
 
 
-def _fold_transverse(pts, weight, dim):
-    """One point per orbit of the transverse symmetries, weighted by its size.
+def _distinct(values, weights):
+    """The distinct ``values``, sorted, and the summed ``weights`` of each."""
+    found, where = np.unique(values.ravel(), return_inverse=True)
+    return found, np.bincount(where, weights=weights.ravel())
 
-    Keeps the points with every transverse coordinate >= 0 and, at d = 3,
-    y >= z; a kept point stands for 1 + [c > 0] images per transverse axis c
-    and 1 + [y != z] under the swap.  Exact when the nodes are antisymmetric
-    and the weights symmetric, as Gauss-Hermite's are.
+
+def _offset_tables(x_a, w_a, x_b, w_b, dim):
+    """Axial and transverse tables of the offsets t = a - b, for dim 2 or 3.
+
+    Each atom's grid is the tensor grid of one axis, nodes ``x`` with
+    weights ``w``, on every coordinate.  Returns the distinct values of
+    x_a[i] - x_b[j] with the summed weight w_a[i] w_b[j] of each, and the
+    distinct values of q = t_y^2 (+ t_z^2 at d = 3) with theirs: the
+    distinct squared differences and, at d = 3, the distinct sums of two of
+    them.  Values merge only when equal as floats.  A nucleus, the single
+    node 0 of weight 1, gives the tables of one atom's own positions.
     """
-    keep = np.ones(weight.size, dtype=bool)
-    orbit = np.ones(weight.size)
-    for c in range(1, dim):
-        keep &= pts[:, c] >= 0.0
-        orbit *= 1.0 + (pts[:, c] > 0.0)
+    weight = np.outer(w_a, w_b)
+    diff = np.subtract.outer(x_a, x_b)
+    t_x, w_x = _distinct(diff, weight)
+    q, w_q = _distinct(diff**2, weight)
     if dim == 3:
-        keep &= pts[:, 1] >= pts[:, 2]
-        orbit *= 1.0 + (pts[:, 1] != pts[:, 2])
-    return pts[keep], (weight * orbit)[keep]
+        q, w_q = _distinct(np.add.outer(q, q), np.outer(w_q, w_q))
+    return t_x, w_x, q, w_q

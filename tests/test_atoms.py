@@ -184,6 +184,43 @@ class TestDrudeInputs:
         with pytest.raises(ValueError):
             DrudeAtom(2, **kwargs)
 
+    @pytest.mark.parametrize(
+        "dim,omega,mass",
+        [
+            (1, 1e-200, 1e-200),  # 2 m omega underflows: a would be 1/0
+            (2, 0.5, 1e308),  # 2 m overflows, so a = 0
+            (1, 1e300, 1e300),  # m omega overflows, so a = 0
+            (3, 1e300, 1.0),  # (2 pi a^2)^(-3/2) overflows
+        ],
+    )
+    def test_rejects_width_outside_the_floats(self, dim, omega, mass):
+        with pytest.raises(ValueError, match=r"omega = .* and mass = "):
+            DrudeAtom(dim, omega, mass=mass)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_accepts_extreme_but_representable_widths(self, dim):
+        for omega in (1e-100, 1e100):
+            atom = DrudeAtom(dim, omega)
+            assert 0.0 < atom.a < math.inf
+            assert 0.0 < float(atom.radial_density(0.0)) < math.inf
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_density_far_out_is_zero_without_warning(self, dim):
+        # r^2 overflows; the exponential, and so the density, is 0.0
+        atom = DrudeAtom(dim, 0.5)
+        assert atom.radial_density(5e299) == 0.0
+        r = np.array([0.0, 6.0, 5e299, math.inf])
+        got = atom.radial_density(r)
+        assert got[2] == got[3] == 0.0
+        assert got[:2].tolist() == [atom.radial_density(x) for x in r[:2]]
+
+    def test_density_bit_identical_to_the_closed_form(self):
+        atom = DrudeAtom(2, 0.7, mass=1.3)
+        r = np.linspace(0.0, 9.0, 37)
+        a2 = atom.a**2
+        want = (2.0 * math.pi * a2) ** -1.0 * np.exp(-(r**2) / (2.0 * a2))
+        assert (atom.radial_density(r) == want).all()
+
 
 def _gaussian_grid_atom(dim):
     r = np.linspace(0.0, 8.0, 200)

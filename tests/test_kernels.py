@@ -2,6 +2,7 @@
 
 import sys
 import threading
+from decimal import Decimal, localcontext
 import tracemalloc
 from fractions import Fraction
 
@@ -129,6 +130,56 @@ def test_active_backend_reported():
     assert backend_name() == "numpy"
 
 
+class TestOffsetExpectation:
+    """sum_ij w_x[i] w_q[j] h(t_x[i], q[j]), h = 1/|R x - t| - 1/R, q = |t_perp|^2."""
+
+    def test_matches_the_remainder_formed_directly(self):
+        # with t / R of order 1/3 the direct difference loses little
+        rng = np.random.default_rng(7)
+        t_x, w_x = rng.uniform(-3.0, 3.0, 41), rng.uniform(0.0, 1.0, 41)
+        q, w_q = rng.uniform(0.0, 9.0, 23), rng.uniform(0.0, 1.0, 23)
+        h = 1.0 / np.sqrt((R - t_x[:, None]) ** 2 + q) - 1.0 / R
+        got = kernels.offset_expectation(R, t_x, w_x, q, w_q)
+        assert got == pytest.approx(w_x @ h @ w_q, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("t_x", [1e-12, -3e-7, 0.25, -2.5, 8.0])
+    @pytest.mark.parametrize("q", [0.0, 1e-20, 1e-6, 4.0])
+    def test_single_offset_to_a_few_ulps(self, t_x, q):
+        # the direct form 1/|R x - t| - 1/R keeps only |t| / R of its digits
+        with localcontext() as ctx:
+            ctx.prec = 40
+            r, t, qq = Decimal(R), Decimal(t_x), Decimal(q)
+            want = 1 / ((r - t) ** 2 + qq).sqrt() - 1 / r
+        got = kernels.offset_expectation(
+            R, np.array([t_x]), np.ones(1), np.array([q]), np.ones(1)
+        )
+        assert abs(Decimal(got) - want) <= abs(want) * Decimal("1e-15")
+
+    def test_zero_offset_and_empty_tables_give_zero(self):
+        zero, one = np.zeros(1), np.ones(1)
+        assert kernels.offset_expectation(R, zero, one, zero, one) == 0.0
+        empty = np.zeros(0)
+        assert kernels.offset_expectation(R, empty, empty, zero, one) == 0.0
+
+    @pytest.mark.parametrize(
+        "huge", [1e300, np.float64(1e300)], ids=["float", "numpy"]
+    )
+    def test_huge_separation_has_no_overflow(self, huge):
+        # R^2 overflows, with a warning for a numpy R; (q / R) / R underflows
+        t_x, q = np.array([-2.0, 1.0]), np.array([0.0, 10.0])
+        got = kernels.offset_expectation(huge, t_x, np.ones(2), q, np.ones(2))
+        assert got == 0.0
+
+    def test_blocked_sum_equals_one_block(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        t_x, w_x = rng.uniform(-3.0, 3.0, 301), rng.uniform(0.0, 1.0, 301)
+        q, w_q = rng.uniform(0.0, 9.0, 257), rng.uniform(0.0, 1.0, 257)
+        whole = kernels.offset_expectation(R, t_x, w_x, q, w_q)
+        monkeypatch.setattr(kernels, "_BLOCK", 1024)
+        blocked = kernels.offset_expectation(R, t_x, w_x, q, w_q)
+        assert blocked == pytest.approx(whole, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("bad_r", [0.0, -9.0, float("nan"), float("inf")])
 def test_kernels_reject_bad_separation(bad_r):
     arrays = multipole.series_arrays(multipole.expand_interaction(1, 5))
@@ -138,6 +189,7 @@ def test_kernels_reject_bad_separation(bad_r):
         lambda: kernels.four_site_batch(bad_r, PTS_A, PTS_B),
         lambda: kernels.four_site_grid_1d(bad_r, x, x),
         lambda: kernels.pair_expectation(bad_r, PTS_A, w, PTS_B, w),
+        lambda: kernels.offset_expectation(bad_r, x, x, x**2, x),
         lambda: kernels.series_batch(*arrays, bad_r, PTS_A, PTS_B),
         lambda: kernels.series_grid_1d(*arrays, bad_r, x, x),
     ]

@@ -1,6 +1,9 @@
 """Brute-force oracles against the analytic results they are meant to check."""
 
+import decimal
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,12 +19,12 @@ from vdwdim.oracle import (
     _corrections,
     _coupling_matrix,
     _exchange_blocks,
-    _fold_transverse,
     _gauss_hermite,
     _hamiltonian,
     _hermite_columns,
     _ladder_coupling,
     _nodes_off_nucleus,
+    _offset_tables,
     _oscillator_length,
     _tensor_cloud,
     convergence_report,
@@ -94,6 +97,20 @@ class TestDiagonalization:
         )
         ref = 6.0 / R**5 - 4.0 / R**6 + 90.0 / R**7
         assert res.correction > 0
+        assert res.correction == pytest.approx(ref, rel=0.15, abs=0.0)
+
+    def test_full_kernel_steps_off_a_node_pair_at_distance_r(self):
+        # 40 nodes (cutoff 16) hold a pair 9.4e-9 R short of R, on the
+        # 1/|R - x_A + x_B| singularity, and the coupling refused that grid
+        atom = PRESET.atom(1)
+        R = 16.715294931291087
+        ell = _oscillator_length(atom)
+        assert _nodes_off_nucleus(R / ell, 40) == 40
+        with pytest.raises(ValueError, match="kernel singularity"):
+            _coupling_matrix(atom, R, 16, 40)
+        assert oracle._node_count(atom, R, 16) == 41
+        res = oscillator_basis_diag(atom, R, mode="full", cutoff=16, overlap_tol=1e-1)
+        ref = 6.0 / R**5 - 4.0 / R**6 + 90.0 / R**7
         assert res.correction == pytest.approx(ref, rel=0.15, abs=0.0)
 
     def test_overlap_gate_default_threshold(self):
@@ -655,6 +672,77 @@ class TestDirectFirstOrder:
             direct_first_order(RingAtom(1), RingAtom(1), 10.0, overlap_tol=1.0)
 
 
+def _decimal_tensor_sum(atom_a, atom_b, R, nodes, digits=40):
+    """The full tensor sum in ``digits``-digit decimal, on the float64 nodes.
+
+    Nodes ell xi and weights w / sqrt(pi) are the oracle's float64 values,
+    taken exactly; every later operation is decimal, and the kernel is
+    summed as 1/R W_A W_B + sum_ab w_a w_b / |R x - a + b|
+    - W_B sum_a w_a / |R x - a| - W_A sum_b w_b / |R x + b|.
+    """
+    xi, w = _gauss_hermite(nodes)
+    w = w / math.sqrt(math.pi)
+    ctx = decimal.Context(prec=digits)
+    dec = decimal.Decimal
+
+    def cloud(atom):
+        x = _oscillator_length(atom) * xi
+        pts, wts = [], []
+        for idx in itertools.product(range(nodes), repeat=atom.dim):
+            pts.append([dec(float(x[i])) for i in idx] + [dec(0)] * (3 - atom.dim))
+            wts.append(ctx.multiply(dec(1), math.prod(dec(float(w[i])) for i in idx)))
+        return pts, wts
+
+    with decimal.localcontext(ctx):
+        pa, wa = cloud(atom_a)
+        pb, wb = cloud(atom_b)
+        R = dec(R)
+
+        def inv(x, y, z):
+            return 1 / (x * x + y * y + z * z).sqrt()
+
+        total_a, total_b = sum(wa), sum(wb)
+        s = total_a * total_b / R
+        for p, u in zip(pa, wa):
+            s -= total_b * u * inv(R - p[0], p[1], p[2])
+            for q, v in zip(pb, wb):
+                s += u * v * inv(R - p[0] + q[0], p[1] - q[1], p[2] - q[2])
+        for q, v in zip(pb, wb):
+            s -= total_a * v * inv(R + q[0], q[1], q[2])
+    return s
+
+
+class TestDirectRounding:
+    """The regrouped sum rounds less than the element-wise one it replaces."""
+
+    @pytest.mark.parametrize("R", [8.0, 12.0, 20.0])
+    @pytest.mark.parametrize("omega_b", [0.5, 0.75])
+    @pytest.mark.parametrize("dim,nodes", [(2, 7), (3, 5)])
+    def test_matches_forty_digit_tensor_sum(self, dim, nodes, omega_b, R, monkeypatch):
+        # R / a = R for the omega = 0.5 atom, a = 1
+        atom_a, atom_b = DrudeAtom(dim, 0.5), DrudeAtom(dim, omega_b)
+        monkeypatch.setitem(oracle._NODES_PER_AXIS, dim, nodes)
+        got = direct_first_order(atom_a, atom_b, R, overlap_tol=1.0)
+        want = _decimal_tensor_sum(atom_a, atom_b, R, nodes)
+        assert abs(decimal.Decimal(got) - want) <= decimal.Decimal("4e-18")
+
+    def test_d2_far_field_matches_asymptotics(self):
+        # the element-wise sum is 1.7e-5 off here, all of it rounding
+        atom = PRESET.atom(2)
+        R = 1000.0
+        got = direct_first_order(atom, atom, R)
+        want = (9.0 / 4.0) / R**5 + (225.0 / 8.0) / R**7
+        assert got == pytest.approx(want, rel=1e-7, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_huge_separation_underflows_quietly(self, dim):
+        atom = PRESET.atom(dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = direct_first_order(atom, atom, 1e300)
+        assert abs(got) < 1e-300
+
+
 def _full_grid_sum(atom_a, atom_b, R, nodes):
     """The unfolded tensor sum: both atoms on their whole grids."""
     xi, w = np.polynomial.hermite.hermgauss(nodes)
@@ -664,7 +752,7 @@ def _full_grid_sum(atom_a, atom_b, R, nodes):
     )
 
 
-class TestTransverseFold:
+class TestOffsetGrouping:
     PAIRS = {
         "equal": (0.5, 0.5),
         "unequal": (0.5, 0.75),
@@ -674,7 +762,7 @@ class TestTransverseFold:
     @pytest.mark.parametrize("pair", PAIRS)
     @pytest.mark.parametrize("nodes", [6, 7])
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_folded_sum_equals_full_grid_sum(self, dim, nodes, pair, monkeypatch):
+    def test_grouped_sum_equals_full_grid_sum(self, dim, nodes, pair, monkeypatch):
         # an odd count puts a node at 0; both put points on the y = z diagonal
         omega_a, omega_b = self.PAIRS[pair]
         atom_a = DrudeAtom(dim, omega=omega_a)
@@ -685,31 +773,83 @@ class TestTransverseFold:
             want = _full_grid_sum(atom_a, atom_b, R, nodes)
             assert abs(got - want) <= 1e-16
 
+    @pytest.mark.parametrize("side", ["pair", "a", "b"])
     @pytest.mark.parametrize("nodes", [6, 7, 18, 48])
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_folded_weights_keep_the_total(self, dim, nodes):
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_offset_tables_keep_the_total(self, dim, nodes, side):
         xi, w = _gauss_hermite(nodes)
-        pts, weight = _tensor_cloud(DrudeAtom(dim, omega=0.5), xi, w)
-        folded_pts, folded = _fold_transverse(pts, weight, dim)
-        assert folded.sum() == pytest.approx(weight.sum(), rel=1e-14, abs=0.0)
-        assert folded.size < weight.size or dim == 1
-        assert np.all(folded_pts[:, 1:dim] >= 0.0)
-        assert np.all(folded_pts[:, 1] >= folded_pts[:, 2])
+        x_a = _oscillator_length(DrudeAtom(dim, omega=0.5)) * xi
+        x_b = _oscillator_length(DrudeAtom(dim, omega=0.75)) * xi
+        nucleus = (np.zeros(1), np.ones(1))
+        args = {
+            "pair": (x_a, w, x_b, w),
+            "a": (x_a, w) + nucleus,
+            "b": nucleus + (x_b, w),
+        }[side]
+        t_x, w_x, q, w_q = _offset_tables(*args, dim)
+        total = args[1].sum() * args[3].sum()
+        assert w_x.sum() == pytest.approx(total, rel=1e-14, abs=0.0)
+        assert w_q.sum() == pytest.approx(total ** (dim - 1), rel=1e-14, abs=0.0)
+        assert np.all(np.diff(t_x) > 0.0)
+        assert np.all(np.diff(q) > 0.0) and q[0] >= 0.0
+        assert w_x.shape == t_x.shape and w_q.shape == q.shape
+
+    @pytest.mark.parametrize("nodes", [4, 5])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_offset_tables_list_every_offset(self, dim, nodes):
+        # the weight of each distinct (t_x, q), pair by pair, as the tables give it
+        xi, w = _gauss_hermite(nodes)
+        x_a = _oscillator_length(DrudeAtom(dim, omega=0.5)) * xi
+        x_b = _oscillator_length(DrudeAtom(dim, omega=0.75)) * xi
+        t_x, w_x, q, w_q = _offset_tables(x_a, w, x_b, w, dim)
+        want = {}
+        axes = [range(nodes)] * dim
+        for a in itertools.product(*axes):
+            for b in itertools.product(*axes):
+                t = [x_a[i] - x_b[j] for i, j in zip(a, b)]
+                key = (t[0], sum(c * c for c in t[1:]))
+                weight = math.prod(w[i] * w[j] for i, j in zip(a, b))
+                want[key] = want.get(key, 0.0) + weight
+        got = {
+            (tx, qq): wx * wq
+            for tx, wx in zip(t_x.tolist(), w_x.tolist())
+            for qq, wq in zip(q.tolist(), w_q.tolist())
+        }
+        assert set(got) == set(want)
+        for key, weight in want.items():
+            assert got[key] == pytest.approx(weight, rel=1e-13, abs=0.0)
+        assert sum(got.values()) == pytest.approx(
+            sum(want.values()), rel=1e-14, abs=0.0
+        )
 
     def test_row_counts(self, monkeypatch):
-        # atom A is folded, atom B keeps its full grid
-        rows = []
-        real = kernels.pair_expectation
+        # d = 1 sums the kernel element-wise; d = 2, 3 sum h over offset tables
+        calls = []
+        real_pair = kernels.pair_expectation
+        real_offset = kernels.offset_expectation
 
-        def spy(R, pts_a, w_a, pts_b, w_b):
-            rows.append((pts_a.shape[0], pts_b.shape[0]))
-            return real(R, pts_a, w_a, pts_b, w_b)
+        def pair_spy(R, pts_a, w_a, pts_b, w_b):
+            calls.append(("pair", pts_a.shape[0], pts_b.shape[0]))
+            return real_pair(R, pts_a, w_a, pts_b, w_b)
 
-        monkeypatch.setattr(kernels, "pair_expectation", spy)
+        def offset_spy(R, t_x, w_x, q, w_q):
+            calls.append(("offset", t_x.size, q.size))
+            return real_offset(R, t_x, w_x, q, w_q)
+
+        monkeypatch.setattr(kernels, "pair_expectation", pair_spy)
+        monkeypatch.setattr(kernels, "offset_expectation", offset_spy)
         for dim in (1, 2, 3):
             atom = PRESET.atom(dim)
             direct_first_order(atom, atom, 12.0, overlap_tol=1.0)
-        assert rows == [(80, 80), (1152, 2304), (810, 5832)]
+        assert calls == [
+            ("pair", 80, 80),
+            ("offset", 1153, 577),
+            ("offset", 48, 24),
+            ("offset", 48, 24),
+            ("offset", 163, 3403),
+            ("offset", 18, 45),
+            ("offset", 18, 45),
+        ]
 
     @pytest.mark.parametrize("nodes", [6, 7, 18, 48, 80])
     def test_gauss_hermite_symmetric_bit_for_bit(self, nodes):
