@@ -6,10 +6,11 @@ angular average over the (d-1)-sphere.  The characteristic length is
 a^2 = <|r|^2> / d and the shape coefficient alpha = <x^4> / a^4 controls the
 subleading multipole of the charge cloud.
 
-Moments are the only interface first order needs; second order and the
-oracle's truncated mode read the Drude oscillator elements <s|x^e|s'> from
-``DrudeAtom.ladder_elements``, their one home.  Densities are exposed
-separately for the quadrature oracles and the potential module.
+Moments are the only interface first order needs.  Second order and the
+oracle's truncated mode take their product states, pair order, level table
+and coupling from ``_ProductStates``, which reads the oscillator elements
+<s|x^e|s'> from ``DrudeAtom.ladder_elements``, their one home.  Densities
+are exposed separately for the quadrature oracles and the potential module.
 ``moment`` checks its exponents and calls ``_moment``, which a caller holding
 checked rows (a series form's) calls directly; other checks are drude_exact's.
 
@@ -227,6 +228,49 @@ class DrudeAtom(AtomModel):
         return self.a * _GAUSS_SUPPORT[self.dim]
 
 
+class _ProductStates:
+    """States |s_a s_b> of two Drude atoms, each of total quanta <= cutoff.
+
+    The one home of the product states: each atom's S ``states``, the
+    multi-indices in lexicographic order (ground state first), the pair
+    order (|s_a s_b> at s_a S + s_b), the ``levels`` hbar omega_A |s_a| +
+    hbar omega_B |s_b| in that order, and ``coupling``.
+    """
+
+    def __init__(self, atom_a, atom_b, cutoff):
+        self.atoms, dim = (atom_a, atom_b), atom_a.dim
+        grid = np.indices((cutoff + 1,) * dim).reshape(dim, -1).T
+        self.states = grid[grid.sum(axis=1) <= cutoff]
+        quanta = self.states.sum(axis=1)
+        self.levels = np.add.outer(*(a.hbar_omega * quanta for a in self.atoms)).ravel()
+
+    def coupling(self, form, weightings, kets):
+        """<s_a s_b| sum_p w_p T_p |k_a k_b> per weighting, (S^2, K^2) each.
+
+        ``kets`` are K states of one atom.  F[row, (s, k)] = <s|x^row|k>
+        (atom B reuses atom A's when they are one object with the same rows)
+        is contracted as F_A^T C F_B (``SeriesForm.contract``).
+        """
+        (atom_a, atom_b), dim = self.atoms, self.states.shape[1]
+        rows_a, rows_b = form.rows_a[:, :dim], form.rows_b[:, :dim]
+        shape = (-1, len(self.states) * len(kets))
+        f_a = atom_a.ladder_elements(rows_a, self.states, kets).reshape(shape)
+        if atom_b is atom_a and np.array_equal(rows_b, rows_a):
+            f_b = f_a
+        else:
+            f_b = atom_b.ladder_elements(rows_b, self.states, kets).reshape(shape)
+        return [
+            self.pair_order(form.contract(f_a, form.block_matrices(w), f_b), len(kets))
+            for w in weightings
+        ]
+
+    @staticmethod
+    def pair_order(m, k):
+        """M[(s_a, k_a), (s_b, k_b)] at (s_a S + s_b, k_a K + k_b), K = ``k`` kets."""
+        s = m.shape[0] // k
+        return m.reshape(s, k, s, k).transpose(0, 2, 1, 3).reshape(s * s, -1)
+
+
 class RingAtom(AtomModel):
     """All electron density concentrated at one radius (shell distribution).
 
@@ -438,18 +482,8 @@ def drude_spectrum(atom, cutoff):
         raise AtomKindError("spectrum available only for Drude atoms")
     cutoff = _integer("cutoff", cutoff, 0)
     levels = []
-    for quanta in _multi_indices(atom.dim, cutoff):
+    for quanta in map(tuple, _ProductStates(atom, atom, cutoff).states.tolist()):
         energy = atom.hbar_omega * (sum(quanta) + atom.dim / 2.0)
         levels.append(SpectrumLevel(energy, quanta))
     levels.sort(key=lambda lv: (lv.energy, lv.quanta))
     return levels
-
-
-def _multi_indices(dim, cutoff):
-    if dim == 1:
-        return [(n,) for n in range(cutoff + 1)]
-    out = []
-    for head in range(cutoff + 1):
-        for rest in _multi_indices(dim - 1, cutoff - head):
-            out.append((head,) + rest)
-    return out

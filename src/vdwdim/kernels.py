@@ -66,11 +66,12 @@ monomial's coefficient and power, each atom's distinct exponent rows grouped
 by transverse parity class (the parities of the y and z exponents) with each
 monomial's row, and the nonzero class blocks of sum_p w_p C_p, one scatter
 per weighting (R^-p gives C(R), a unit vector one C_p).  The flat table is
-gathered from it on each call (``series_arrays``).  The grid, the
-second-order sum over states and the d = 1 oracle's truncated coupling
-contract them as sum_blocks Va^T . C_block . Vb (``SeriesForm.contract``),
-the last two with ladder matrix elements in place of monomial values;
-first order sums each power over its monomials.
+gathered from it on each call (``series_arrays``).  The grid and the
+product-state coupling of ``atoms._ProductStates`` (second order's sum over
+states, the d = 1 oracle's truncated mode) contract them as
+sum_blocks Va^T . C_block . Vb (``SeriesForm.contract``), the latter with
+ladder matrix elements in place of monomial values; first order sums each
+power over its monomials.
 A monomial of t = r_A - r_B has even transverse powers, so its two rows
 share a class: 4 diagonal blocks at d = 3, 2 at d = 2 and 1 at d = 1, where
 the product is the dense one.  The blocks are read off the table, so a
@@ -404,9 +405,8 @@ class SeriesForm:
     def contract(self, va, c_blocks, vb):
         """sum_blocks Va[sa]^T . C_block . Vb[sb]; Va, Vb have a row per row.
 
-        The on-axis grid's values, the transition amplitudes of the
-        perturbation module's sum over product states, one per weighting,
-        or the oracle's truncated coupling between product states.  The sum
+        The on-axis grid's values, or ``atoms._ProductStates``' coupling
+        between product states, one per weighting.  The sum
         starts from the first block's product, so a one-block form (d = 1)
         returns that product as it is; a form with no blocks gives zeros.
         """

@@ -9,20 +9,19 @@ than its expansion (the diagonalization's truncated mode excepted):
   mode uses quadrature, tensorized Gauss-Hermite, for the coupling matrix
   elements.  Truncating the coupling at the dipole term reproduces the
   normal-mode answer.  The truncated coupling is a polynomial, so its
-  elements <ij|H_I|kl> = (F_A^T C(R) F_B)[(i,k),(j,l)] are exact ladder
-  algebra, with F[row, (i,k)] = <i|x^e_row|k> from
-  ``DrudeAtom.ladder_elements``, contracted by ``SeriesForm.contract`` as
-  the sum over states in ``perturbation`` is.  Quadrature on 2 cutoff + 8
-  nodes gives the same matrix up to rounding: it integrates every degree up
-  to 4 cutoff + 15 exactly, and h_i h_k x^e (h_i the orthonormal Hermite
-  polynomials) has degree at most 2 cutoff + 10, since an order-N expansion
-  has exponents up to N - 2 <= 10.
+  elements <ij|H_I|kl> are exact ladder algebra.  The states |ij>, their
+  order, their levels and this coupling are those of
+  ``atoms._ProductStates``, as for the sum over states in ``perturbation``.
+  Quadrature on 2 cutoff + 8 nodes gives the same matrix up to rounding: it
+  integrates every degree up to 4 cutoff + 15 exactly, and h_i h_k x^e (h_i
+  the orthonormal Hermite polynomials) has degree at most 2 cutoff + 10,
+  since an order-N expansion has exponents up to N - 2 <= 10.
 
   Two things keep that eigensolve small and accurate.  The diagonal holds
-  hbar omega (i + j), the level of |ij> less the uncoupled ground energy
-  hbar omega, so the lowest eigenvalue is the correction itself rather than
-  a difference of two numbers near hbar omega.  And the pair is two equal
-  atoms on a line, so H commutes with the exchange reflection
+  hbar omega i + hbar omega j, the level of |ij> less the uncoupled ground
+  energy hbar omega, so the lowest eigenvalue is the correction itself
+  rather than a difference of two numbers near hbar omega.  And the pair
+  is two equal atoms on a line, so H commutes with the exchange reflection
   (x_A, x_B) -> (-x_B, -x_A), which acts on product states as
   P|ij> = (-1)^(i+j) |ji>.  H splits into a P = +1 block on the states
   |ij> + (-1)^(i+j) |ji> (i <= j, m(m+1)/2 of them for m = cutoff + 1) and a
@@ -66,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .atoms import AtomKindError, DrudeAtom
+from .atoms import AtomKindError, DrudeAtom, _ProductStates
 from .drude_exact import _check_separation, _check_terms, _integer
 from .multipole import _max_power, expand_interaction
 
@@ -159,49 +158,33 @@ def _coupling_matrix(atom, R, cutoff, nodes):
     h = _hermite_columns(n, xi)
     # q[(i, k), p] = h_i(x_p) h_k(x_p) w_p, so <ij|H_I|kl> = (q G q^T)[(i,k),(j,l)]
     q = (h[:, None, :] * (h * w)[None, :, :]).reshape(n * n, nodes)
-    return _product_order(q @ grid @ q.T, n)
+    return _ProductStates.pair_order(q @ grid @ q.T, n)
 
 
 def _ladder_coupling(atom, R, max_power, cutoff):
     """H_I (k = 1) of the series truncated at ``max_power``, by ladder algebra.
 
-    F[e, (i,k)] = <i|x^e|k> for i, k <= cutoff and every exponent e of the
-    series, one table from ``DrudeAtom.ladder_elements``; the cached form of
-    the expansion contracts F_A^T C(R) F_B (``SeriesForm.contract``).
+    ``atoms._ProductStates``' coupling between all its states, i, j <= cutoff.
     """
     form = kernels.series_form(expand_interaction(1, max_power))
-    n = cutoff + 1
-    exps = np.arange(int(max(form.rows_a.max(), form.rows_b.max())) + 1)[:, None]
-    levels = np.arange(n)[:, None]
-    elements = atom.ladder_elements(exps, levels, levels).reshape(-1, n * n)
-    c_blocks = form.block_matrices(form.inverse_powers(R))
-    m = form.contract(
-        elements[form.rows_a[:, 0]], c_blocks, elements[form.rows_b[:, 0]]
-    )
-    return _product_order(m, n)
-
-
-def _product_order(m, n):
-    """M[(i,k),(j,l)] as <ij|H_I|kl>, the product state |ij> at i n + j."""
-    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+    pairs = _ProductStates(atom, atom, cutoff)
+    return pairs.coupling(form, [form.inverse_powers(R)], pairs.states)[0]
 
 
 def _hamiltonian(atom, R, mode, max_power, cutoff):
     """H_A + H_B + H_I - hbar omega on product states |ij>, i, j <= cutoff.
 
     H_I is the exact kernel's by quadrature on ``_node_count`` nodes in full
-    mode and the truncated series' by ladder algebra otherwise.  The state
-    |ij> sits at i n + j; its diagonal entry is hbar omega (i + j), its
-    level above the uncoupled ground state, so the lowest eigenvalue is the
-    correction.
+    mode and the truncated series' by ladder algebra otherwise.  The order
+    (|ij> at i (cutoff + 1) + j) and the diagonal's levels above the
+    uncoupled ground state are ``atoms._ProductStates``', so the lowest
+    eigenvalue is the correction.
     """
-    n = cutoff + 1
     if mode == "full":
         ham = _coupling_matrix(atom, R, cutoff, _node_count(atom, R, cutoff))
     else:
         ham = _ladder_coupling(atom, R, max_power, cutoff)
-    quanta = np.arange(n)[:, None] + np.arange(n)[None, :]
-    ham.flat[:: n * n + 1] += atom.hbar_omega * quanta.ravel()
+    ham.flat[:: ham.shape[0] + 1] += _ProductStates(atom, atom, cutoff).levels
     return ham
 
 

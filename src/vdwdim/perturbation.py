@@ -13,11 +13,11 @@ vanish identically in d = 3, where the exterior potential of a spherical
 cloud is zero.
 
 Second order is evaluated for Drude atoms by an explicit sum over product
-oscillator states with the ladder elements <n|x^e|0> of
-``DrudeAtom.ladder_elements``, their one home, contracting
-C(R) = sum_p R^-p C_p with the states once; the dipole-dipole term connects
-the ground state only to single-excitation pairs, so the sum saturates at
-cutoff 1 and reproduces -(3+d) k^2 a^4 / (2 hbar omega R^6).
+oscillator states, whose enumeration, order, levels and amplitudes <n|T|0>
+live in ``atoms._ProductStates``.  By default the sum runs to the series'
+exact reach, N - 2 quanta per atom for an order-N expansion; the
+dipole-dipole term reaches single excitations only and reproduces
+-(3+d) k^2 a^4 / (2 hbar omega R^6).
 Opposite inversion parity of the even- and odd-degree coupling terms kills
 the R^-7 cross contribution exactly.
 
@@ -30,7 +30,7 @@ re-exported here.
 import numpy as np
 
 from . import kernels
-from .atoms import AtomKindError, DrudeAtom, _multi_indices
+from .atoms import AtomKindError, DrudeAtom, _ProductStates
 from .drude_exact import (  # noqa: F401  (re-exported; their home is drude_exact)
     DrudePreset,
     EnergyBreakdown,
@@ -97,46 +97,41 @@ def first_order_via_potential(atom_a, atom_b, R):
 
 
 def _check_states(series, atom_a, atom_b, cutoff):
-    """``cutoff`` as an int of at least 1, for Drude atoms of the series dim."""
+    """``cutoff``, None or an int of at least 1, for Drude atoms of the series dim."""
     if not all(isinstance(atom, DrudeAtom) for atom in (atom_a, atom_b)):
         raise AtomKindError("sum over states requires Drude atoms")
     _check_dims(series, atom_a, atom_b)
-    return _integer("cutoff", cutoff, 1)
+    return None if cutoff is None else _integer("cutoff", cutoff, 1)
 
 
 def _sum_over_states(form, atom_a, atom_b, cutoff, *weightings):
     """-sum_{n != 0} <0|T_L|n><n|T_R|0> / (E_n - E_0) over product states.
 
     Each weighting of ``form.distinct_powers`` gives one operator
-    sum_p w_p T_p, contracted once as F_A^T C F_B (``SeriesForm.contract``)
-    with C the blocks of the weighting and F[row, s] = prod_c <n_c|x^e_c|0>
-    from ``DrudeAtom.ladder_elements`` (atom B reuses atom A's when they are
-    one object with the same rows).  T_L is the first weighting and T_R the
-    last, so one weighting serves both sides.
+    sum_p w_p T_p, T_L the first and T_R the last.  The states, their
+    levels E_n - E_0 and the amplitudes <n|T|0> are ``atoms._ProductStates``'
+    with the ground state as the only ket.  A ``cutoff`` of None is the
+    exact reach: x^e |0> has at most |e| quanta, so no state beyond the
+    largest row degree of the monomials a weighting touches contributes.
     """
-    dim = atom_a.dim
-    states = np.array(_multi_indices(dim, cutoff), dtype=np.int64)
-    rows_a, rows_b = form.rows_a[:, :dim], form.rows_b[:, :dim]
-    f_a = atom_a.ladder_elements(rows_a, states, states[:1])[..., 0]
-    if atom_b is atom_a and np.array_equal(rows_b, rows_a):
-        f_b = f_a
-    else:
-        f_b = atom_b.ladder_elements(rows_b, states, states[:1])[..., 0]
-    amps = [form.contract(f_a, form.block_matrices(w), f_b) for w in weightings]
-    quanta = states.sum(axis=1).astype(float)
-    energies = np.add.outer(atom_a.hbar_omega * quanta, atom_b.hbar_omega * quanta)
-    prod = amps[0] * amps[-1]
-    prod[0, 0] = 0.0
-    energies[0, 0] = 1.0
-    return float(-np.sum(prod / energies))
+    if cutoff is None:
+        live = np.any([np.asarray(w)[form.power_idx] != 0 for w in weightings], 0)
+        deg = np.maximum(form.rows_a.sum(1)[form.idx_a], form.rows_b.sum(1)[form.idx_b])
+        cutoff = int(deg[live].max(initial=1))
+    pairs = _ProductStates(atom_a, atom_b, cutoff)
+    amps = pairs.coupling(form, weightings, pairs.states[:1])
+    prod, levels = (amps[0] * amps[-1])[:, 0], pairs.levels
+    prod[0], levels[0] = 0.0, 1.0
+    return float(-np.sum(prod / levels))
 
 
-def second_order_sum(series, atom_a, atom_b, R, cutoff=1):
+def second_order_sum(series, atom_a, atom_b, R, cutoff=None):
     """-sum_{n != 0} |<n|H_I|0>|^2 / (E_n - E_0) over product oscillator states.
 
-    In units with k = hbar = 1.  ``series`` supplies the coupling polynomials
-    (normally just the n = 3 dipole-dipole term, for which cutoff 1 is
-    already exact).  ``cutoff`` must be an integer of at least 1.
+    In units with k = hbar = 1.  ``series`` supplies the coupling
+    polynomials.  By default every state the series reaches is summed, up
+    to N - 2 quanta per atom for an order-N expansion, so the sum is exact;
+    an integer ``cutoff`` of at least 1 truncates it to that many.
     """
     _check_separation(R)
     cutoff = _check_states(series, atom_a, atom_b, cutoff)
@@ -144,14 +139,16 @@ def second_order_sum(series, atom_a, atom_b, R, cutoff=1):
     return _sum_over_states(form, atom_a, atom_b, cutoff, form.inverse_powers(R))
 
 
-def parity_cross_term(series, atom_a, atom_b, cutoff=8, powers=(3, 4)):
+def parity_cross_term(series, atom_a, atom_b, cutoff=None, powers=(3, 4)):
     """Second-order cross contribution of two coupling orders at R = 1.
 
     Evaluates -sum_{n != 0} <0|T_p|n><n|T_q|0> / (E_n - E_0) with k = hbar = 1;
     at separation R it scales by R^-(p+q).  For (p, q) = (3, 4) the two
     operators have opposite inversion parity and every summand vanishes; with
     p = q the dipole-dipole second-order value at R = 1 is recovered
-    (diagnostic mode).  Only T_p and T_q are contracted.
+    (diagnostic mode).  Only T_p and T_q are contracted.  By default the sum
+    runs to the largest row degree of their monomials, where it is exact;
+    an integer ``cutoff`` of at least 1 truncates it.
     """
     cutoff = _check_states(series, atom_a, atom_b, cutoff)
     p, q = powers

@@ -1,5 +1,6 @@
 """Atom models: moments, characteristic length, shape coefficient, spectrum."""
 
+import itertools
 import math
 from decimal import Decimal, localcontext
 
@@ -116,7 +117,8 @@ def _ground_element(a, e, n):
 
 
 def _levels(dim, cutoff):
-    return np.array(atoms._multi_indices(dim, cutoff), dtype=np.int64)
+    atom = DrudeAtom(dim, 0.5)
+    return atoms._ProductStates(atom, atom, cutoff).states
 
 
 # (omega, mass): a = 0.74, 0.90 and 2.5
@@ -552,6 +554,24 @@ class TestSpectrum:
     def test_kind_mismatch(self):
         with pytest.raises(AtomKindError):
             drude_spectrum(RingAtom(2), 1)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_enumeration_of_states(self, dim):
+        # every multi-index of total quanta <= cutoff, lexicographic, so the
+        # ground state comes first; the spectrum reads the same states
+        for cutoff in range(6):
+            want = [
+                q for q in itertools.product(range(cutoff + 1), repeat=dim)
+                if sum(q) <= cutoff
+            ]
+            atom = DrudeAtom(dim, 0.7)
+            got = atoms._ProductStates(atom, atom, cutoff).states
+            assert got.tolist() == [list(q) for q in want]
+            levels = drude_spectrum(atom, cutoff)
+            assert [lv.quanta for lv in levels] == sorted(
+                want, key=lambda q: (0.7 * (sum(q) + dim / 2.0), q)
+            )
+            assert {type(n) for lv in levels for n in lv.quanta} == {int}
 
     @pytest.mark.parametrize("cutoff", [2.0, 1.5, math.nan, True])
     def test_rejects_non_integer_cutoff(self, cutoff):

@@ -17,7 +17,7 @@ from vdwdim.atoms import (
     Hydrogen1DAtom,
     NumericRadialAtom,
     RingAtom,
-    _multi_indices,
+    _ProductStates,
 )
 from vdwdim.multipole import (
     InteractionSeries,
@@ -78,7 +78,7 @@ def _axis_ground_elements(atom, max_power, cutoff):
 
 def _per_monomial_amplitudes(series, atom_a, atom_b, cutoff):
     """<n_a n_b|T_p|0 0> as a sum of one outer product per monomial."""
-    states = np.array(_multi_indices(series.dim, cutoff))
+    states = _ProductStates(atom_a, atom_b, cutoff).states
     cols_a, cols_b = (
         _axis_ground_elements(atom, series.max_power, cutoff)
         for atom in (atom_a, atom_b)
@@ -350,7 +350,7 @@ def test_atoms_must_match_series_dimension(call):
 def _unit_amplitudes(series, atom_a, atom_b, cutoff):
     """<n_a n_b|T_p|0 0> per power: the contraction of a unit weighting on p."""
     form = kernels.series_form(series)
-    states = np.array(_multi_indices(series.dim, cutoff), dtype=np.int64)
+    states = _ProductStates(atom_a, atom_b, cutoff).states
     f_a, f_b = (
         atom.ladder_elements(rows[:, : series.dim], states, states[:1])[..., 0]
         for atom, rows in ((atom_a, form.rows_a), (atom_b, form.rows_b))
@@ -512,6 +512,125 @@ class TestParityExclusion:
         want = second_order_sum(series3, atom, atom, 1.0, cutoff=6)
         assert diag == pytest.approx(want, rel=1e-13, abs=0.0)
         assert diag != 0.0
+
+
+def _per_monomial_operator(series, atom_a, atom_b, cutoff, R):
+    """<s_a s_b|C(R)|k_a k_b> over all states, one monomial at a time, pair order."""
+    states = _ProductStates(atom_a, atom_b, cutoff).states
+    size = len(states)
+    levels = np.arange(cutoff + 1)[:, None]
+    exps = np.arange(series.max_power + 1)[:, None]
+    tables = [
+        DrudeAtom(1, atom.omega, atom.mass).ladder_elements(exps, levels, levels)
+        for atom in (atom_a, atom_b)
+    ]
+    total = np.zeros((size, size, size, size))
+    for power, monos in series.terms.items():
+        for mono in monos:
+            fa, fb = np.ones((size, size)), np.ones((size, size))
+            for c in range(series.dim):
+                fa = fa * tables[0][mono.exp_a[c]][np.ix_(states[:, c], states[:, c])]
+                fb = fb * tables[1][mono.exp_b[c]][np.ix_(states[:, c], states[:, c])]
+            total += float(mono.coeff) * R ** -float(power) * np.einsum(
+                "ac,bd->abcd", fa, fb
+            )
+    return total.reshape(size * size, size * size)
+
+
+class TestProductStateOperator:
+    """``_ProductStates`` with every pair state as ket, in d = 2 and 3."""
+
+    R = 8.0
+
+    def _operator(self, dim, atom_b=None):
+        atom = DrudeAtom.bohr_matched(dim)
+        pairs = _ProductStates(atom, atom if atom_b is None else atom_b, 3)
+        form = kernels.series_form(expand_interaction(dim, 6))
+        weights = form.inverse_powers(self.R)
+        return pairs, form, weights, pairs.coupling(form, [weights], pairs.states)[0]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_hermitian(self, dim):
+        pairs, _, _, op = self._operator(dim)
+        assert op.shape == (len(pairs.states) ** 2,) * 2
+        assert np.abs(op - op.T).max() <= 1e-15 * np.abs(op).max()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_ground_column_is_the_sum_over_states_amplitude(self, dim):
+        # _sum_over_states reads the operator with the ground state as its
+        # only ket; the full operator's |00> column holds the same amplitudes
+        pairs, form, weights, op = self._operator(dim)
+        ground = pairs.coupling(form, [weights], pairs.states[:1])[0]
+        assert ground.shape == (op.shape[0], 1)
+        gap = np.abs(op[:, 0] - ground[:, 0]).max()
+        assert gap <= 1e-15 * np.abs(ground).max()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_per_monomial_products(self, dim):
+        atom_b = DrudeAtom(dim, omega=0.7, mass=1.3)
+        pairs, _, _, op = self._operator(dim, atom_b)
+        want = _per_monomial_operator(
+            expand_interaction(dim, 6), pairs.atoms[0], atom_b, 3, self.R
+        )
+        assert np.abs(op - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_levels_in_pair_order(self, dim):
+        atom_a, atom_b = DrudeAtom.bohr_matched(dim), DrudeAtom(dim, 0.7, 1.3)
+        pairs = _ProductStates(atom_a, atom_b, 3)
+        quanta = pairs.states.sum(axis=1).tolist()
+        want = [0.5 * qa + 0.7 * qb for qa in quanta for qb in quanta]
+        assert pairs.levels.tolist() == want
+
+
+class TestDefaultReach:
+    """With no cutoff a sum over states runs to its series' exact reach."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("max_power", [5, 8, 12])
+    def test_second_order_reaches_n_minus_two(self, dim, max_power):
+        # x^e |0> has at most |e| quanta, and an order-N expansion's rows
+        # reach degree N - 2: the default is that cutoff, one less moves the
+        # sum, and more states add only exact zeros, which move the rounding
+        # of the final sum by at most 2 ulp (measured)
+        series, atom = expand_interaction(dim, max_power), DrudeAtom.bohr_matched(dim)
+        for atom_b in (atom, DrudeAtom(dim, omega=0.7, mass=1.3)):
+            def at(cutoff=None):
+                return second_order_sum(series, atom, atom_b, 8.0, cutoff=cutoff)
+
+            got = at()
+            assert got.hex() == at(max_power - 2).hex()
+            assert got != at(max_power - 3)
+            assert got == pytest.approx(at(max_power + 6), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("max_power", [5, 8, 12])
+    def test_cross_term_is_saturated(self, dim, max_power):
+        series, atom = expand_interaction(dim, max_power), DrudeAtom.bohr_matched(dim)
+        top = (max_power, max_power)
+        got = parity_cross_term(series, atom, atom, powers=top)
+        want = parity_cross_term(series, atom, atom, cutoff=max_power + 6, powers=top)
+        assert abs(got - want) <= np.spacing(abs(want))
+        reach = parity_cross_term(series, atom, atom, cutoff=max_power - 2, powers=top)
+        assert got.hex() == reach.hex()
+
+    def test_reach_is_that_of_the_touched_powers(self):
+        # the dipole terms of an order-12 series reach one quantum per atom
+        series, atom = expand_interaction(3, 12), DrudeAtom.bohr_matched(3)
+        got = parity_cross_term(series, atom, atom, powers=(3, 3))
+        assert got.hex() == parity_cross_term(
+            series, atom, atom, cutoff=1, powers=(3, 3)
+        ).hex()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_exact_zeros_keep_their_sign(self, dim):
+        atom = DrudeAtom.bohr_matched(dim)
+        empty = InteractionSeries.from_dict({"dim": dim, "max_power": 3, "terms": []})
+        values = [
+            parity_cross_term(expand_interaction(dim, 6), atom, atom),
+            second_order_sum(empty, atom, atom, 5.0),
+        ]
+        assert [v.hex() for v in values] == ["-0x0.0p+0"] * 2
 
 
 class TestEnergyCurve:
