@@ -13,6 +13,7 @@ and coupling from ``_ProductStates``, which reads the oscillator elements
 are exposed separately for the quadrature oracles and the potential module.
 ``moment`` checks its exponents and calls ``_moment``, which a caller holding
 checked rows (a series form's) calls directly; other checks are drude_exact's.
+Every moment passes one check, ``AtomModel._finite``: past float64, ValueError.
 
 This module needs numpy, and loads when a command first asks for an atom:
 ``moments``, ``potential`` and ``verify`` do, while ``expand``, ``curve``
@@ -95,6 +96,10 @@ class AtomModel:
     dim: int
 
     def radial_moment(self, order: int) -> float:
+        """<|r|^order>, a finite float (``_finite``)."""
+        return self._finite(order, self._radial_moment, order)
+
+    def _radial_moment(self, order):
         raise NotImplementedError
 
     def moment(self, exponents) -> float:
@@ -103,10 +108,26 @@ class AtomModel:
 
     def _moment(self, exponents):
         """``moment`` of ``dim`` plain non-negative ints, taken as checked."""
+        return self._finite(sum(exponents), self._coordinate_moment, exponents)
+
+    def _coordinate_moment(self, exponents):
         ang = _angular_average(self.dim, exponents)
         if ang == 0:
             return 0.0
-        return float(ang) * self.radial_moment(sum(exponents))
+        return float(ang) * self._radial_moment(sum(exponents))
+
+    def _finite(self, order, moment, arg):
+        """``moment(arg)`` of total degree ``order``; ValueError past float64."""
+        try:
+            value = moment(arg)
+        except OverflowError:  # a Python float power; numpy gives inf or NaN
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        raise ValueError(
+            f"the order-{order} moment of {type(self).__name__} with "
+            f"support radius {self.support_radius():.6g} is outside float64"
+        )
 
     def characteristic_length(self) -> float:
         """a with a^2 = <|r|^2> / d."""
@@ -189,7 +210,7 @@ class DrudeAtom(AtomModel):
             out *= table[rows[:, c, None, None], bras[:, c, None], kets[:, c]]
         return out
 
-    def _moment(self, exponents):
+    def _coordinate_moment(self, exponents):
         if any(e % 2 for e in exponents):
             return 0.0
         out = self.a ** sum(exponents)
@@ -197,7 +218,7 @@ class DrudeAtom(AtomModel):
             out *= _double_factorial(e - 1)
         return out
 
-    def radial_moment(self, order):
+    def _radial_moment(self, order):
         if order % 2 == 0:
             out = self.a**order
             for j in range(1, order // 2 + 1):
@@ -284,7 +305,7 @@ class RingAtom(AtomModel):
         _check_terms({"radius": radius})
         self.radius = radius
 
-    def radial_moment(self, order):
+    def _radial_moment(self, order):
         return self.radius**order
 
     def support_radius(self):
@@ -303,7 +324,7 @@ class Hydrogen1DAtom(AtomModel):
         self.dim = 1
         self.a = 0.0
 
-    def radial_moment(self, order):
+    def _radial_moment(self, order):
         return 1.0 if order == 0 else 0.0
 
     def support_radius(self):
@@ -370,10 +391,11 @@ class NumericRadialAtom(AtomModel):
         return cls(dim, data[:, 0], data[:, 1])
 
     def _integrate(self, power):
-        """Integral of spline(u) u^power over the radial grid."""
-        return float(np.sum(self._hw * (self._rho_u * self._u**power)))
+        """Integral of spline(u) u^power over the grid; inf or NaN, unwarned."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(self._hw * (self._rho_u * self._u**power)))
 
-    def radial_moment(self, order):
+    def _radial_moment(self, order):
         if order > MOMENT_CAP:
             raise MomentCapError(f"order {order} exceeds cap {MOMENT_CAP}")
         if order not in self._radial_moments:

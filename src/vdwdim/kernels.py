@@ -6,22 +6,15 @@ series.
 
     1/R + 1/|R x - a + b| - 1/|R x - a| - 1/|R x + b|
 
-on electron positions that broadcast against each other.  Each position is
-an (x, y, z) tuple of components; the inter-atomic axis is x, and a
-coordinate the physical dimension lacks is the scalar 0.0, so it costs no
-pass over the kernel values.  The public kernels take (n, 3) point arrays,
-zero-padded when the dimension is lower, or 1D displacements, and each is
+on electron positions a and b, zero-padded (..., 3) point arrays whose
+leading axes broadcast; the inter-atomic axis is x.  Each public kernel is
 one contraction of ``_four_site``:
 
-* ``four_site_batch`` -- paired samples, the diagonal case, on the columns
-  of the two point arrays;
-* ``four_site_grid_1d`` -- the outer grid of two sets of displacements on
-  the x-axis, the oracle's coupling G, with no y or z pass;
+* ``four_site_batch`` -- paired (n, 3) samples, the diagonal case;
+* ``four_site_grid_1d`` -- the outer grid of 1D displacements on the x-axis,
+  the oracle's coupling G;
 * ``pair_expectation`` -- w_a . K . w_b over row blocks of the matrix K
-  between two point sets.  When the second set is a C-order tensor grid,
-  it enters by its axes (``_grid_components``): |R x - a + b|^2 is summed
-  from per-axis pieces, and only its last addition runs over the whole
-  block.
+  between two (n, 3) point sets.
 
 ``offset_expectation`` sums the remainder h(t) = 1/|R x - t| - 1/R over a
 distribution of offsets t given by two tables, its distinct axial
@@ -99,6 +92,7 @@ those names.
 """
 
 import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -156,77 +150,27 @@ def _on_axis(x):
 def _four_site(R, a, b):
     """1/R + 1/|Rx - a + b| - 1/|Rx - a| - 1/|Rx + b| over broadcast points.
 
-    ``a`` and ``b`` are (x, y, z) tuples of components that broadcast
-    against each other.  The x components are arrays, whose broadcast with
-    the present y and z components is the result's shape; an absent y or z
-    coordinate is the scalar 0.0 and costs no pass over the result.  Each
-    single-atom term is computed on its own atom's shape, so for a
-    (rows, 1) block against (m,) columns it costs O(rows + m).  The Coulomb
-    prefactor is not applied.
+    ``a`` and ``b`` are zero-padded (..., 3) point arrays whose leading axes
+    broadcast to the result's shape.  Each squared distance is summed
+    x^2 + y^2 + z^2 in that order, so a zero a dimension lacks changes no
+    bit.  Each single-atom term is computed on its own atom's shape, so for
+    a (rows, 1, 3) block against (m, 3) points it costs O(rows + m).  Past
+    R = 2^500, short of 2^512 where a square overflows, R and the points are
+    scaled exactly by the power of two of R and the result scaled back;
+    every R <= 1e150 keeps its bits.  The Coulomb prefactor is not applied.
     """
-    ax, ay, az = a
-    bx, by, bz = b
-    k = _squared_norm(R - ax + bx, ay - by, az - bz)
+    if R > 2.0**500:
+        e = -math.frexp(R)[1]
+        return np.ldexp(_four_site(math.ldexp(R, e), np.ldexp(a, e), np.ldexp(b, e)), e)
+    ax, ay, az = np.moveaxis(a, -1, 0)
+    bx, by, bz = np.moveaxis(b, -1, 0)
+    k = (R - ax + bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2
     np.sqrt(k, out=k)
     np.divide(1.0, k, out=k)
     k += 1.0 / R
-    k -= 1.0 / np.sqrt(_squared_norm(R - ax, ay, az))
-    k -= 1.0 / np.sqrt(_squared_norm(R + bx, by, bz))
+    k -= 1.0 / np.sqrt((R - ax) ** 2 + ay**2 + az**2)
+    k -= 1.0 / np.sqrt((R + bx) ** 2 + by**2 + bz**2)
     return k
-
-
-def _squared_norm(x, y, z):
-    """x**2 + y**2 + z**2, summed in that order into a new array.
-
-    A part that is a scalar zero is skipped: adding 0.0 to a sum of squares
-    changes no bit, so the sum equals that of zero-padded coordinates.
-    """
-    total = x**2
-    for part in (y, z):
-        if np.ndim(part) or part:
-            total = total + part**2
-    return total
-
-
-def _present(x, y, z):
-    """(x, y, z) with an all-zero y or z component as the scalar 0.0."""
-    return (x,) + tuple(c if c.any() else 0.0 for c in (y, z))
-
-
-def _columns(pts):
-    """Components of (n, 3) points for ``_four_site``: its (n,) columns."""
-    return _present(pts[:, 0], pts[:, 1], pts[:, 2])
-
-
-def _first_repeat(values):
-    """Index of the first later entry equal to values[0], else len(values)."""
-    hits = np.flatnonzero(values[1:] == values[0])
-    return int(hits[0]) + 1 if hits.size else values.size
-
-
-def _grid_components(pts):
-    """Components of (m, 3) points for ``_four_site``, per axis when possible.
-
-    When ``pts`` is the C-order tensor grid of its own coordinates, point
-    (i, j, l) at row (i n_y + j) n_z + l, the components are its three axes,
-    shaped (n_x, 1, 1), (1, n_y, 1) and (1, 1, n_z), so a kernel block
-    against them has shape (rows, n_x, n_y, n_z) and lists the points in
-    order.  The axis lengths are read where the z and then the y coordinate
-    first repeats, and the grid is then compared with the outer product of
-    its axes, entry by entry: O(m) work, and any other point set keeps its
-    columns (``_columns``).
-    """
-    m = pts.shape[0]
-    if m:
-        n_z = _first_repeat(pts[:, 2])
-        n_y = _first_repeat(pts[::n_z, 1])
-        n_x, rest = divmod(m, n_y * n_z)
-        if not rest:
-            grid = pts.reshape(n_x, n_y, n_z, 3)
-            axes = (grid[:, :1, :1, 0], grid[:1, :, :1, 1], grid[:1, :1, :, 2])
-            if all((grid[..., c] == axes[c]).all() for c in range(3)):
-                return _present(*axes)
-    return _columns(pts)
 
 
 def four_site_batch(R, pts_a, pts_b):
@@ -236,15 +180,13 @@ def four_site_batch(R, pts_a, pts_b):
     two-electron configuration.
     """
     _check_separation(R)
-    return _four_site(R, _columns(pts_a), _columns(pts_b))
+    return _four_site(R, pts_a, pts_b)
 
 
 def four_site_grid_1d(R, xa, xb):
     """Four-site kernel on the outer grid of 1D displacements xa[p], xb[q]."""
     _check_separation(R)
-    xa = np.asarray(xa, dtype=float)
-    xb = np.asarray(xb, dtype=float)
-    return _four_site(R, (xa[:, None], 0.0, 0.0), (xb[None], 0.0, 0.0))
+    return _four_site(R, _on_axis(xa)[:, None], _on_axis(xb)[None])
 
 
 def pair_expectation(R, pts_a, w_a, pts_b, w_b):
@@ -253,20 +195,12 @@ def pair_expectation(R, pts_a, w_a, pts_b, w_b):
     Blocked over the first factor so each (rows, n_b) block of K holds about
     _BLOCK kernel values.  K is summed element by element: the four terms
     nearly cancel, and summing them separately over the grid loses the
-    result.  When ``pts_b`` is a tensor grid (``_grid_components``) its
-    axes broadcast against each block, so forming |R x - a + b|^2 costs one
-    pass over the block instead of eight; the values are the same bit for
-    bit, and the sum is too.
+    result.
     """
     _check_separation(R)
-    b = _grid_components(pts_b)
-    lead = (slice(None),) + (None,) * b[0].ndim
-    a = _columns(pts_a)
     acc = 0.0
     for blk in _row_blocks(pts_a.shape[0], pts_b.shape[0]):
-        rows = tuple(c[blk][lead] if np.ndim(c) else c for c in a)
-        k = _four_site(R, rows, b)
-        acc += float(w_a[blk] @ k.reshape(k.shape[0], pts_b.shape[0]) @ w_b)
+        acc += float(w_a[blk] @ _four_site(R, pts_a[blk, None], pts_b[None]) @ w_b)
     return acc
 
 

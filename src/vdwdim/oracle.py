@@ -161,13 +161,12 @@ def _coupling_matrix(atom, R, cutoff, nodes):
     return _ProductStates.pair_order(q @ grid @ q.T, n)
 
 
-def _ladder_coupling(atom, R, max_power, cutoff):
+def _ladder_coupling(pairs, R, max_power):
     """H_I (k = 1) of the series truncated at ``max_power``, by ladder algebra.
 
-    ``atoms._ProductStates``' coupling between all its states, i, j <= cutoff.
+    The coupling of ``pairs``, an ``atoms._ProductStates``, between all its states.
     """
     form = kernels.series_form(expand_interaction(1, max_power))
-    pairs = _ProductStates(atom, atom, cutoff)
     return pairs.coupling(form, [form.inverse_powers(R)], pairs.states)[0]
 
 
@@ -180,11 +179,12 @@ def _hamiltonian(atom, R, mode, max_power, cutoff):
     uncoupled ground state are ``atoms._ProductStates``', so the lowest
     eigenvalue is the correction.
     """
+    pairs = _ProductStates(atom, atom, cutoff)
     if mode == "full":
         ham = _coupling_matrix(atom, R, cutoff, _node_count(atom, R, cutoff))
     else:
-        ham = _ladder_coupling(atom, R, max_power, cutoff)
-    ham.flat[:: ham.shape[0] + 1] += _ProductStates(atom, atom, cutoff).levels
+        ham = _ladder_coupling(pairs, R, max_power)
+    ham.flat[:: ham.shape[0] + 1] += pairs.levels
     return ham
 
 
@@ -483,9 +483,8 @@ def direct_first_order(atom_a, atom_b, R, overlap_tol=1e-8):
     nodes, the weights and the exact kernel are those of the full tensor
     sum; only the summation is regrouped.  For the Bohr pair this evaluates
     1,153 x 577 values of h at d = 2 and 163 x 3,403 at d = 3, against
-    2,304 x 2,304 and 5,832 x 5,832 kernel values on the full grids, or
-    1,152 x 2,304 and 810 x 5,832 with one grid folded over the transverse
-    symmetries.  Unequal atoms share no axial offsets (d = 3: 324 x 13,195).
+    2,304 x 2,304 and 5,832 x 5,832 kernel values on the full grids.
+    Unequal atoms share no axial offsets (d = 3: 324 x 13,195).
 
     Rounding, against a 40-digit decimal sum on the same float64 nodes and
     weights (omega 0.5 / 0.5 and 0.5 / 0.75, R/a 8, 12 and 20): at most
@@ -505,12 +504,12 @@ def direct_first_order(atom_a, atom_b, R, overlap_tol=1e-8):
 
     xi, w = _gauss_hermite(_NODES_PER_AXIS[dim])
     w = w / math.sqrt(math.pi)
-    if dim == 1:
-        return kernels.pair_expectation(
-            R, *_tensor_cloud(atom_a, xi, w), *_tensor_cloud(atom_b, xi, w)
-        )
     x_a = _oscillator_length(atom_a) * xi
     x_b = _oscillator_length(atom_b) * xi
+    if dim == 1:
+        return kernels.pair_expectation(
+            R, kernels._on_axis(x_a), w, kernels._on_axis(x_b), w
+        )
     nucleus, unit = np.zeros(1), np.ones(1)
     total = float(w.sum()) ** dim
     pair = kernels.offset_expectation(R, *_offset_tables(x_a, w, x_b, w, dim))
@@ -521,21 +520,6 @@ def direct_first_order(atom_a, atom_b, R, overlap_tol=1e-8):
         R, *_offset_tables(nucleus, unit, x_b, w, dim)
     )
     return pair - total * (only_a + only_b)
-
-
-def _tensor_cloud(atom, xi, w):
-    """Tensor grid of ground-density quadrature points, zero-padded to 3D."""
-    ell = _oscillator_length(atom)
-    axes = [ell * xi] * atom.dim
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.zeros((grids[0].size, 3))
-    for c, g in enumerate(grids):
-        pts[:, c] = g.ravel()
-    weight = np.ones(grids[0].size)
-    wgrids = np.meshgrid(*([w] * atom.dim), indexing="ij")
-    for g in wgrids:
-        weight *= g.ravel()
-    return pts, weight
 
 
 def _distinct(values, weights):

@@ -599,3 +599,60 @@ class TestCaps:
     def test_wrong_exponent_length(self):
         with pytest.raises(ValueError):
             DrudeAtom.bohr_matched(2).moment((2,))
+
+
+def _wide_numeric_atom(dim):
+    """A Gaussian cloud of width 1e25 sampled out to 1e26, where u^16 overflows."""
+    r = np.linspace(0.0, 1e26, 400)
+    return NumericRadialAtom(dim, r, np.exp(-((r / 1e25) ** 2) / 2))
+
+
+class TestMomentRange:
+    # a moment past float64 raised a bare OverflowError (Drude, ring) or
+    # returned inf or NaN with a RuntimeWarning (numeric)
+    ATOMS = {
+        "drude": lambda dim: DrudeAtom(dim, 1e-160),
+        "ring": lambda dim: RingAtom(dim, 1e100),
+        "numeric": _wide_numeric_atom,
+    }
+
+    @pytest.mark.parametrize("kind", ATOMS)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_overflowing_moment_names_order_and_length(self, dim, kind):
+        atom = self.ATOMS[kind](dim)
+        match = f"order-16 moment .* support radius {atom.support_radius():.6g} "
+        with pytest.raises(ValueError, match=match.replace("+", r"\+")):
+            atom.radial_moment(16)
+        with pytest.raises(ValueError, match=match.replace("+", r"\+")):
+            atom.moment((16,) + (0,) * (dim - 1))
+        assert math.isfinite(atom.radial_moment(2))
+        assert math.isfinite(atom.moment((2,) + (0,) * (dim - 1)))
+
+    def test_finite_moments_keep_their_bits(self):
+        ring = RingAtom(2, 1e100)
+        assert ring.radial_moment(3) == 1e100**3
+        assert ring.moment((2, 0)) == 0.5 * 1e100**2
+        drude = DrudeAtom(1, 1e-160)
+        assert drude.moment((2,)) == drude.a**2
+        numeric = _wide_numeric_atom(1)
+        assert numeric.radial_moment(4) == numeric._radial_moment(4)
+
+    def test_product_that_overflows_after_the_power(self):
+        # a = 2^63: a^16 = 2^1008 is finite, a^16 * 15!! is not and was
+        # returned as inf; a^14 * 13!! is finite and exact
+        atom = DrudeAtom(1, 2.0**-127)
+        assert atom.a == 2.0**63
+        assert atom.moment((14,)) == 2.0**882 * 135135
+        with pytest.raises(ValueError, match="order-16 moment of DrudeAtom"):
+            atom.moment((16,))
+
+    def test_library_callers_get_the_value_error(self):
+        from vdwdim.perturbation import first_order_via_potential
+        from vdwdim.potential import even_moments
+
+        with pytest.raises(ValueError, match="order-4 moment of DrudeAtom"):
+            DrudeAtom(1, 1e-200, 1e-2).moment((4,))
+        with pytest.raises(ValueError, match="order-4 moment of DrudeAtom"):
+            even_moments(DrudeAtom(2, 1e-160))
+        with pytest.raises(ValueError, match="order-4 moment of RingAtom"):
+            first_order_via_potential(RingAtom(1, 1e100), RingAtom(1, 1.0), 10.0)

@@ -238,6 +238,11 @@ class TestBadNumbers:
             "potential --dim 1 --atom ring --radii 1",
             "potential --dim 2 --atom ring --radii 1",
             "potential --dim 1 --radii 1e-110 --methods multipole3",
+            # moments past float64: a traceback from OverflowError before
+            "moments --atom ring --dim 1 --radius 1e100",
+            "moments --atom ring --dim 3 --radius 1e200",
+            "potential --dim 1 --atom ring --radius 1e200 --radii 1e300 "
+            "--methods multipole3",
         ],
     )
     def test_single_error_line(self, capsys, argv):

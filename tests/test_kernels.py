@@ -1,10 +1,13 @@
 """The vectorized kernels against scalar references built on the exact kernel."""
 
+import importlib.util
+import json
 import sys
 import threading
 from decimal import Decimal, localcontext
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -722,7 +725,6 @@ class TestComponentForm:
         # enough rows for several blocks, against a grid with unequal axes
         rng = np.random.default_rng(10 + dim)
         pts_b = _tensor_grid(self.AXES[dim])
-        assert np.ndim(kernels._grid_components(pts_b)[0]) == 3
         pts_a = _samples(dim, 3 * kernels._BLOCK // len(pts_b) + 5, rng)
         w_a, w_b = rng.random(len(pts_a)), rng.random(len(pts_b))
         got = kernels.pair_expectation(R, pts_a, w_a, pts_b, w_b)
@@ -752,14 +754,73 @@ class TestComponentForm:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_permuted_grid_agrees(self, dim):
-        # a permuted grid is no tensor grid, so it keeps its columns and sums
-        # in another order; at d = 1 any order of points is a grid
+        # the same points in another order sum in another order
         rng = np.random.default_rng(30 + dim)
         pts_b = _tensor_grid(self.AXES[dim])
         perm = rng.permutation(len(pts_b))
-        assert np.ndim(kernels._grid_components(pts_b[perm])[0]) == 1
         pts_a = _samples(dim, 200, rng)
         w_a, w_b = rng.random(200), rng.random(len(pts_b))
         grid = kernels.pair_expectation(R, pts_a, w_a, pts_b, w_b)
         permuted = kernels.pair_expectation(R, pts_a, w_a, pts_b[perm], w_b[perm])
         assert permuted == pytest.approx(grid, rel=1e-15, abs=0.0)
+
+
+class TestHugeSeparation:
+    # past R ~ 1.34e154 the squared distances overflowed to inf, the three
+    # distance terms read 0 and the kernel returned 1/R with warnings (the
+    # suite runs with warnings as errors)
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("shift", [600, 1000])
+    def test_kernel_scales_exactly(self, dim, shift):
+        # K(lam R, lam a, lam b) = K(R, a, b) / lam, bit for bit at lam = 2^k
+        rng = np.random.default_rng(40 + dim)
+        pts_a, pts_b = _samples(dim, 500, rng), _samples(dim, 500, rng)
+        got = kernels.four_site_batch(
+            np.ldexp(R, shift), np.ldexp(pts_a, shift), np.ldexp(pts_b, shift)
+        )
+        want = np.ldexp(kernels.four_site_batch(R, pts_a, pts_b), -shift)
+        assert np.array_equal(got, want)
+
+    def test_unit_points_far_apart_read_zero(self):
+        # about -2 a b / R^3 = 5e-601, zero in float64
+        a, b = np.array([[0.5, 0.0, 0.0]]), np.array([[-0.5, 0.0, 0.0]])
+        assert np.array_equal(kernels.four_site_batch(1e200, a, b), [0.0])
+        x = np.linspace(-3, 3, 7)
+        assert not kernels.four_site_grid_1d(1e160, x, x).any()
+        w = np.full(7, 1.0 / 7)
+        pts = _on_x_axis(x)
+        assert kernels.pair_expectation(1e300, pts, w, pts, w) == 0.0
+
+    @pytest.mark.parametrize("sep", [1e150, 2.0**500])
+    def test_separations_up_to_the_threshold_keep_their_bits(self, sep):
+        rng = np.random.default_rng(50)
+        pts_a, pts_b = _samples(3, 300, rng), _samples(3, 300, rng)
+        got = kernels.four_site_batch(sep, pts_a, pts_b)
+        assert np.array_equal(got, _padded_four_site(sep, pts_a, pts_b))
+
+
+_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _kernel_cases():
+    spec = importlib.util.spec_from_file_location(
+        "kernel_cases", _ROOT / "perfbench" / "kernel_cases.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return list(module.cases())
+
+
+class TestBenchmarkKernelCases:
+    def test_every_case_runs_once(self):
+        # the benchmark's per-layer kernel cases call the kernels by name
+        # and signature; a change to either must fail here, not only there
+        cases = _kernel_cases()
+        declared = {
+            entry["name"]
+            for entry in json.loads((_ROOT / "BENCHMARK.json").read_text())["per_layer"]
+            if entry["name"].startswith("bench_kernels.")
+        }
+        assert {f"bench_kernels.{name}_s" for name, _, _ in cases} == declared
+        for name, fn, args in cases:
+            assert np.all(np.isfinite(fn(*args))), name

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import dawsn, i0e
 
 from vdwdim import kernels, oracle
-from vdwdim.atoms import AtomKindError, DrudeAtom, RingAtom
+from vdwdim.atoms import AtomKindError, DrudeAtom, RingAtom, _ProductStates
 from vdwdim.drude_exact import exact_correction
 from vdwdim.multipole import expand_interaction
 from vdwdim.oracle import (
@@ -26,7 +26,6 @@ from vdwdim.oracle import (
     _nodes_off_nucleus,
     _offset_tables,
     _oscillator_length,
-    _tensor_cloud,
     convergence_report,
     direct_first_order,
     oscillator_basis_diag,
@@ -209,7 +208,7 @@ class TestCouplingAssembly:
             raise AssertionError("form rebuilt from the flat table")
 
         monkeypatch.setattr(kernels.SeriesForm, "from_arrays", no_rebuild)
-        got = _ladder_coupling(atom, R, max_power, cutoff)
+        got = _ladder_coupling(_ProductStates(atom, atom, cutoff), R, max_power)
         assert kernels.series_form(expand_interaction(1, max_power)) is form
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -226,7 +225,8 @@ class TestCouplingAssembly:
             for rows in (form.rows_a, form.rows_b)
         )
         want = form.contract(f_a, form.block_matrices(form.inverse_powers(R)), f_b)
-        got = _ladder_coupling(atom, R, max_power, cutoff)[:, 0].reshape(n, n)
+        pairs = _ProductStates(atom, atom, cutoff)
+        got = _ladder_coupling(pairs, R, max_power)[:, 0].reshape(n, n)
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_truncated_mode_uses_no_quadrature(self, monkeypatch):
@@ -250,6 +250,33 @@ class TestCouplingAssembly:
             atom, 13.0, mode="truncated", cutoffs=(10, 12), overlap_tol=1.0
         )
         assert rep.corrections[-1] == res.correction
+
+    @pytest.mark.parametrize("mode", ["full", "truncated"])
+    def test_one_product_state_set_per_hamiltonian(self, mode, monkeypatch):
+        # the coupling and the diagonal's levels read one _ProductStates
+        built = []
+
+        class Counted(_ProductStates):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        atom = PRESET.atom(1)
+        want = _hamiltonian(atom, 11.0, mode, 5, 8)
+        monkeypatch.setattr(oracle, "_ProductStates", Counted)
+        got = _hamiltonian(atom, 11.0, mode, 5, 8)
+        assert built == [(atom, atom, 8)]
+        assert np.array_equal(got, want)
+
+    def test_full_mode_past_the_square_overflow(self):
+        # R^2 overflows past about 1.34e154; the kernel returned 1/R with
+        # warnings and the correction read 1e-160, where 6 R^-5 is 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = oscillator_basis_diag(
+                DrudeAtom(1, 0.5), 1e160, cutoff=4, overlap_tol=1e-1
+            )
+        assert res.correction == 0.0
 
 
 class TestConsistencyTriangle:
@@ -734,13 +761,30 @@ class TestDirectRounding:
         want = (9.0 / 4.0) / R**5 + (225.0 / 8.0) / R**7
         assert got == pytest.approx(want, rel=1e-7, abs=0.0)
 
-    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_huge_separation_underflows_quietly(self, dim):
+        # d = 1 sums the four-site kernel, which returned 1/R = 1e-300 here,
+        # with warnings, while R^2 overflowed
         atom = PRESET.atom(dim)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = direct_first_order(atom, atom, 1e300)
         assert abs(got) < 1e-300
+
+
+def _tensor_cloud(atom, xi, w):
+    """Tensor grid of ground-density quadrature points, zero-padded to 3D."""
+    ell = _oscillator_length(atom)
+    axes = [ell * xi] * atom.dim
+    grids = np.meshgrid(*axes, indexing="ij")
+    pts = np.zeros((grids[0].size, 3))
+    for c, g in enumerate(grids):
+        pts[:, c] = g.ravel()
+    weight = np.ones(grids[0].size)
+    wgrids = np.meshgrid(*([w] * atom.dim), indexing="ij")
+    for g in wgrids:
+        weight *= g.ravel()
+    return pts, weight
 
 
 def _full_grid_sum(atom_a, atom_b, R, nodes):
