@@ -7,8 +7,8 @@ a^2 = <|r|^2> / d and the shape coefficient alpha = <x^4> / a^4 controls the
 subleading multipole of the charge cloud.
 
 Moments are the only interface first order needs.  Second order and the
-oracle's truncated mode take their product states, pair order, level table
-and coupling from ``_ProductStates``, which reads the oscillator elements
+oracle's truncated mode take their product states, level table and
+coupling from ``_ProductStates``, which reads the oscillator elements
 <s|x^e|s'> from ``DrudeAtom.ladder_elements``, their one home.  Densities
 are exposed separately for the quadrature oracles and the potential module.
 ``moment`` checks its exponents and calls ``_moment``, which a caller holding
@@ -253,9 +253,9 @@ class _ProductStates:
     """States |s_a s_b> of two Drude atoms, each of total quanta <= cutoff.
 
     The one home of the product states: each atom's S ``states``, the
-    multi-indices in lexicographic order (ground state first), the pair
-    order (|s_a s_b> at s_a S + s_b), the ``levels`` hbar omega_A |s_a| +
-    hbar omega_B |s_b| in that order, and ``coupling``.
+    multi-indices in lexicographic order (ground state first), the
+    ``levels`` hbar omega_A |s_a| + hbar omega_B |s_b| in pair order
+    (|s_a s_b> at s_a S + s_b), and ``coupling``.
     """
 
     def __init__(self, atom_a, atom_b, cutoff):
@@ -266,11 +266,14 @@ class _ProductStates:
         self.levels = np.add.outer(*(a.hbar_omega * quanta for a in self.atoms)).ravel()
 
     def coupling(self, form, weightings, kets):
-        """<s_a s_b| sum_p w_p T_p |k_a k_b> per weighting, (S^2, K^2) each.
+        """<s_a s_b| sum_p w_p T_p |k_a k_b> per weighting, (S K, S K) each.
 
         ``kets`` are K states of one atom.  F[row, (s, k)] = <s|x^row|k>
         (atom B reuses atom A's when they are one object with the same rows)
-        is contracted as F_A^T C F_B (``SeriesForm.contract``).
+        is contracted as F_A^T C F_B (``SeriesForm.contract``), so the
+        element sits at [(s_a, k_a), (s_b, k_b)], (s_a K + k_a, s_b K + k_b).
+        With the ground state as the only ket that is the S x S table of
+        <s_a s_b|T|00>, whose ravel is in pair order.
         """
         (atom_a, atom_b), dim = self.atoms, self.states.shape[1]
         rows_a, rows_b = form.rows_a[:, :dim], form.rows_b[:, :dim]
@@ -280,16 +283,7 @@ class _ProductStates:
             f_b = f_a
         else:
             f_b = atom_b.ladder_elements(rows_b, self.states, kets).reshape(shape)
-        return [
-            self.pair_order(form.contract(f_a, form.block_matrices(w), f_b), len(kets))
-            for w in weightings
-        ]
-
-    @staticmethod
-    def pair_order(m, k):
-        """M[(s_a, k_a), (s_b, k_b)] at (s_a S + s_b, k_a K + k_b), K = ``k`` kets."""
-        s = m.shape[0] // k
-        return m.reshape(s, k, s, k).transpose(0, 2, 1, 3).reshape(s * s, -1)
+        return [form.contract(f_a, form.block_matrices(w), f_b) for w in weightings]
 
 
 class RingAtom(AtomModel):

@@ -467,20 +467,25 @@ def exact_interaction(R, r_a, r_b):
     ``r_a`` and ``r_b`` are length-d sequences (d <= 3), zero-padded into 3D
     because the Coulomb field always lives in three dimensions.  Raises
     ``SingularConfigurationError`` when any denominator drops below 1e-12 R;
-    the model assumes non-overlapping atoms anyway.
+    the model assumes non-overlapping atoms anyway.  Past R = 2^500, as in
+    ``_four_site``, R and the points are scaled exactly by the power of two
+    of R and the result scaled back, so no square overflows; every
+    R <= 1e150 keeps its bits.
     """
     _check_separation(R)
     eps = 1e-12 * R
-    a = _pad3(r_a)
-    b = _pad3(r_b)
-    d_ab = np.linalg.norm(np.array([R, 0.0, 0.0]) - a + b)
-    d_a = np.linalg.norm(np.array([R, 0.0, 0.0]) - a)
-    d_b = np.linalg.norm(np.array([R, 0.0, 0.0]) + b)
-    if min(R, d_ab, d_a, d_b) < eps:
+    e = -math.frexp(R)[1] if R > 2.0**500 else 0
+    x = np.array([math.ldexp(R, e), 0.0, 0.0])
+    a = np.ldexp(_pad3(r_a), e)
+    b = np.ldexp(_pad3(r_b), e)
+    d_ab = np.linalg.norm(x - a + b)
+    d_a = np.linalg.norm(x - a)
+    d_b = np.linalg.norm(x + b)
+    if min(x[0], d_ab, d_a, d_b) < math.ldexp(eps, e):
         raise SingularConfigurationError(
             f"kernel denominator below epsilon {eps:g}"
         )
-    return 1.0 / R + 1.0 / d_ab - 1.0 / d_a - 1.0 / d_b
+    return np.ldexp(1.0 / x[0] + 1.0 / d_ab - 1.0 / d_a - 1.0 / d_b, e)
 
 
 def series_form(series):

@@ -20,24 +20,43 @@ than its expansion (the diagonalization's truncated mode excepted):
   Two things keep that eigensolve small and accurate.  The diagonal holds
   hbar omega i + hbar omega j, the level of |ij> less the uncoupled ground
   energy hbar omega, so the lowest eigenvalue is the correction itself
-  rather than a difference of two numbers near hbar omega.  And the pair
+  rather than a difference of two numbers near hbar omega.  And H is split
+  into symmetry sectors, one per combination of characters.  The pair
   is two equal atoms on a line, so H commutes with the exchange reflection
   (x_A, x_B) -> (-x_B, -x_A), which acts on product states as
-  P|ij> = (-1)^(i+j) |ji>.  H splits into a P = +1 block on the states
-  |ij> + (-1)^(i+j) |ji> (i <= j, m(m+1)/2 of them for m = cutoff + 1) and a
-  P = -1 block on |ij> - (-1)^(i+j) |ji> (i < j, m(m-1)/2).  Each block is
-  gathered with the exact projection of H onto its sector, so the
-  rounding-level P-asymmetry of the assembled coupling moves eigenvalues
+  P|ij> = (-1)^(i+j) |ji>: a P = +1 sector on the states
+  |ij> + (-1)^(i+j) |ji> (i <= j, m(m+1)/2 of them for m = cutoff + 1)
+  and a P = -1 sector on |ij> - (-1)^(i+j) |ji> (i < j, m(m-1)/2).  When
+  every monomial of the truncated series has even degree e_A + e_B, as the
+  dipole term's (max_power = 3) has, H also commutes with total parity
+  (x_A, x_B) -> (-x_A, -x_B), which multiplies |ij> by (-1)^(i+j), and
+  each exchange sector splits into its states with i + j even and odd:
+  four sectors, of 121, 100, 110 and 110 states at cutoff 20 (P = +1 even,
+  P = -1 even, P = +1 odd, P = -1 odd) against 231 and 210.  A ladder
+  element <i|x^e|k> vanishes unless i + k + e is even, so the dipole
+  coupling between the two parity classes is exactly zero and the split
+  drops nothing.  The full kernel is not even (its -1/|R - x_A| term is
+  not), nor is any series with max_power >= 4, so those keep exchange
+  alone.
+
+  The coupling is built in its contraction's own layout,
+  <ij|H|kl> at [(i, k), (j, l)]: q G q^T in full mode and F_A^T C F_B
+  (``SeriesForm.contract``) in truncated mode.  It is never reordered:
+  the row of |ij> is the tile [i, :, j, :] of its (n, n, n, n) view, and
+  the level of |ij> is added at [i, i, j, j].  Each block is gathered
+  from those tiles with the exact projection of H onto its sector, so the
+  rounding-level asymmetry of the assembled coupling moves eigenvalues
   only at second order.  The pairs are ordered by j, so the blocks of a
   smaller cutoff are leading principal blocks of the larger ones.
 
-  The lowest eigenvalue is the lower of the two sectors'.  Only the P = +1
-  blocks are diagonalized outright.  One Cholesky factorization of the
-  P = -1 block, shifted to just above the highest P = +1 value in play,
-  proves that the P = -1 sector lies higher at every cutoff, for about a
-  quarter of the flops of that block's eigensolve.  Where the factorization
-  fails, the P = -1 blocks are diagonalized too, so no sector is assumed to
-  hold the ground state.
+  The lowest eigenvalue is the lowest over the sectors'.  Only the sector
+  of the uncoupled ground state |00> (P = +1, and even when parity holds)
+  is diagonalized outright.  One Cholesky factorization of each other
+  sector's block, shifted to just above the highest value in play, proves
+  that the sector lies higher at every cutoff, for about a quarter of the
+  flops of that block's eigensolve.  Where a factorization fails, that
+  sector's blocks are diagonalized too, so no sector is assumed to hold
+  the ground state.
 
 * ``direct_first_order`` integrates the exact kernel against the product
   ground density on a 2d-dimensional tensor Gauss-Hermite grid.  At d = 1
@@ -146,7 +165,11 @@ def _hermite_columns(n_basis, xi):
 
 
 def _coupling_matrix(atom, R, cutoff, nodes):
-    """Full-kernel H_I (k = 1) by quadrature on ``nodes`` nodes, (n^2, n^2)."""
+    """Full-kernel H_I (k = 1) by quadrature on ``nodes`` nodes, (n^2, n^2).
+
+    In the contraction's own layout: <ij|H_I|kl> at [(i, k), (j, l)], that
+    is (i n + k, j n + l) for n = cutoff + 1, as ``_sectors`` reads it.
+    """
     xi, w = _gauss_hermite(nodes)
     x = _oscillator_length(atom) * xi
     if _on_singularity(x, R):
@@ -158,79 +181,112 @@ def _coupling_matrix(atom, R, cutoff, nodes):
     h = _hermite_columns(n, xi)
     # q[(i, k), p] = h_i(x_p) h_k(x_p) w_p, so <ij|H_I|kl> = (q G q^T)[(i,k),(j,l)]
     q = (h[:, None, :] * (h * w)[None, :, :]).reshape(n * n, nodes)
-    return _ProductStates.pair_order(q @ grid @ q.T, n)
+    return q @ grid @ q.T
 
 
 def _ladder_coupling(pairs, R, max_power):
-    """H_I (k = 1) of the series truncated at ``max_power``, by ladder algebra.
+    """H_I (k = 1) of the series truncated at ``max_power``, and its parity.
 
-    The coupling of ``pairs``, an ``atoms._ProductStates``, between all its states.
+    The coupling of ``pairs``, an ``atoms._ProductStates``, between all its
+    states, in the layout of ``_coupling_matrix``; and True when every
+    monomial has even degree e_A + e_B, so that H_I commutes with total
+    parity (max_power = 3, the dipole term, alone among the orders).
     """
     form = kernels.series_form(expand_interaction(1, max_power))
-    return pairs.coupling(form, [form.inverse_powers(R)], pairs.states)[0]
+    degree = form.rows_a.sum(1)[form.idx_a] + form.rows_b.sum(1)[form.idx_b]
+    coupling = pairs.coupling(form, [form.inverse_powers(R)], pairs.states)[0]
+    return coupling, not np.any(degree % 2)
 
 
 def _hamiltonian(atom, R, mode, max_power, cutoff):
     """H_A + H_B + H_I - hbar omega on product states |ij>, i, j <= cutoff.
 
-    H_I is the exact kernel's by quadrature on ``_node_count`` nodes in full
-    mode and the truncated series' by ladder algebra otherwise.  The order
-    (|ij> at i (cutoff + 1) + j) and the diagonal's levels above the
-    uncoupled ground state are ``atoms._ProductStates``', so the lowest
-    eigenvalue is the correction.
+    Returns H in the coupling's layout, <ij|H|kl> at [(i, k), (j, l)]
+    (``_coupling_matrix``), and whether it commutes with total parity.
+    H_I is the exact kernel's by quadrature on ``_node_count`` nodes in
+    full mode, which is never even, and the truncated series' by ladder
+    algebra otherwise (``_ladder_coupling``).  The level of |ij> above the
+    uncoupled ground state, ``atoms._ProductStates``' ``levels``, is added
+    at [(i, i), (j, j)], so the lowest eigenvalue is the correction.
     """
     pairs = _ProductStates(atom, atom, cutoff)
     if mode == "full":
-        ham = _coupling_matrix(atom, R, cutoff, _node_count(atom, R, cutoff))
+        nodes = _node_count(atom, R, cutoff)
+        ham, even = _coupling_matrix(atom, R, cutoff, nodes), False
     else:
-        ham = _ladder_coupling(pairs, R, max_power)
-    ham.flat[:: ham.shape[0] + 1] += pairs.levels
-    return ham
+        ham, even = _ladder_coupling(pairs, R, max_power)
+    n = cutoff + 1
+    i, j = np.divmod(np.arange(n * n), n)
+    ham.flat[(n + 1) * (n * n * i + j)] += pairs.levels
+    return ham, even
 
 
-def _exchange_blocks(ham):
-    """``ham`` projected onto the P = +1 and P = -1 sectors of the exchange.
+def _exchange_blocks(tiles, i, j):
+    """The P = +1 and P = -1 blocks on the pairs (i, j), i <= j, with reaches.
 
-    Row a of the P = p block is the state v_a (|ij> + s_a |ji>) with
-    s_a = p (-1)^(i+j), v_a = 1/sqrt(2) for i != j and v_a = 1/2 for i = j
-    (that is |ii> itself); the P = -1 sector has no i = j state.  Entry
-    (a, b), with b = (k, l), is
+    ``tiles`` is H viewed as (n, n, n, n): the row of |ij> is the tile
+    [i, :, j, :] (``_hamiltonian``).  Row a of the P = p block is the state
+    v_a (|ij> + s_a |ji>) with s_a = p (-1)^(i+j), v_a = 1/sqrt(2) for
+    i != j and v_a = 1/2 for i = j (that is |ii> itself); the P = -1 block
+    has no i = j state.  Entry (a, b), with b = (k, l), is
 
         v_a v_b [H(ij,kl) + s_b H(ij,lk) + s_a H(ji,kl) + s_a s_b H(ji,lk)],
 
-    summed over rows first and then over columns.  The rows of H at |ij>
-    and at |ji> are gathered once, for every pair i <= j: their weighted sum
-    gives the P = +1 rows, their difference on the pairs i < j the P = -1
-    rows.  Pairs run j-major, (0,0), (0,1), (1,1), (0,2), ..., so the first
-    m(m+1)/2 or m(m-1)/2 rows are the states with i, j < m.
+    summed over rows first and then over columns.  The rows of |ij> and
+    |ji> are gathered once, for every pair: their weighted sum gives the
+    P = +1 rows, their difference on the pairs i < j the P = -1 rows.  The
+    reach of a state is its j; with the pairs j-major, (0,0), (0,1), (1,1),
+    (0,2), ..., the states with i, j <= c lead each block.
     """
-    n = math.isqrt(ham.shape[0])
-    j, i = np.tril_indices(n)
+    n = tiles.shape[0]
     v = np.where(i == j, 0.5, math.sqrt(0.5))
     w = (-1.0) ** (i + j) * v
     pair, swap = i * n + j, j * n + i
-    plus = ham[pair] * v[:, None]
-    swapped = ham[swap] * w[:, None]
+    plus = tiles[i, :, j, :].reshape(i.size, -1) * v[:, None]
+    swapped = tiles[j, :, i, :].reshape(i.size, -1) * w[:, None]
     off = i != j  # the P = -1 states, in the same order
     minus = plus[off]
     minus -= swapped[off]
     plus += swapped
     del swapped  # frees its memory before the column gathers
     return [
-        rows[:, pair[keep]] * v[keep] + rows[:, swap[keep]] * (sign * w[keep])
+        (
+            rows[:, pair[keep]] * v[keep] + rows[:, swap[keep]] * (sign * w[keep]),
+            j[keep],
+        )
         for rows, keep, sign in ((plus, slice(None), 1.0), (minus, off, -1.0))
     ]
 
 
-def _block_sizes(cutoff):
-    """Sizes of the P = +1 and P = -1 blocks of the basis i, j <= cutoff."""
-    m = cutoff + 1
-    return m * (m + 1) // 2, m * (m - 1) // 2
+def _sectors(ham, even):
+    """``ham`` projected onto its symmetry sectors, as (block, reach) pairs.
+
+    ``ham`` is in the coupling's layout (``_hamiltonian``) and is read in
+    place, as tiles.  The characters are the exchange P and, when ``even``,
+    the total parity (-1)^(i+j) of |ij>, which |ji> shares: the exchange
+    blocks (``_exchange_blocks``) of the pairs with i + j even, then of
+    those with i + j odd.  The parity-breaking entries between the two
+    classes are never read.  The sector of the uncoupled ground state |00>,
+    P = +1 and even, comes first.
+    """
+    n = math.isqrt(ham.shape[0])
+    tiles = ham.reshape(n, n, n, n)
+    j, i = np.tril_indices(n)
+    if not even:
+        return _exchange_blocks(tiles, i, j)
+    odd = (i + j) % 2 == 1
+    return _exchange_blocks(tiles, i[~odd], j[~odd]) + _exchange_blocks(
+        tiles, i[odd], j[odd]
+    )
 
 
-def _lowest(block, size):
-    """Lowest eigenvalue of the leading size x size block."""
-    return float(np.linalg.eigvalsh(block[:size, :size])[0])
+def _lowest(block, reach, cutoff):
+    """Lowest eigenvalue of the leading block of states with reach <= cutoff.
+
+    An empty leading block has none, and reads inf.
+    """
+    size = int(np.searchsorted(reach, cutoff, side="right"))
+    return float(np.linalg.eigvalsh(block[:size, :size])[0]) if size else math.inf
 
 
 _UNIT_ROUNDOFF = 2.0**-53  # of float64
@@ -265,28 +321,28 @@ def _sector_above(block, mu):
     return True
 
 
-def _corrections(blocks, cutoffs):
-    """Lowest eigenvalue over both exchange sectors for each cutoff.
+def _corrections(sectors, cutoffs):
+    """Lowest eigenvalue over the symmetry sectors for each cutoff.
 
-    Cutoff c is the basis i, j <= c, and ``blocks`` are the two exchange
-    blocks of the largest cutoff or a larger one.  ``eigvalsh`` solves the
-    P = +1 leading block of every cutoff.  One Cholesky factorization of the
-    whole P = -1 block then proves that it has no eigenvalue below mu, the
-    highest of those P = +1 values (``_sector_above``).  By Cauchy
-    interlacing none of its leading blocks has one either, so at every
-    cutoff the minimum over the sectors is the P = +1 value.  Only when the
-    factorization fails are the P = -1 leading blocks solved as well, and
-    each cutoff takes the lower of its two values: no sector is assumed to
-    hold the ground state.
+    Cutoff c is the basis i, j <= c, and ``sectors`` are the (block, reach)
+    pairs of ``_sectors`` at the largest cutoff or a larger one, the sector
+    of the uncoupled ground state first.  ``eigvalsh`` solves that sector's
+    leading block of every cutoff.  One Cholesky factorization of each
+    other sector's whole block then proves that it has no eigenvalue below
+    mu, the highest of the values so far (``_sector_above``).  By Cauchy
+    interlacing none of its leading blocks has one either, so it lowers no
+    cutoff's value.  Only a sector whose factorization fails has its
+    leading blocks solved as well, and each cutoff takes the lower value:
+    no sector is assumed to hold the ground state.
     """
-    plus, minus = blocks
-    lows = tuple(_lowest(plus, _block_sizes(c)[0]) for c in cutoffs)
-    if _sector_above(minus, max(lows)):
-        return lows
-    return tuple(
-        min(low, _lowest(minus, _block_sizes(c)[1]))
-        for low, c in zip(lows, cutoffs)
-    )
+    (block, reach), *others = sectors
+    lows = [_lowest(block, reach, c) for c in cutoffs]
+    for block, reach in others:
+        if not _sector_above(block, max(lows)):
+            lows = [
+                min(low, _lowest(block, reach, c)) for low, c in zip(lows, cutoffs)
+            ]
+    return tuple(lows)
 
 
 def _nodes_off_nucleus(xi_nucleus, nodes):
@@ -361,16 +417,16 @@ def _diagonalize(atom, R, mode, max_power, cutoffs, overlap_tol, below=None):
 
     The rungs are the cutoffs and, when ``below`` is given, the largest
     cutoff less ``below``.  H is assembled once, at the largest cutoff, and
-    split into its two exchange blocks; each rung reads their leading
-    principal blocks (``_corrections``).
+    split into its symmetry sectors (``_sectors``); each rung reads their
+    leading principal blocks (``_corrections``).
     """
     cutoffs = tuple(
         sorted(_check_pair(atom, R, mode, max_power, cutoffs, overlap_tol))
     )
     top = cutoffs[-1]
-    blocks = _exchange_blocks(_hamiltonian(atom, R, mode, max_power, top))
+    sectors = _sectors(*_hamiltonian(atom, R, mode, max_power, top))
     rungs = cutoffs if below is None else cutoffs + (top - below,)
-    return cutoffs, _corrections(blocks, rungs)
+    return cutoffs, _corrections(sectors, rungs)
 
 
 _CONV_TOL = 1e-6
@@ -384,16 +440,20 @@ def oscillator_basis_diag(
     ``mode`` selects the exact kernel ("full") or the series truncated at
     ``max_power`` ("truncated").  The Hamiltonian carries hbar omega (i + j)
     on its diagonal, so its lowest eigenvalue is ``correction`` and
-    ``ground_energy`` is correction + hbar omega.  It is split into its two
-    exchange blocks, P = +1 with m(m+1)/2 states and P = -1 with m(m-1)/2
-    (m = cutoff + 1), and the lower of their two lowest eigenvalues is taken
-    (see the module docstring).  The convergence error is the variational
+    ``ground_energy`` is correction + hbar omega.  It is split into its
+    symmetry sectors and the lowest of their lowest eigenvalues is taken
+    (see the module docstring): by exchange alone in full mode, P = +1 with
+    m(m+1)/2 states and P = -1 with m(m-1)/2 (m = cutoff + 1), and by total
+    parity too for the dipole series, whose four sectors hold 121, 100, 110
+    and 110 states at cutoff 20.  The convergence error is the variational
     drop in the correction from the sub-basis with cutoff - 2, whose blocks
-    are leading principal blocks of the same two; exceeding 1e-6 relative to
-    the ground energy raises ``ConvergenceError``.  ``eigvalsh`` solves the
-    P = +1 blocks of both bases, and one Cholesky factorization of the
-    P = -1 block at ``cutoff`` shows that sector lies above both; only if
-    it fails are the P = -1 blocks diagonalized too.  ``mode`` must be
+    are leading principal blocks of the same sectors; exceeding 1e-6
+    relative to the ground energy raises ``ConvergenceError``.  ``eigvalsh``
+    solves only the ground state's sector, P = +1 (and even), in both bases:
+    91 and 66 states at cutoff 12 in full mode, 121 and 100 at cutoff 20
+    for the dipole series.  One Cholesky factorization of each other sector
+    at ``cutoff`` shows that sector lies above both; only a sector whose
+    factorization fails is diagonalized too.  ``mode`` must be
     "full" or "truncated", ``max_power`` an integer from 3 to
     ``MAX_EXPANSION_POWER`` in either mode, ``cutoff`` an integer of at
     least 3 (a numpy integer is taken as an int, a bool is rejected) and
@@ -435,15 +495,17 @@ def convergence_report(
     H is assembled once, at the largest cutoff, as ``oscillator_basis_diag``
     would assemble it for that cutoff (in full mode on 2 max + 8 nodes,
     stepped up until no node sits next to the other nucleus), with
-    hbar omega (i + j) on its diagonal, and split into its two exchange
-    blocks (see the module docstring).  Each rung is the pair of leading
+    hbar omega (i + j) on its diagonal, and split into its symmetry
+    sectors: two exchange sectors, or four with total parity for the dipole
+    series (see the module docstring).  Each rung is the set of leading
     principal blocks of its cutoff, so the ladder shares one coupling
     operator and the energies are strictly variational in the basis.  The
     corrections are the lowest eigenvalues themselves and the ground energies
-    are correction + hbar omega.  ``eigvalsh`` solves each rung's P = +1
-    block; one Cholesky factorization of the P = -1 block at the largest
-    cutoff shows that sector lies above every rung, and only if it fails
-    are the P = -1 blocks diagonalized too.  Every rung must be an integer
+    are correction + hbar omega.  ``eigvalsh`` solves each rung's block of
+    the ground state's sector, P = +1 (and even); one Cholesky factorization
+    of each other sector at the largest cutoff shows that sector lies above
+    every rung, and only a sector whose factorization fails is diagonalized
+    too.  Every rung must be an integer
     of at least 3, and ``mode`` and ``max_power`` are checked as
     ``oscillator_basis_diag`` checks them.
     """

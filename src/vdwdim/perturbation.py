@@ -110,9 +110,10 @@ def _sum_over_states(form, atom_a, atom_b, cutoff, *weightings):
     Each weighting of ``form.distinct_powers`` gives one operator
     sum_p w_p T_p, T_L the first and T_R the last.  The states, their
     levels E_n - E_0 and the amplitudes <n|T|0> are ``atoms._ProductStates``'
-    with the ground state as the only ket.  A ``cutoff`` of None is the
-    exact reach: x^e |0> has at most |e| quanta, so no state beyond the
-    largest row degree of the monomials a weighting touches contributes.
+    with the ground state as the only ket, whose S x S table ravels into
+    the levels' pair order.  A ``cutoff`` of None is the exact reach:
+    x^e |0> has at most |e| quanta, so no state beyond the largest row
+    degree of the monomials a weighting touches contributes.
     """
     if cutoff is None:
         live = np.any([np.asarray(w)[form.power_idx] != 0 for w in weightings], 0)
@@ -120,7 +121,7 @@ def _sum_over_states(form, atom_a, atom_b, cutoff, *weightings):
         cutoff = int(deg[live].max(initial=1))
     pairs = _ProductStates(atom_a, atom_b, cutoff)
     amps = pairs.coupling(form, weightings, pairs.states[:1])
-    prod, levels = (amps[0] * amps[-1])[:, 0], pairs.levels
+    prod, levels = (amps[0] * amps[-1]).ravel(), pairs.levels
     prod[0], levels[0] = 0.0, 1.0
     return float(-np.sum(prod / levels))
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import sys
 import threading
+import warnings
 from decimal import Decimal, localcontext
 import tracemalloc
 from fractions import Fraction
@@ -14,7 +15,7 @@ import pytest
 
 from vdwdim import kernels, multipole
 from vdwdim.kernels import backend_name
-from vdwdim.multipole import evaluate_series, exact_interaction
+from vdwdim.multipole import SingularConfigurationError, evaluate_series, exact_interaction
 
 RNG = np.random.default_rng(123)
 R = 9.0
@@ -797,6 +798,42 @@ class TestHugeSeparation:
         pts_a, pts_b = _samples(3, 300, rng), _samples(3, 300, rng)
         got = kernels.four_site_batch(sep, pts_a, pts_b)
         assert np.array_equal(got, _padded_four_site(sep, pts_a, pts_b))
+
+    def test_scalar_reference_far_apart_reads_zero(self):
+        # exact_interaction's np.linalg.norm squared the distances: at
+        # R = 1e200 it returned 1/R = 1e-200 with overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact_interaction(1e200, [0.5], [-0.5]) == 0.0
+            assert exact_interaction(1e300, [0.5, 0.2], [-0.5, 1.0, 0.1]) == 0.0
+            with pytest.raises(SingularConfigurationError, match="1e\\+188"):
+                exact_interaction(1e200, [1e200], [0.0])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("shift", [600, 1000])
+    def test_scalar_reference_scales_exactly(self, dim, shift):
+        # K(lam R, lam a, lam b) = K(R, a, b) / lam, bit for bit at lam = 2^k
+        rng = np.random.default_rng(60 + dim)
+        for a, b in zip(_samples(dim, 50, rng), _samples(dim, 50, rng)):
+            got = exact_interaction(
+                np.ldexp(R, shift), np.ldexp(a, shift), np.ldexp(b, shift)
+            )
+            assert got == np.ldexp(exact_interaction(R, a, b), -shift)
+
+    @pytest.mark.parametrize("sep", [1.0, 1e150, 2.0**500])
+    def test_scalar_reference_up_to_the_threshold_keeps_its_bits(self, sep):
+        # the unscaled norm form, as it was before the scaling
+        rng = np.random.default_rng(70)
+        x = np.array([sep, 0.0, 0.0])
+        for a, b in zip(_samples(3, 100, rng), _samples(3, 100, rng)):
+            want = (
+                1.0 / sep
+                + 1.0 / np.linalg.norm(x - a + b)
+                - 1.0 / np.linalg.norm(x - a)
+                - 1.0 / np.linalg.norm(x + b)
+            )
+            got = exact_interaction(sep, a, b)
+            assert type(got) is np.float64 and got == want
 
 
 _ROOT = Path(__file__).resolve().parents[1]

@@ -1,9 +1,12 @@
 """Brute-force oracles against the analytic results they are meant to check."""
 
 import decimal
+import importlib.util
 import itertools
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +21,6 @@ from vdwdim.oracle import (
     OverlapError,
     _corrections,
     _coupling_matrix,
-    _exchange_blocks,
     _gauss_hermite,
     _hamiltonian,
     _hermite_columns,
@@ -26,6 +28,7 @@ from vdwdim.oracle import (
     _nodes_off_nucleus,
     _offset_tables,
     _oscillator_length,
+    _sectors,
     convergence_report,
     direct_first_order,
     oscillator_basis_diag,
@@ -156,7 +159,8 @@ class TestCouplingAssembly:
         n = cutoff + 1
         h = _hermite_columns(n, xi)
         q = np.einsum("ip,kp->ikp", h, h * w)
-        want = np.einsum("ikp,pq,jlq->ijkl", q, grid, q).reshape(n * n, n * n)
+        # the contraction's own layout: <ij|H_I|kl> at [(i, k), (j, l)]
+        want = np.einsum("ikp,pq,jlq->ikjl", q, grid, q).reshape(n * n, n * n)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
     @pytest.mark.parametrize("cutoff", [10, 14, 20])
@@ -201,16 +205,16 @@ class TestCouplingAssembly:
         grid = kernels.series_grid_1d(*form.arrays, R, x, x)
         h = _hermite_columns(n, xi)
         q = np.einsum("ip,kp->ikp", h, h * w).reshape(n * n, nodes)
-        m4 = (q @ grid @ q.T).reshape(n, n, n, n).transpose(0, 2, 1, 3)
-        want = m4.reshape(n * n, n * n)
+        want = q @ grid @ q.T
 
         def no_rebuild(*table):
             raise AssertionError("form rebuilt from the flat table")
 
         monkeypatch.setattr(kernels.SeriesForm, "from_arrays", no_rebuild)
-        got = _ladder_coupling(_ProductStates(atom, atom, cutoff), R, max_power)
+        got, even = _ladder_coupling(_ProductStates(atom, atom, cutoff), R, max_power)
         assert kernels.series_form(expand_interaction(1, max_power)) is form
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+        assert even is (max_power == 3)
 
     @pytest.mark.parametrize("max_power", [3, 5, 8])
     def test_ground_column_is_the_sum_over_states_amplitude(self, max_power):
@@ -226,7 +230,7 @@ class TestCouplingAssembly:
         )
         want = form.contract(f_a, form.block_matrices(form.inverse_powers(R)), f_b)
         pairs = _ProductStates(atom, atom, cutoff)
-        got = _ladder_coupling(pairs, R, max_power)[:, 0].reshape(n, n)
+        got = _ladder_coupling(pairs, R, max_power)[0].reshape(n, n, n, n)[:, 0, :, 0]
         assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
     def test_truncated_mode_uses_no_quadrature(self, monkeypatch):
@@ -262,11 +266,12 @@ class TestCouplingAssembly:
                 super().__init__(*args)
 
         atom = PRESET.atom(1)
-        want = _hamiltonian(atom, 11.0, mode, 5, 8)
+        want, want_even = _hamiltonian(atom, 11.0, mode, 5, 8)
         monkeypatch.setattr(oracle, "_ProductStates", Counted)
-        got = _hamiltonian(atom, 11.0, mode, 5, 8)
+        got, even = _hamiltonian(atom, 11.0, mode, 5, 8)
         assert built == [(atom, atom, 8)]
         assert np.array_equal(got, want)
+        assert even is want_even is False
 
     def test_full_mode_past_the_square_overflow(self):
         # R^2 overflows past about 1.34e154; the kernel returned 1/R with
@@ -372,22 +377,74 @@ def _exchange(n):
     return j * n + i, (-1.0) ** (i + j)
 
 
-def _sector_gathers(ham):
-    """The exchange blocks gathered from H sector by sector, rows then columns."""
+def _pair_order(m):
+    """Between the coupling's layout [(i, k), (j, l)] and pair order [(i, j), (k, l)].
+
+    One swap of the two middle axes of the (n, n, n, n) view, its own inverse.
+    """
+    n = math.isqrt(m.shape[0])
+    return m.reshape(n, n, n, n).transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _pair_ordered(atom, R, mode, max_power, cutoff):
+    """``_hamiltonian`` with H in pair order, |ij> at i (cutoff + 1) + j."""
+    ham, even = _hamiltonian(atom, R, mode, max_power, cutoff)
+    return _pair_order(ham), even
+
+
+def _sector_gathers(ham, even):
+    """The sector blocks of pair-ordered H, sector by sector, rows then columns.
+
+    The characters are the exchange P = +1, -1 and, when ``even``, the
+    parity of i + j, even class first: (block, reach) pairs in the order of
+    ``oracle._sectors``.
+    """
     n = math.isqrt(ham.shape[0])
     blocks = []
-    for parity, diagonal in ((1.0, 0), (-1.0, -1)):
-        j, i = np.tril_indices(n, diagonal)
-        sign = parity * (-1.0) ** (i + j)
-        v = np.where(i == j, 0.5, math.sqrt(0.5))
-        pair, swap = i * n + j, j * n + i
-        w = sign * v
-        rows = ham[pair] * v[:, None]
-        rows += ham[swap] * w[:, None]
-        block = rows[:, pair] * v
-        block += rows[:, swap] * w
-        blocks.append(block)
+    for parity in (0, 1) if even else (None,):
+        for p, diagonal in ((1.0, 0), (-1.0, -1)):
+            j, i = np.tril_indices(n, diagonal)
+            if parity is not None:
+                keep = (i + j) % 2 == parity
+                i, j = i[keep], j[keep]
+            sign = p * (-1.0) ** (i + j)
+            v = np.where(i == j, 0.5, math.sqrt(0.5))
+            pair, swap = i * n + j, j * n + i
+            w = sign * v
+            rows = ham[pair] * v[:, None]
+            rows += ham[swap] * w[:, None]
+            block = rows[:, pair] * v
+            block += rows[:, swap] * w
+            blocks.append((block, j))
     return blocks
+
+
+def _sector_sizes(cutoff, even):
+    """State counts of the sectors of the basis i, j <= cutoff, as ordered there."""
+    pairs = [(i, j) for j in range(cutoff + 1) for i in range(j + 1)]
+    sizes = []
+    for parity in (0, 1) if even else (None,):
+        kept = [(i, j) for i, j in pairs if parity in (None, (i + j) % 2)]
+        sizes += [len(kept), sum(i < j for i, j in kept)]
+    return sizes
+
+
+def _spy_linalg(monkeypatch):
+    """Lists that record the size of every ``eigvalsh`` and ``cholesky`` input."""
+    sizes, factored = [], []
+    real_eigvalsh, real_cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+
+    def spy(a, *args, **kwargs):
+        sizes.append(a.shape[0])
+        return real_eigvalsh(a, *args, **kwargs)
+
+    def cholesky_spy(a, *args, **kwargs):
+        factored.append(a.shape[0])
+        return real_cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+    return sizes, factored
 
 
 class TestExchangeSymmetry:
@@ -401,19 +458,47 @@ class TestExchangeSymmetry:
         atom = PRESET.atom(1)
         perm, sign = _exchange(cutoff + 1)
         for R in self.SEPARATIONS:
-            ham = _hamiltonian(atom, R, mode, 3, cutoff)
+            ham, _ = _pair_ordered(atom, R, mode, 3, cutoff)
             swapped = sign[:, None] * ham[np.ix_(perm, perm)] * sign
             assert np.abs(ham - swapped).max() <= 1e-11 * np.abs(ham).max()
+
+    @pytest.mark.parametrize("cutoff", [4, 12, 20])
+    def test_dipole_coupling_has_exact_zeros_across_parity(self, cutoff):
+        # <i|x^e|k> vanishes unless i + k + e is even, and the dipole
+        # series' monomials have e_A + e_B = 2: every entry between an even
+        # and an odd i + j is 0.0, so the split drops nothing
+        atom = PRESET.atom(1)
+        n = cutoff + 1
+        i, j = np.divmod(np.arange(n * n), n)
+        cross = (i + j)[:, None] % 2 != (i + j)[None, :] % 2
+        for R in self.SEPARATIONS:
+            ham, even = _pair_ordered(atom, R, "truncated", 3, cutoff)
+            assert even is True
+            assert (ham[cross] == 0.0).all()
+            assert (ham[~cross] != 0.0).any()
+
+    @pytest.mark.parametrize("max_power", range(4, 13))
+    def test_odd_degree_series_keep_the_two_exchange_sectors(self, max_power):
+        # from max_power 4 on the series has monomials of odd e_A + e_B,
+        # which break total parity: only exchange splits H, as in full mode
+        atom, cutoff = PRESET.atom(1), 8
+        for mode in ("truncated", "full"):
+            ham, even = _hamiltonian(atom, 13.0, mode, max_power, cutoff)
+            assert even is False
+            blocks = [block.shape[0] for block, _ in _sectors(ham, even)]
+            assert blocks == _sector_sizes(cutoff, False) == [45, 36]
+        ham, even = _hamiltonian(atom, 13.0, "truncated", 3, cutoff)
+        blocks = [block.shape[0] for block, _ in _sectors(ham, even)]
+        assert blocks == _sector_sizes(cutoff, True) == [25, 16, 20, 20]
 
     @pytest.mark.parametrize("R", SEPARATIONS)
     @pytest.mark.parametrize("mode", ["full", "truncated"])
     def test_split_matches_whole_block(self, mode, R):
         atom = PRESET.atom(1)
         for cutoff in range(4, 21):
-            ham = _hamiltonian(atom, R, mode, 3, cutoff)
-            blocks = _exchange_blocks(ham)
-            split = _corrections(blocks, (cutoff,))[0] + atom.hbar_omega
-            spectrum = np.linalg.eigvalsh(ham)
+            ham, even = _hamiltonian(atom, R, mode, 3, cutoff)
+            split = _corrections(_sectors(ham, even), (cutoff,))[0] + atom.hbar_omega
+            spectrum = np.linalg.eigvalsh(_pair_order(ham))
             whole = spectrum[0] + atom.hbar_omega
             bound = 1e-15 * abs(whole)
             if mode == "full" and R < 8.0:
@@ -426,66 +511,108 @@ class TestExchangeSymmetry:
     @pytest.mark.parametrize("R", (8.0, 13.0, 20.0))
     @pytest.mark.parametrize("mode", ["full", "truncated"])
     def test_blocks_equal_two_gather_projection(self, mode, R):
-        # both blocks come from one gather of the |ij> and |ji> rows; they
-        # equal, bit for bit, the blocks gathered sector by sector from H
+        # the blocks are read in place from the coupling's layout, the rows
+        # of |ij> and |ji> gathered once per parity class; they equal, bit
+        # for bit, the blocks gathered sector by sector from pair-ordered H
         atom = PRESET.atom(1)
         for cutoff in (4, 10, 16, 20):
-            ham = _hamiltonian(atom, R, mode, 3, cutoff)
-            got, want = _exchange_blocks(ham), _sector_gathers(ham)
-            for block, ref in zip(got, want, strict=True):
+            ham, even = _hamiltonian(atom, R, mode, 3, cutoff)
+            got = _sectors(ham, even)
+            want = _sector_gathers(_pair_order(ham), even)
+            assert len(got) == (4 if mode == "truncated" else 2)
+            for (block, reach), (ref, ref_reach) in zip(got, want, strict=True):
                 assert block.shape == ref.shape and (block == ref).all()
+                assert np.array_equal(reach, ref_reach)
+
+    @pytest.mark.parametrize("R", [8.5, 13.0, 19.0])
+    def test_full_mode_keeps_the_exchange_only_bits(self, R):
+        # full mode splits by exchange alone, and each result is that of
+        # eigvalsh on the P = +1 block of pair-ordered H with one Cholesky
+        # certificate of the P = -1 block: corrections and convergence
+        # errors keep their bits
+        atom = PRESET.atom(1)
+        for cutoff in (10, 14, 20):
+            res = oscillator_basis_diag(atom, R, cutoff=cutoff, overlap_tol=1e-1)
+            ham, even = _pair_ordered(atom, R, "full", 3, cutoff)
+            (plus, _), (minus, _) = _sector_gathers(ham, even)
+            fine, coarse = (
+                float(np.linalg.eigvalsh(plus[:s, :s])[0])
+                for s in (_sector_sizes(c, even)[0] for c in (cutoff, cutoff - 2))
+            )
+            assert oracle._sector_above(minus, max(fine, coarse))
+            assert res.correction == fine
+            assert res.convergence_error == coarse - fine
+        rep = convergence_report(atom, R, cutoffs=(6, 10, 14), overlap_tol=1e-1)
+        ham, even = _pair_ordered(atom, R, "full", 3, 14)
+        (plus, _), _ = _sector_gathers(ham, even)
+        assert rep.corrections == tuple(
+            float(np.linalg.eigvalsh(plus[:s, :s])[0])
+            for s in (_sector_sizes(c, even)[0] for c in (6, 10, 14))
+        )
 
     def test_ground_state_taken_from_either_sector(self):
         # |01> and |10> coupled by -2: (|01> + |10>) / sqrt(2), which is
-        # P = -1 since (-1)^(0+1) = -1, sits at hbar omega - 2 below |00>
+        # P = -1 since (-1)^(0+1) = -1, and odd, sits at hbar omega - 2
+        # below |00>
         n = 4
         i, j = np.divmod(np.arange(n * n), n)
         ham = np.diag(0.5 * (i + j))
         ham[1, n] = ham[n, 1] = -2.0
-        plus, minus = _exchange_blocks(ham)
+        sectors = _sectors(_pair_order(ham), True)
+        (plus, _), *_, (odd_minus, _) = sectors
         assert np.linalg.eigvalsh(plus)[0] == 0.0
-        assert np.linalg.eigvalsh(minus)[0] == pytest.approx(-1.5, abs=1e-15)
-        lowest = np.linalg.eigvalsh(minus)[0]
-        assert _corrections((plus, minus), (n - 1,))[0] == lowest
+        lowest = np.linalg.eigvalsh(odd_minus)[0]
+        assert lowest == pytest.approx(-1.5, abs=1e-15)
+        assert _corrections(sectors, (n - 1,))[0] == lowest
 
     @pytest.mark.parametrize("mode", ["full", "truncated"])
     def test_eigensolves_see_only_the_sector_blocks(self, mode, monkeypatch):
         atom = PRESET.atom(1)
+        even = mode == "truncated"  # the dipole series keeps total parity
         # warm the Gauss-Hermite cache: hermgauss runs eigvalsh of its own
         oscillator_basis_diag(atom, 13.0, mode=mode, cutoff=12, overlap_tol=1.0)
         convergence_report(
             atom, 13.0, mode=mode, cutoffs=(6, 10, 14), overlap_tol=1.0
         )
-        sizes, factored = [], []
-        real_eigvalsh, real_cholesky = np.linalg.eigvalsh, np.linalg.cholesky
-
-        def spy(a, *args, **kwargs):
-            sizes.append(a.shape[0])
-            return real_eigvalsh(a, *args, **kwargs)
-
-        def cholesky_spy(a, *args, **kwargs):
-            factored.append(a.shape[0])
-            return real_cholesky(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-        monkeypatch.setattr(np.linalg, "cholesky", cholesky_spy)
+        sizes, factored = _spy_linalg(monkeypatch)
         oscillator_basis_diag(atom, 13.0, mode=mode, cutoff=12, overlap_tol=1.0)
         convergence_report(
             atom, 13.0, mode=mode, cutoffs=(6, 10, 14), overlap_tol=1.0
         )
-        # the P = +1 block of every rung, and one factorization of the
-        # P = -1 block per solve, at its largest cutoff
+        # the ground sector's block of every rung, and one factorization of
+        # each other sector per solve, at its largest cutoff
         rungs = (12, 10) + (6, 10, 14)
-        assert sizes == [(c + 1) * (c + 2) // 2 for c in rungs]
-        assert factored == [12 * 13 // 2, 14 * 15 // 2]
-        assert not {(c + 1) ** 2 for c in rungs} & set(sizes + factored)
+        assert sizes == [_sector_sizes(c, even)[0] for c in rungs]
+        assert factored == _sector_sizes(12, even)[1:] + _sector_sizes(14, even)[1:]
+        assert len(factored) == (6 if even else 2)
+        if not even:
+            assert sizes == [(c + 1) * (c + 2) // 2 for c in rungs]
+        # no input is the product basis of its cutoff, (c + 1)^2 states
+        tops = (12,) * (len(factored) // 2) + (14,) * (len(factored) // 2)
+        for seen, cutoffs in ((sizes, rungs), (factored, tops)):
+            assert all(s <= (c + 1) * (c + 2) // 2 for s, c in zip(seen, cutoffs))
 
-    def test_ground_state_in_minus_sector_through_the_solver(self, monkeypatch):
+    def test_dipole_op_at_cutoff_20_solves_121_and_100_states(self, monkeypatch):
+        # against 231 and 190 for the whole P = +1 blocks
+        atom = PRESET.atom(1)
+        oscillator_basis_diag(
+            atom, 13.0, mode="truncated", cutoff=20, overlap_tol=1.0
+        )
+        sizes, factored = _spy_linalg(monkeypatch)
+        oscillator_basis_diag(
+            atom, 13.0, mode="truncated", cutoff=20, overlap_tol=1.0
+        )
+        assert sizes == [121, 100]
+        assert factored == [100, 110, 110]
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_ground_state_in_minus_sector_through_the_solver(self, even, monkeypatch):
         # as in test_ground_state_taken_from_either_sector, |01> and |10>
-        # coupled by -2 put a P = -1 state at hbar omega - 2; a weak
-        # exchange-symmetric coupling of |01>, |10> to |0c>, |c0> lowers it
-        # only in the basis with cutoff c, so the convergence error is the
-        # drop of the P = -1 eigenvalue
+        # coupled by -2 put a P = -1 odd state at hbar omega - 2; a weak
+        # exchange-symmetric coupling of |01>, |10> to |0c>, |c0> (i + j
+        # odd too) lowers it only in the basis with cutoff c, so the
+        # convergence error is the drop of that state; H reaches the solver
+        # in the coupling's layout, split by exchange alone or by parity too
         atom = PRESET.atom(1)
         cutoff, n = 5, 6
         i, j = np.divmod(np.arange(n * n), n)
@@ -494,12 +621,13 @@ class TestExchangeSymmetry:
         g = 1e-4
         ham[1, cutoff] = ham[cutoff, 1] = g
         ham[n, cutoff * n] = ham[cutoff * n, n] = (-1.0) ** (1 + cutoff) * g
-        monkeypatch.setattr(oracle, "_hamiltonian", lambda *args: ham.copy())
+        layout = _pair_order(ham)
+        monkeypatch.setattr(oracle, "_hamiltonian", lambda *args: (layout.copy(), even))
         res = oscillator_basis_diag(atom, 13.0, cutoff=cutoff, overlap_tol=1.0)
         keep = (i <= cutoff - 2) & (j <= cutoff - 2)
         fine = np.linalg.eigvalsh(ham)[0]
         coarse = np.linalg.eigvalsh(ham[np.ix_(keep, keep)])[0]
-        _, minus = _exchange_blocks(ham)
+        minus, _ = _sector_gathers(ham, even)[-1]  # P = -1, odd if split
         assert fine < coarse == pytest.approx(-1.5, abs=1e-15)
         assert res.correction == pytest.approx(fine, rel=1e-15, abs=0.0)
         assert res.correction == np.linalg.eigvalsh(minus)[0]
@@ -507,6 +635,22 @@ class TestExchangeSymmetry:
             coarse - fine, rel=1e-6, abs=0.0
         )
         assert res.convergence_error > 0.0
+
+    def test_sector_without_states_at_a_rung(self):
+        # |02> and |20> coupled by 3 put the P = -1 even state
+        # (|02> - |20>) / sqrt(2) at 1 - 3 = -2, below every other state of
+        # the basis with cutoff 3; that sector has no state with i, j <= 1,
+        # so the cutoff-1 rung keeps the ground sector's |00>
+        n = 4
+        i, j = np.divmod(np.arange(n * n), n)
+        ham = np.diag(0.5 * (i + j))
+        ham[2, 2 * n] = ham[2 * n, 2] = 3.0
+        sectors = _sectors(_pair_order(ham), True)
+        (plus, _), (minus, reach) = sectors[:2]
+        assert reach.tolist() == [2, 3]
+        lowest = np.linalg.eigvalsh(minus)[0]
+        assert lowest == pytest.approx(-2.0, abs=1e-15)
+        assert _corrections(sectors, (3, 1)) == (lowest, 0.0)
 
     @pytest.mark.parametrize("gap, solved", [(0.0, True), (0.5, True), (4.0, False)])
     def test_sectors_within_tau_fall_back_to_eigvalsh(self, gap, solved, monkeypatch):
@@ -517,27 +661,36 @@ class TestExchangeSymmetry:
         # first order)
         mu, n = -1.0, 15
         tau = 4 * (n + 1) * 2.0**-53 * 2 * n * abs(mu)
-        plus = np.diag(np.linspace(mu, 3.0, 21))
-        minus = np.diag(np.full(n, mu + gap * tau))
-        sizes = []
-        real = np.linalg.eigvalsh
-
-        def spy(a, *args, **kwargs):
-            sizes.append(a.shape[0])
-            return real(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        j, i = np.tril_indices(6)
+        plus = (np.diag(np.linspace(mu, 3.0, 21)), j)
+        minus = (np.diag(np.full(n, mu + gap * tau)), j[i < j])
+        sizes, _ = _spy_linalg(monkeypatch)
         assert oracle._corrections((plus, minus), (3, 5)) == (mu, mu)
         assert sizes == [10, 21] + ([6, 15] if solved else [])
 
-    def test_minus_sector_between_the_rungs(self):
-        # the P = -1 block (-1) lies below the P = +1 value of cutoff 3 (0)
-        # and above that of cutoff 5 (-2): it is the ground state of the
-        # smaller basis only, so the certificate must be taken against the
-        # highest P = +1 value in play
-        plus = np.diag(np.r_[np.arange(10.0), -2.0, np.arange(10.0)])
-        minus = np.diag(np.full(15, -1.0))
-        assert oracle._corrections((plus, minus), (3, 5)) == (-1.0, -2.0)
+    def test_minus_sector_between_the_rungs(self, monkeypatch):
+        # the odd P = -1 state (|01> + |10>) / sqrt(2) (about -1) lies below
+        # the ground sector's value at cutoff 3 (|00>, 0) and above that at
+        # cutoff 5 (|44>, -2): it is the ground state of the smaller basis
+        # only, so the certificate must be taken against the highest value
+        # in play; against cutoff 5's alone it would pass
+        n = 6
+        i, j = np.divmod(np.arange(n * n), n)
+        ham = np.diag(10.0 + i + j)
+        ham[0, 0], ham[4 * n + 4, 4 * n + 4] = 0.0, -2.0
+        ham[1, 1] = ham[n, n] = 0.0
+        ham[1, n] = ham[n, 1] = -1.0
+        layout = _pair_order(ham)
+        monkeypatch.setattr(oracle, "_hamiltonian", lambda *args: (layout.copy(), True))
+        rep = convergence_report(
+            PRESET.atom(1), 13.0, cutoffs=(3, 5), overlap_tol=1.0
+        )
+        minus, reach = _sector_gathers(ham, True)[3]
+        assert oracle._sector_above(minus, -2.0)
+        small = np.count_nonzero(reach <= 3)
+        lowest = np.linalg.eigvalsh(minus[:small, :small])[0]
+        assert lowest == pytest.approx(-1.0, abs=1e-15)
+        assert rep.corrections == (lowest, -2.0)
 
     @pytest.mark.parametrize("mode", ["full", "truncated"])
     @pytest.mark.parametrize("R", [2.5, 8.0, 13.0, 20.0])
@@ -547,15 +700,14 @@ class TestExchangeSymmetry:
         rep = convergence_report(
             atom, R, mode=mode, cutoffs=cutoffs, overlap_tol=1.0
         )
-        plus, minus = _exchange_blocks(
-            _hamiltonian(atom, R, mode, 3, 13)
-        )
+        ham, even = _pair_ordered(atom, R, mode, 3, 13)
+        sectors = _sector_gathers(ham, even)
         want = tuple(
             min(
-                float(np.linalg.eigvalsh(plus[:p, :p])[0]),
-                float(np.linalg.eigvalsh(minus[:q, :q])[0]),
+                float(np.linalg.eigvalsh(block[:s, :s])[0])
+                for (block, _), s in zip(sectors, _sector_sizes(c, even))
             )
-            for p, q in (((c + 1) * (c + 2) // 2, c * (c + 1) // 2) for c in cutoffs)
+            for c in cutoffs
         )
         assert rep.corrections == want
 
@@ -908,3 +1060,33 @@ class TestOffsetGrouping:
         want_xi, want_w = np.polynomial.hermite.hermgauss(nodes)
         assert np.array_equal(xi, want_xi) and np.array_equal(w, want_w)
         assert not xi.flags.writeable and not w.flags.writeable
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name, monkeypatch):
+    """``perfbench/<name>.py`` as a module, registered for the test's duration."""
+    spec = importlib.util.spec_from_file_location(name, _PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkOracleOps:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_round_passes_its_checks(self, seed, monkeypatch):
+        # the benchmark's oracle workload checks every op against a route
+        # that avoids the oracle (normal modes, closed forms, asymptotics);
+        # an op it would count as a mismatch or a crash must fail here first
+        _load("common", monkeypatch)
+        inproc = _load("inproc", monkeypatch)
+        workload = inproc.Oracle()
+        ops = next(workload.rounds(seed))
+        assert {op["kind"] for op in ops} == {
+            "full", "truncated", "direct-d1", "direct-d2", "direct-d3"
+        }
+        for op in ops:
+            _, outcome, detail = inproc.run_op(workload, op)
+            assert (outcome, detail) == ("pass", None), op

@@ -537,8 +537,17 @@ def _per_monomial_operator(series, atom_a, atom_b, cutoff, R):
     return total.reshape(size * size, size * size)
 
 
+def _pair_order(m, s):
+    """M[(s_a, k_a), (s_b, k_b)] of S states at [(s_a, s_b), (k_a, k_b)]."""
+    return m.reshape(s, s, s, s).transpose(0, 2, 1, 3).reshape(s * s, s * s)
+
+
 class TestProductStateOperator:
-    """``_ProductStates`` with every pair state as ket, in d = 2 and 3."""
+    """``_ProductStates`` with every pair state as ket, in d = 2 and 3.
+
+    The coupling comes in the contraction's layout and is compared in pair
+    order, |s_a s_b> at s_a S + s_b.
+    """
 
     R = 8.0
 
@@ -547,7 +556,8 @@ class TestProductStateOperator:
         pairs = _ProductStates(atom, atom if atom_b is None else atom_b, 3)
         form = kernels.series_form(expand_interaction(dim, 6))
         weights = form.inverse_powers(self.R)
-        return pairs, form, weights, pairs.coupling(form, [weights], pairs.states)[0]
+        op = pairs.coupling(form, [weights], pairs.states)[0]
+        return pairs, form, weights, _pair_order(op, len(pairs.states))
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_hermitian(self, dim):
@@ -561,8 +571,8 @@ class TestProductStateOperator:
         # only ket; the full operator's |00> column holds the same amplitudes
         pairs, form, weights, op = self._operator(dim)
         ground = pairs.coupling(form, [weights], pairs.states[:1])[0]
-        assert ground.shape == (op.shape[0], 1)
-        gap = np.abs(op[:, 0] - ground[:, 0]).max()
+        assert ground.shape == (len(pairs.states),) * 2
+        gap = np.abs(op[:, 0] - ground.ravel()).max()
         assert gap <= 1e-15 * np.abs(ground).max()
 
     @pytest.mark.parametrize("dim", [2, 3])
