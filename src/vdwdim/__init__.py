@@ -18,8 +18,10 @@ Importing the package runs no submodule.  Each one is registered in
 access, and the public names below resolve on first use (PEP 562).  So a
 command loads only the modules it calls: ``expand`` only ``multipole``,
 ``curve`` and ``exact`` only ``drude_exact``; neither those nor ``--version``
-load numpy.  ``moments``, ``potential`` and ``verify`` load numpy with the
-modules that need it.
+load numpy.  ``moments`` and ``potential`` load ``atoms`` and
+``potential``, which import numpy only inside the functions that build
+arrays, so ``moments`` and ``potential --dim 1`` and ``--dim 2`` run
+without it; a ``--dim 3`` quadrature and ``verify`` load it.
 """
 
 import importlib.util

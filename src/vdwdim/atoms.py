@@ -15,20 +15,22 @@ are exposed separately for the quadrature oracles and the potential module.
 checked rows (a series form's) calls directly; other checks are drude_exact's.
 Every moment passes one check, ``AtomModel._finite``: past float64, ValueError.
 
-This module needs numpy, and loads when a command first asks for an atom:
-``moments``, ``potential`` and ``verify`` do, while ``expand``, ``curve``
-and ``exact`` never touch it (see the package docstring).
-``NumericRadialAtom``'s density spline is ``_NotAKnotCubic``, a numpy port
-of the one scipy ``CubicSpline`` configuration it needs, bit for bit.
-``DrudeAtom.support_radius`` reads its radius from a table of Gaussian
-survival roots.
+This module loads when a command first asks for an atom: ``moments``,
+``potential`` and ``verify`` do, while ``expand``, ``curve`` and ``exact``
+never touch it (see the package docstring).  It imports numpy only inside
+the functions that build arrays (``ladder_elements``, ``_ProductStates``,
+``NumericRadialAtom``, its spline and the array case of
+``DrudeAtom.radial_density``), so the moments of the closed-form atoms and
+a Drude density at a float load none.  ``NumericRadialAtom``'s density
+spline is ``_NotAKnotCubic``, a numpy port of the one scipy ``CubicSpline``
+configuration it needs, bit for bit.  ``DrudeAtom.support_radius`` reads
+its radius from a table of Gaussian survival roots.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .drude_exact import _check_terms, _dimension, _integer
 
@@ -195,6 +197,8 @@ class DrudeAtom(AtomModel):
         leaves them and no element is cut off.  These are the package's only
         ladder elements.
         """
+        import numpy as np
+
         top = int(rows.max(initial=0))
         n = int(kets.max()) + 1
         levels = max(n + top, int(bras.max()) + 1)
@@ -238,9 +242,16 @@ class DrudeAtom(AtomModel):
     def radial_density(self, r):
         """Ground-state density value at radius r (full d-dim density).
 
-        Far out, where r^2 / (2 a^2) overflows, the exponential is 0.0 and
-        so is the density, without a warning.
+        A float r gives a float through ``math.exp``; anything else is taken
+        as an array and keeps ``np.exp``, whose last bits differ from
+        ``math.exp``'s for a few percent of arguments.  Far out, where
+        r^2 / (2 a^2) overflows, the exponential is 0.0 and so is the
+        density, without a warning.
         """
+        if isinstance(r, float):
+            return self._peak() * math.exp(-(r * r) / (2.0 * self.a**2))
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         with np.errstate(over="ignore"):
             return self._peak() * np.exp(-(r**2) / (2.0 * self.a**2))
@@ -259,6 +270,8 @@ class _ProductStates:
     """
 
     def __init__(self, atom_a, atom_b, cutoff):
+        import numpy as np
+
         self.atoms, dim = (atom_a, atom_b), atom_a.dim
         grid = np.indices((cutoff + 1,) * dim).reshape(dim, -1).T
         self.states = grid[grid.sum(axis=1) <= cutoff]
@@ -275,6 +288,8 @@ class _ProductStates:
         With the ground state as the only ket that is the S x S table of
         <s_a s_b|T|00>, whose ravel is in pair order.
         """
+        import numpy as np
+
         (atom_a, atom_b), dim = self.atoms, self.states.shape[1]
         rows_a, rows_b = form.rows_a[:, :dim], form.rows_b[:, :dim]
         shape = (-1, len(self.states) * len(kets))
@@ -346,6 +361,8 @@ class NumericRadialAtom(AtomModel):
     _GL_ORDER = 12
 
     def __init__(self, dim, r, rho):
+        import numpy as np
+
         dim = _dimension(dim)
         r = np.asarray(r, dtype=float)
         rho = np.asarray(rho, dtype=float)
@@ -379,6 +396,8 @@ class NumericRadialAtom(AtomModel):
     @classmethod
     def from_file(cls, path, dim):
         """Load a two-column text file of (r, rho(r)) samples."""
+        import numpy as np
+
         data = np.loadtxt(path)
         if data.ndim != 2 or data.shape[1] < 2:
             raise ValueError("expected two columns: r and rho(r)")
@@ -386,6 +405,8 @@ class NumericRadialAtom(AtomModel):
 
     def _integrate(self, power):
         """Integral of spline(u) u^power over the grid; inf or NaN, unwarned."""
+        import numpy as np
+
         with np.errstate(over="ignore", invalid="ignore"):
             return float(np.sum(self._hw * (self._rho_u * self._u**power)))
 
@@ -401,6 +422,17 @@ class NumericRadialAtom(AtomModel):
         return self._radial_moments[order]
 
     def radial_density(self, r):
+        """Normalized spline density at radius r, zero outside the grid.
+
+        A float r gives a float, the same bits as the array case.
+        """
+        if isinstance(r, float):
+            knots = self._spline.knots
+            if not knots[0] <= r <= knots[-1]:
+                return 0.0
+            return self._norm * max(self._spline.at(r), 0.0)
+        import numpy as np
+
         r = np.asarray(r, dtype=float)
         inside = (r >= self._r[0]) & (r <= self._r[-1])
         out = np.where(inside, np.clip(self._spline(np.clip(r, self._r[0], self._r[-1])), 0.0, None), 0.0)
@@ -418,9 +450,12 @@ class _NotAKnotCubic:
     coefficients are scipy's PPoly ones (``c[0]`` the cubic term), and a
     point u in [x[i], x[i + 1]) (the last interval closed, the end intervals
     extended) is summed from the constant term up, as scipy evaluates it.
+    ``at`` evaluates a float in Python floats, with the same bits.
     """
 
     def __init__(self, x, y):
+        import numpy as np
+
         dx = np.diff(x)
         slope = np.diff(y) / dx
         d0, d1 = x[2] - x[0], x[-1] - x[-3]
@@ -438,8 +473,12 @@ class _NotAKnotCubic:
         t = (s[:-1] + s[1:] - 2 * slope) / dx
         self.x = x
         self.c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        self.knots = x.tolist()
+        self._rows = self.c.T[:, ::-1].tolist()  # per interval, constant first
 
     def __call__(self, u):
+        import numpy as np
+
         i = np.searchsorted(self.x, u, side="right") - 1
         i = np.clip(i, 0, self.x.size - 2)
         s = u - self.x[i]
@@ -448,6 +487,15 @@ class _NotAKnotCubic:
             out += c[i] * z
             z *= s
         return out
+
+    def at(self, u):
+        """The spline at one float u, in ``__call__``'s order of operations."""
+        knots = self.knots
+        i = min(max(bisect.bisect_right(knots, u) - 1, 0), len(knots) - 2)
+        s = u - knots[i]
+        c0, c1, c2, c3 = self._rows[i]
+        z = s * s
+        return 0.0 + c0 + c1 * s + c2 * z + c3 * (z * s)
 
 
 def _gtsv(lower, diag, upper, rhs):
@@ -458,6 +506,8 @@ def _gtsv(lower, diag, upper, rhs):
     dgtsv's order of operations.  A sweep without pivoting differs in the
     last bits wherever the grid spacing jumps.
     """
+    import numpy as np
+
     dl, d, du, b = (v.tolist() for v in (lower, diag, upper, rhs))
     n = len(d)
     for i in range(n - 1):

@@ -15,14 +15,17 @@ when a command runs:
 * ``moments`` loads ``atoms``, ``potential`` adds ``potential`` and
   ``verify`` loads everything.
 
-numpy comes with ``atoms``, ``kernels``, ``potential`` and the modules built
-on them, so ``--version``, ``expand``, ``curve`` and ``exact`` run without
-it, error exits included: ``main`` reports a ``CliError``, ``ValueError`` or
-``OSError`` before it looks up the oracle's and the potential's own errors.
-``potential`` rejects an unknown ``--methods`` entry, a ``--radii`` or
-``--thetas`` value that is not finite, a zero radius and a ring ``--radius``
-that is not finite and positive before it loads numpy, and so before it
-builds the atom.
+numpy comes with ``kernels`` and the modules built on it (``oracle``,
+``perturbation``, ``verify``); ``atoms`` and ``potential`` load it only
+where they build arrays.  So ``--version``, ``expand``, ``curve``,
+``exact``, ``moments`` and ``potential --dim 1`` and ``--dim 2`` run
+without it, error exits included, and only a ``--dim 3`` quadrature and
+``verify`` load it.  ``main`` reports a ``CliError``, ``ValueError`` or
+``OSError``, and then the potential's own errors, before it looks up the
+oracle's.  ``potential`` rejects an unknown ``--methods`` entry, a
+``--radii`` or ``--thetas`` value that is not finite, a zero radius and a
+ring ``--radius`` that is not finite and positive before it builds the
+atom.
 """
 
 import argparse
@@ -161,14 +164,12 @@ def cmd_potential(args):
         raise CliError("field point must be finite and nonzero")
     if args.atom == "ring":
         drude_exact._check_terms({"radius": args.radius})  # RingAtom's check
-    import numpy as np
-
     atom = _atom_from_args(args)
     lines = ["r,theta_deg,value,method"]
     for s in radii:
         for theta in thetas:
             rad = math.radians(theta)
-            point = np.array([s * math.cos(rad), 0.0, s * math.sin(rad)])
+            point = (s * math.cos(rad), 0.0, s * math.sin(rad))
             for method in methods:
                 if method == "quadrature":
                     sample = potential.v_a_numeric(atom, point)
@@ -378,7 +379,10 @@ def main(argv=None):
     except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (oracle.ConvergenceError, potential.QuadratureError) as exc:
+    except potential.QuadratureError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except oracle.ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -467,17 +467,22 @@ def exact_interaction(R, r_a, r_b):
     ``r_a`` and ``r_b`` are length-d sequences (d <= 3), zero-padded into 3D
     because the Coulomb field always lives in three dimensions.  Raises
     ``SingularConfigurationError`` when any denominator drops below 1e-12 R;
-    the model assumes non-overlapping atoms anyway.  Past R = 2^500, as in
-    ``_four_site``, R and the points are scaled exactly by the power of two
-    of R and the result scaled back, so no square overflows; every
-    R <= 1e150 keeps its bits.
+    the model assumes non-overlapping atoms anyway.  Once the largest of R
+    and the point coordinates passes 2^500, R and the points are scaled by
+    a power of two that brings it just below 2^500, and the result scaled
+    back: no square overflows, and lengths down to 2^-1000 of the largest
+    keep their squares out of the subnormals.  A power-of-two scaling is
+    exact, and every input up to 2^500 keeps its bits.  (``_four_site``
+    scales by R alone: a point far beyond R is no series traffic.)
     """
     _check_separation(R)
     eps = 1e-12 * R
-    e = -math.frexp(R)[1] if R > 2.0**500 else 0
+    a, b = _pad3(r_a), _pad3(r_b)
+    largest = max(R, float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    e = 500 - math.frexp(largest)[1] if largest > 2.0**500 else 0
     x = np.array([math.ldexp(R, e), 0.0, 0.0])
-    a = np.ldexp(_pad3(r_a), e)
-    b = np.ldexp(_pad3(r_b), e)
+    a = np.ldexp(a, e)
+    b = np.ldexp(b, e)
     d_ab = np.linalg.norm(x - a + b)
     d_a = np.linalg.norm(x - a)
     d_b = np.linalg.norm(x + b)

@@ -20,20 +20,24 @@ later terms s^-7, s^-9, ... are not negligible at 1e-6 relative for s up to
 about 15.
 
 ``_cloud`` uses ``_panels``, adaptive 20-point Gauss-Legendre panels in
-numpy that aim at 1e-13 relative; the ring kernel takes K from the
+plain floats that aim at 1e-13 relative; the ring kernel takes K from the
 arithmetic-geometric mean of the complementary modulus.  The d = 3 shell
 integrals use ``_quad``, QUADPACK's QAGS without its extrapolation, in the
 same arithmetic as scipy's ``quad``: outside the cloud the d = 3 value is
 the rounding residue of (1 - 4 pi E) / s, so any other rule would move its
 printed digits.
+
+Only that d = 3 rule loads numpy: ``_qk21`` evaluates the density on its
+21 nodes as one array, with numpy's ``exp``, which keeps the residue's
+digits where ``math.exp`` would move some of them.  Everything else here,
+every d = 1 and d = 2 value and every multipole value, is computed in
+Python floats with ``math``, so ``vdw potential --dim 1`` and ``--dim 2``
+never import numpy.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .atoms import Hydrogen1DAtom, RingAtom, _sphere_area
 
@@ -56,7 +60,10 @@ class DivergentPotentialError(ValueError):
 
 @dataclass(frozen=True)
 class PotentialSample:
-    """One potential value; ``error`` is its quadrature error estimate, if any."""
+    """One potential value; ``error`` is its quadrature error estimate, if any.
+
+    ``field_point`` is the point as a tuple of three Python floats.
+    """
 
     field_point: tuple
     value: float
@@ -99,22 +106,58 @@ def even_moments(atom):
     return m2x, r2, m4x, x2r2, r4
 
 
-def _field_norm(r):
-    """(|r|, r scaled by the power of two of its largest component).
+def _point(r):
+    """The field point as a tuple of three floats.
 
-    The field point must be a finite, nonzero 3-vector (ValueError).  The
-    scaling is exact, so |r| keeps the bits of ``np.linalg.norm(r)``
-    wherever that is right, but the squares of tiny (or huge) components no
-    longer underflow (or overflow).
+    ValueError unless it has shape (3,), as ``np.shape`` reads it.
     """
-    if r.shape != (3,):
-        raise ValueError(f"field point must have shape (3,), got {r.shape}")
-    largest = float(np.max(np.abs(r)))
-    if not (math.isfinite(largest) and largest > 0):
+    shape = ()
+    probe = r
+    while isinstance(probe, (list, tuple)):
+        shape += (len(probe),)
+        if not probe:
+            break
+        probe = probe[0]
+    else:
+        shape += tuple(getattr(probe, "shape", ()))
+    if shape != (3,):
+        raise ValueError(f"field point must have shape (3,), got {shape}")
+    return tuple(float(x) for x in r)
+
+
+def _add_square(acc, x):
+    """acc + x * x rounded once, as a fused multiply-add rounds it.
+
+    ``math`` has no fma before Python 3.13, so the sum is formed exactly:
+    the denominators of floats are powers of two, and int / int rounds
+    correctly.
+    """
+    xn, xd = x.as_integer_ratio()
+    an, ad = acc.as_integer_ratio()
+    return (xn * xn * ad + an * xd * xd) / (xd * xd * ad)
+
+
+def _field_norm(r):
+    """(|r|, r scaled by the power of two of its largest component, |scaled|^2).
+
+    The field point must be three finite floats, not all zero (ValueError).
+    The scaling is exact, so the squares of tiny (or huge) components no
+    longer underflow (or overflow).  |scaled|^2 keeps the bits of numpy's
+    ``scaled @ scaled``, and |r| those of ``np.linalg.norm(r)`` wherever
+    that is right: numpy's dot of three floats accumulates by fused
+    multiply-adds, fma(z, z, fma(y, y, x x)) (OpenBLAS's ddot on an x86-64
+    FMA processor), which a plain sum of squares misses in about one case
+    in ten.
+    """
+    x, y, z = r
+    largest = max(abs(x), abs(y), abs(z))
+    # an inf component makes largest inf, a NaN one the sum NaN
+    if not 0.0 < largest < math.inf or math.isnan(x + y + z):
         raise ValueError("field point must be finite and nonzero")
     exp = math.frexp(largest)[1]
-    scaled = np.ldexp(r, -exp)
-    return math.ldexp(float(np.linalg.norm(scaled)), exp), scaled
+    x, y, z = scaled = (math.ldexp(x, -exp), math.ldexp(y, -exp), math.ldexp(z, -exp))
+    norm2 = _add_square(_add_square(x * x, y), z)
+    return math.ldexp(math.sqrt(norm2), exp), scaled, norm2
 
 
 def v_a_multipole(atom, r, order=3):
@@ -129,15 +172,17 @@ def v_a_multipole(atom, r, order=3):
     """
     if order not in (3, 5):
         raise UnsupportedOrderError("order must be 3 or 5")
-    r = np.asarray(r, dtype=float)
-    s, scaled = _field_norm(r)
-    norm2 = float(scaled @ scaled)
+    r = _point(r)
+    s, scaled, norm2 = _field_norm(r)
     if order == 3:
-        cos2 = float(np.sum(scaled[: atom.dim] ** 2)) / norm2
+        in_plane = 0.0  # numpy's sum of the squares, left to right
+        for x in scaled[: atom.dim]:
+            in_plane += x * x
+        cos2 = in_plane / norm2
         a2 = atom.radial_moment(2) / atom.dim
         value = _over_power((atom.dim - 3.0 * cos2) * a2 / 2.0, s, 3)
     else:
-        if abs(float(scaled[0]) ** 2 / norm2 - 1.0) > 1e-12:
+        if abs(scaled[0] ** 2 / norm2 - 1.0) > 1e-12:
             raise UnsupportedOrderError(
                 "order 5 is only available on the in-plane axis"
             )
@@ -147,7 +192,7 @@ def v_a_multipole(atom, r, order=3):
         raise DivergentPotentialError(
             f"multipole{order} potential diverges at |r| = {s:.3g}"
         )
-    return PotentialSample(tuple(r), value, f"multipole{order}")
+    return PotentialSample(r, value, f"multipole{order}")
 
 
 def _over_power(c, s, n):
@@ -167,12 +212,12 @@ def v_a_numeric(atom, r):
     that is integrated, and ``None`` where the cloud potential has a closed
     form (the collapsed 1D atom and the ring atoms).
     """
-    r = np.asarray(r, dtype=float)
-    s, _ = _field_norm(r)
+    r = _point(r)
+    s = _field_norm(r)[0]
 
     if isinstance(atom, Hydrogen1DAtom):
         # density collapsed onto the nucleus: exact cancellation
-        return PotentialSample(tuple(r), 0.0, "quadrature")
+        return PotentialSample(r, 0.0, "quadrature")
     if not math.isfinite(1.0 / s):
         raise DivergentPotentialError(f"potential diverges at |r| = {s:.3g}")
     d = atom.dim
@@ -183,19 +228,18 @@ def v_a_numeric(atom, r):
             cloud = 1.0 / max(s, atom.radius)
         else:
             # the kernel is infinite on the charge and overflows next to it
-            with np.errstate(divide="ignore", over="ignore"):
-                cloud = float(_shell_kernel(d, atom.radius - r_par, r_par, perp))
+            cloud = _shell_kernel(d, atom.radius - r_par, r_par, perp)
         if not math.isfinite(cloud):
             on = "a charge" if d == 1 else "the ring"
             raise DivergentPotentialError(f"d={d} shell potential diverges on {on}")
-        return PotentialSample(tuple(r), 1.0 / s - cloud, "quadrature")
+        return PotentialSample(r, 1.0 / s - cloud, "quadrature")
 
     support = atom.support_radius()
     if d == 3:
         cloud, error = _cloud_3d(atom, s, support)
     else:
         cloud, error = _cloud(atom, r_par, perp, support)
-    return PotentialSample(tuple(r), 1.0 / s - cloud, "quadrature", error)
+    return PotentialSample(r, 1.0 / s - cloud, "quadrature", error)
 
 
 def shell_theorem_check(atom, radii):
@@ -203,8 +247,8 @@ def shell_theorem_check(atom, radii):
     if atom.dim != 3:
         raise DimensionError("shell-theorem check requires dim = 3")
     worst = 0.0
-    for s in np.asarray(radii, dtype=float):
-        sample = v_a_numeric(atom, np.array([s, 0.0, 0.0]))
+    for s in radii:
+        sample = v_a_numeric(atom, (s, 0.0, 0.0))
         worst = max(worst, abs(sample.value))
     return worst
 
@@ -223,7 +267,7 @@ def _accept(val, err):
 # Kronrod abscissae on [0, 1] from the outermost in, the 21-point Kronrod
 # weights in the same order, and the 10-point Gauss weights of the odd
 # abscissae 2, 4, ..., 10.
-_XGK = np.array([
+_XGK = (
     0.995657163025808080735527280689003,
     0.973906528517171720077964012084452,
     0.930157491355708226001207180059508,
@@ -234,7 +278,7 @@ _XGK = np.array([
     0.433395394129247190799265943165784,
     0.294392862701460198131126603103866,
     0.148874338981631210884826001129720,
-])
+)
 _WGK = (
     0.011694638867371874278064396062192,
     0.032558162307964727478818972459390,
@@ -265,13 +309,17 @@ _LIMIT = 400
 def _qk21(f, a, b):
     """(result, abserr, resabs, resasc) of f on [a, b], as QUADPACK's dqk21.
 
-    f is evaluated once, on all 21 nodes; the sums are then formed one
-    term at a time in dqk21's order, so every value keeps its bits.
+    f is evaluated once, on all 21 nodes as one numpy array; the sums are
+    then formed one term at a time in dqk21's order, so every value keeps
+    its bits.
     """
+    import numpy as np
+
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    absc = hlgth * _XGK
-    fv = f(np.concatenate([centr - absc, centr + absc, [centr]])).tolist()
+    absc = [hlgth * x for x in _XGK]
+    nodes = [centr - x for x in absc] + [centr + x for x in absc] + [centr]
+    fv = f(np.array(nodes)).tolist()
     fv1, fv2, fc = fv[:10], fv[10:20], fv[20]
     resg = 0.0
     resk = _WGK[10] * fc
@@ -356,37 +404,46 @@ def _quad(f, lo, hi):
     return _accept(total, errsum)
 
 
-_GL_ORDER = 20
+# numpy.polynomial.legendre.leggauss(20), bit for bit: the positive nodes
+# from the innermost out and their weights; the rule is symmetric
+_GL_HALF_NODES = (
+    0.07652652113349734,
+    0.22778585114164507,
+    0.37370608871541955,
+    0.5108670019508271,
+    0.636053680726515,
+    0.7463319064601508,
+    0.8391169718222188,
+    0.912234428251326,
+    0.9639719272779138,
+    0.993128599185095,
+)
+_GL_HALF_WEIGHTS = (
+    0.15275338713072628,
+    0.14917298647260424,
+    0.1420961093183824,
+    0.1316886384491769,
+    0.1181945319615186,
+    0.1019301198172407,
+    0.08327674157670471,
+    0.06267204833410879,
+    0.040601429800386446,
+    0.017614007139150893,
+)
+_GL_NODES = tuple(-x for x in reversed(_GL_HALF_NODES)) + _GL_HALF_NODES
+_GL_WEIGHTS = tuple(reversed(_GL_HALF_WEIGHTS)) + _GL_HALF_WEIGHTS
 _PANEL_RTOL = 1e-13
 _MAX_PANELS = 2000
 
 
-@functools.cache
-def _gauss_legendre():
-    """Nodes and weights on [-1, 1], built on first use.
-
-    ``import numpy`` does not load ``numpy.polynomial``, so building them at
-    import would cost every command that never integrates.
-    """
-    nodes, weights = np.polynomial.legendre.leggauss(_GL_ORDER)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def _gauss(f, a, b):
-    """Gauss-Legendre value of f on each panel [a_i, b_i], as one array."""
-    nodes, weights = _gauss_legendre()
-    half = 0.5 * (b - a)
-    u = (0.5 * (a + b))[:, None] + half[:, None] * nodes
-    return half * (f(u) @ weights)
-
-
-def _halves(f, a, b):
-    """Gauss-Legendre values of f on the left and right half of each panel."""
+    """20-point Gauss-Legendre value of f on [a, b]."""
     mid = 0.5 * (a + b)
-    both = _gauss(f, np.concatenate([a, mid]), np.concatenate([mid, b]))
-    return both[: a.size], both[a.size :]
+    half = 0.5 * (b - a)
+    total = 0.0
+    for x, w in zip(_GL_NODES, _GL_WEIGHTS):
+        total += f(mid + half * x) * w
+    return half * total
 
 
 def _panels(f, lo, hi):
@@ -397,31 +454,33 @@ def _panels(f, lo, hi):
     carry at least a quarter of the largest estimate are bisected until the
     summed estimate is within ``_PANEL_RTOL`` of the value, or until there
     are ``_MAX_PANELS`` panels; a result whose estimate then misses the
-    documented 1e-8 raises ``QuadratureError``.  ``f`` maps an array of
-    abscissae to an array of integrand values of the same shape.
+    documented 1e-8 raises ``QuadratureError``.  ``f`` maps a float to a
+    float.  The panels stay in order, each as (a, b, left half, right half)
+    beside its value and its estimate.
     """
-    a = np.array([float(lo)])
-    b = np.array([float(hi)])
-    whole = _gauss(f, a, b)
-    left, right = _halves(f, a, b)
+    panels, values, errors = [], [], []
+
+    def insert(i, a, b, whole):
+        mid = 0.5 * (a + b)
+        left, right = _gauss(f, a, mid), _gauss(f, mid, b)
+        panels.insert(i, (a, b, left, right))
+        values.insert(i, left + right)
+        errors.insert(i, abs(whole - (left + right)))
+
+    lo, hi = float(lo), float(hi)
+    insert(0, lo, hi, _gauss(f, lo, hi))
     while True:
-        err = np.abs(whole - (left + right))
-        val = float(np.sum(left + right))
-        total = float(np.sum(err))
+        val, total = sum(values), sum(errors)
         # a NaN estimate ends the loop here and is rejected by _accept
-        if not total > _PANEL_RTOL * abs(val) or a.size >= _MAX_PANELS:
+        if not total > _PANEL_RTOL * abs(val) or len(panels) >= _MAX_PANELS:
             return _accept(val, total)
-        split = err >= 0.25 * err.max()
-        keep = ~split
-        mid = 0.5 * (a[split] + b[split])
-        new_a = np.concatenate([a[split], mid])
-        new_b = np.concatenate([mid, b[split]])
-        new_left, new_right = _halves(f, new_a, new_b)
-        a = np.concatenate([a[keep], new_a])
-        b = np.concatenate([b[keep], new_b])
-        whole = np.concatenate([whole[keep], left[split], right[split]])
-        left = np.concatenate([left[keep], new_left])
-        right = np.concatenate([right[keep], new_right])
+        cut = 0.25 * max(errors)
+        for i in reversed([i for i, err in enumerate(errors) if err >= cut]):
+            a, b, left, right = panels.pop(i)
+            del values[i], errors[i]
+            mid = 0.5 * (a + b)
+            insert(i, mid, b, right)
+            insert(i, a, mid, left)
 
 
 def _cloud(atom, r_par, perp, support):
@@ -478,17 +537,18 @@ def _cloud_3d(atom, s, support):
 
 
 def _elliptic_k(kp):
-    """Complete elliptic integral K as a function of k' = sqrt(1 - m) > 0.
+    """Complete elliptic integral K as a function of k' = sqrt(1 - m) >= 0.
 
-    K = pi / (2 AGM(1, k')).  Taking k' itself, rather than 1 - m formed
-    from m, keeps K accurate next to its logarithmic singularity at k' = 0,
-    where 1 - m has lost its digits to cancellation.
+    K = pi / (2 AGM(1, k')), and inf at k' = 0.  Taking k' itself, rather
+    than 1 - m formed from m, keeps K accurate next to its logarithmic
+    singularity at k' = 0, where 1 - m has lost its digits to cancellation.
     """
-    a = np.ones_like(kp)
-    b = kp
+    if kp == 0.0:
+        return math.inf
+    a, b = 1.0, kp
     # AM >= GM, and the gap closes quadratically
-    while np.any(a - b > 1e-15 * a):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
+    while a - b > 1e-15 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
     return 0.5 * math.pi / a
 
 
@@ -499,10 +559,13 @@ def _shell_kernel(dim, t, r_par, perp):
     nucleus in the confined subspace and perp out of it, so the near and far
     sides of the shell lie at hypot(t, perp) and hypot(2 r_par + t, perp).
     d = 1: two half charges.  d = 2: a ring, 2 K / (pi far) with
-    complementary modulus k' = near / far.
+    complementary modulus k' = near / far.  On the charge (near = 0) the
+    kernel is inf, and next to it it overflows to inf.
     """
-    near = np.hypot(t, perp)
-    far = np.hypot(2.0 * r_par + t, perp)
+    near = math.hypot(t, perp)
+    far = math.hypot(2.0 * r_par + t, perp)
+    if near == 0.0:
+        return math.inf
     if dim == 1:
         return 0.5 / near + 0.5 / far
     return 2.0 * _elliptic_k(near / far) / (math.pi * far)

@@ -160,11 +160,12 @@ def _structure_checks():
             for p in powers
             for m in series.terms[p]
         )
+        coeffs = {
+            (p, m.exp_a, m.exp_b): m.coeff for p in powers for m in series.terms[p]
+        }
         relabel = all(
-            m.coeff
-            == (-1) ** (p - 1) * series.coefficient(p, m.exp_b, m.exp_a)
-            for p in powers
-            for m in series.terms[p]
+            coeff == (-1) ** (p - 1) * coeffs.get((p, exp_b, exp_a), 0)
+            for (p, exp_a, exp_b), coeff in coeffs.items()
         )
         out.append(
             _check(

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import json
 import math
 import os
@@ -438,7 +439,7 @@ class TestImportPath:
         assert report.pop(inside) == [1, False]
         assert report == {argv: [0, False] for argv in free}
 
-    def test_numpy_loaded_only_by_numeric_commands(self, tmp_path):
+    def test_numpy_loaded_only_by_numeric_commands(self, tmp_path, monkeypatch):
         # one process: numpy stays loaded once any command loads it
         missing = str(tmp_path / "missing" / "x.txt")
         free = {
@@ -462,9 +463,26 @@ class TestImportPath:
             "bogus": 2,
             "potential --dim 1 --methods bogus": 1,
             "potential --dim 3 --radii 2 --methods quadrature,bogus": 1,
+            # the moments and the d = 1, 2 potential are computed in floats
+            "moments": 0,
+            "moments --dim 3 --atom ring --format json": 0,
+            "potential --dim 3 --methods multipole3,multipole5": 0,
+            "potential --dim 2 --atom ring --radii 0.5,2 --thetas 0,60": 0,
+            "potential --dim 1 --atom hydrogen1d": 0,
         }
+        # and so is every d = 1, 2 potential op of the benchmark's cli
+        # workload, the error ops inside the d = 1 cloud among them
+        kinds = _load_perfbench("cli_workload", monkeypatch).variants()
+        ops = {
+            argv: 1 if how == "error" else 0
+            for kind in ("potential-d1", "potential-d2", "potential-d1-inside")
+            for argv, how in kinds[kind]
+        }
+        assert len(ops) == 16
+        free.update(ops)
+        numeric = ("potential --dim 3 --methods quadrature", "verify")
         proc = subprocess.run(
-            [sys.executable, "-c", _LOADED_PROBE, "numpy", *free, "moments"],
+            [sys.executable, "-c", _LOADED_PROBE, "numpy", *free, *numeric],
             env=_probe_env(), capture_output=True, text=True, timeout=120,
             check=True,
         )
@@ -474,7 +492,7 @@ class TestImportPath:
         assert report.pop("import vdwdim.cli") == {
             "numpy": False, "vdwdim": modules,
         }
-        assert report.pop("moments") == [0, True]
+        assert [report.pop(argv) for argv in numeric] == [[0, True]] * 2
         assert report == {argv: [code, False] for argv, code in free.items()}
 
     def test_leaf_loads_neither_numpy_nor_fractions(self):
@@ -569,6 +587,21 @@ _TRACED_MODULES = (
     "atoms", "drude_exact", "kernels", "multipole", "oracle", "perturbation",
     "potential", "verify",
 )
+
+
+_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load_perfbench(name, monkeypatch):
+    """``perfbench/<name>.py`` as a module, with ``common``, for the test."""
+    for module_name in ("common", name):
+        spec = importlib.util.spec_from_file_location(
+            module_name, _PERFBENCH / f"{module_name}.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, module_name, module)
+        spec.loader.exec_module(module)
+    return module
 
 
 def _probe_env():

@@ -809,6 +809,21 @@ class TestHugeSeparation:
             with pytest.raises(SingularConfigurationError, match="1e\\+188"):
                 exact_interaction(1e200, [1e200], [0.0])
 
+    def test_scalar_reference_point_far_beyond_r(self):
+        # a point coordinate past 2^500 sets the scale when R does not: at
+        # R = 10 a point at 1e200 once overflowed the squares with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert exact_interaction(10.0, [1e200], [0.0]) == 0.0
+            # 0.1 + 1/d - 0.1 - 1/d, rounded at the scale of 0.1
+            assert abs(exact_interaction(10.0, [0.0, 0.0], [-1e300, 0.0])) <= 1e-299
+            got = exact_interaction(10.0, [1e200, 0.0, 0.0], [0.0, 1.0, 0.0])
+            assert got == pytest.approx(0.1 - 101.0**-0.5, rel=1e-12, abs=0.0)
+            got = exact_interaction(10.0, [0.0, 1e300, 0.0], [0.0, 1e300, 0.0])
+            assert got == pytest.approx(0.2, rel=1e-15, abs=0.0)
+            with pytest.raises(SingularConfigurationError, match="1e-11"):
+                exact_interaction(10.0, [10.0, 0.0, 0.0], [0.0, 1e300, 0.0])
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     @pytest.mark.parametrize("shift", [600, 1000])
     def test_scalar_reference_scales_exactly(self, dim, shift):

@@ -289,6 +289,129 @@ class TestNumericQuadrature:
         assert v_a_numeric(RingAtom(3), [0.5, 0, 0]).error is None
 
 
+def _numpy_field_norm(points):
+    """The numpy route to |r|, scaled r and |scaled|^2, one row per point.
+
+    ``np.linalg.norm`` of a 3-vector is sqrt(dot), and the stacked matmul
+    runs the same dot on each row; both are checked on every 50th row.
+    """
+    exps = np.frexp(np.max(np.abs(points), axis=1))[1]
+    scaled = np.ldexp(points, -exps[:, None])
+    norm2 = (scaled[:, None, :] @ scaled[:, :, None]).ravel()
+    norm = np.ldexp(np.sqrt(norm2), exps)
+    for i in range(0, len(points), 50):
+        row, exp = scaled[i], int(exps[i])
+        assert float(row @ row) == norm2[i]
+        assert math.ldexp(float(np.linalg.norm(row)), exp) == norm[i]
+    return norm, scaled, norm2
+
+
+def _field_points(n, seed):
+    """n seeded 3D points: spread, CLI-shaped, tiny and huge components."""
+    rng = np.random.default_rng(seed)
+    q = n // 4
+    spread = rng.standard_normal((q, 3)) * 10.0 ** rng.uniform(-3, 3, (q, 3))
+    s = 10.0 ** rng.uniform(-2, 3, q)
+    theta = np.radians(rng.uniform(0.0, 90.0, q))
+    cli = np.stack([s * np.cos(theta), np.zeros(q), s * np.sin(theta)], axis=1)
+    extreme = rng.choice([-1.0, 1.0], (q, 3)) * 10.0 ** rng.uniform(-320, 307, (q, 3))
+    mixed = rng.standard_normal((n - 3 * q, 3))
+    mixed[:, 1] = 0.0
+    mixed[::3, 2] *= 1e-200
+    mixed[1::3, 0] *= 1e250
+    return np.concatenate([spread, cli, extreme, mixed])
+
+
+class TestScalarBits:
+    def test_gauss_legendre_tables_are_numpys(self):
+        nodes, weights = np.polynomial.legendre.leggauss(20)
+        assert potential._GL_NODES == tuple(nodes.tolist())
+        assert potential._GL_WEIGHTS == tuple(weights.tolist())
+
+    def test_field_norm_keeps_numpy_bits(self):
+        points = _field_points(100_000, 36)
+        norm, scaled, norm2 = _numpy_field_norm(points)
+        # flat float lists: no container outlives its step to wake the GC
+        flat, flat_scaled = points.ravel().tolist(), scaled.ravel().tolist()
+        bad = []
+        for i, (n, n2) in enumerate(zip(norm.tolist(), norm2.tolist())):
+            r, row = flat[3 * i : 3 * i + 3], flat_scaled[3 * i : 3 * i + 3]
+            if potential._field_norm(r) != (n, tuple(row), n2):
+                bad.append(r)
+        assert bad == []
+        # numpy's 3-vector dot accumulates by fused multiply-adds; a plain
+        # sum of squares misses its bits in about one case in ten
+        plain = scaled[:, 0] ** 2 + scaled[:, 1] ** 2 + scaled[:, 2] ** 2
+        assert np.count_nonzero(plain != norm2) > 5_000
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_quadrupole_keeps_numpy_bits(self, dim):
+        # the parent's numpy expression for the order-3 value, point by point
+        atom = DrudeAtom.bohr_matched(dim)
+        a2 = atom.radial_moment(2) / dim
+        points = _field_points(1_000, dim)
+        norms = zip(*(a.tolist() for a in _numpy_field_norm(points)))
+        for r, (s, row, n2) in zip(points.tolist(), norms):
+            cos2 = float(np.sum(np.array(row[:dim]) ** 2)) / n2
+            want = potential._over_power((dim - 3.0 * cos2) * a2 / 2.0, s, 3)
+            if not math.isfinite(want):
+                continue
+            sample = v_a_multipole(atom, r, 3)
+            assert sample.value == want, r
+            assert sample.field_point == tuple(r)
+            assert all(type(x) is float for x in sample.field_point)
+
+    @pytest.mark.parametrize(
+        "atom, point",
+        [
+            (RingAtom(1, radius=1.0), [1.0, 0.0, 0.0]),
+            (RingAtom(2, radius=1.0), [0.0, -1.0, 0.0]),
+            (RingAtom(1, radius=1.0), [1.0, 0.0, 5e-324]),
+            (RingAtom(2, radius=1.0), [1.0, 0.0, 5e-324]),
+            (DrudeAtom.bohr_matched(1), [3.0, 0.0, 5e-324]),
+            (DrudeAtom.bohr_matched(1), [3.0, 0.0, -1e-310]),
+            (DrudeAtom.bohr_matched(1), [0.0, 0.0, 0.0 + 5e-324]),
+            (DrudeAtom.bohr_matched(1), [-7.0, 0.0, 0.0]),
+        ],
+    )
+    def test_divergences_stay_typed(self, atom, point):
+        # a Python float division by zero or power overflow would surface
+        # as ZeroDivisionError or OverflowError; numpy gave inf instead
+        with pytest.raises(DivergentPotentialError, match="diverges"):
+            v_a_numeric(atom, point)
+
+    def test_kernel_on_the_charge_is_inf(self):
+        assert potential._shell_kernel(1, 0.0, 1.0, 0.0) == math.inf
+        assert potential._shell_kernel(2, 0.0, 1.0, 0.0) == math.inf
+        assert potential._elliptic_k(0.0) == math.inf
+        # k' = 2.5e-324 rounds to zero; the smallest subnormal does not
+        assert potential._elliptic_k(5e-324 / 2.0) == math.inf
+        assert 744.0 < potential._elliptic_k(5e-324) < 746.0
+        assert potential._elliptic_k(1.0) == math.pi / 2.0
+
+    def test_overflowing_panel_edges_fail_as_quadrature(self):
+        # at |r| near the largest float the panel midpoints overflow; the
+        # NaN estimate is rejected, with no numpy warning to stderr
+        with pytest.raises(QuadratureError, match="too large"):
+            v_a_numeric(DrudeAtom.bohr_matched(2), [1.2e308, 0.0, 1.2e308])
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_float_density_is_the_array_density(self, dim):
+        # the spline keeps its bits at a float; a Drude float goes through
+        # math.exp, whose last bit differs from np.exp's now and then
+        r = np.linspace(0.0, 9.0, 1000)
+        numeric = NumericRadialAtom(
+            dim, r, (2 * math.pi) ** (-dim / 2.0) * np.exp(-(r**2) / 2)
+        )
+        drude = DrudeAtom.bohr_matched(dim)
+        u = np.concatenate([np.linspace(-1.0, 10.0, 2001), r[[0, -1]]])
+        for atom, rtol in ((numeric, 0.0), (drude, 4.5e-16)):
+            want = atom.radial_density(u).tolist()
+            got = [atom.radial_density(x) for x in u.tolist()]
+            assert all(type(x) is float for x in got)
+            assert got == pytest.approx(want, rel=rtol, abs=0.0)
+
+
 class TestQuadpackPort:
     # the potential --dim 3 radii of the cli benchmark workload
     CLI_RADII = (2.0, 5.0, 9.0, 3.0, 12.0, 6.0, 20.0, 40.0, 2.5, 7.5)
