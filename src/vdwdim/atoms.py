@@ -7,8 +7,8 @@ a^2 = <|r|^2> / d and the shape coefficient alpha = <x^4> / a^4 controls the
 subleading multipole of the charge cloud.
 
 Moments are the only interface first order needs.  Second order and the
-oracle's truncated mode take their product states, level table and
-coupling from ``_ProductStates``, which reads the oscillator elements
+oracle take their product states, levels, coupling and (the oracle) symmetry
+classes from ``_ProductStates``, which reads the oscillator elements
 <s|x^e|s'> from ``DrudeAtom.ladder_elements``, their one home.  Densities
 are exposed separately for the quadrature oracles and the potential module.
 ``moment`` checks its exponents and calls ``_moment``, which a caller holding
@@ -266,7 +266,8 @@ class _ProductStates:
     The one home of the product states: each atom's S ``states``, the
     multi-indices in lexicographic order (ground state first), the
     ``levels`` hbar omega_A |s_a| + hbar omega_B |s_b| in pair order
-    (|s_a s_b> at s_a S + s_b), and ``coupling``.
+    (|s_a s_b> at s_a S + s_b), ``coupling``, and the symmetry ``classes``
+    of the pairs of equal atoms.
     """
 
     def __init__(self, atom_a, atom_b, cutoff):
@@ -299,6 +300,37 @@ class _ProductStates:
         else:
             f_b = atom_b.ladder_elements(rows_b, self.states, kets).reshape(shape)
         return [form.contract(f_a, form.block_matrices(w), f_b) for w in weightings]
+
+    def classes(self, even):
+        """The pairs (a, b), a <= b, of equal atoms grouped by their characters.
+
+        Two equal atoms on the x axis commute with the exchange P, which
+        swaps the electrons and reflects x, (x_A, x_B) -> (-x_B, -x_A):
+        P|s_a s_b> = (-1)^(n_x(a) + n_x(b)) |s_b s_a>.  The transverse
+        reflections Y and Z multiply |s_a s_b> by (-1)^(n_y(a) + n_y(b)) and
+        (-1)^(n_z(a) + n_z(b)), and, when ``even`` (every monomial of the
+        coupling has even degree e_A + e_B), so does the total parity T by
+        (-1)^(|s_a| + |s_b|).  Returns (key, a, b, sign, reach) per class,
+        the class of |00> first: its characters (Y, Z as far as the axes go,
+        then T when ``even``), its pairs as indices into ``states``, each
+        pair's exchange sign and its larger total quanta.  The pairs run by
+        reach, so those of a smaller cutoff lead each class in its order.
+        """
+        import numpy as np
+
+        quanta = self.states.sum(axis=1)
+        b, a = np.tril_indices(len(self.states))
+        order = np.argsort(np.maximum(quanta[a], quanta[b]), kind="stable")
+        a, b = a[order], b[order]
+        odd = (self.states[a] + self.states[b]) % 2
+        if even:
+            odd = np.column_stack((odd, (quanta[a] + quanta[b]) % 2))
+        sign, reach = 1 - 2 * odd, np.maximum(quanta[a], quanta[b])
+        code = odd[:, 1:] @ (1 << np.arange(odd.shape[1] - 1))
+        return [
+            (tuple(sign[k][0, 1:].tolist()), a[k], b[k], sign[k, 0], reach[k])
+            for k in (code == c for c in sorted(set(code.tolist())))
+        ]
 
 
 class RingAtom(AtomModel):

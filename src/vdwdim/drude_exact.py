@@ -105,13 +105,13 @@ def _power(x, p):
         return math.inf
 
 
-def _term(numerator, denominator, R):
+def _term(numerator, denominator, R, kind="closed-form"):
     """numerator / denominator, a multiple of a power of R, if that is finite."""
     if denominator != 0:
         value = numerator / denominator
         if math.isfinite(value):
             return value
-    raise SeparationRangeError(f"closed-form terms are not finite at R = {R:g}")
+    raise SeparationRangeError(f"{kind} terms are not finite at R = {R:g}")
 
 
 @dataclass(frozen=True)

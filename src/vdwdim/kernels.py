@@ -98,7 +98,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drude_exact import _check_separation, _check_terms, _integer
+from .drude_exact import SeparationRangeError, _check_separation, _check_terms, _integer
 from .multipole import SingularConfigurationError, _expansion_order, _expansion_terms
 
 # Matrix entries per block: every (rows, columns) temporary of a blocked
@@ -319,8 +319,18 @@ class SeriesForm:
         return powers, self.coeffs, self.rows_a[self.idx_a], self.rows_b[self.idx_b]
 
     def inverse_powers(self, R):
-        """R^-p for each of ``distinct_powers``: the weights of C(R)."""
-        return np.array([R ** -float(p) for p in self.distinct_powers])
+        """R^-p for each of ``distinct_powers``: the weights of C(R).
+
+        An R^-p past float64 would make its terms infinite, so it raises
+        ``SeparationRangeError``, for a numpy R too; one that underflows is 0.0.
+        """
+        R = float(R)  # a Python float's power raises where numpy's warns
+        try:
+            return np.array([R ** -float(p) for p in self.distinct_powers])
+        except OverflowError:
+            raise SeparationRangeError(
+                f"series terms are not finite at R = {R:g}"
+            ) from None
 
     def block_matrices(self, weights):
         """The blocks of sum_p w_p C_p, w_p one weight per ``distinct_powers``.

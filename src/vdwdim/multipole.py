@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
 
-from .drude_exact import _check_separation, _dimension, _integer
+from .drude_exact import _check_separation, _dimension, _integer, _power, _term
 
 MAX_EXPANSION_POWER = 12
 
@@ -209,7 +209,11 @@ def _order_terms(dim, n):
 
 
 def evaluate_series(series, R, r_a, r_b):
-    """Value of the truncated series at one configuration, in units of k."""
+    """Value of the truncated series at one configuration, in units of k.
+
+    As in ``drude_exact``, an R^n past float64 makes its term 0.0 or -0.0,
+    and a term that is not finite raises ``SeparationRangeError``.
+    """
     _check_separation(R)
     total = 0.0
     for power, monos in series.terms.items():
@@ -221,7 +225,7 @@ def evaluate_series(series, R, r_a, r_b):
             for c, e in enumerate(mono.exp_b):
                 v *= r_b[c] ** e
             s += v
-        total += s / R**power
+        total += _term(s, _power(R, power), R, "series")
     return total
 
 

@@ -21,33 +21,25 @@ than its expansion (the diagonalization's truncated mode excepted):
   hbar omega i + hbar omega j, the level of |ij> less the uncoupled ground
   energy hbar omega, so the lowest eigenvalue is the correction itself
   rather than a difference of two numbers near hbar omega.  And H is split
-  into symmetry sectors, one per combination of characters.  The pair
-  is two equal atoms on a line, so H commutes with the exchange reflection
-  (x_A, x_B) -> (-x_B, -x_A), which acts on product states as
-  P|ij> = (-1)^(i+j) |ji>: a P = +1 sector on the states
-  |ij> + (-1)^(i+j) |ji> (i <= j, m(m+1)/2 of them for m = cutoff + 1)
-  and a P = -1 sector on |ij> - (-1)^(i+j) |ji> (i < j, m(m-1)/2).  When
-  every monomial of the truncated series has even degree e_A + e_B, as the
-  dipole term's (max_power = 3) has, H also commutes with total parity
-  (x_A, x_B) -> (-x_A, -x_B), which multiplies |ij> by (-1)^(i+j), and
-  each exchange sector splits into its states with i + j even and odd:
-  four sectors, of 121, 100, 110 and 110 states at cutoff 20 (P = +1 even,
-  P = -1 even, P = +1 odd, P = -1 odd) against 231 and 210.  A ladder
-  element <i|x^e|k> vanishes unless i + k + e is even, so the dipole
-  coupling between the two parity classes is exactly zero and the split
-  drops nothing.  The full kernel is not even (its -1/|R - x_A| term is
-  not), nor is any series with max_power >= 4, so those keep exchange
-  alone.
+  into symmetry sectors: each of ``_ProductStates.classes``, split by the
+  exchange P into P = +1 and -1; no character is this module's own.  At d = 1
+  they are P|ij> = (-1)^(i+j) |ji> and, when every monomial of the
+  truncated series has even degree e_A + e_B, as the dipole term's
+  (max_power = 3) has, the total parity (-1)^(i+j): four sectors, of 121,
+  100, 110 and 110 states at cutoff 20, against 231 and 210 with exchange
+  alone.  A ladder element <i|x^e|k> vanishes unless i + k + e is even, so
+  the dipole coupling between parity classes is exactly zero.  The full
+  kernel (its -1/|R - x_A| term) and any series with max_power >= 4 are not
+  even, so they keep exchange alone.
 
   The coupling is built in its contraction's own layout,
   <ij|H|kl> at [(i, k), (j, l)]: q G q^T in full mode and F_A^T C F_B
   (``SeriesForm.contract``) in truncated mode.  It is never reordered:
-  the row of |ij> is the tile [i, :, j, :] of its (n, n, n, n) view, and
-  the level of |ij> is added at [i, i, j, j].  Each block is gathered
-  from those tiles with the exact projection of H onto its sector, so the
-  rounding-level asymmetry of the assembled coupling moves eigenvalues
-  only at second order.  The pairs are ordered by j, so the blocks of a
-  smaller cutoff are leading principal blocks of the larger ones.
+  each block is gathered from its tiles with the exact projection of H
+  onto its sector (``_sectors``), so the rounding-level asymmetry of the
+  assembled coupling moves eigenvalues only at second order.  The pairs of
+  a class run by reach, so the blocks of a smaller cutoff are leading
+  principal blocks of the larger ones.
 
   The lowest eigenvalue is the lowest over the sectors'.  Only the sector
   of the uncoupled ground state |00> (P = +1, and even when parity holds)
@@ -187,27 +179,27 @@ def _coupling_matrix(atom, R, cutoff, nodes):
 def _ladder_coupling(pairs, R, max_power):
     """H_I (k = 1) of the series truncated at ``max_power``, and its parity.
 
-    The coupling of ``pairs``, an ``atoms._ProductStates``, between all its
-    states, in the layout of ``_coupling_matrix``; and True when every
-    monomial has even degree e_A + e_B, so that H_I commutes with total
-    parity (max_power = 3, the dipole term, alone among the orders).
+    Between all the states of ``pairs`` (``atoms._ProductStates``), in any
+    d, in ``_coupling_matrix``'s layout; and True when every monomial has
+    even degree e_A + e_B, so H_I commutes with total parity (max_power 3).
     """
-    form = kernels.series_form(expand_interaction(1, max_power))
+    form = kernels.series_form(expand_interaction(pairs.states.shape[1], max_power))
     degree = form.rows_a.sum(1)[form.idx_a] + form.rows_b.sum(1)[form.idx_b]
     coupling = pairs.coupling(form, [form.inverse_powers(R)], pairs.states)[0]
     return coupling, not np.any(degree % 2)
 
 
 def _hamiltonian(atom, R, mode, max_power, cutoff):
-    """H_A + H_B + H_I - hbar omega on product states |ij>, i, j <= cutoff.
+    """H_A + H_B + H_I - hbar omega on one ``_ProductStates``, and their classes.
 
     Returns H in the coupling's layout, <ij|H|kl> at [(i, k), (j, l)]
-    (``_coupling_matrix``), and whether it commutes with total parity.
-    H_I is the exact kernel's by quadrature on ``_node_count`` nodes in
-    full mode, which is never even, and the truncated series' by ladder
-    algebra otherwise (``_ladder_coupling``).  The level of |ij> above the
-    uncoupled ground state, ``atoms._ProductStates``' ``levels``, is added
-    at [(i, i), (j, j)], so the lowest eigenvalue is the correction.
+    (``_coupling_matrix``), and the states' symmetry ``classes``, with total
+    parity when H_I commutes with it.  H_I is the exact kernel's by
+    quadrature on ``_node_count`` nodes in full mode, which is never even,
+    and the truncated series' by ladder algebra otherwise
+    (``_ladder_coupling``).  The states' ``levels`` above the uncoupled
+    ground state are added at [(i, i), (j, j)], so the lowest eigenvalue is
+    the correction.
     """
     pairs = _ProductStates(atom, atom, cutoff)
     if mode == "full":
@@ -215,69 +207,46 @@ def _hamiltonian(atom, R, mode, max_power, cutoff):
         ham, even = _coupling_matrix(atom, R, cutoff, nodes), False
     else:
         ham, even = _ladder_coupling(pairs, R, max_power)
-    n = cutoff + 1
+    n = len(pairs.states)
     i, j = np.divmod(np.arange(n * n), n)
     ham.flat[(n + 1) * (n * n * i + j)] += pairs.levels
-    return ham, even
+    return ham, pairs.classes(even)
 
 
-def _exchange_blocks(tiles, i, j):
-    """The P = +1 and P = -1 blocks on the pairs (i, j), i <= j, with reaches.
-
-    ``tiles`` is H viewed as (n, n, n, n): the row of |ij> is the tile
-    [i, :, j, :] (``_hamiltonian``).  Row a of the P = p block is the state
-    v_a (|ij> + s_a |ji>) with s_a = p (-1)^(i+j), v_a = 1/sqrt(2) for
-    i != j and v_a = 1/2 for i = j (that is |ii> itself); the P = -1 block
-    has no i = j state.  Entry (a, b), with b = (k, l), is
-
-        v_a v_b [H(ij,kl) + s_b H(ij,lk) + s_a H(ji,kl) + s_a s_b H(ji,lk)],
-
-    summed over rows first and then over columns.  The rows of |ij> and
-    |ji> are gathered once, for every pair: their weighted sum gives the
-    P = +1 rows, their difference on the pairs i < j the P = -1 rows.  The
-    reach of a state is its j; with the pairs j-major, (0,0), (0,1), (1,1),
-    (0,2), ..., the states with i, j <= c lead each block.
-    """
-    n = tiles.shape[0]
-    v = np.where(i == j, 0.5, math.sqrt(0.5))
-    w = (-1.0) ** (i + j) * v
-    pair, swap = i * n + j, j * n + i
-    plus = tiles[i, :, j, :].reshape(i.size, -1) * v[:, None]
-    swapped = tiles[j, :, i, :].reshape(i.size, -1) * w[:, None]
-    off = i != j  # the P = -1 states, in the same order
-    minus = plus[off]
-    minus -= swapped[off]
-    plus += swapped
-    del swapped  # frees its memory before the column gathers
-    return [
-        (
-            rows[:, pair[keep]] * v[keep] + rows[:, swap[keep]] * (sign * w[keep]),
-            j[keep],
-        )
-        for rows, keep, sign in ((plus, slice(None), 1.0), (minus, off, -1.0))
-    ]
-
-
-def _sectors(ham, even):
+def _sectors(ham, classes):
     """``ham`` projected onto its symmetry sectors, as (block, reach) pairs.
 
     ``ham`` is in the coupling's layout (``_hamiltonian``) and is read in
-    place, as tiles.  The characters are the exchange P and, when ``even``,
-    the total parity (-1)^(i+j) of |ij>, which |ji> shares: the exchange
-    blocks (``_exchange_blocks``) of the pairs with i + j even, then of
-    those with i + j odd.  The parity-breaking entries between the two
-    classes are never read.  The sector of the uncoupled ground state |00>,
-    P = +1 and even, comes first.
+    place: the row of |ij> is the tile [i, :, j, :] of its (n, n, n, n)
+    view.  Each of its states' ``classes`` (``_ProductStates``) gives a
+    P = +1 and a P = -1 sector, in that order; entries between two classes
+    are never read.  Row a of the P = p block is v_a (|ij> + s_a |ji>) for
+    the class's pair (i, j), s_a = p times its exchange sign, v_a = 1/sqrt(2)
+    for i != j and 1/2 for i = j (|ii> itself, always P = +1).  Entry (a, b),
+    b = (k, l), is
+
+        v_a v_b [H(ij,kl) + s_b H(ij,lk) + s_a H(ji,kl) + s_a s_b H(ji,lk)],
+
+    summed over rows first and then over columns, with the pairs' reaches.
     """
     n = math.isqrt(ham.shape[0])
     tiles = ham.reshape(n, n, n, n)
-    j, i = np.tril_indices(n)
-    if not even:
-        return _exchange_blocks(tiles, i, j)
-    odd = (i + j) % 2 == 1
-    return _exchange_blocks(tiles, i[~odd], j[~odd]) + _exchange_blocks(
-        tiles, i[odd], j[odd]
-    )
+    sectors = []
+    for _, i, j, sign, reach in classes:
+        v = np.where(i == j, 0.5, math.sqrt(0.5))
+        w = sign * v
+        pair, swap = i * n + j, j * n + i
+        plus = tiles[i, :, j, :].reshape(i.size, -1) * v[:, None]
+        swapped = tiles[j, :, i, :].reshape(i.size, -1) * w[:, None]
+        off = i != j  # the P = -1 states
+        minus = plus[off] - swapped[off]
+        plus += swapped
+        del swapped  # frees its memory before the column gathers
+        for rows, p, keep in ((plus, 1.0, slice(None)), (minus, -1.0, off)):
+            block = rows[:, pair[keep]] * v[keep] + rows[:, swap[keep]] * (p * w[keep])
+            sectors.append((block, reach[keep]))
+        del plus, minus, rows  # frees the row gathers before the next class
+    return sectors
 
 
 def _lowest(block, reach, cutoff):
@@ -505,9 +474,8 @@ def convergence_report(
     the ground state's sector, P = +1 (and even); one Cholesky factorization
     of each other sector at the largest cutoff shows that sector lies above
     every rung, and only a sector whose factorization fails is diagonalized
-    too.  Every rung must be an integer
-    of at least 3, and ``mode`` and ``max_power`` are checked as
-    ``oscillator_basis_diag`` checks them.
+    too.  Every rung must be an integer of at least 3, and ``mode`` and
+    ``max_power`` are checked as ``oscillator_basis_diag`` checks them.
     """
     cutoffs = tuple(cutoffs)
     if not cutoffs:

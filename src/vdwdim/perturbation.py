@@ -39,7 +39,7 @@ from .drude_exact import (  # noqa: F401  (re-exported; their home is drude_exac
     second_order_drude_closed_form,
     total_energy_curve,
 )
-from .drude_exact import _check_separation, _integer
+from .drude_exact import _check_separation, _integer, _power, _term
 from .potential import even_moments, multipole_coefficients
 
 
@@ -59,6 +59,8 @@ def first_order_expectation(series, atom_a, atom_b, R):
     unchecked, as plain ints (numpy int64 exponents would change a ** E).
     Returns a dict mapping each inverse power in the series to its energy
     contribution; odd-degree factors make n = 3, 4 and 6 vanish identically.
+    As in ``drude_exact``, an R^n past float64 makes its term 0.0 or -0.0,
+    and a term that is not finite raises ``SeparationRangeError``.
     """
     _check_separation(R)
     _check_dims(series, atom_a, atom_b)
@@ -72,7 +74,10 @@ def first_order_expectation(series, atom_a, atom_b, R):
     terms = form.coeffs * m_a[form.idx_a] * m_b[form.idx_b]
     totals = np.bincount(form.power_idx, terms).tolist()
     by_power = dict(zip(form.distinct_powers, totals))
-    return {power: by_power.get(power, 0.0) / R**power for power in series.terms}
+    return {
+        power: _term(by_power.get(power, 0.0), _power(R, power), R, "series")
+        for power in series.terms
+    }
 
 
 def first_order_via_potential(atom_a, atom_b, R):
@@ -81,18 +86,22 @@ def first_order_via_potential(atom_a, atom_b, R):
     Atom A enters through its multipole coefficients (c3, c5); the expectation
     over atom B's cloud of the shifted potential is expanded to matching order
     with raw moments.  Independent algebra from the series route; for numeric
-    densities the agreement is quadrature limited.
+    densities the agreement is quadrature limited.  R's range is handled as
+    in ``first_order_expectation``.
     """
     _check_separation(R)
     if atom_a.dim != atom_b.dim:
         raise ValueError("atoms must share a dimension")
     c3, c5 = multipole_coefficients(atom_a)
     m2x, r2, m4x, x2r2, r4 = even_moments(atom_b)
-    r5 = -c3 * (7.5 * m2x - 1.5 * r2) / R**5
-    r7 = (
+    r5 = _term(-c3 * (7.5 * m2x - 1.5 * r2), _power(R, 5), R, "potential")
+    r7 = _term(
         -c3 * (315.0 / 8.0 * m4x - 105.0 / 4.0 * x2r2 + 15.0 / 8.0 * r4)
-        - c5 * (17.5 * m2x - 2.5 * r2)
-    ) / R**7
+        - c5 * (17.5 * m2x - 2.5 * r2),
+        _power(R, 7),
+        R,
+        "potential",
+    )
     return r5, r7
 
 

@@ -1,12 +1,9 @@
 """Brute-force oracles against the analytic results they are meant to check."""
 
 import decimal
-import importlib.util
 import itertools
 import math
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,21 +254,28 @@ class TestCouplingAssembly:
 
     @pytest.mark.parametrize("mode", ["full", "truncated"])
     def test_one_product_state_set_per_hamiltonian(self, mode, monkeypatch):
-        # the coupling and the diagonal's levels read one _ProductStates
-        built = []
+        # the coupling, the diagonal's levels and the symmetry classes read
+        # one _ProductStates, whose classes are asked for once, without
+        # total parity: max_power 5 and the full kernel both break it
+        built, asked = [], []
 
         class Counted(_ProductStates):
             def __init__(self, *args):
                 built.append(args)
                 super().__init__(*args)
 
+            def classes(self, even):
+                asked.append(even)
+                return super().classes(even)
+
         atom = PRESET.atom(1)
-        want, want_even = _hamiltonian(atom, 11.0, mode, 5, 8)
+        want, _ = _hamiltonian(atom, 11.0, mode, 5, 8)
         monkeypatch.setattr(oracle, "_ProductStates", Counted)
-        got, even = _hamiltonian(atom, 11.0, mode, 5, 8)
+        got, classes = _hamiltonian(atom, 11.0, mode, 5, 8)
         assert built == [(atom, atom, 8)]
+        assert asked == [False]
         assert np.array_equal(got, want)
-        assert even is want_even is False
+        assert [key for key, *_ in classes] == [()]
 
     def test_full_mode_past_the_square_overflow(self):
         # R^2 overflows past about 1.34e154; the kernel returned 1/R with
@@ -388,8 +392,19 @@ def _pair_order(m):
 
 def _pair_ordered(atom, R, mode, max_power, cutoff):
     """``_hamiltonian`` with H in pair order, |ij> at i (cutoff + 1) + j."""
-    ham, even = _hamiltonian(atom, R, mode, max_power, cutoff)
-    return _pair_order(ham), even
+    ham, classes = _hamiltonian(atom, R, mode, max_power, cutoff)
+    return _pair_order(ham), classes
+
+
+def _dipole_even(mode, max_power):
+    """True where H commutes with total parity: the dipole series alone."""
+    return mode == "truncated" and max_power == 3
+
+
+def _classes(cutoff, even):
+    """The d = 1 symmetry classes of the basis i, j <= cutoff."""
+    atom = PRESET.atom(1)
+    return _ProductStates(atom, atom, cutoff).classes(even)
 
 
 def _sector_gathers(ham, even):
@@ -472,8 +487,8 @@ class TestExchangeSymmetry:
         i, j = np.divmod(np.arange(n * n), n)
         cross = (i + j)[:, None] % 2 != (i + j)[None, :] % 2
         for R in self.SEPARATIONS:
-            ham, even = _pair_ordered(atom, R, "truncated", 3, cutoff)
-            assert even is True
+            ham, classes = _pair_ordered(atom, R, "truncated", 3, cutoff)
+            assert [key for key, *_ in classes] == [(1,), (-1,)]
             assert (ham[cross] == 0.0).all()
             assert (ham[~cross] != 0.0).any()
 
@@ -483,12 +498,13 @@ class TestExchangeSymmetry:
         # which break total parity: only exchange splits H, as in full mode
         atom, cutoff = PRESET.atom(1), 8
         for mode in ("truncated", "full"):
-            ham, even = _hamiltonian(atom, 13.0, mode, max_power, cutoff)
-            assert even is False
-            blocks = [block.shape[0] for block, _ in _sectors(ham, even)]
+            ham, classes = _hamiltonian(atom, 13.0, mode, max_power, cutoff)
+            assert [key for key, *_ in classes] == [()]
+            blocks = [block.shape[0] for block, _ in _sectors(ham, classes)]
             assert blocks == _sector_sizes(cutoff, False) == [45, 36]
-        ham, even = _hamiltonian(atom, 13.0, "truncated", 3, cutoff)
-        blocks = [block.shape[0] for block, _ in _sectors(ham, even)]
+        ham, classes = _hamiltonian(atom, 13.0, "truncated", 3, cutoff)
+        assert [key for key, *_ in classes] == [(1,), (-1,)]
+        blocks = [block.shape[0] for block, _ in _sectors(ham, classes)]
         assert blocks == _sector_sizes(cutoff, True) == [25, 16, 20, 20]
 
     @pytest.mark.parametrize("R", SEPARATIONS)
@@ -496,8 +512,8 @@ class TestExchangeSymmetry:
     def test_split_matches_whole_block(self, mode, R):
         atom = PRESET.atom(1)
         for cutoff in range(4, 21):
-            ham, even = _hamiltonian(atom, R, mode, 3, cutoff)
-            split = _corrections(_sectors(ham, even), (cutoff,))[0] + atom.hbar_omega
+            ham, classes = _hamiltonian(atom, R, mode, 3, cutoff)
+            split = _corrections(_sectors(ham, classes), (cutoff,))[0] + atom.hbar_omega
             spectrum = np.linalg.eigvalsh(_pair_order(ham))
             whole = spectrum[0] + atom.hbar_omega
             bound = 1e-15 * abs(whole)
@@ -512,13 +528,14 @@ class TestExchangeSymmetry:
     @pytest.mark.parametrize("mode", ["full", "truncated"])
     def test_blocks_equal_two_gather_projection(self, mode, R):
         # the blocks are read in place from the coupling's layout, the rows
-        # of |ij> and |ji> gathered once per parity class; they equal, bit
-        # for bit, the blocks gathered sector by sector from pair-ordered H
+        # of |ij> and |ji> gathered once per class of _ProductStates; they
+        # equal, bit for bit, the blocks gathered sector by sector from
+        # pair-ordered H with the d = 1 characters written out
         atom = PRESET.atom(1)
         for cutoff in (4, 10, 16, 20):
-            ham, even = _hamiltonian(atom, R, mode, 3, cutoff)
-            got = _sectors(ham, even)
-            want = _sector_gathers(_pair_order(ham), even)
+            ham, classes = _hamiltonian(atom, R, mode, 3, cutoff)
+            got = _sectors(ham, classes)
+            want = _sector_gathers(_pair_order(ham), _dipole_even(mode, 3))
             assert len(got) == (4 if mode == "truncated" else 2)
             for (block, reach), (ref, ref_reach) in zip(got, want, strict=True):
                 assert block.shape == ref.shape and (block == ref).all()
@@ -530,10 +547,10 @@ class TestExchangeSymmetry:
         # eigvalsh on the P = +1 block of pair-ordered H with one Cholesky
         # certificate of the P = -1 block: corrections and convergence
         # errors keep their bits
-        atom = PRESET.atom(1)
+        atom, even = PRESET.atom(1), False
         for cutoff in (10, 14, 20):
             res = oscillator_basis_diag(atom, R, cutoff=cutoff, overlap_tol=1e-1)
-            ham, even = _pair_ordered(atom, R, "full", 3, cutoff)
+            ham, _ = _pair_ordered(atom, R, "full", 3, cutoff)
             (plus, _), (minus, _) = _sector_gathers(ham, even)
             fine, coarse = (
                 float(np.linalg.eigvalsh(plus[:s, :s])[0])
@@ -543,7 +560,7 @@ class TestExchangeSymmetry:
             assert res.correction == fine
             assert res.convergence_error == coarse - fine
         rep = convergence_report(atom, R, cutoffs=(6, 10, 14), overlap_tol=1e-1)
-        ham, even = _pair_ordered(atom, R, "full", 3, 14)
+        ham, _ = _pair_ordered(atom, R, "full", 3, 14)
         (plus, _), _ = _sector_gathers(ham, even)
         assert rep.corrections == tuple(
             float(np.linalg.eigvalsh(plus[:s, :s])[0])
@@ -558,7 +575,7 @@ class TestExchangeSymmetry:
         i, j = np.divmod(np.arange(n * n), n)
         ham = np.diag(0.5 * (i + j))
         ham[1, n] = ham[n, 1] = -2.0
-        sectors = _sectors(_pair_order(ham), True)
+        sectors = _sectors(_pair_order(ham), _classes(n - 1, True))
         (plus, _), *_, (odd_minus, _) = sectors
         assert np.linalg.eigvalsh(plus)[0] == 0.0
         lowest = np.linalg.eigvalsh(odd_minus)[0]
@@ -621,8 +638,8 @@ class TestExchangeSymmetry:
         g = 1e-4
         ham[1, cutoff] = ham[cutoff, 1] = g
         ham[n, cutoff * n] = ham[cutoff * n, n] = (-1.0) ** (1 + cutoff) * g
-        layout = _pair_order(ham)
-        monkeypatch.setattr(oracle, "_hamiltonian", lambda *args: (layout.copy(), even))
+        layout, classes = _pair_order(ham), _classes(cutoff, even)
+        monkeypatch.setattr(oracle, "_hamiltonian", lambda *args: (layout.copy(), classes))
         res = oscillator_basis_diag(atom, 13.0, cutoff=cutoff, overlap_tol=1.0)
         keep = (i <= cutoff - 2) & (j <= cutoff - 2)
         fine = np.linalg.eigvalsh(ham)[0]
@@ -645,7 +662,7 @@ class TestExchangeSymmetry:
         i, j = np.divmod(np.arange(n * n), n)
         ham = np.diag(0.5 * (i + j))
         ham[2, 2 * n] = ham[2 * n, 2] = 3.0
-        sectors = _sectors(_pair_order(ham), True)
+        sectors = _sectors(_pair_order(ham), _classes(n - 1, True))
         (plus, _), (minus, reach) = sectors[:2]
         assert reach.tolist() == [2, 3]
         lowest = np.linalg.eigvalsh(minus)[0]
@@ -680,8 +697,8 @@ class TestExchangeSymmetry:
         ham[0, 0], ham[4 * n + 4, 4 * n + 4] = 0.0, -2.0
         ham[1, 1] = ham[n, n] = 0.0
         ham[1, n] = ham[n, 1] = -1.0
-        layout = _pair_order(ham)
-        monkeypatch.setattr(oracle, "_hamiltonian", lambda *args: (layout.copy(), True))
+        layout, classes = _pair_order(ham), _classes(n - 1, True)
+        monkeypatch.setattr(oracle, "_hamiltonian", lambda *args: (layout.copy(), classes))
         rep = convergence_report(
             PRESET.atom(1), 13.0, cutoffs=(3, 5), overlap_tol=1.0
         )
@@ -700,7 +717,8 @@ class TestExchangeSymmetry:
         rep = convergence_report(
             atom, R, mode=mode, cutoffs=cutoffs, overlap_tol=1.0
         )
-        ham, even = _pair_ordered(atom, R, mode, 3, 13)
+        ham, _ = _pair_ordered(atom, R, mode, 3, 13)
+        even = _dipole_even(mode, 3)
         sectors = _sector_gathers(ham, even)
         want = tuple(
             min(
@@ -710,6 +728,109 @@ class TestExchangeSymmetry:
             for c in cutoffs
         )
         assert rep.corrections == want
+
+
+class TestSymmetryClasses:
+    """``_ProductStates.classes`` split the truncated Hamiltonian in every d."""
+
+    # ground-class states (exchange and reflections, then with total parity),
+    # counted by the group projection
+    GROUND = {
+        (1, 20): (231, 121), (2, 8): (535, 285), (2, 10): (1131, 591),
+        (3, 5): (456, 260), (3, 6): (990, 550),
+    }
+
+    @pytest.mark.parametrize("dim, cutoff", list(GROUND))
+    def test_ground_class_sizes(self, dim, cutoff):
+        atom = PRESET.atom(dim)
+        pairs = _ProductStates(atom, atom, cutoff)
+        sizes = []
+        for even in (False, True):
+            key, a, *_ = pairs.classes(even)[0]
+            assert key == (1,) * (dim - 1 + even)
+            sizes.append(a.size)
+        assert tuple(sizes) == self.GROUND[dim, cutoff]
+
+    @pytest.mark.parametrize("even", [False, True])
+    def test_d1_classes_give_the_sector_sizes(self, even):
+        for cutoff in range(3, 21):
+            sizes = []
+            for _, a, b, _, _ in _classes(cutoff, even):
+                sizes += [a.size, int(np.count_nonzero(a != b))]
+            assert sizes == _sector_sizes(cutoff, even)
+
+    @pytest.mark.parametrize("max_power", [3, 5, 8])
+    @pytest.mark.parametrize("dim, cutoff", [(2, 4), (2, 8), (3, 3), (3, 5)])
+    def test_classes_split_the_truncated_hamiltonian(self, dim, cutoff, max_power):
+        # with the characters computed here from the states: no entry of H
+        # couples two classes, the exchange commutes with H to rounding, and
+        # every class holds the pairs of its characters, ordered by reach
+        atom, even = PRESET.atom(dim), max_power == 3
+        layout, classes = _hamiltonian(atom, 13.0, "truncated", max_power, cutoff)
+        ham = _pair_order(layout)
+        del layout
+        states = _ProductStates(atom, atom, cutoff).states
+        quanta, n = states.sum(axis=1), len(states)
+        label = np.full(n * n, -1)
+        for k, (key, a, b, sign, reach) in enumerate(classes):
+            chars = 1 - 2 * ((states[a] + states[b]) % 2)
+            if even:
+                chars = np.column_stack((chars, 1 - 2 * ((quanta[a] + quanta[b]) % 2)))
+            assert (chars[:, 1:] == key).all() and len(key) == dim - 1 + even
+            assert np.array_equal(sign, chars[:, 0]) and (a <= b).all()
+            assert np.array_equal(reach, np.maximum(quanta[a], quanta[b]))
+            assert (np.diff(reach) >= 0).all()
+            assert (label[a * n + b] == -1).all()
+            label[a * n + b] = label[b * n + a] = k
+        assert (label >= 0).all()
+        assert classes[0][1][0] == classes[0][2][0] == 0  # |00> leads class 0
+        i, j = np.divmod(np.arange(n * n), n)
+        perm, sign = j * n + i, (-1.0) ** (states[i, 0] + states[j, 0])
+        worst, scale = 0.0, np.abs(ham).max()
+        for lo in range(0, n * n, 512):  # row blocks keep the copies small
+            rows = slice(lo, lo + 512)
+            cross = label[rows, None] != label[None, :]
+            assert (ham[rows][cross] == 0.0).all()
+            swapped = sign[rows, None] * ham[perm[rows]][:, perm] * sign
+            worst = max(worst, np.abs(ham[rows] - swapped).max())
+        assert worst <= 1e-15 * scale
+
+    @pytest.mark.parametrize("even", [False, True])
+    @pytest.mark.parametrize("dim, cutoff", [(1, 12), (2, 8), (3, 5)])
+    def test_smaller_cutoffs_lead_every_class(self, dim, cutoff, even):
+        # the pairs with reach <= c are those of the basis with cutoff c, in
+        # its own order and classes: each rung is a leading block
+        atom = PRESET.atom(dim)
+
+        def named(pairs, top):
+            out = {}
+            for key, a, b, _, reach in pairs.classes(even):
+                keep = reach <= top
+                got = list(zip(
+                    map(tuple, pairs.states[a[keep]].tolist()),
+                    map(tuple, pairs.states[b[keep]].tolist()),
+                ))
+                if got:
+                    out[key] = got
+            return out
+
+        big = _ProductStates(atom, atom, cutoff)
+        for small in range(cutoff):
+            want = named(_ProductStates(atom, atom, small), small)
+            assert named(big, small) == want
+
+    @pytest.mark.parametrize("dim, cutoff", [(2, 4), (3, 3)])
+    @pytest.mark.parametrize("max_power", [3, 5])
+    def test_sector_spectra_are_the_whole_spectrum(self, dim, cutoff, max_power):
+        # the sector blocks are an orthogonal split of H: their eigenvalues,
+        # pooled, are those of the whole matrix
+        atom = PRESET.atom(dim)
+        ham, classes = _hamiltonian(atom, 13.0, "truncated", max_power, cutoff)
+        whole = np.linalg.eigvalsh(_pair_order(ham))
+        blocks = _sectors(ham, classes)
+        assert sum(block.shape[0] for block, _ in blocks) == ham.shape[0]
+        pooled = np.sort(np.concatenate([np.linalg.eigvalsh(b) for b, _ in blocks]))
+        assert np.abs(pooled - whole).max() <= 1e-13 * np.abs(whole).max()
 
 
 class TestShiftedDiagonal:
@@ -1062,26 +1183,14 @@ class TestOffsetGrouping:
         assert not xi.flags.writeable and not w.flags.writeable
 
 
-_PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name, monkeypatch):
-    """``perfbench/<name>.py`` as a module, registered for the test's duration."""
-    spec = importlib.util.spec_from_file_location(name, _PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
 class TestBenchmarkOracleOps:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_one_round_passes_its_checks(self, seed, monkeypatch):
+    def test_one_round_passes_its_checks(self, seed, perfbench):
         # the benchmark's oracle workload checks every op against a route
         # that avoids the oracle (normal modes, closed forms, asymptotics);
         # an op it would count as a mismatch or a crash must fail here first
-        _load("common", monkeypatch)
-        inproc = _load("inproc", monkeypatch)
+        perfbench("common")
+        inproc = perfbench("inproc")
         workload = inproc.Oracle()
         ops = next(workload.rounds(seed))
         assert {op["kind"] for op in ops} == {

@@ -9,6 +9,7 @@ import pytest
 from vdwdim import kernels
 from vdwdim.drude_exact import (
     InstabilityError,
+    SeparationRangeError,
     exact_correction,
     shifted_frequencies,
 )
@@ -24,6 +25,7 @@ from vdwdim.multipole import (
     evaluate_series,
     exact_interaction,
     expand_interaction,
+    truncation_residual,
 )
 from vdwdim.perturbation import (
     DrudePreset,
@@ -826,3 +828,52 @@ def test_entry_points_reject_bad_separation(bad_r):
     for call in calls:
         with pytest.raises(ValueError, match="separation"):
             call()
+
+
+def _routes_in_r(R):
+    """The routes in powers of R: one configuration, first and second order."""
+    series = expand_interaction(1, 7)
+    atom = DrudeAtom.bohr_matched(1)
+    return [
+        lambda: evaluate_series(series, R, [0.1], [0.2]),
+        lambda: first_order_expectation(series, atom, atom, R),
+        lambda: first_order_via_potential(atom, atom, R),
+        lambda: second_order_sum(series, atom, atom, R),
+        lambda: truncation_residual(series, [R], 10, 1.0),
+    ]
+
+
+def test_routes_name_r_where_terms_leave_float_range():
+    # R^n underflows to 0.0 or R^-n overflows: these raised
+    # ZeroDivisionError, OverflowError or a numpy RuntimeWarning
+    for call in _routes_in_r(1e-100):
+        with pytest.raises(SeparationRangeError, match="not finite at R = 1e-100"):
+            call()
+
+
+def test_routes_far_out_are_finite():
+    # an R^n that overflows counts as inf, so its term is 0.0 or -0.0; the
+    # first order, both routes, and the second order raised OverflowError
+    evaluate, first, potential, second, residual = (
+        call() for call in _routes_in_r(1e100)
+    )
+    assert math.isfinite(evaluate) and math.isfinite(second)
+    assert first == {3: 0.0, 4: 0.0, 5: 0.0, 6: 0.0, 7: 0.0}
+    assert potential == (0.0, 0.0)
+    assert np.isfinite(residual.max_residual).all()
+
+
+class TestBenchmarkSeriesOps:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_round_passes_its_checks(self, seed, perfbench):
+        # the benchmark's series workload checks every op against closed
+        # forms and the Legendre remainder bound; an op it would count as a
+        # mismatch or a crash must fail here first
+        perfbench("common")
+        inproc = perfbench("inproc")
+        workload = inproc.Series()
+        ops = next(workload.rounds(seed))
+        assert len(ops) == 24
+        for op in ops:
+            _, outcome, detail = inproc.run_op(workload, op)
+            assert (outcome, detail) == ("pass", None), op
