@@ -18,13 +18,14 @@ Every moment passes one check, ``AtomModel._finite``: past float64, ValueError.
 This module loads when a command first asks for an atom: ``moments``,
 ``potential`` and ``verify`` do, while ``expand``, ``curve`` and ``exact``
 never touch it (see the package docstring).  It imports numpy only inside
-the functions that build arrays (``ladder_elements``, ``_ProductStates``,
-``NumericRadialAtom``, its spline and the array case of
-``DrudeAtom.radial_density``), so the moments of the closed-form atoms and
-a Drude density at a float load none.  ``NumericRadialAtom``'s density
-spline is ``_NotAKnotCubic``, a numpy port of the one scipy ``CubicSpline``
-configuration it needs, bit for bit.  ``DrudeAtom.support_radius`` reads
-its radius from a table of Gaussian survival roots.
+the functions that build arrays (``ladder_elements``,
+``_oscillator_states``, ``_ProductStates``, ``NumericRadialAtom``, its
+spline and the array case of ``DrudeAtom.radial_density``), so the moments
+of the closed-form atoms and a Drude density at a float load none.
+``NumericRadialAtom``'s density spline is ``_NotAKnotCubic``, a numpy port
+of the one scipy ``CubicSpline`` configuration it needs, bit for bit.
+``DrudeAtom.support_radius`` reads its radius from a table of Gaussian
+survival roots.
 """
 
 import bisect
@@ -81,14 +82,18 @@ def _angular_average(dim, exponents) -> Fraction:
     return Fraction(num, den)
 
 
+def _check_degree(degree):
+    """``degree`` if it is at most MOMENT_CAP, else MomentCapError."""
+    if degree > MOMENT_CAP:
+        raise MomentCapError(f"total degree {degree} exceeds cap {MOMENT_CAP}")
+    return degree
+
+
 def _check_exponents(dim, exponents):
     exponents = tuple(_integer("exponent", e, 0) for e in exponents)
     if len(exponents) != dim:
         raise ValueError(f"expected {dim} exponents, got {len(exponents)}")
-    if sum(exponents) > MOMENT_CAP:
-        raise MomentCapError(
-            f"total degree {sum(exponents)} exceeds cap {MOMENT_CAP}"
-        )
+    _check_degree(sum(exponents))
     return exponents
 
 
@@ -98,7 +103,8 @@ class AtomModel:
     dim: int
 
     def radial_moment(self, order: int) -> float:
-        """<|r|^order>, a finite float (``_finite``)."""
+        """<|r|^order> for an integer order from 0 to MOMENT_CAP, a finite float."""
+        order = _check_degree(_integer("order", order, 0))
         return self._finite(order, self._radial_moment, order)
 
     def _radial_moment(self, order):
@@ -260,22 +266,32 @@ class DrudeAtom(AtomModel):
         return self.a * _GAUSS_SUPPORT[self.dim]
 
 
+def _oscillator_states(dim, cutoff):
+    """One atom's oscillator states of total quanta <= cutoff, (S, dim) ints.
+
+    The multi-indices in lexicographic order, so the ground state comes
+    first; ``_ProductStates`` and ``drude_spectrum`` both read them here.
+    """
+    import numpy as np
+
+    grid = np.indices((cutoff + 1,) * dim).reshape(dim, -1).T
+    return grid[grid.sum(axis=1) <= cutoff]
+
+
 class _ProductStates:
     """States |s_a s_b> of two Drude atoms, each of total quanta <= cutoff.
 
-    The one home of the product states: each atom's S ``states``, the
-    multi-indices in lexicographic order (ground state first), the
-    ``levels`` hbar omega_A |s_a| + hbar omega_B |s_b| in pair order
-    (|s_a s_b> at s_a S + s_b), ``coupling``, and the symmetry ``classes``
-    of the pairs of equal atoms.
+    The one home of the product states: each atom's S ``states``
+    (``_oscillator_states``), the ``levels`` hbar omega_A |s_a| +
+    hbar omega_B |s_b| in pair order (|s_a s_b> at s_a S + s_b),
+    ``coupling``, and the symmetry ``classes`` of the pairs of equal atoms.
     """
 
     def __init__(self, atom_a, atom_b, cutoff):
         import numpy as np
 
-        self.atoms, dim = (atom_a, atom_b), atom_a.dim
-        grid = np.indices((cutoff + 1,) * dim).reshape(dim, -1).T
-        self.states = grid[grid.sum(axis=1) <= cutoff]
+        self.atoms = (atom_a, atom_b)
+        self.states = _oscillator_states(atom_a.dim, cutoff)
         quanta = self.states.sum(axis=1)
         self.levels = np.add.outer(*(a.hbar_omega * quanta for a in self.atoms)).ravel()
 
@@ -443,8 +459,6 @@ class NumericRadialAtom(AtomModel):
             return float(np.sum(self._hw * (self._rho_u * self._u**power)))
 
     def _radial_moment(self, order):
-        if order > MOMENT_CAP:
-            raise MomentCapError(f"order {order} exceeds cap {MOMENT_CAP}")
         if order not in self._radial_moments:
             self._radial_moments[order] = (
                 self._norm
@@ -580,7 +594,7 @@ def drude_spectrum(atom, cutoff):
         raise AtomKindError("spectrum available only for Drude atoms")
     cutoff = _integer("cutoff", cutoff, 0)
     levels = []
-    for quanta in map(tuple, _ProductStates(atom, atom, cutoff).states.tolist()):
+    for quanta in map(tuple, _oscillator_states(atom.dim, cutoff).tolist()):
         energy = atom.hbar_omega * (sum(quanta) + atom.dim / 2.0)
         levels.append(SpectrumLevel(energy, quanta))
     levels.sort(key=lambda lv: (lv.energy, lv.quanta))

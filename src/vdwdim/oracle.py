@@ -6,16 +6,17 @@ than its expansion (the diagonalization's truncated mode excepted):
 * ``oscillator_basis_diag`` assembles the full two-atom Hamiltonian of a 1D
   Drude pair in the product Hermite basis and diagonalizes it.  Keeping the
   full kernel exposes the repulsive R^-5 physics directly; only this full
-  mode uses quadrature, tensorized Gauss-Hermite, for the coupling matrix
-  elements.  Truncating the coupling at the dipole term reproduces the
-  normal-mode answer.  The truncated coupling is a polynomial, so its
-  elements <ij|H_I|kl> are exact ladder algebra.  The states |ij>, their
-  order, their levels and this coupling are those of
-  ``atoms._ProductStates``, as for the sum over states in ``perturbation``.
-  Quadrature on 2 cutoff + 8 nodes gives the same matrix up to rounding: it
-  integrates every degree up to 4 cutoff + 15 exactly, and h_i h_k x^e (h_i
-  the orthonormal Hermite polynomials) has degree at most 2 cutoff + 10,
-  since an order-N expansion has exponents up to N - 2 <= 10.
+  mode uses quadrature, tensorized Gauss-Hermite on the grid of
+  ``_node_count``, which also regularizes it.  Truncating the coupling at
+  the dipole term reproduces the normal-mode answer.  The truncated
+  coupling is a polynomial, so its elements <ij|H_I|kl> are exact ladder
+  algebra.  The states |ij>, their order, their levels and this coupling
+  are those of ``atoms._ProductStates``, as for the sum over states in
+  ``perturbation``.  Quadrature on 2 cutoff + 8 nodes gives the same
+  matrix up to rounding: it integrates every degree up to 4 cutoff + 15
+  exactly, and h_i h_k x^e (h_i the orthonormal Hermite polynomials) has
+  degree at most 2 cutoff + 10, since an order-N expansion has exponents
+  up to N - 2 <= 10.
 
   Two things keep that eigensolve small and accurate.  The diagonal holds
   hbar omega i + hbar omega j, the level of |ij> less the uncoupled ground
@@ -70,6 +71,7 @@ which must be finite and positive.
 """
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -156,18 +158,52 @@ def _hermite_columns(n_basis, xi):
     return h
 
 
-def _coupling_matrix(atom, R, cutoff, nodes):
-    """Full-kernel H_I (k = 1) by quadrature on ``nodes`` nodes, (n^2, n^2).
+def _node_count(atom, R, cutoff):
+    """Gauss-Hermite nodes of full mode's coupling at a basis cutoff.
+
+    The one node rule, and full mode's regulator.  In d = 1 the exact
+    kernel is not integrable across the other nucleus (-1/|R - x_A| at
+    x_A = R) or the coincidence line (1/|R - x_A + x_B| at x_A - x_B = R),
+    so its matrix elements between Hermite functions diverge
+    logarithmically, and full mode is finite only on a grid.  What the grid
+    regularizes carries the density of that line, e^(-R^2 / 4 a^2): for the
+    Bohr pair at cutoff 14 the correction moves over the accepted counts
+    from 30 to 119 by 2.4e-2 of itself at R/a = 6, 2.0e-4 at 8, 1.3e-7 at
+    10 and 1.0e-11 at 12.  Below R/a of about 8 the grid sets the value.
+    The truncated series has no nodes: its elements are ladder algebra.
+
+    The count is the first from 2 cutoff + 8 up whose nodes xi, x = ell xi,
+    * put the nucleus, xi = R / ell, beyond the outermost node or in the
+      middle half of the gap around it (a node near it gives the coupling a
+      large negative entry and the spectrum a spurious deep eigenvalue);
+    * and, tested only then, hold no node and no difference of two nodes
+      within 1e-8 R of R.  This fails only near isolated separations, such
+      as cutoff 16 at R/a = 16.715294931291087, whose 40 nodes hold a pair
+      9.4e-9 R short of R.
+    """
+    ell = _oscillator_length(atom)
+    for nodes in itertools.count(2 * cutoff + 8):
+        xi = _gauss_hermite(nodes)[0]
+        j = int(np.searchsorted(xi, R / ell))
+        if 0 < j < xi.size:
+            quarter = (xi[j] - xi[j - 1]) / 4.0
+            if not xi[j - 1] + quarter <= R / ell <= xi[j] - quarter:
+                continue
+        x = ell * xi
+        gap = min(np.abs(R - x[:, None] + x[None, :]).min(), np.abs(R - x).min())
+        if gap >= 1e-8 * R:
+            return nodes
+
+
+def _coupling_matrix(atom, R, cutoff):
+    """Full-kernel H_I (k = 1) by quadrature on ``_node_count`` nodes, (n^2, n^2).
 
     In the contraction's own layout: <ij|H_I|kl> at [(i, k), (j, l)], that
     is (i n + k, j n + l) for n = cutoff + 1, as ``_sectors`` reads it.
     """
+    nodes = _node_count(atom, R, cutoff)
     xi, w = _gauss_hermite(nodes)
     x = _oscillator_length(atom) * xi
-    if _on_singularity(x, R):
-        raise ValueError(
-            "quadrature node hit a kernel singularity; change the node count"
-        )
     grid = kernels.four_site_grid_1d(R, x, x)
     n = cutoff + 1
     h = _hermite_columns(n, xi)
@@ -203,8 +239,7 @@ def _hamiltonian(atom, R, mode, max_power, cutoff):
     """
     pairs = _ProductStates(atom, atom, cutoff)
     if mode == "full":
-        nodes = _node_count(atom, R, cutoff)
-        ham, even = _coupling_matrix(atom, R, cutoff, nodes), False
+        ham, even = _coupling_matrix(atom, R, cutoff), False
     else:
         ham, even = _ladder_coupling(pairs, R, max_power)
     n = len(pairs.states)
@@ -314,55 +349,6 @@ def _corrections(sectors, cutoffs):
     return tuple(lows)
 
 
-def _nodes_off_nucleus(xi_nucleus, nodes):
-    """Smallest node count from ``nodes`` up that keeps clear of the nucleus.
-
-    The full kernel's -1/|R - x_A| term is singular at the other nucleus,
-    xi = R / ell.  A node within a small fraction of the node spacing of it
-    gives the coupling a large negative entry and the spectrum a spurious
-    deep eigenvalue.  Accept a grid when the nucleus lies beyond the
-    outermost node or in the middle half of the gap between the two nodes
-    around it.
-    """
-    while True:
-        xi = _gauss_hermite(nodes)[0]
-        j = int(np.searchsorted(xi, xi_nucleus))
-        if j in (0, xi.size):
-            return nodes
-        quarter = (xi[j] - xi[j - 1]) / 4.0
-        if xi[j - 1] + quarter <= xi_nucleus <= xi[j] - quarter:
-            return nodes
-        nodes += 1
-
-
-def _on_singularity(x, R):
-    """True if a node, or the difference of two, lies within 1e-8 R of R.
-
-    There the full kernel's 1/|R - x_A| or 1/|R - x_A + x_B| is singular,
-    and ``_coupling_matrix`` refuses the grid.
-    """
-    gap = min(np.abs(R - x[:, None] + x[None, :]).min(), np.abs(R - x).min())
-    return gap < 1e-8 * R
-
-
-def _node_count(atom, R, cutoff):
-    """Full-mode nodes for a basis cutoff: 2 cutoff + 8, kept off the nucleus.
-
-    Only full mode has nodes; the truncated series' elements are exact
-    ladder algebra (``_ladder_coupling``).  The count steps up from
-    2 cutoff + 8 until the other nucleus keeps clear of the nodes
-    (``_nodes_off_nucleus``) and no two nodes lie R apart
-    (``_on_singularity``).  The second condition fails only within 1e-8 R
-    of isolated separations, such as cutoff 16 at R/a = 16.715294931291087,
-    whose 40 nodes hold a pair 9.4e-9 R short of R.
-    """
-    ell = _oscillator_length(atom)
-    nodes = _nodes_off_nucleus(R / ell, 2 * cutoff + 8)
-    while _on_singularity(ell * _gauss_hermite(nodes)[0], R):
-        nodes = _nodes_off_nucleus(R / ell, nodes + 1)
-    return nodes
-
-
 def _check_pair(atom, R, mode, max_power, cutoffs, overlap_tol):
     """The cutoffs as plain ints, once pair, mode, max_power and cutoffs check out.
 
@@ -427,16 +413,8 @@ def oscillator_basis_diag(
     ``MAX_EXPANSION_POWER`` in either mode, ``cutoff`` an integer of at
     least 3 (a numpy integer is taken as an int, a bool is rejected) and
     ``overlap_tol`` finite and positive; all are checked before the overlap.
-
-    In full mode the discretized expectation of the kernel is regularization
-    sensitive once the clouds overlap appreciably (R/a below about 8): the
-    exact expectation of 1/|R - x_A + x_B| picks up a logarithmic
-    electron-coincidence contribution weighted by the exponentially small
-    overlap, so dense grids that land nodes near that line shift the answer.
-    The node count 2 cutoff + 8 can also put a node next to the other
-    nucleus, x = R, where -1/|R - x_A| is singular; full mode therefore
-    takes the first count from 2 cutoff + 8 up that keeps R in the middle
-    half of a node gap or beyond the outermost node.
+    Full mode's value depends on its quadrature grid below R/a of about 8
+    (``_node_count``).
     """
     (cutoff,), (correction, coarse) = _diagonalize(
         atom, R, mode, max_power, (cutoff,), overlap_tol, below=2
@@ -462,20 +440,20 @@ def convergence_report(
     """Ground energy versus basis cutoff from one Hamiltonian, k = hbar = 1.
 
     H is assembled once, at the largest cutoff, as ``oscillator_basis_diag``
-    would assemble it for that cutoff (in full mode on 2 max + 8 nodes,
-    stepped up until no node sits next to the other nucleus), with
-    hbar omega (i + j) on its diagonal, and split into its symmetry
-    sectors: two exchange sectors, or four with total parity for the dipole
-    series (see the module docstring).  Each rung is the set of leading
-    principal blocks of its cutoff, so the ladder shares one coupling
-    operator and the energies are strictly variational in the basis.  The
-    corrections are the lowest eigenvalues themselves and the ground energies
-    are correction + hbar omega.  ``eigvalsh`` solves each rung's block of
-    the ground state's sector, P = +1 (and even); one Cholesky factorization
-    of each other sector at the largest cutoff shows that sector lies above
-    every rung, and only a sector whose factorization fails is diagonalized
-    too.  Every rung must be an integer of at least 3, and ``mode`` and
-    ``max_power`` are checked as ``oscillator_basis_diag`` checks them.
+    would assemble it for that cutoff (in full mode on ``_node_count``'s
+    grid), with hbar omega (i + j) on its diagonal, and split into its
+    symmetry sectors: two exchange sectors, or four with total parity for
+    the dipole series (see the module docstring).  Each rung is the set of
+    leading principal blocks of its cutoff, so the ladder shares one
+    coupling operator and the energies are strictly variational in the
+    basis.  The corrections are the lowest eigenvalues themselves and the
+    ground energies are correction + hbar omega.  ``eigvalsh`` solves each
+    rung's block of the ground state's sector, P = +1 (and even); one
+    Cholesky factorization of each other sector at the largest cutoff shows
+    that sector lies above every rung, and only a sector whose factorization
+    fails is diagonalized too.  Every rung must be an integer of at least 3,
+    and ``mode`` and ``max_power`` are checked as ``oscillator_basis_diag``
+    checks them.
     """
     cutoffs = tuple(cutoffs)
     if not cutoffs:

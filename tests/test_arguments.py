@@ -139,6 +139,8 @@ COUNTS = {
         (lv.energy, list(lv.quanta))
         for lv in drude_spectrum(DrudeAtom(2, 0.5), c)
     ]),
+    # radial_moment once took -1 (a math domain error), 2.5 and True
+    "radial_moment": ("order", 0, lambda n: DrudeAtom(2, 0.5).radial_moment(n)),
     "oscillator_basis_diag": ("cutoff", 3, _oracle),
     "convergence_report": ("cutoff", 3, _ladder),
     "second_order_sum": ("cutoff", 1, lambda c: second_order_sum(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -573,6 +574,20 @@ class TestSpectrum:
             )
             assert {type(n) for lv in levels for n in lv.quanta} == {int}
 
+    def test_spectrum_builds_no_pair_levels(self):
+        # the spectrum read its states from _ProductStates, whose S x S pair
+        # levels peaked at 69 MB here; one atom's states need under 1 MB
+        atom = DrudeAtom(3, 1.0)
+        drude_spectrum(atom, 1)
+        tracemalloc.start()
+        try:
+            levels = drude_spectrum(atom, 24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(levels) == 2925
+        assert peak < 5e6
+
     @pytest.mark.parametrize("cutoff", [2.0, 1.5, math.nan, True])
     def test_rejects_non_integer_cutoff(self, cutoff):
         with pytest.raises(ValueError, match="cutoff must be an integer"):
@@ -595,6 +610,20 @@ class TestCaps:
         assert atom.moment((MOMENT_CAP,)) > 0
         with pytest.raises(MomentCapError):
             atom.moment((MOMENT_CAP + 2,))
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: DrudeAtom.bohr_matched(1), lambda: RingAtom(2), Hydrogen1DAtom,
+         lambda: _gaussian_radial_atom(3)],
+        ids=["drude", "ring", "hydrogen1d", "numeric"],
+    )
+    def test_radial_moment_cap(self, make):
+        # only the numeric atom capped the order, in its own _radial_moment:
+        # a Drude atom returned 3.2e23 at order 40
+        atom = make()
+        assert math.isfinite(atom.radial_moment(MOMENT_CAP))
+        with pytest.raises(MomentCapError, match=f" {MOMENT_CAP + 1} exceeds cap"):
+            atom.radial_moment(MOMENT_CAP + 1)
 
     def test_wrong_exponent_length(self):
         with pytest.raises(ValueError):

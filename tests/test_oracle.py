@@ -22,7 +22,7 @@ from vdwdim.oracle import (
     _hamiltonian,
     _hermite_columns,
     _ladder_coupling,
-    _nodes_off_nucleus,
+    _node_count,
     _offset_tables,
     _oscillator_length,
     _sectors,
@@ -99,15 +99,15 @@ class TestDiagonalization:
         assert res.correction == pytest.approx(ref, rel=0.15, abs=0.0)
 
     def test_full_kernel_steps_off_a_node_pair_at_distance_r(self):
-        # 40 nodes (cutoff 16) hold a pair 9.4e-9 R short of R, on the
-        # 1/|R - x_A + x_B| singularity, and the coupling refused that grid
+        # 40 nodes (cutoff 16) clear the nucleus but hold a pair 9.4e-9 R
+        # short of R, on the 1/|R - x_A + x_B| singularity
         atom = PRESET.atom(1)
         R = 16.715294931291087
         ell = _oscillator_length(atom)
-        assert _nodes_off_nucleus(R / ell, 40) == 40
-        with pytest.raises(ValueError, match="kernel singularity"):
-            _coupling_matrix(atom, R, 16, 40)
-        assert oracle._node_count(atom, R, 16) == 41
+        xi = _gauss_hermite(40)[0]
+        assert _clear_of_nucleus(xi, R / ell)
+        assert _singular_gap(ell * xi, R) < 1e-8 * R
+        assert _node_count(atom, R, 16) == 41
         res = oscillator_basis_diag(atom, R, mode="full", cutoff=16, overlap_tol=1e-1)
         ref = 6.0 / R**5 - 4.0 / R**6 + 90.0 / R**7
         assert res.correction == pytest.approx(ref, rel=0.15, abs=0.0)
@@ -148,8 +148,9 @@ class TestCouplingAssembly:
     @pytest.mark.parametrize("cutoff", [6, 12])
     def test_matches_four_index_contraction(self, cutoff):
         atom = PRESET.atom(1)
-        R, nodes = 9.3, 2 * cutoff + 8
-        got = _coupling_matrix(atom, R, cutoff, nodes)
+        R = 9.3
+        nodes = _node_count(atom, R, cutoff)
+        got = _coupling_matrix(atom, R, cutoff)
         xi, w = np.polynomial.hermite.hermgauss(nodes)
         x = math.sqrt(1.0 / (atom.mass * atom.omega)) * xi
         grid = kernels.four_site_grid_1d(R, x, x)
@@ -166,8 +167,7 @@ class TestCouplingAssembly:
         # kernel gives the |.| form of the grid, and the coupling, bit for bit
         atom = PRESET.atom(1)
         R = 14.0
-        nodes = _nodes_off_nucleus(R / _oscillator_length(atom), 2 * cutoff + 8)
-        got = _coupling_matrix(atom, R, cutoff, nodes)
+        got = _coupling_matrix(atom, R, cutoff)
 
         def abs_form(R, xa, xb):
             A = xa[:, None]
@@ -180,8 +180,32 @@ class TestCouplingAssembly:
             )
 
         monkeypatch.setattr(kernels, "four_site_grid_1d", abs_form)
-        want = _coupling_matrix(atom, R, cutoff, nodes)
+        want = _coupling_matrix(atom, R, cutoff)
         assert np.array_equal(got, want)
+
+    def test_node_count_is_the_first_clear_grid(self):
+        # no caller hands the coupling a grid: over the oracle workload's
+        # full-mode range, _node_count's grid clears the nucleus and keeps
+        # every node and node difference 1e-8 R off R, and no smaller count
+        # from 2 cutoff + 8 does both
+        atom = PRESET.atom(1)
+        ell = _oscillator_length(atom)
+
+        def clear(nodes, R):
+            xi = _gauss_hermite(nodes)[0]
+            return _clear_of_nucleus(xi, R / ell) and not (
+                _singular_gap(ell * xi, R) < 1e-8 * R
+            )
+
+        stepped = set()
+        for cutoff in range(10, 21):
+            for ratio in [8.0 + 0.02 * k for k in range(601)] + [16.715294931291087]:
+                R = ratio * atom.a
+                nodes = _node_count(atom, R, cutoff)
+                assert clear(nodes, R)
+                assert not any(clear(n, R) for n in range(2 * cutoff + 8, nodes))
+                stepped.add(nodes - 2 * cutoff - 8)
+        assert {0, 1, 2} <= stepped
 
     @pytest.mark.parametrize("cutoff", [8, 12, 20])
     @pytest.mark.parametrize("max_power", [3, 8, 12])
@@ -238,7 +262,7 @@ class TestCouplingAssembly:
 
         for name in (
             "_gauss_hermite", "_hermite_columns", "_node_count",
-            "_nodes_off_nucleus", "_coupling_matrix",
+            "_coupling_matrix",
         ):
             monkeypatch.setattr(oracle, name, forbidden)
         for name in ("series_grid_1d", "four_site_grid_1d"):
@@ -344,16 +368,18 @@ class TestConvergenceLadder:
             atom, 8.0, mode="full", cutoffs=(15, 17), overlap_tol=1.0
         )
         res = oscillator_basis_diag(atom, 8.0, cutoff=17, overlap_tol=1.0)
-        assert _diag_nodes(atom, 8.0, "full", 17) == 43
+        ell = _oscillator_length(atom)
+        assert not _clear_of_nucleus(_gauss_hermite(42)[0], 8.0 / ell)
+        assert _node_count(atom, 8.0, 17) == 43
         assert rep.corrections[-1] == res.correction
         assert rep.successive_differences() == (res.convergence_error,)
         assert all(0.0 < c < 1e-3 for c in rep.corrections)
 
     @pytest.mark.parametrize("cutoff, R", [(8, 2.5), (12, 6.0)])
     def test_rungs_read_from_one_hamiltonian(self, cutoff, R):
-        # a truncated-mode ladder topped at c uses the 2 c + 8 nodes that
-        # oscillator_basis_diag(cutoff=c) uses, and its c - 2 rung is that
-        # call's sub-basis: both read the same H, so they agree exactly
+        # a truncated-mode ladder topped at c reads the H that
+        # oscillator_basis_diag(cutoff=c) reads, and its c - 2 rung is that
+        # call's sub-basis, so they agree exactly
         atom = PRESET.atom(1)
         rep = convergence_report(
             atom, R, mode="truncated", cutoffs=(cutoff - 2, cutoff),
@@ -367,12 +393,21 @@ class TestConvergenceLadder:
         assert rep.successive_differences() == (res.convergence_error,)
 
 
-def _diag_nodes(atom, R, mode, cutoff):
-    """The node count ``oscillator_basis_diag`` uses for this call."""
-    nodes = 2 * cutoff + 8
-    if mode == "full":
-        nodes = _nodes_off_nucleus(R / _oscillator_length(atom), nodes)
-    return nodes
+def _clear_of_nucleus(xi, nucleus):
+    """True if ``nucleus`` lies beyond the outer nodes or mid-gap between two.
+
+    Mid-gap is the middle half of the gap between the nodes around it.
+    """
+    j = int(np.searchsorted(xi, nucleus))
+    if j in (0, xi.size):
+        return True
+    quarter = (xi[j] - xi[j - 1]) / 4.0
+    return xi[j - 1] + quarter <= nucleus <= xi[j] - quarter
+
+
+def _singular_gap(x, R):
+    """Distance from R of the nearest node or difference of two nodes."""
+    return min(np.abs(R - x[:, None] + x[None, :]).min(), np.abs(R - x).min())
 
 
 def _exchange(n):
